@@ -35,15 +35,11 @@ from .analysis import (
     RateFit,
     SamplerSpec,
     Trajectory,
-    apriori_bound,
     check_condition,
     check_mask_conditions,
     cumulative_products,
     derive_limit_constants,
-    deviation_bound,
-    empirical_sup_deviation,
     fit_exponential_rate,
-    limit_bound,
     state_deviation,
     tail_product_sums,
     weighted_tail_sums,
@@ -78,7 +74,6 @@ from .linalg import (
     toeplitz_norms,
     vector_norm,
     zero_pad_matrix,
-    zero_pad_vector,
 )
 from .network import (
     CONSTANT_PAD,
@@ -91,14 +86,12 @@ from .network import (
     Plain,
     Pooled,
     cnn_layer_seq,
-    eval_extended,
     eval_extended_trajectory,
-    eval_network,
     eval_trajectory,
     network_lipschitz_bound,
     pool_of,
 )
-from .pooling import PoolingOp, average_pooling, max_pooling, no_pooling, pool_lipschitz
+from .pooling import PoolingOp, average_pooling, max_pooling, no_pooling
 from .report import (
     REPORT_SCHEMA,
     TABLE_SCHEMA,

@@ -34,8 +34,6 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import EventuallyConstSeq
-
 __all__ = [
     "Activation",
     "identity",
@@ -68,10 +66,6 @@ class Activation:
 
     def scalar(self, x: float) -> float:
         return float(self.fn(np.float64(x)))
-
-    def apply_seq(self, s: EventuallyConstSeq) -> EventuallyConstSeq:
-        """Componentwise action on an eventually-constant sequence."""
-        return EventuallyConstSeq(self.apply(s.head), self.scalar(s.tail))
 
 
 def _positive(value: float, what: str) -> float:

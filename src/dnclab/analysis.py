@@ -7,9 +7,9 @@ inequality the laboratory verifies:
   the three convolution-mask conditions (:func:`check_mask_conditions`),
   evaluated analytically when limits are declared and by labelled window
   scans otherwise;
-* the **a-priori bound** on state norms (:func:`apriori_bound`);
+* the **a-priori bound** on state norms (:func:`apriori_bound_ctx`);
 * the three-term **deviation bound** on |N_{n+m}(x) - N_n(x)|
-  (:func:`deviation_bound`), the workhorse inequality whose structure is
+  (:func:`deviation_bound_ctx`), the workhorse inequality whose structure is
 
       L * sum_i  Lam^{i-1} * |b_{m+n-i} - b_{n-i}|
     + L*P * sum_i  Lam^{i-1} * |N_{n-1-i}(x)| * |W_{m+n-i} - W_{n-i}|
@@ -18,18 +18,19 @@ inequality the laboratory verifies:
   with Lam^i = prod_{j=0..i} L*P*|W_{n+m-j}| and the empty product
   Lam^{-1} = 1;
 * the **limit bound** on the distance to the limit network
-  (:func:`limit_bound`), with certified constants derived in
+  (:func:`limit_bound_ctx`), with certified constants derived in
   :func:`derive_limit_constants`;
-* empirical counterparts (:func:`empirical_sup_deviation`,
-  :class:`Trajectory`), the exponential-rate fit
-  (:func:`fit_exponential_rate`), and exact oracles for the two scalar
-  sequence lemmas behind the convergence proofs.
+* the per-sample empirical side (:class:`Trajectory`), the
+  exponential-rate fit (:func:`fit_exponential_rate`), and exact oracles
+  for the two scalar sequence lemmas behind the convergence proofs.
 
-Networks of different widths are compared through their extension: states
-are extended with the activation's value at zero (which literal zero padding
-matches exactly whenever act(0) = 0), while weights and biases are padded
-with zeros.  Constant-padded convolutional studies use the l_inf sequence
-metric and the exact mask-sum operator norms.
+Every bound takes a :class:`BoundContext`, which caches the x-independent
+data of one network and norm.  Networks of different widths are compared
+through an extension, one geometry object each (:func:`padding_geometry`):
+:class:`ZeroPad` pads weights and biases with zeros and states with the
+activation's value at zero (which literal zero padding matches exactly
+whenever act(0) = 0); :class:`ConstantPad` compares constant-padded
+convolutional sequences in l_inf with the exact mask-sum operator norms.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ from .network import (
     Conv,
     LayerSeq,
     NetworkKind,
-    Pooled,
     eval_extended_trajectory,
     eval_trajectory,
     pool_of,
@@ -72,15 +72,17 @@ __all__ = [
     "ConditionVerdict",
     "check_condition",
     "check_mask_conditions",
+    "ZeroPad",
+    "ConstantPad",
+    "padding_geometry",
     "BoundContext",
     "Trajectory",
     "state_deviation",
-    "apriori_bound",
-    "deviation_bound",
-    "empirical_sup_deviation",
+    "apriori_bound_ctx",
+    "deviation_bound_ctx",
     "LimitConstants",
     "derive_limit_constants",
-    "limit_bound",
+    "limit_bound_ctx",
     "RateFit",
     "fit_exponential_rate",
     "cumulative_products",
@@ -327,12 +329,175 @@ def state_deviation(a: np.ndarray, b: np.ndarray, p: PNorm, fill: float) -> floa
     )
 
 
+def _padded_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a - b with both matrices zero-padded to a common shape."""
+    out = np.zeros((max(a.shape[0], b.shape[0]), max(a.shape[1], b.shape[1])))
+    out[: a.shape[0], : a.shape[1]] = a
+    out[: b.shape[0], : b.shape[1]] -= b
+    return out
+
+
+class _Lazy(dict):
+    """A dict that fills a missing entry with ``compute(key)``."""
+
+    __slots__ = ("compute",)
+
+    def __init__(self, compute):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key):
+        got = self[key] = self.compute(key)
+        return got
+
+
+class ZeroPad:
+    """Finite states in l_p: weights, biases and pre-activations are padded
+    with zeros, states with act(0).  A geometry computes every quantity in
+    which the two extensions differ; :class:`BoundContext` caches them."""
+
+    def __init__(self, seq: LayerSeq, kind: NetworkKind, act: Activation, p: PNorm):
+        self.seq = seq
+        self.kind = kind
+        self.act = act
+        self.p = p
+
+    def weight_norm(self, n: int) -> float:
+        return self.seq.weight_norm(n, self.p)
+
+    def weight_diff(self, j: int, k: int) -> float:
+        return induced_norm(
+            _padded_diff(self.seq.layer(j)[0], self.seq.layer(k)[0]), self.p
+        )
+
+    def weight_limit_norm(self) -> float | None:
+        """|W*|, or None when the extension has no declared limit operator."""
+        if isinstance(self.kind, Conv):
+            lim = self.kind.masks.limit
+            # only a vanishing mask has a zero-padded limit operator
+            return None if lim is None or lim.any() else 0.0
+        if self.seq.weight_limit is None:
+            return None
+        return induced_norm(self.seq.weight_limit, self.p)
+
+    def weight_limit_diff(self, k: int) -> float:
+        if isinstance(self.kind, Conv) and self.weight_limit_norm() == 0.0:
+            return self.weight_norm(k)  # |W_k - 0|
+        if self.seq.weight_limit is None:
+            raise ValueError("no declared weight limit")
+        return induced_norm(
+            _padded_diff(self.seq.layer(k)[0], self.seq.weight_limit), self.p
+        )
+
+    def zero_image_norm(self, n: int) -> float:
+        dim = self.seq.width(n) + self.seq.extra_rows
+        zero = pool_of(self.kind).pool(np.zeros(dim))
+        return vector_norm(self.act.apply(zero), self.p)
+
+    def tail_cap_refusal(self) -> str | None:
+        """Why the state norms admit no certified sup, or None: padded
+        coordinates carry act(0), so on the unbounded widths of a convolution
+        their finite-p norm grows without limit."""
+        if isinstance(self.kind, Conv) and self.act.value_at_zero and not self.p.is_inf:
+            return (
+                "act(0) != 0 on unbounded widths admits no finite-p tail cap; "
+                "use p = inf"
+            )
+        return None
+
+    def states(self, x: np.ndarray, depth: int) -> list:
+        return eval_trajectory(self.seq, self.kind, self.act, x, depth)
+
+    def first_product(self, x: np.ndarray):
+        return matvec(self.seq.layer(1)[0], x)
+
+    def restart_gap(self, m: int, state, first) -> float:
+        """|W_{m+1} N_m(x) - W_1 x| given N_m(x) and ``first`` = W_1 x."""
+        prod = matvec(self.seq.layer(m + 1)[0], state)
+        return state_deviation(prod, first, self.p, 0.0)
+
+    def state_norm(self, state) -> float:
+        return vector_norm(state, self.p)
+
+    def distance(self, a, b) -> float:
+        return state_deviation(a, b, self.p, self.act.value_at_zero)
+
+
+class ConstantPad(ZeroPad):
+    """Constant-padded convolutional sequences in l_inf: layer 1 keeps its
+    zero-padded matrix, later layers act by their constant-padded Toeplitz
+    operators, whose induced norms are the exact absolute mask sums."""
+
+    def weight_norm(self, n: int) -> float:
+        if n >= 2:
+            return self.kind.masks.abs_sum(n)
+        return super().weight_norm(n)
+
+    def weight_diff(self, j: int, k: int) -> float:
+        return seq_sum(np.abs(self._mask(j) - self._mask(k)))
+
+    def weight_limit_norm(self) -> float | None:
+        lim = self.kind.masks.limit
+        return None if lim is None else seq_sum(np.abs(lim))
+
+    def weight_limit_diff(self, k: int) -> float:
+        lim = self.kind.masks.limit
+        if lim is None:
+            raise ValueError("no declared mask limit")
+        return seq_sum(np.abs(self._mask(k) - lim))
+
+    def _mask(self, n: int) -> np.ndarray:
+        if n < 2:
+            raise ValueError(
+                "constant-padded weight differences are defined for layers >= 2"
+            )
+        return self.kind.masks.mask(n)
+
+    def zero_image_norm(self, n: int) -> float:
+        return abs(self.act.value_at_zero)
+
+    def states(self, x: np.ndarray, depth: int) -> list:
+        return eval_extended_trajectory(
+            self.seq, self.kind, self.act, x, depth, CONSTANT_PAD
+        )
+
+    def first_product(self, x: np.ndarray):
+        return EventuallyConstSeq(super().first_product(x), 0.0)
+
+    def restart_gap(self, m: int, state, first) -> float:
+        op = constant_padded_toeplitz(self.kind.masks.mask(m + 1))
+        return self.distance(apply_banded(op, state), first)
+
+    def state_norm(self, state) -> float:
+        return state.norm(INF)
+
+    def distance(self, a, b) -> float:
+        return (a - b).norm(INF)
+
+
+def padding_geometry(
+    extension: str, seq: LayerSeq, kind: NetworkKind, act: Activation, p: PNorm
+) -> ZeroPad:
+    """The geometry of the ``extension`` scheme, after checking that the
+    scheme applies to the network and the norm."""
+    if extension == ZERO_PAD:
+        return ZeroPad(seq, kind, act, p)
+    if extension != CONSTANT_PAD:
+        raise ValueError(f"unknown extension scheme {extension!r}")
+    if not isinstance(kind, Conv):
+        raise ValueError("constant padding applies to convolutional networks")
+    if not p.is_inf:
+        raise ValueError("constant-padded comparisons use the l_inf sequence metric")
+    return ConstantPad(seq, kind, act, p)
+
+
 class BoundContext:
     """Caches the x-independent norm and difference data the bounds consume.
 
     One instance per (layer sequence, kind, activation, p, extension); the
     caches matter because the study grid revisits the same weight-difference
-    norms for every (n, m) pair and sample.
+    norms for every (n, m) pair and sample.  ``geometry`` computes what the
+    extension decides; biases are zero-padded under both schemes.
     """
 
     def __init__(
@@ -343,170 +508,53 @@ class BoundContext:
         p: PNorm,
         extension: str = ZERO_PAD,
     ):
-        if extension not in (ZERO_PAD, CONSTANT_PAD):
-            raise ValueError(f"unknown extension scheme {extension!r}")
-        if extension == CONSTANT_PAD:
-            if not isinstance(kind, Conv):
-                raise ValueError("constant padding applies to convolutional networks")
-            if not p.is_inf:
-                raise ValueError(
-                    "constant-padded comparisons use the l_inf sequence metric"
-                )
+        self.geometry = geo = padding_geometry(extension, seq, kind, act, p)
         self.seq = seq
         self.kind = kind
         self.act = act
         self.p = p
-        self.extension = extension
-        self.pool = pool_of(kind)
         self.L = act.lipschitz
-        self.P = self.pool.lipschitz(p)
-        self._wnorm: dict[int, float] = {}
-        self._wdiff: dict[tuple[int, int], float] = {}
-        self._bdiff: dict[tuple[int, int], float] = {}
-        self._elim: dict[int, float] = {}
-        self._Elim: dict[int, float] = {}
-        self._znorm: dict[int, float] = {}
+        self.P = pool_of(kind).lipschitz(p)
+        self.weight_limit_norm = geo.weight_limit_norm()
+        self.has_limits = (
+            self.weight_limit_norm is not None and seq.bias_limit is not None
+        )
+        self._wnorm = _Lazy(geo.weight_norm)
+        self._wdiff = _Lazy(lambda jk: geo.weight_diff(*jk))
+        self._Elim = _Lazy(geo.weight_limit_diff)
+        self._znorm = _Lazy(geo.zero_image_norm)
 
-    # -- operator norms ------------------------------------------------
+        def bias_gap(jk):  # layer None stands for the declared limit b*
+            a, b = (seq.bias_limit if k is None else seq.layer(k)[1] for k in jk)
+            return state_deviation(a, b, p, 0.0)
+
+        self._bdiff = _Lazy(bias_gap)
 
     def weight_norm(self, n: int) -> float:
-        got = self._wnorm.get(n)
-        if got is None:
-            if self.extension == CONSTANT_PAD and n >= 2:
-                got = self.kind.masks.abs_sum(n)
-            else:
-                got = self.seq.weight_norm(n, self.p)
-            self._wnorm[n] = got
-        return got
+        return self._wnorm[n]
 
     def weight_diff(self, j: int, k: int) -> float:
-        """|W_j - W_k| in the extension (zero padding to a common shape, or
-        the exact mask-sum norm of the constant-padded difference)."""
-        key = (j, k)
-        got = self._wdiff.get(key)
-        if got is not None:
-            return got
-        if self.extension == CONSTANT_PAD:
-            if min(j, k) < 2:
-                raise ValueError(
-                    "constant-padded weight differences are defined for layers >= 2"
-                )
-            masks = self.kind.masks
-            got = seq_sum(np.abs(masks.mask(j) - masks.mask(k)))
-        else:
-            got = induced_norm(self._padded_diff(j, k), self.p)
-        self._wdiff[key] = got
-        return got
-
-    def _padded_diff(self, j: int, k: int) -> np.ndarray:
-        wj = self.seq.layer(j)[0]
-        wk = self.seq.layer(k)[0]
-        rows = max(wj.shape[0], wk.shape[0])
-        cols = max(wj.shape[1], wk.shape[1])
-        out = np.zeros((rows, cols))
-        out[: wj.shape[0], : wj.shape[1]] = wj
-        out[: wk.shape[0], : wk.shape[1]] -= wk
-        return out
-
-    def bias_diff(self, j: int, k: int) -> float:
-        """|b_j - b_k| with zero padding across widths."""
-        key = (j, k)
-        got = self._bdiff.get(key)
-        if got is None:
-            bj = self.seq.layer(j)[1]
-            bk = self.seq.layer(k)[1]
-            size = max(bj.size, bk.size)
-            got = vector_norm(
-                extend_vector(bj, size) - extend_vector(bk, size), self.p
-            )
-            self._bdiff[key] = got
-        return got
-
-    # -- declared limits -------------------------------------------------
-
-    @property
-    def weight_limit_norm(self) -> float | None:
-        if isinstance(self.kind, Conv):
-            lim = self.kind.masks.limit
-            if lim is None:
-                return None
-            if self.extension == CONSTANT_PAD:
-                return seq_sum(np.abs(lim))
-            # zero-pad extension: only a vanishing mask has a limit operator
-            return 0.0 if not lim.any() else None
-        if self.seq.weight_limit is None:
-            return None
-        return induced_norm(self.seq.weight_limit, self.p)
-
-    @property
-    def has_limits(self) -> bool:
-        return self.weight_limit_norm is not None and self.seq.bias_limit is not None
-
-    def bias_limit_diff(self, k: int) -> float:
-        """e_k = |b_k - b*| (zero-padded across widths)."""
-        got = self._elim.get(k)
-        if got is None:
-            if self.seq.bias_limit is None:
-                raise ValueError("no declared bias limit")
-            bk = self.seq.layer(k)[1]
-            size = max(bk.size, self.seq.bias_limit.size)
-            got = vector_norm(
-                extend_vector(bk, size) - extend_vector(self.seq.bias_limit, size),
-                self.p,
-            )
-            self._elim[k] = got
-        return got
+        """|W_j - W_k| in the extension."""
+        return self._wdiff[j, k]
 
     def weight_limit_diff(self, k: int) -> float:
         """E_k = |W_k - W*| in the extension."""
-        got = self._Elim.get(k)
-        if got is not None:
-            return got
-        if isinstance(self.kind, Conv):
-            lim = self.kind.masks.limit
-            if lim is None:
-                raise ValueError("no declared mask limit")
-            if self.extension == CONSTANT_PAD:
-                if k < 2:
-                    raise ValueError(
-                        "constant-padded weight differences are defined for layers >= 2"
-                    )
-                got = seq_sum(np.abs(self.kind.masks.mask(k) - lim))
-            elif not lim.any():
-                got = self.weight_norm(k)  # |W_k - 0|
-            else:
-                raise ValueError(
-                    "zero-padded convolutional weights converge only when the "
-                    "limit mask vanishes; use the constant_pad extension"
-                )
-        else:
-            if self.seq.weight_limit is None:
-                raise ValueError("no declared weight limit")
-            wk = self.seq.layer(k)[0]
-            wl = self.seq.weight_limit
-            rows = max(wk.shape[0], wl.shape[0])
-            cols = max(wk.shape[1], wl.shape[1])
-            out = np.zeros((rows, cols))
-            out[: wk.shape[0], : wk.shape[1]] = wk
-            out[: wl.shape[0], : wl.shape[1]] -= wl
-            got = induced_norm(out, self.p)
-        self._Elim[k] = got
-        return got
-
-    # -- misc pieces ------------------------------------------------------
+        return self._Elim[k]
 
     def zero_image_norm(self, n: int) -> float:
         """|(act o pool)(0)| at layer n — the additive constant of the
-        a-priori recursion.  Constant |act(0)| in the l_inf sequence norm."""
-        got = self._znorm.get(n)
-        if got is None:
-            if self.extension == CONSTANT_PAD:
-                got = abs(self.act.value_at_zero)
-            else:
-                dim = self.seq.width(n) + self.seq.extra_rows
-                got = vector_norm(self.act.apply(self.pool.pool(np.zeros(dim))), self.p)
-            self._znorm[n] = got
-        return got
+        a-priori recursion."""
+        return self._znorm[n]
+
+    def bias_diff(self, j: int, k: int) -> float:
+        """|b_j - b_k| with zero padding across widths."""
+        return self._bdiff[j, k]
+
+    def bias_limit_diff(self, k: int) -> float:
+        """e_k = |b_k - b*| (zero-padded across widths)."""
+        if self.seq.bias_limit is None:
+            raise ValueError("no declared bias limit")
+        return self._bdiff[k, None]
 
     def bias_norm(self, n: int) -> float:
         return vector_norm(self.seq.layer(n)[1], self.p)
@@ -531,62 +579,30 @@ class Trajectory:
     """
 
     def __init__(self, ctx: BoundContext, x, depth: int):
-        self.ctx = ctx
         self.x = as_vector(x, name="sample")
         self.depth = int(depth)
         if self.depth < 1:
             raise ValueError("trajectory depth must be >= 1")
-        if ctx.extension == CONSTANT_PAD:
-            self._states = eval_extended_trajectory(
-                ctx.seq, ctx.kind, ctx.act, self.x, self.depth, CONSTANT_PAD
-            )
-            w1 = ctx.seq.layer(1)[0]
-            self._first = EventuallyConstSeq(matvec(w1, self.x), 0.0)
-        else:
-            self._states = eval_trajectory(ctx.seq, ctx.kind, ctx.act, self.x, self.depth)
-            self._first = matvec(ctx.seq.layer(1)[0], self.x)
-        self._norms: dict[int, float] = {}
-        self._gaps: dict[int, float] = {}
+        geo = self._geo = ctx.geometry
+        states = self._states = geo.states(self.x, self.depth)
+        first = geo.first_product(self.x)
+        self._norms = _Lazy(lambda n: geo.state_norm(states[n - 1]))
+        self._gaps = _Lazy(lambda m: geo.restart_gap(m, states[m - 1], first))
 
     def state(self, n: int):
         return self._states[n - 1]
 
     def state_norm(self, n: int) -> float:
-        got = self._norms.get(n)
-        if got is None:
-            s = self.state(n)
-            if self.ctx.extension == CONSTANT_PAD:
-                got = s.norm(INF)
-            else:
-                got = vector_norm(s, self.ctx.p)
-            self._norms[n] = got
-        return got
+        return self._norms[n]
 
     def deviation(self, n_small: int, n_large: int) -> float:
         """|N_{n_large}(x) - N_{n_small}(x)| in the extension metric."""
-        a = self.state(n_large)
-        b = self.state(n_small)
-        if self.ctx.extension == CONSTANT_PAD:
-            return (a - b).norm(INF)
-        return state_deviation(a, b, self.ctx.p, self.ctx.act.value_at_zero)
+        return self._geo.distance(self.state(n_large), self.state(n_small))
 
     def product_gap(self, m: int) -> float:
         """|W_{m+1} N_m(x) - W_1 x| — the pre-activation mismatch between
         restarting the recursion at depth m and at the input."""
-        got = self._gaps.get(m)
-        if got is not None:
-            return got
-        ctx = self.ctx
-        if ctx.extension == CONSTANT_PAD:
-            op = constant_padded_toeplitz(ctx.kind.masks.mask(m + 1))
-            prod = apply_banded(op, self.state(m))
-            got = (prod - self._first).norm(INF)
-        else:
-            w = ctx.seq.layer(m + 1)[0]
-            prod = matvec(w, self.state(m))
-            got = state_deviation(prod, self._first, ctx.p, 0.0)
-        self._gaps[m] = got
-        return got
+        return self._gaps[m]
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +611,13 @@ class Trajectory:
 
 
 def apriori_bound_ctx(ctx: BoundContext, n: int, x_bound: float) -> float:
-    """A-priori bound on |N_n(x)| for |x| <= x_bound (context form)."""
+    """Upper bound on |N_n(x)| over |x| <= x_bound:
+
+        prod_{j<=n} (L*P*|W_j|) * x_bound
+        + sum_{j<=n} prod_{i=j+1..n} (L*P*|W_i|) * (L*|b_j| + |(act o pool)(0_j)|)
+
+    where 0_j is the zero vector of the layer's pre-pooling dimension.
+    """
     if n < 1:
         raise ValueError(f"depth must be >= 1, got {n}")
     factors = [ctx.L * ctx.P * ctx.weight_norm(j) for j in range(1, n + 1)]
@@ -611,27 +633,16 @@ def apriori_bound_ctx(ctx: BoundContext, n: int, x_bound: float) -> float:
     return full * x_bound + seq_sum(terms)
 
 
-def apriori_bound(
-    seq: LayerSeq,
-    kind: NetworkKind,
-    act: Activation,
-    p: PNorm,
-    n: int,
-    x_bound: float,
-    extension: str = ZERO_PAD,
-) -> float:
-    """Upper bound on |N_n(x)| over |x| <= x_bound:
-
-        prod_{j<=n} (L*P*|W_j|) * x_bound
-        + sum_{j<=n} prod_{i=j+1..n} (L*P*|W_i|) * (L*|b_j| + |(act o pool)(0_j)|)
-
-    where 0_j is the zero vector of the layer's pre-pooling dimension.
-    """
-    return apriori_bound_ctx(BoundContext(seq, kind, act, p, extension), n, x_bound)
-
-
 def deviation_bound_ctx(ctx: BoundContext, traj: Trajectory, n: int, m: int) -> float:
-    """Three-term deviation bound for |N_{n+m}(x) - N_n(x)| (context form)."""
+    """Three-term upper bound on |N_{n+m}(x) - N_n(x)| at the sample of ``traj``.
+
+    Term 1 aggregates bias drifts |b_{k+m} - b_k|, term 2 weight drifts
+    |W_{k+m} - W_k| weighted by the visited state norms, and term 3 charges
+    the depth-m head start |W_{m+1} N_m(x) - W_1 x|; each is discounted by
+    the contraction products Lam of the layers still to come.  The bound is
+    tight: a scalar constant-weight network achieves equality.  ``traj``
+    must reach depth max(n + m - 1, m).
+    """
     if n < 1 or m < 1:
         raise ValueError("deviation bound needs n >= 1 and m >= 1")
     vals = ctx.lambda_products(n + m, n - 1)  # vals[i] = Lam^{i-1}
@@ -644,50 +655,6 @@ def deviation_bound_ctx(ctx: BoundContext, traj: Trajectory, n: int, m: int) -> 
     term2 = ctx.L * ctx.P * seq_sum(t2)
     term3 = ctx.L * ctx.P * vals[n - 1] * traj.product_gap(m)
     return term1 + term2 + term3
-
-
-def deviation_bound(
-    seq: LayerSeq,
-    kind: NetworkKind,
-    act: Activation,
-    p: PNorm,
-    n: int,
-    m: int,
-    x,
-    extension: str = ZERO_PAD,
-) -> float:
-    """Three-term upper bound on |N_{n+m}(x) - N_n(x)| at the sample x.
-
-    Term 1 aggregates bias drifts |b_{k+m} - b_k|, term 2 weight drifts
-    |W_{k+m} - W_k| weighted by the visited state norms, and term 3 charges
-    the depth-m head start |W_{m+1} N_m(x) - W_1 x|; each is discounted by
-    the contraction products Lam of the layers still to come.  The bound is
-    tight: a scalar constant-weight network achieves equality.
-    """
-    ctx = BoundContext(seq, kind, act, p, extension)
-    traj = Trajectory(ctx, x, max(n + m - 1, m, 1))
-    return deviation_bound_ctx(ctx, traj, n, m)
-
-
-def empirical_sup_deviation(
-    seq: LayerSeq,
-    kind: NetworkKind,
-    act: Activation,
-    samples: Sequence,
-    p: PNorm,
-    n: int,
-    m: int,
-    extension: str = ZERO_PAD,
-) -> float:
-    """max over samples of |N_{n+m}(x) - N_n(x)| in the extension metric."""
-    if n < 1 or m < 1:
-        raise ValueError("empirical deviation needs n >= 1 and m >= 1")
-    ctx = BoundContext(seq, kind, act, p, extension)
-    best = 0.0
-    for x in samples:
-        traj = Trajectory(ctx, x, n + m)
-        best = max(best, traj.deviation(n, n + m))
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -740,16 +707,9 @@ def derive_limit_constants(
     n0, n1 = _validate_window(scan)
     if n1 < 2:
         return None, "scan window must reach at least layer 2"
-    if (
-        ctx.extension == ZERO_PAD
-        and isinstance(ctx.kind, Conv)
-        and ctx.act.value_at_zero != 0.0
-        and not ctx.p.is_inf
-    ):
-        return None, (
-            "act(0) != 0 on unbounded widths admits no finite-p tail cap; "
-            "use p = inf"
-        )
+    refusal = ctx.geometry.tail_cap_refusal()
+    if refusal is not None:
+        return None, refusal
     lp = ctx.L * ctx.P
     e_end = ctx.bias_limit_diff(n1)
     E_end = ctx.weight_limit_diff(n1)
@@ -779,6 +739,17 @@ def derive_limit_constants(
 
 
 def limit_bound_ctx(ctx: BoundContext, n: int, constants: LimitConstants) -> float:
+    """Upper bound on the distance |N(x) - N_n(x)| to the limit network:
+
+        L * sum_{i<n} omega0^i e_{n-i}
+          + L*P*rho * sum_{i<n-1} omega0^i E_{n-i}
+          + L*P*w*(rho + D) * omega0^(n-1)
+
+    with e_k = |b_k - b*| and E_k = |W_k - W*| in the extension.  Requires
+    declared limits; raises otherwise.
+    """
+    if not ctx.has_limits:
+        raise ValueError("limit bound requires declared weight and bias limits")
     if n < 1:
         raise ValueError(f"depth must be >= 1, got {n}")
     w0 = constants.omega0
@@ -792,30 +763,6 @@ def limit_bound_ctx(ctx: BoundContext, n: int, constants: LimitConstants) -> flo
     # wrapping the last two in another factor of L would undershoot the
     # actual deviation whenever L < 1 (e.g. the sigmoid's L = 1/4)
     return ctx.L * s1 + lp * constants.rho * s2 + tail
-
-
-def limit_bound(
-    seq: LayerSeq,
-    kind: NetworkKind,
-    act: Activation,
-    p: PNorm,
-    n: int,
-    constants: LimitConstants,
-    extension: str = ZERO_PAD,
-) -> float:
-    """Upper bound on the distance |N(x) - N_n(x)| to the limit network:
-
-        L * sum_{i<n} omega0^i e_{n-i}
-          + L*P*rho * sum_{i<n-1} omega0^i E_{n-i}
-          + L*P*w*(rho + D) * omega0^(n-1)
-
-    with e_k = |b_k - b*| and E_k = |W_k - W*| in the extension.  Requires
-    declared limits; raises otherwise.
-    """
-    ctx = BoundContext(seq, kind, act, p, extension)
-    if not ctx.has_limits:
-        raise ValueError("limit_bound requires declared weight and bias limits")
-    return limit_bound_ctx(ctx, n, constants)
 
 
 # ---------------------------------------------------------------------------

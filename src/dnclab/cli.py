@@ -53,6 +53,22 @@ def _load(config_path: str) -> Experiment:
         raise click.ClickException(str(exc)) from exc
 
 
+def _study(exp: Experiment, threads: int):
+    return convergence_study(
+        exp.seq,
+        exp.kind,
+        exp.act,
+        exp.p,
+        exp.domain,
+        exp.sampler,
+        exp.depths,
+        extension=exp.extension,
+        threads=threads,
+        dominance_rtol=exp.dominance_rtol,
+        label=exp.label,
+    )
+
+
 def _write_text(path: str, text: str) -> None:
     # newline="" so CSV keeps its CRLF endings untouched on every platform
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -99,19 +115,7 @@ def main():
 def run(ctx, config_path, out_dir, threads, require_pass):
     """Run the full study: sampled deviations against every bound."""
     exp = _load(config_path)
-    result = convergence_study(
-        exp.seq,
-        exp.kind,
-        exp.act,
-        exp.p,
-        exp.domain,
-        exp.sampler,
-        exp.depths,
-        extension=exp.extension,
-        threads=threads,
-        dominance_rtol=exp.dominance_rtol,
-        label=exp.label,
-    )
+    result = _study(exp, threads)
     payload = report_payload(result, exp.echo)
     payload["generated_at"] = timestamp()
     os.makedirs(out_dir, exist_ok=True)
@@ -205,11 +209,11 @@ def bounds(ctx, config_path, out_dir):
     """
     exp = _load(config_path)
     bctx = BoundContext(exp.seq, exp.kind, exp.act, exp.p, exp.extension)
-    constants, note = derive_limit_constants(bctx, exp.domain.norm_bound(exp.p))
+    xb = exp.domain.norm_bound(exp.p)
+    constants, note = derive_limit_constants(bctx, xb)
     depths = sorted({*exp.depths.n_list, exp.depths.reference})
     lines = ["n,lipschitz_bound,apriori_bound,limit_bound"]
     pool = pool_of(exp.kind)
-    xb = exp.domain.norm_bound(exp.p)
     for n in depths:
         lip = network_lipschitz_bound(exp.seq, exp.act, pool, n, exp.p)
         apri = apriori_bound_ctx(bctx, n, xb)
@@ -233,19 +237,7 @@ def bounds(ctx, config_path, out_dir):
 def rates(ctx, config_path, out_dir, threads):
     """Fit the empirical convergence rate of deviations to the reference."""
     exp = _load(config_path)
-    result = convergence_study(
-        exp.seq,
-        exp.kind,
-        exp.act,
-        exp.p,
-        exp.domain,
-        exp.sampler,
-        exp.depths,
-        extension=exp.extension,
-        threads=threads,
-        dominance_rtol=exp.dominance_rtol,
-        label=exp.label,
-    )
+    result = _study(exp, threads)
     if result.rate is None:
         click.echo(f"rate fit unavailable: {result.rate_note}")
     else:
@@ -286,9 +278,14 @@ def selftest(ctx, threads, samples):
     condition; every diverging control must fail the condition while still
     satisfying the bounds.
     """
+    if samples < 1:
+        raise click.ClickException(f"--samples must be >= 1, got {samples}")
     plan = DepthPlan(n_list=(1, 2, 3, 4, 6, 8), m_list=(1, 2, 4), reference_depth=16)
+    # (instance, whether its convergence condition must hold)
+    cases = [(inst, True) for inst in corpus_instances()]
+    cases += [(inst, False) for inst in control_instances()]
     failures: list[str] = []
-    for inst in corpus_instances():
+    for inst, converges in cases:
         seq, kind = inst.build()
         result = convergence_study(
             seq,
@@ -302,33 +299,12 @@ def selftest(ctx, threads, samples):
             threads=threads,
             label=inst.label,
         )
-        ok = result.passed
-        click.echo(f"[{'ok' if ok else 'FAIL'}] {result.summary()}")
+        ok = result.bounds_ok and result.condition.passed == converges
+        note = "" if converges else " (diverging control: condition must fail)"
+        click.echo(f"[{'ok' if ok else 'FAIL'}] {result.summary()}{note}")
         if not ok:
             failures.append(inst.label)
-    for inst in control_instances():
-        seq, kind = inst.build()
-        result = convergence_study(
-            seq,
-            kind,
-            inst.activation(),
-            inst.p,
-            inst.domain(),
-            SamplerSpec(count=samples, seed=inst.gen.seed + 7),
-            plan,
-            extension=inst.extension,
-            threads=threads,
-            label=inst.label,
-        )
-        ok = (not result.condition.passed) and result.bounds_ok
-        click.echo(
-            f"[{'ok' if ok else 'FAIL'}] {result.summary()} "
-            f"(diverging control: condition must fail)"
-        )
-        if not ok:
-            failures.append(inst.label)
-    total = len(corpus_instances()) + len(control_instances())
-    click.echo(f"selftest: {total - len(failures)}/{total} instances ok")
+    click.echo(f"selftest: {len(cases) - len(failures)}/{len(cases)} instances ok")
     if failures:
         click.echo("failing: " + ", ".join(failures))
         ctx.exit(2)

@@ -36,7 +36,7 @@ import os
 from dataclasses import dataclass, field
 
 from .activations import Activation, make_activation
-from .analysis import Domain, SamplerSpec
+from .analysis import Domain, SamplerSpec, padding_geometry
 from .generators import GenSpec, MaskSpec, build
 from .linalg import INF, ONE, TWO, PNorm
 from .network import (
@@ -302,15 +302,6 @@ def parse_config(doc: dict) -> Experiment:
             extension = CONSTANT_PAD
         else:
             extension = ZERO_PAD
-    if extension not in (ZERO_PAD, CONSTANT_PAD):
-        raise ConfigError(
-            f"comparison.extension must be {ZERO_PAD!r} or {CONSTANT_PAD!r}, got {extension!r}"
-        )
-    if extension == CONSTANT_PAD:
-        if gen_spec.family != "conv":
-            raise ConfigError("constant_pad comparisons need the conv generator")
-        if not p.is_inf:
-            raise ConfigError('constant_pad comparisons need norm.p = "inf"')
 
     tol = doc.get("tolerances", {})
     if not isinstance(tol, dict):
@@ -334,6 +325,10 @@ def parse_config(doc: dict) -> Experiment:
         kind = Pooled(pool)
     else:
         kind = PLAIN
+    try:
+        padding_geometry(extension, built.seq, kind, act, p)
+    except ValueError as exc:
+        raise ConfigError(f"comparison.extension: {exc}") from exc
 
     echo = dict(doc)
     echo["resolved"] = {

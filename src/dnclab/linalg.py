@@ -40,7 +40,6 @@ __all__ = [
     "induced_norm",
     "norm_upper_bound",
     "zero_pad_matrix",
-    "zero_pad_vector",
     "extend_vector",
     "EventuallyConstSeq",
     "BandedToeplitz",
@@ -281,11 +280,6 @@ def zero_pad_matrix(w, size: int, *, keep_cols: bool = False) -> np.ndarray:
     out[:rows, :cols] = m
     out.flags.writeable = False
     return out
-
-
-def zero_pad_vector(v, size: int) -> np.ndarray:
-    """Extend a vector to ``size`` entries with zeros."""
-    return extend_vector(v, size, 0.0)
 
 
 def extend_vector(v, size: int, fill: float = 0.0) -> np.ndarray:

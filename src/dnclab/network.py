@@ -17,7 +17,8 @@ Widths may vary: ``width(n)`` is the state dimension after layer n
 lengthens the state by tau.
 
 Two extensions embed finite states into sequence space for cross-depth
-comparison:
+comparison (:func:`eval_extended_trajectory`; the bounds measure in them
+through ``dnclab.analysis.ZeroPad`` and ``dnclab.analysis.ConstantPad``):
 
 * ``zero_pad`` — layers padded by zero rows/columns.  The head of the
   extended state reproduces the finite evaluation bit for bit, and every
@@ -61,9 +62,7 @@ __all__ = [
     "NetworkKind",
     "PLAIN",
     "pool_of",
-    "eval_network",
     "eval_trajectory",
-    "eval_extended",
     "eval_extended_trajectory",
     "cnn_layer_seq",
     "network_lipschitz_bound",
@@ -215,10 +214,6 @@ class LayerSeq:
         self._norms: dict[tuple[int, float], float] = {}
         self._lock = threading.RLock()
 
-    @property
-    def has_limits(self) -> bool:
-        return self.weight_limit is not None and self.bias_limit is not None
-
     def width(self, n: int) -> int:
         """State dimension after layer n; width(0) is the input dimension."""
         if n < 0:
@@ -276,18 +271,8 @@ def _step(seq: LayerSeq, kind: NetworkKind, act: Activation, v: np.ndarray, j: i
     return act.apply(z + b)
 
 
-def eval_network(
-    seq: LayerSeq, kind: NetworkKind, act: Activation, x, n: int
-) -> np.ndarray:
-    """Hidden state N_n(x), running the recursion from the input."""
-    states = eval_trajectory(seq, kind, act, x, n)
-    return states[-1]
-
-
-def eval_trajectory(
-    seq: LayerSeq, kind: NetworkKind, act: Activation, x, n_max: int
-) -> list[np.ndarray]:
-    """[N_1(x), ..., N_{n_max}(x)] computed in one sweep."""
+def _input(seq: LayerSeq, kind: NetworkKind, x, n_max: int) -> np.ndarray:
+    """The validated input vector of a recursion run to depth n_max."""
     if n_max < 1:
         raise ValueError(f"depth must be >= 1, got {n_max}")
     v = as_vector(x, name="network input")
@@ -302,23 +287,19 @@ def eval_trajectory(
         )
     if not isinstance(kind, Pooled) and seq.extra_rows != 0:
         raise ValueError("layer shapes reserve pooling rows but no pooling is attached")
+    return v
+
+
+def eval_trajectory(
+    seq: LayerSeq, kind: NetworkKind, act: Activation, x, n_max: int
+) -> list[np.ndarray]:
+    """[N_1(x), ..., N_{n_max}(x)] computed in one sweep."""
+    v = _input(seq, kind, x, n_max)
     out = []
     for j in range(1, n_max + 1):
         v = _step(seq, kind, act, v, j)
         out.append(v)
     return out
-
-
-def eval_extended(
-    seq: LayerSeq,
-    kind: NetworkKind,
-    act: Activation,
-    x,
-    n: int,
-    scheme: str = ZERO_PAD,
-) -> EventuallyConstSeq:
-    """Extended state: the network acting on (x, 0, 0, ...) in sequence space."""
-    return eval_extended_trajectory(seq, kind, act, x, n, scheme)[-1]
 
 
 def eval_extended_trajectory(
@@ -340,13 +321,7 @@ def eval_extended_trajectory(
         raise ValueError(f"unknown extension scheme {scheme!r}")
     if not isinstance(kind, Conv):
         raise ValueError("constant padding is defined for convolutional networks only")
-    if n_max < 1:
-        raise ValueError(f"depth must be >= 1, got {n_max}")
-    v = as_vector(x, name="network input")
-    if v.size != seq.width(0):
-        raise ValueError(
-            f"input has dimension {v.size}, network expects {seq.width(0)}"
-        )
+    v = _input(seq, kind, x, n_max)
     out: list[EventuallyConstSeq] = []
     state: EventuallyConstSeq | None = None
     for j in range(1, n_max + 1):

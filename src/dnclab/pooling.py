@@ -31,7 +31,6 @@ __all__ = [
     "no_pooling",
     "average_pooling",
     "max_pooling",
-    "pool_lipschitz",
 ]
 
 _KINDS = ("identity", "average", "max")
@@ -93,7 +92,3 @@ def average_pooling(mu: int) -> PoolingOp:
 
 def max_pooling(mu: int) -> PoolingOp:
     return PoolingOp("max", mu)
-
-
-def pool_lipschitz(op: PoolingOp, p: PNorm) -> float:
-    return op.lipschitz(p)

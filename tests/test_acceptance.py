@@ -29,6 +29,7 @@ from dnclab import (
     EventuallyConstSeq,
     LayerSeq,
     MaskSpec,
+    Trajectory,
     apply_banded,
     average_pooling,
     build_masks,
@@ -38,8 +39,7 @@ from dnclab import (
     constant_padded_toeplitz,
     corpus_instances,
     cumulative_products,
-    deviation_bound,
-    eval_network,
+    eval_trajectory,
     fit_exponential_rate,
     induced_norm,
     matvec,
@@ -222,12 +222,14 @@ def test_criterion_4_deviation_dominance(prepared, capsys):
         bias_limit=np.zeros(1),
     )
     worst_gap = 0.0
+    scalar_ctx = BoundContext(seq, PLAIN, relu(), ONE)
     for n, m in ((1, 1), (2, 3), (3, 2), (5, 4)):
-        bound = deviation_bound(seq, PLAIN, relu(), ONE, n, m, [1.0])
+        traj = Trajectory(scalar_ctx, [1.0], n + m)
+        bound = deviation_bound_ctx(scalar_ctx, traj, n, m)
         closed_form = 0.4**n - 0.4 ** (n + m)
         emp = abs(
-            eval_network(seq, PLAIN, relu(), [1.0], n + m)[0]
-            - eval_network(seq, PLAIN, relu(), [1.0], n)[0]
+            eval_trajectory(seq, PLAIN, relu(), [1.0], n + m)[-1][0]
+            - eval_trajectory(seq, PLAIN, relu(), [1.0], n)[-1][0]
         )
         worst_gap = max(worst_gap, abs(bound - closed_form), abs(emp - closed_form))
     elapsed = time.perf_counter() - t0

@@ -14,17 +14,13 @@ from dnclab.analysis import (
     Domain,
     SamplerSpec,
     Trajectory,
-    apriori_bound,
     apriori_bound_ctx,
     check_condition,
     check_mask_conditions,
     cumulative_products,
     derive_limit_constants,
-    deviation_bound,
     deviation_bound_ctx,
-    empirical_sup_deviation,
     fit_exponential_rate,
-    limit_bound,
     limit_bound_ctx,
     state_deviation,
     tail_product_sums,
@@ -136,13 +132,14 @@ class TestAprioriBound:
         # the 3 coordinates, and the bound collapses to that exact norm
         seq = LayerSeq(3, lambda n: 3, lambda n: (np.zeros((3, 3)), np.zeros(3)))
         for p, expect in ((ONE, 1.5), (INF, 0.5), (TWO, 0.5 * math.sqrt(3.0))):
-            got = apriori_bound(seq, PLAIN, sigmoid(), p, 4, 2.0)
+            got = apriori_bound_ctx(BoundContext(seq, PLAIN, sigmoid(), p), 4, 2.0)
             assert got == pytest.approx(expect, rel=1e-15)
 
     def test_scalar_relu_geometric(self):
         seq = scalar_net(0.4)
+        ctx = BoundContext(seq, PLAIN, relu(), ONE)
         for n in (1, 2, 5):
-            assert apriori_bound(seq, PLAIN, relu(), ONE, n, 3.0) == pytest.approx(
+            assert apriori_bound_ctx(ctx, n, 3.0) == pytest.approx(
                 3.0 * 0.4**n, rel=1e-14
             )
 
@@ -162,15 +159,16 @@ class TestAprioriBound:
 
     def test_rejects_bad_depth(self):
         with pytest.raises(ValueError, match="depth"):
-            apriori_bound(scalar_net(0.4), PLAIN, relu(), ONE, 0, 1.0)
+            apriori_bound_ctx(BoundContext(scalar_net(0.4), PLAIN, relu(), ONE), 0, 1.0)
 
 
 class TestDeviationBound:
     def test_scalar_net_achieves_equality(self):
-        seq = scalar_net(0.4)
+        ctx = BoundContext(scalar_net(0.4), PLAIN, relu(), ONE)
         for n, m in ((1, 1), (3, 2), (5, 4)):
-            bound = deviation_bound(seq, PLAIN, relu(), ONE, n, m, [1.0])
-            emp = empirical_sup_deviation(seq, PLAIN, relu(), [[1.0]], ONE, n, m)
+            traj = Trajectory(ctx, [1.0], n + m)
+            bound = deviation_bound_ctx(ctx, traj, n, m)
+            emp = traj.deviation(n, n + m)
             exact = 0.4**n - 0.4 ** (n + m)
             assert abs(bound - exact) <= 1e-12
             assert abs(emp - exact) <= 1e-12
@@ -178,8 +176,8 @@ class TestDeviationBound:
 
     def test_head_start_term_alone_at_depth_one(self):
         # n = 1 keeps only the third term: |W_{m+1} N_m(x) - W_1 x|
-        seq = scalar_net(0.4)
-        got = deviation_bound(seq, PLAIN, relu(), ONE, 1, 3, [1.0])
+        ctx = BoundContext(scalar_net(0.4), PLAIN, relu(), ONE)
+        got = deviation_bound_ctx(ctx, Trajectory(ctx, [1.0], 4), 1, 3)
         assert got == pytest.approx(0.4 - 0.4**4, rel=1e-14)
 
     def test_dominates_drifting_network(self):
@@ -209,7 +207,8 @@ class TestDeviationBound:
 
     def test_rejects_bad_depths(self):
         with pytest.raises(ValueError, match="n >= 1"):
-            deviation_bound(scalar_net(0.4), PLAIN, relu(), ONE, 0, 1, [1.0])
+            ctx = BoundContext(scalar_net(0.4), PLAIN, relu(), ONE)
+            deviation_bound_ctx(ctx, Trajectory(ctx, [1.0], 1), 0, 1)
 
 
 class TestLimitConstants:
@@ -276,7 +275,7 @@ class TestLimitBound:
         ctx = BoundContext(seq, PLAIN, relu(), ONE)
         constants, _ = derive_limit_constants(ctx, 1.0)
         for n in (1, 2, 4, 8):
-            lb = limit_bound(seq, PLAIN, relu(), ONE, n, constants)
+            lb = limit_bound_ctx(ctx, n, constants)
             assert 0.4**n <= lb <= 2.0 * 0.4**n
 
     def test_decay_ratio_approaches_omega0(self):
@@ -306,7 +305,7 @@ class TestLimitBound:
             BoundContext(scalar_net(0.4), PLAIN, relu(), ONE), 1.0
         )
         with pytest.raises(ValueError, match="limits"):
-            limit_bound(seq, PLAIN, relu(), ONE, 3, constants)
+            limit_bound_ctx(BoundContext(seq, PLAIN, relu(), ONE), 3, constants)
 
 
 class TestConditionChecks:
@@ -405,16 +404,16 @@ class TestTrajectory:
         ctx = BoundContext(seq, PLAIN, relu(), ONE)
         x = np.array([0.3, -0.8, 0.5])
         traj = Trajectory(ctx, x, 5)
-        from dnclab.network import eval_network
+        from dnclab.network import eval_trajectory
 
         for n in (1, 3, 5):
-            direct = eval_network(seq, PLAIN, relu(), x, n)
+            direct = eval_trajectory(seq, PLAIN, relu(), x, n)[-1]
             assert traj.state_norm(n) == vector_norm(direct, ONE)
 
     def test_empirical_sup_is_max_over_samples(self):
-        seq = scalar_net(0.4)
+        ctx = BoundContext(scalar_net(0.4), PLAIN, relu(), ONE)
         samples = [[0.2], [1.0], [-0.6]]
-        got = empirical_sup_deviation(seq, PLAIN, relu(), samples, ONE, 2, 2)
+        got = max(Trajectory(ctx, x, 4).deviation(2, 4) for x in samples)
         assert got == pytest.approx((0.4**2 - 0.4**4) * 1.0, rel=1e-12)
 
 

@@ -1,0 +1,74 @@
+"""The benchmark's hooks still find what they wrap in the package.
+
+``perfbench/`` wraps package functions from outside: the tracer rebinds every
+module binding of a traced name, and the set-up probe replaces
+``dnclab.cli.convergence_study``.  A rename, or a traced function captured at
+import time (class attribute, default argument, closure), silently breaks
+them, so both are exercised here in fresh interpreters.  Nothing under
+``perfbench/`` is modified.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+
+
+def _env() -> dict:
+    env = dict(os.environ)
+    parts = [str(ROOT / "src"), env.get("PYTHONPATH", "")]
+    env["PYTHONPATH"] = os.pathsep.join(p for p in parts if p)
+    return env
+
+
+def test_tracer_finds_every_target():
+    code = (
+        "import sys, json\n"
+        f"sys.path.insert(0, {str(PERFBENCH)!r})\n"
+        "import dnclab.cli\n"
+        "from tracer import Tracer\n"
+        "t = Tracer()\n"
+        "t.install()\n"
+        "print(json.dumps(t.missing))\n"
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=_env(),
+        timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == []
+
+
+def test_setup_probe_reaches_the_study(tmp_path):
+    record = tmp_path / "record.json"
+    res = subprocess.run(
+        [
+            sys.executable,
+            str(PERFBENCH / "child.py"),
+            str(record),
+            "setup",
+            "--",
+            "run",
+            "--config",
+            str(ROOT / "sample_configs" / "dense_exp_decay.json"),
+            "--threads",
+            "1",
+            "--out",
+            str(tmp_path / "out"),
+        ],
+        capture_output=True,
+        text=True,
+        env=_env(),
+        timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    rec = json.loads(record.read_text(encoding="utf-8"))
+    assert rec["exit_code"] == 0
+    assert "first_study_t" in rec

@@ -253,6 +253,14 @@ class TestOtherCommands:
         assert rates["rate"]["r_squared"] > 0.9
         assert len(rates["dev_to_reference"]) == 6
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_selftest_rejects_nonpositive_samples(self, count):
+        result = CliRunner().invoke(main, ["selftest", "--samples", count])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Error: --samples must be >= 1" in result.output
+        assert "Traceback" not in result.output
+
     def test_module_entry_point(self, tmp_path):
         cfg = write_config(tmp_path, base_doc())
         proc = subprocess.run(

@@ -28,7 +28,6 @@ from dnclab.linalg import (
     toeplitz_norms,
     vector_norm,
     zero_pad_matrix,
-    zero_pad_vector,
 )
 
 import oracles
@@ -178,7 +177,7 @@ class TestPaddingPreservesNorms:
 
     def test_vector_padding_preserves_norms(self):
         v = np.array([1.0, -2.0, 2.0])
-        w = zero_pad_vector(v, 7)
+        w = extend_vector(v, 7)
         for p in (ONE, TWO, INF, PNorm(4.0)):
             assert vector_norm(w, p) == vector_norm(v, p)
 

@@ -15,9 +15,7 @@ from dnclab.network import (
     MaskSeq,
     Pooled,
     cnn_layer_seq,
-    eval_extended,
     eval_extended_trajectory,
-    eval_network,
     eval_trajectory,
     network_lipschitz_bound,
     pool_of,
@@ -76,7 +74,7 @@ class TestLayerSeq:
     def test_input_dim_mismatch(self):
         seq = scalar_net(0.5)
         with pytest.raises(ValueError, match="dimension"):
-            eval_network(seq, PLAIN, relu(), [1.0, 2.0], 3)
+            eval_trajectory(seq, PLAIN, relu(), [1.0, 2.0], 3)[-1]
 
 
 class TestPooledRecursion:
@@ -87,17 +85,17 @@ class TestPooledRecursion:
         b = np.array([-4.0, 1.0])
         seq = LayerSeq(2, lambda n: 2, lambda n: (w, b), extra_rows=1)
         kind = Pooled(average_pooling(1))
-        out = eval_network(seq, kind, relu(), [2.0, 4.0], 1)
+        out = eval_trajectory(seq, kind, relu(), [2.0, 4.0], 1)[-1]
         assert_array_equal(out, [0.0, 6.0])
 
     def test_pooling_shape_consistency_enforced(self):
         seq = scalar_net(0.5)  # no extra rows
         with pytest.raises(ValueError, match="mu"):
-            eval_network(seq, Pooled(average_pooling(1)), relu(), [1.0], 2)
+            eval_trajectory(seq, Pooled(average_pooling(1)), relu(), [1.0], 2)[-1]
         w = np.ones((2, 1))
         reserved = LayerSeq(1, lambda n: 1, lambda n: (w, np.zeros(1)), extra_rows=1)
         with pytest.raises(ValueError, match="pooling"):
-            eval_network(reserved, PLAIN, relu(), [1.0], 2)
+            eval_trajectory(reserved, PLAIN, relu(), [1.0], 2)[-1]
 
 
 class TestMaskSeq:
@@ -127,14 +125,14 @@ class TestConvNetwork:
     def test_single_tap_identity_mask(self):
         masks = MaskSeq(0, lambda n: [1.0])
         seq = cnn_layer_seq(masks, lambda n: np.zeros(2), 2)
-        out = eval_network(seq, Conv(masks), relu(), [3.0, 4.0], 5)
+        out = eval_trajectory(seq, Conv(masks), relu(), [3.0, 4.0], 5)[-1]
         assert_array_equal(out, [3.0, 4.0])
 
     def test_layer_is_full_convolution(self):
         masks = MaskSeq(1, lambda n: [1.0, -0.5])
         seq = cnn_layer_seq(masks, lambda n: np.zeros(2 + n), 2)
         x = np.array([2.0, 3.0])
-        out = eval_network(seq, Conv(masks), identity(), x, 1)
+        out = eval_trajectory(seq, Conv(masks), identity(), x, 1)[-1]
         assert_allclose(out, oracles.conv_full([1.0, -0.5], x), rtol=1e-15)
 
 
@@ -153,7 +151,7 @@ class TestZeroPadExtension:
 
     def test_relu_zero_pad_tail_vanishes(self):
         seq = scalar_net(0.3)
-        ext = eval_extended(seq, PLAIN, relu(), [2.0], 3)
+        ext = eval_extended_trajectory(seq, PLAIN, relu(), [2.0], 3)[-1]
         assert ext.tail == 0.0
 
 
@@ -205,7 +203,7 @@ class TestConstantPadExtension:
     def test_constant_pad_requires_conv(self):
         seq = scalar_net(0.5)
         with pytest.raises(ValueError, match="convolutional"):
-            eval_extended(seq, PLAIN, relu(), [1.0], 2, CONSTANT_PAD)
+            eval_extended_trajectory(seq, PLAIN, relu(), [1.0], 2, CONSTANT_PAD)[-1]
 
 
 class TestLipschitzBound:
@@ -225,8 +223,9 @@ class TestLipschitzBound:
         for _ in range(20):
             x = rng.uniform(-2, 2, 2)
             y = rng.uniform(-2, 2, 2)
-            dx = eval_network(seq, Conv(masks), act, x, 3) - eval_network(
-                seq, Conv(masks), act, y, 3
+            dx = (
+                eval_trajectory(seq, Conv(masks), act, x, 3)[-1]
+                - eval_trajectory(seq, Conv(masks), act, y, 3)[-1]
             )
             lhs = seq_sum(np.abs(dx))
             rhs = lip * seq_sum(np.abs(x - y))
