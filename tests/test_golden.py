@@ -2,9 +2,19 @@
 
 The SHA-256 digests below were frozen from the code before the bound engine
 was consolidated; refactors must reproduce them byte for byte.  Files that
-carry a ``generated_at`` stamp are compared with it stripped.  To refreeze
-after a deliberate output change, run this file directly: it prints the
-current digests in the layout of ``GOLDEN``.
+carry a ``generated_at`` stamp are compared with it stripped.
+
+``STUDY_GOLDEN`` freezes, per study, the ``repr`` of every result-bearing
+field of a :class:`~dnclab.study.StudyResult` (rows, state rows, constants,
+rate and violation tuples).  ``repr`` of a float is its shortest round-trip
+form, so these digests catch a last-bit drift that the CLI's rounded stdout
+cannot: all 50 corpus instances and the 2 diverging controls at the
+``selftest`` plan with 5 samples, plus one inline dense p = 2 study at
+width 64 and one constant-padded sigmoid convolution.  They were frozen
+from the per-sample evaluation path, before the recursion was batched.
+
+To refreeze after a deliberate output change, run this file directly: it
+prints the current digests in the layout of ``GOLDEN`` and ``STUDY_GOLDEN``.
 """
 
 import hashlib
@@ -13,8 +23,12 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from dnclab.analysis import SamplerSpec
 from dnclab.cli import main
+from dnclab.config import parse_config
+from dnclab.corpus import control_instances, corpus_instances
 from dnclab.report import strip_generated_at
+from dnclab.study import DepthPlan, convergence_study
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "sample_configs"
 CONFIGS = ("dense_exp_decay", "conv_constant_limit")
@@ -33,6 +47,157 @@ GOLDEN = {
     "conv_constant_limit/bounds/bounds.csv": "2c86d3309bdf3b51a2a1a3badde7a1727ca166cc639f5d1866f920a57a15933d",
     "selftest/stdout": "60c01aeae2b2c9f589b550a71a1955a94bd740a8715fe09206d58935c500ccc3",
 }
+
+
+STUDY_GOLDEN = {
+    "corpus/fixed4-constant-relu-p1": "2d0707070c6458d0dc1c0c7f2d90892c2b845780e1a82f686c943fadeab553c0",
+    "corpus/fixed4-constant-prelu-p2": "5f5d48600c15331542de327c0dff7795a04591d9044e6c1195cbf530e5787f96",
+    "corpus/fixed4-constant-selu-pinf": "34bfaf57455a1cac9e4d14ff6c8ec6da2572b7ac48d4de884c0147788bc72d32",
+    "corpus/fixed4-constant-sigmoid-p1": "1b6e43953758f103aa417f9343924602f55d1e5550ae2f6d53bae296ad0d28a4",
+    "corpus/fixed4-exp_decay-relu-p2": "c30dd49faee53572f747b9373739415fca0d07a6678c39531e72b98aed3638fa",
+    "corpus/fixed4-exp_decay-prelu-pinf": "ea2ef3812a9bb79f7f2effa0bd746daa21d77ae2e54a2ad62912008254a5bbf6",
+    "corpus/fixed4-exp_decay-selu-p1": "bc23868048db348050bc0881e6f2ab625d02e17ec1a4a7147e13f13332500c54",
+    "corpus/fixed4-exp_decay-sigmoid-p2": "e4c7c778ef4e6ca06d5d359bbd6105f3c642056ee80a1e9bd80e971249007fa9",
+    "corpus/fixed4-random_convergent-relu-pinf": "e0e862b449433b486dd5acffed06059cf248e231a93003b5f67cb291ba85279b",
+    "corpus/fixed4-random_convergent-prelu-p1": "c5dd4929b95c94323b19dc9448c9f06ba260bf5bc9a205c5505344393c4dee37",
+    "corpus/fixed4-random_convergent-selu-p2": "bd8521318732eb896765d6e56f2af6d360b52bab2512829ad6aa98064aec9ded",
+    "corpus/fixed4-random_convergent-sigmoid-pinf": "68325de86a153c6923c7770438cd146b1ff8745c174fa03cedc67f1c6f78a49d",
+    "corpus/avg2-constant-relu-p1": "b6b0ada79eed8c04a1821a78214321cbb607c6ac661e3c3fd368a71a1e545a13",
+    "corpus/avg2-constant-prelu-p2": "23322482f28da8c43626e07d78d2465e7100fa1b48fbffe9befde2bb724d47e8",
+    "corpus/avg2-constant-selu-pinf": "e903c52f056658f8b2c4c0edf65b1bfa761444c67adcfe3d9b4604c3ded69748",
+    "corpus/avg2-constant-sigmoid-p1": "3071cb3d97a9c2fa991f08e5dc74a77e2e06c5dcd6218ab45e050c3288689709",
+    "corpus/avg2-exp_decay-relu-p2": "bbce6c02ac32145d645b56c7f171f31fb358cad3a9a703c0c3a964af2741ba78",
+    "corpus/avg2-exp_decay-prelu-pinf": "2c0a237ad3da662147cb7f86eb05c7232be780112cfbc2fa4d130da58776b23c",
+    "corpus/avg2-exp_decay-selu-p1": "e3b36639b53150f0b15a5bfe5522d4beb8d1f56a83aba8e1ad7c6e7fed7a6661",
+    "corpus/avg2-exp_decay-sigmoid-p2": "eacc04def10e0555eab433c60a1c209f7bcedde96d5041574c1689a4f70c381c",
+    "corpus/max1-exp_decay-relu-pinf": "f103cf15cbc03a8adc826039c7dc645d2c4db0fa5cc1f66b82066ee606beb319",
+    "corpus/max1-exp_decay-prelu-p1": "bcf14da566951ab3d2e6f904f35a3b44c72449f8cc32eb23bd045db1c436e857",
+    "corpus/max1-exp_decay-selu-p2": "c265c3af0f4b3a6a1160dee1bb7476aa0f0a73dfaf097f2dd89e7148288abdc8",
+    "corpus/max1-exp_decay-sigmoid-pinf": "d978e98c8f870be69b6f0345baa8d978563b0aa3c2ae5cbbb5969daac5138c95",
+    "corpus/cyc534-exp_decay-relu-p1": "a72e66ff071476cd78c2c4c293e7ba432b191f2321ba4b7943f92f65408ab617",
+    "corpus/cyc534-exp_decay-prelu-p2": "28e408cb89a3fd31dd52035c3fe28f946e1e3655ced50a72033c09453146aabf",
+    "corpus/cyc534-exp_decay-selu-pinf": "92e00d141577372fa76fcb471a4646b889ba622d6e8410adf450f1567dcbce54",
+    "corpus/cyc534-exp_decay-sigmoid-p1": "c168f6e446abbcac84e0e29ea7703122c13a31005d4d468c7b62091c1cd14013",
+    "corpus/cyc43-random_convergent-relu-p2": "42a6336426509554a4f9103a08f14fe9692b064d67972369de14da8a59dff1aa",
+    "corpus/cyc43-random_convergent-prelu-pinf": "6c626c9ed05b14f0f4e14612c6640c3e2b26db0df96a7dba16778dd619c606b9",
+    "corpus/cyc43-random_convergent-selu-p1": "5fb266b64d8d13201cd0f3324e6c652b647200d83bcb46b6a9323b9bb81e16d1",
+    "corpus/cyc43-random_convergent-sigmoid-p2": "6e035305ce27adb3e973ddb9d38eac2deaf6e1d29535779458b42cee22121f2a",
+    "corpus/convz-t1-relu-p1": "ee9d31166255968792872a87972508664ea76f6a510b36bd3a28b42d74f2200c",
+    "corpus/convz-t1-prelu-pinf": "e2dfded59a9375566375313f596fc0f303d5b974349f7bb5b5bcb66e9b7305c8",
+    "corpus/convz-t1-selu-p1": "63b1ddfa0c26ffa526153d024fea27cd01bdaa0a890e46ccf21b4c329cec654e",
+    "corpus/convz-t1-sigmoid-pinf": "53ada69bf7c51a571df893024bb6044b9cd4a04aa5345e2d88dbf73de4c5c738",
+    "corpus/convz-t2-relu-p1": "9e1a05c0d53cb40f15eec8e339e97663b5568e8f86f185472ab23b9780224c08",
+    "corpus/convz-t2-prelu-pinf": "51fb92715655f4049431928522f4cf39b0cf6416edd409aeb1b4858abee91791",
+    "corpus/convz-t2-selu-p1": "6edfdd69905d3069d00c0426c04cc2d78844d66a7f6cc438c5b0ecf5d6229830",
+    "corpus/convz-t2-sigmoid-pinf": "65b4d4b6056cd71d19f424dac8cd66fcb447bfdc692f1c03005c50449cfac750",
+    "corpus/convc-t1-relu-pinf": "d4ab2e1a79522ff7fab7863c87d6243bffd5028833bdf0485a4f6e415b9ae530",
+    "corpus/convc-t1-prelu-pinf": "e5ab3507e17b27fc60561082a0849b8dec9d6f94884d1cf90e0b35bf92a3b60a",
+    "corpus/convc-t1-selu-pinf": "60adb455bef63fed31de412cdf05c0cca9ad5650231417d03e4119616b31ffb3",
+    "corpus/convc-t1-sigmoid-pinf": "3d37f337936dac40974da7c60bdec03af498f998968d77c3c05f53d0ccbc023c",
+    "corpus/convc-t2-relu-pinf": "991578033b6f6ef9e73dc4b4f910cf9c73115f86fd489e8c306970b3b181bb44",
+    "corpus/convc-t2-prelu-pinf": "9b7e7a9ddaf1a2851d1bb2137173df013411249f2fe03c2607f6ae12daa9ea9e",
+    "corpus/convc-t2-selu-pinf": "2347caed96139f0ff0c532a1c239e650c6b7b60f5fff17ac7a7695aa4872afff",
+    "corpus/convc-t2-sigmoid-pinf": "e16bc00c0b6f1f63e66670a9c0bc96a43d0f7c505abfccc3879e483bb9ba58f8",
+    "corpus/deep6-exp_decay-relu-p2": "905f9657c6984791d782f9b90201387201a96ecd63809eddbb4c6f2e6bf1a72a",
+    "corpus/deep6-exp_decay-prelu-pinf": "72317455d2c1ed941a1ceb7200533bfb70c1164f137b337af717bfb9a587df72",
+    "control/control-diverging-dense": "1f7521f8cb52833a1c781a5977b5205e21cfc9f975d95e0721f4d9c63f56c496",
+    "control/control-diverging-conv": "33952bb1b0f9fed22cf3c2a16168353d07ef70c430013c8306903088ebc27c25",
+    "inline/dense-w64-p2": "c9d289ef77aa9384b999b71e43d9d36565fdedae95d0070dc39595f1b2f148d8",
+    "inline/conv-constant-pad-sigmoid": "e9fe56d4346b0cf838dcf7a748686742ab4f70b93a07e8ad30068d680a046f65",
+}
+
+# the selftest plan (see ``dnc-lab selftest``) at 5 samples per instance
+SELFTEST_PLAN = DepthPlan(n_list=(1, 2, 3, 4, 6, 8), m_list=(1, 2, 4), reference_depth=16)
+
+# inline geometries of the benchmark's two scale workloads, at test size
+INLINE_CONFIGS = {
+    "dense-w64-p2": {
+        "label": "dense-w64-p2",
+        "seed": 5,
+        "generator": {
+            "family": "exp_decay",
+            "input_dim": 16,
+            "widths": 64,
+            "rate": 0.5,
+            "norm_target": 0.55,
+        },
+        "activation": {"name": "relu"},
+        "norm": {"p": 2},
+        "domain": {"bound": 1.0, "sampler": {"kind": "uniform", "count": 50}},
+        "depths": {"n_list": [1, 2, 3, 4, 6], "m_list": [1, 2, 4], "reference_depth": 24},
+    },
+    "conv-constant-pad-sigmoid": {
+        "label": "conv-constant-pad-sigmoid",
+        "seed": 9,
+        "generator": {
+            "family": "conv",
+            "input_dim": 8,
+            "mask": {
+                "family": "constant_limit",
+                "base": [0.2, -0.1, 0.1],
+                "rate": 0.5,
+                "limit": [0.2, -0.1, 0.1],
+            },
+        },
+        "activation": {"name": "sigmoid"},
+        "norm": {"p": "inf"},
+        "comparison": {"extension": "constant_pad"},
+        "domain": {"bound": 1.0, "sampler": {"kind": "uniform", "count": 40}},
+        "depths": {
+            "n_list": [1, 2, 3, 4, 6, 8, 12],
+            "m_list": [1, 2, 4, 8],
+            "reference_depth": 32,
+        },
+    },
+}
+
+
+def _result_digest(result) -> str:
+    fields = (
+        result.rows,
+        result.state_rows,
+        result.constants,
+        result.rate,
+        result.dominance_violations,
+        result.apriori_violations,
+        result.limit_violations,
+    )
+    return hashlib.sha256(repr(fields).encode("utf-8")).hexdigest()
+
+
+def compute_study_digests() -> dict[str, str]:
+    """Digest every corpus, control and inline study."""
+    out: dict[str, str] = {}
+    for group, insts in (("corpus", corpus_instances()), ("control", control_instances())):
+        for inst in insts:
+            seq, kind = inst.build()
+            result = convergence_study(
+                seq,
+                kind,
+                inst.activation(),
+                inst.p,
+                inst.domain(),
+                SamplerSpec(count=5, seed=inst.gen.seed + 7),
+                SELFTEST_PLAN,
+                extension=inst.extension,
+                label=inst.label,
+            )
+            out[f"{group}/{inst.label}"] = _result_digest(result)
+    for name, doc in INLINE_CONFIGS.items():
+        exp = parse_config(doc)
+        result = convergence_study(
+            exp.seq,
+            exp.kind,
+            exp.act,
+            exp.p,
+            exp.domain,
+            exp.sampler,
+            exp.depths,
+            extension=exp.extension,
+            label=exp.label,
+        )
+        out[f"inline/{name}"] = _result_digest(result)
+    return out
 
 
 def _digest(name: str, raw: bytes) -> str:
@@ -75,9 +240,27 @@ def test_output_bytes_match_golden(digests, name):
     assert digests[name] == GOLDEN[name]
 
 
+@pytest.fixture(scope="module")
+def study_digests():
+    return compute_study_digests()
+
+
+def test_study_golden_covers_corpus_controls_and_inline(study_digests):
+    assert len(STUDY_GOLDEN) == 50 + 2 + len(INLINE_CONFIGS)
+    assert sorted(study_digests) == sorted(STUDY_GOLDEN)
+
+
+@pytest.mark.parametrize("name", sorted(STUDY_GOLDEN))
+def test_study_results_match_golden(study_digests, name):
+    assert study_digests[name] == STUDY_GOLDEN[name]
+
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
         for key, value in compute_digests(Path(tmp)).items():
             print(f'    "{key}": "{value}",')
+    print()
+    for key, value in compute_study_digests().items():
+        print(f'    "{key}": "{value}",')
