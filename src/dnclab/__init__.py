@@ -9,8 +9,10 @@ depths, the limit bound with certified constants, and the convergence
 conditions that govern them.
 
 Determinism is load-bearing everywhere: reductions are sequential sums,
-layer parameters come from per-index seeded streams, and studies produce
-byte-identical reports for any thread count.
+layer parameters come from per-index seeded streams, and each layer of the
+recursion is evaluated once for a whole batch of samples, with every
+sample's values the same bits as when it is evaluated alone, so studies
+produce byte-identical reports on every run.
 """
 
 from .activations import (
@@ -105,7 +107,6 @@ from .study import (
     StateRow,
     StudyResult,
     StudyRow,
-    build_trajectories,
     convergence_study,
 )
 

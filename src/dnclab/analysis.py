@@ -20,7 +20,7 @@ inequality the laboratory verifies:
 * the **limit bound** on the distance to the limit network
   (:func:`limit_bound_ctx`), with certified constants derived in
   :func:`derive_limit_constants`;
-* the per-sample empirical side (:class:`Trajectory`), the
+* the empirical side of all samples at once (:class:`Trajectory`), the
   exponential-rate fit (:func:`fit_exponential_rate`), and exact oracles
   for the two scalar sequence lemmas behind the convergence proofs.
 
@@ -36,7 +36,7 @@ convolutional sequences in l_inf with the exact mask-sum operator norms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -47,7 +47,6 @@ from .linalg import (
     EventuallyConstSeq,
     PNorm,
     apply_banded,
-    as_vector,
     constant_padded_toeplitz,
     extend_vector,
     induced_norm,
@@ -142,17 +141,15 @@ class Domain:
             return self.bound
         return self.bound * float(self.dim) ** (1.0 / p.p)
 
-    def uniform_samples(self, count: int, seed: int) -> list[np.ndarray]:
-        """`count` uniform draws from the cube (PCG64 stream, fixed seed)."""
+    def uniform_samples(self, count: int, seed: int) -> np.ndarray:
+        """`count` uniform draws from the cube (PCG64 stream, fixed seed),
+        one sample per row."""
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
-        out = []
-        for _ in range(int(count)):
-            x = rng.uniform(-self.bound, self.bound, self.dim)
-            x.flags.writeable = False
-            out.append(x)
-        return out
+        return _frozen(rng.uniform(-self.bound, self.bound, (int(count), self.dim)))
 
-    def grid_samples(self, points_per_axis: int) -> list[np.ndarray]:
+    def grid_samples(self, points_per_axis: int) -> np.ndarray:
+        """The tensor grid with ``points_per_axis`` points per axis, one
+        point per row."""
         k = int(points_per_axis)
         if k**self.dim > 20000:
             raise ValueError(
@@ -160,18 +157,17 @@ class Domain:
             )
         axis = np.linspace(-self.bound, self.bound, k)
         mesh = np.meshgrid(*([axis] * self.dim), indexing="ij")
-        pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
-        out = []
-        for row in pts:
-            r = np.array(row)
-            r.flags.writeable = False
-            out.append(r)
-        return out
+        return _frozen(np.stack([m.reshape(-1) for m in mesh], axis=1))
 
-    def samples(self, spec: SamplerSpec) -> list[np.ndarray]:
+    def samples(self, spec: SamplerSpec) -> np.ndarray:
         if spec.kind == "uniform":
             return self.uniform_samples(spec.count, spec.seed)
         return self.grid_samples(spec.points_per_axis)
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -197,13 +193,7 @@ class ConditionVerdict:
     detail: str = ""
 
     def as_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "passed": self.passed,
-            "method": self.method,
-            "margin": self.margin,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 def _validate_window(window: tuple[int, int]) -> tuple[int, int]:
@@ -318,12 +308,13 @@ def check_mask_conditions(
 # ---------------------------------------------------------------------------
 
 
-def state_deviation(a: np.ndarray, b: np.ndarray, p: PNorm, fill: float) -> float:
+def state_deviation(a: np.ndarray, b: np.ndarray, p: PNorm, fill: float):
     """|a - b|_p with the shorter state extended by the network's padding
-    value ``fill`` (the activation's value at zero)."""
-    if a.size == b.size:
+    value ``fill`` (the activation's value at zero); per column for
+    batches of states."""
+    if a.shape[0] == b.shape[0]:
         return vector_norm(a - b, p)
-    size = max(a.size, b.size)
+    size = max(a.shape[0], b.shape[0])
     return vector_norm(
         extend_vector(a, size, fill) - extend_vector(b, size, fill), p
     )
@@ -354,7 +345,9 @@ class _Lazy(dict):
 class ZeroPad:
     """Finite states in l_p: weights, biases and pre-activations are padded
     with zeros, states with act(0).  A geometry computes every quantity in
-    which the two extensions differ; :class:`BoundContext` caches them."""
+    which the two extensions differ; :class:`BoundContext` caches them.
+    The state methods take a whole batch of samples (one per column) and
+    return one value per sample."""
 
     def __init__(self, seq: LayerSeq, kind: NetworkKind, act: Activation, p: PNorm):
         self.seq = seq
@@ -570,36 +563,34 @@ class BoundContext:
 
 
 class Trajectory:
-    """Per-sample evaluation data shared by deviations and bounds.
+    """Evaluation data of all samples, shared by deviations and bounds.
 
-    Computes the state trajectory once (the expensive part, eagerly, so a
-    thread pool over samples parallelizes it) and serves state norms,
-    deviations between depths, and the first-layer product gap
-    |W_{m+1} N_m(x) - W_1 x| on demand.
+    ``x`` is one input vector or a ``(dim, S)`` batch holding one sample per
+    column.  The states are computed once, eagerly, one recursion sweep per
+    layer for the whole batch; state norms, deviations between depths, and
+    the first-layer product gap |W_{m+1} N_m(x) - W_1 x| are served on
+    demand, one value per sample (an array of S, or a float for a vector),
+    with the same bits in any batch.
     """
 
     def __init__(self, ctx: BoundContext, x, depth: int):
-        self.x = as_vector(x, name="sample")
-        self.depth = int(depth)
-        if self.depth < 1:
-            raise ValueError("trajectory depth must be >= 1")
         geo = self._geo = ctx.geometry
-        states = self._states = geo.states(self.x, self.depth)
-        first = geo.first_product(self.x)
+        states = self._states = geo.states(x, int(depth))  # validates x, depth
+        first = geo.first_product(np.asarray(x, dtype=np.float64))
         self._norms = _Lazy(lambda n: geo.state_norm(states[n - 1]))
         self._gaps = _Lazy(lambda m: geo.restart_gap(m, states[m - 1], first))
 
     def state(self, n: int):
         return self._states[n - 1]
 
-    def state_norm(self, n: int) -> float:
+    def state_norm(self, n: int):
         return self._norms[n]
 
-    def deviation(self, n_small: int, n_large: int) -> float:
+    def deviation(self, n_small: int, n_large: int):
         """|N_{n_large}(x) - N_{n_small}(x)| in the extension metric."""
         return self._geo.distance(self.state(n_large), self.state(n_small))
 
-    def product_gap(self, m: int) -> float:
+    def product_gap(self, m: int):
         """|W_{m+1} N_m(x) - W_1 x| — the pre-activation mismatch between
         restarting the recursion at depth m and at the input."""
         return self._gaps[m]
@@ -633,26 +624,28 @@ def apriori_bound_ctx(ctx: BoundContext, n: int, x_bound: float) -> float:
     return full * x_bound + seq_sum(terms)
 
 
-def deviation_bound_ctx(ctx: BoundContext, traj: Trajectory, n: int, m: int) -> float:
-    """Three-term upper bound on |N_{n+m}(x) - N_n(x)| at the sample of ``traj``.
+def deviation_bound_ctx(ctx: BoundContext, traj: Trajectory, n: int, m: int):
+    """Three-term upper bound on |N_{n+m}(x) - N_n(x)| at each sample of
+    ``traj`` (an array of S bounds for a batch, a float for one sample).
 
     Term 1 aggregates bias drifts |b_{k+m} - b_k|, term 2 weight drifts
     |W_{k+m} - W_k| weighted by the visited state norms, and term 3 charges
     the depth-m head start |W_{m+1} N_m(x) - W_1 x|; each is discounted by
     the contraction products Lam of the layers still to come.  The bound is
     tight: a scalar constant-weight network achieves equality.  ``traj``
-    must reach depth max(n + m - 1, m).
+    must reach depth max(n + m - 1, m).  Lam and term 1 do not depend on x
+    and are built once for the whole batch.
     """
     if n < 1 or m < 1:
         raise ValueError("deviation bound needs n >= 1 and m >= 1")
     vals = ctx.lambda_products(n + m, n - 1)  # vals[i] = Lam^{i-1}
     t1 = [vals[i] * ctx.bias_diff(m + n - i, n - i) for i in range(n)]
     term1 = ctx.L * seq_sum(t1)
-    t2 = [
-        vals[i] * traj.state_norm(n - 1 - i) * ctx.weight_diff(m + n - i, n - i)
-        for i in range(n - 1)
-    ]
-    term2 = ctx.L * ctx.P * seq_sum(t2)
+    t2 = 0.0  # per-sample sum over ascending i, added as seq_sum adds
+    for i in range(n - 1):
+        drift = ctx.weight_diff(m + n - i, n - i)
+        t2 = t2 + vals[i] * traj.state_norm(n - 1 - i) * drift
+    term2 = ctx.L * ctx.P * t2
     term3 = ctx.L * ctx.P * vals[n - 1] * traj.product_gap(m)
     return term1 + term2 + term3
 
@@ -679,13 +672,7 @@ class LimitConstants:
     note: str = ""
 
     def as_dict(self) -> dict:
-        return {
-            "omega0": self.omega0,
-            "weight_sup": self.weight_sup,
-            "rho": self.rho,
-            "x_bound": self.x_bound,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 def derive_limit_constants(
@@ -781,13 +768,7 @@ class RateFit:
     n_excluded: int
 
     def as_dict(self) -> dict:
-        return {
-            "rate": self.rate,
-            "amplitude": self.amplitude,
-            "r_squared": self.r_squared,
-            "n_used": self.n_used,
-            "n_excluded": self.n_excluded,
-        }
+        return asdict(self)
 
 
 _FIT_FLOOR = 1.0e-300

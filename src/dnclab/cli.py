@@ -53,7 +53,7 @@ def _load(config_path: str) -> Experiment:
         raise click.ClickException(str(exc)) from exc
 
 
-def _study(exp: Experiment, threads: int):
+def _study(exp: Experiment):
     return convergence_study(
         exp.seq,
         exp.kind,
@@ -63,7 +63,6 @@ def _study(exp: Experiment, threads: int):
         exp.sampler,
         exp.depths,
         extension=exp.extension,
-        threads=threads,
         dominance_rtol=exp.dominance_rtol,
         label=exp.label,
     )
@@ -91,7 +90,7 @@ _out_opt = click.option(
     help="Directory for output files.",
 )
 _threads_opt = click.option(
-    "--threads", default=1, show_default=True, help="Trajectory evaluation threads."
+    "--threads", default=1, show_default=True, help="No effect (one batch, one thread)."
 )
 _require_pass_opt = click.option(
     "--require-pass",
@@ -115,7 +114,7 @@ def main():
 def run(ctx, config_path, out_dir, threads, require_pass):
     """Run the full study: sampled deviations against every bound."""
     exp = _load(config_path)
-    result = _study(exp, threads)
+    result = _study(exp)
     payload = report_payload(result, exp.echo)
     payload["generated_at"] = timestamp()
     os.makedirs(out_dir, exist_ok=True)
@@ -237,7 +236,7 @@ def bounds(ctx, config_path, out_dir):
 def rates(ctx, config_path, out_dir, threads):
     """Fit the empirical convergence rate of deviations to the reference."""
     exp = _load(config_path)
-    result = _study(exp, threads)
+    result = _study(exp)
     if result.rate is None:
         click.echo(f"rate fit unavailable: {result.rate_note}")
     else:
@@ -296,7 +295,6 @@ def selftest(ctx, threads, samples):
             SamplerSpec(count=samples, seed=inst.gen.seed + 7),
             plan,
             extension=inst.extension,
-            threads=threads,
             label=inst.label,
         )
         ok = result.bounds_ok and result.condition.passed == converges

@@ -4,9 +4,10 @@ Everything downstream (layer recursions, bound evaluation, report tables)
 rests on the primitives here, so two properties are enforced globally:
 
 * **Determinism.**  Every reduction that produces a reported number uses
-  left-to-right sequential summation over IEEE doubles (:func:`seq_sum`),
-  never a BLAS reduction.  Results are bit-reproducible across runs, thread
-  counts, and BLAS builds.
+  left-to-right sequential summation over IEEE doubles (:func:`seq_sum`, or
+  a ``cumsum`` along one axis, which accumulates in the same order), never
+  a BLAS or pairwise reduction.  Results are bit-reproducible across runs,
+  batch compositions, and BLAS builds.
 * **Exactness discipline.**  Induced matrix norms are computed exactly for
   p in {1, inf}, iteratively for p = 2 (power iteration on ``A^T A`` with a
   deterministic start vector), and are *refused* for any other exponent:
@@ -22,8 +23,11 @@ operators act.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -56,15 +60,24 @@ __all__ = [
 
 
 def seq_sum(values) -> float:
-    """Sum ``values`` left to right in double precision.
+    """Sum ``values`` left to right in double precision, starting at 0.0.
 
-    Built-in ``sum`` over a list of Python floats fixes both the order and
-    the association of the additions, which is the point: the result cannot
-    depend on SIMD lanes, BLAS blocking, or thread counts.
+    The fold fixes both the order and the association of the additions,
+    which is the point: the result cannot depend on SIMD lanes or BLAS
+    blocking.  (Built-in ``sum`` is no substitute: from Python 3.12 it
+    compensates float sums, so ``sum([1e16, 1.0, -1e16])`` is 1.0 there.)
     """
     if isinstance(values, np.ndarray):
         values = values.tolist()
-    return float(sum(values))
+    return float(reduce(operator.add, values, 0.0))
+
+
+def _seq_sums(a: np.ndarray, axis: int) -> np.ndarray:
+    """Left-to-right sums of ``a`` along ``axis``, bit-identical to
+    :func:`seq_sum` of each line.  The accumulation (``cumsum``) runs
+    sequentially but starts from the first term instead of 0.0; ``+ 0.0``
+    turns the one possible difference, an all-(-0.0) line, into +0.0."""
+    return np.add.accumulate(a, axis=axis).take(-1, axis=axis) + 0.0
 
 
 def as_vector(x, *, name: str = "vector") -> np.ndarray:
@@ -94,13 +107,29 @@ def as_matrix(a, *, name: str = "matrix") -> np.ndarray:
 
 
 def matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Deterministic matrix-vector product (sequential row sums, no BLAS)."""
+    """Deterministic matrix product with a vector or a batch of columns.
+
+    ``x`` has shape ``(cols,)`` or ``(cols, S)``, one sample per column.
+    Every output entry is the left-to-right sum over j of ``a[i, j] *
+    x[j]``, exactly as :func:`seq_sum` would add it, so a column's result
+    does not depend on the batch it was evaluated in (no BLAS).
+    """
     a = np.asarray(a, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
-    if a.ndim != 2 or x.ndim != 1 or a.shape[1] != x.size:
+    if a.ndim != 2 or x.ndim not in (1, 2) or a.shape[1] != x.shape[0]:
         raise ValueError(f"matvec: incompatible shapes {a.shape} and {x.shape}")
-    prods = a * x  # elementwise, no reduction
-    return np.array([seq_sum(row) for row in prods], dtype=np.float64)
+    if x.ndim == 1:
+        return _seq_sums(a * x, 1)
+    return _accumulate(a, x)
+
+
+def _accumulate(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``a @ x`` for a 2-d ``x``, accumulated over ascending j from 0.0:
+    no rows x cols x S temporary, and the same additions as seq_sum."""
+    out = np.zeros((a.shape[0], x.shape[1]))
+    for j in range(a.shape[1]):
+        out += a[:, j, None] * x[j]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -142,25 +171,31 @@ TWO = PNorm(2.0)
 INF = PNorm(math.inf)
 
 
-def vector_norm(x, p: PNorm) -> float:
-    """l_p norm of a vector, via sequential summation.
+def vector_norm(x, p: PNorm):
+    """l_p norm of a vector, or of each column of a 2-d batch, via
+    sequential summation down the columns.
 
+    A vector gives a float, a ``(dim, S)`` batch an array of S norms.
     Accepts the empty vector (norm 0) so that sequence heads of length zero
     need no special casing.
     """
     arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"vector_norm: expected 1-d input, got shape {arr.shape}")
-    if arr.size == 0:
-        return 0.0
-    a = np.abs(arr)
-    if p.is_inf:
-        return float(np.max(a))
-    if p.p == 1.0:
-        return seq_sum(a)
-    if p.p == 2.0:
-        return math.sqrt(seq_sum(a * a))
-    return seq_sum(a ** p.p) ** (1.0 / p.p)
+    if arr.ndim not in (1, 2):
+        raise ValueError(
+            f"vector_norm: expected a 1-d vector or a 2-d batch, got shape {arr.shape}"
+        )
+    if arr.shape[0] == 0:
+        out = np.zeros(arr.shape[1:])
+    elif p.is_inf:
+        out = np.abs(arr).max(axis=0)
+    elif p.p == 1.0:
+        out = _seq_sums(np.abs(arr), 0)
+    elif p.p == 2.0:
+        out = np.sqrt(_seq_sums(arr * arr, 0))
+    else:  # Python's pow on each total, as the scalar form always took it
+        totals = np.atleast_1d(_seq_sums(np.abs(arr) ** p.p, 0)).tolist()
+        out = np.array([t ** (1.0 / p.p) for t in totals]).reshape(arr.shape[1:])
+    return float(out) if arr.ndim == 1 else out
 
 
 _POWER_ITERATIONS = 200
@@ -198,17 +233,16 @@ def _spectral_norm(m: np.ndarray) -> float:
     positive estimate whenever A != 0.
     """
     cols = m.shape[1]
-    gram = np.empty((cols, cols), dtype=np.float64)
-    for i in range(cols):
-        ci = m[:, i]
-        for j in range(i, cols):
-            v = seq_sum(ci * m[:, j])
-            gram[i, j] = v
-            gram[j, i] = v
+    # gram[i, j] sums m[r, i] * m[r, j] over ascending rows r; the products
+    # commute bitwise, so the matrix comes out exactly symmetric
+    gram = _accumulate(m.T, m)
     if not gram.any():
         return 0.0
-    starts = [np.ones(cols), 1.0 + np.arange(cols) / (cols + 1.0)]
-    starts.extend(np.eye(cols)[k] for k in range(cols))
+    # the fallback starts are built only when the first ones are annihilated
+    starts = itertools.chain(
+        (np.ones(cols), 1.0 + np.arange(cols) / (cols + 1.0)),
+        (np.eye(cols)[k] for k in range(cols)),
+    )
     for v0 in starts:
         lam = _rayleigh_iterate(gram, v0)
         if lam > 0.0:
@@ -228,9 +262,9 @@ def induced_norm(a, p: PNorm) -> float:
     """
     m = as_matrix(a, name="induced_norm operand")
     if p.p == 1.0:
-        return max(seq_sum(np.abs(m[:, j])) for j in range(m.shape[1]))
+        return float(_seq_sums(np.abs(m), 0).max())
     if p.is_inf:
-        return max(seq_sum(np.abs(m[i, :])) for i in range(m.shape[0]))
+        return float(_seq_sums(np.abs(m), 1).max())
     if p.p == 2.0:
         return _spectral_norm(m)
     raise ValueError(
@@ -283,17 +317,20 @@ def zero_pad_matrix(w, size: int, *, keep_cols: bool = False) -> np.ndarray:
 
 
 def extend_vector(v, size: int, fill: float = 0.0) -> np.ndarray:
-    """Extend ``v`` to ``size`` entries, writing ``fill`` in the new slots.
+    """Extend ``v`` (or each column of a 2-d batch) to ``size`` entries,
+    writing ``fill`` in the new slots.
 
     Zero fill is the padding used for weights and biases; a sigma(0) fill
     appears when states of different widths are compared through their
     extension, whose padded coordinates carry sigma(0) rather than 0.
     """
-    arr = as_vector(v, name="extend_vector operand")
-    if size < arr.size:
-        raise ValueError(f"extend_vector: target size {size} smaller than {arr.size}")
-    out = np.full(size, float(fill), dtype=np.float64)
-    out[: arr.size] = arr
+    validate = as_vector if np.ndim(v) == 1 else as_matrix
+    arr = validate(v, name="extend_vector operand")
+    rows = arr.shape[0]
+    if size < rows:
+        raise ValueError(f"extend_vector: target size {size} smaller than {rows}")
+    out = np.full((size, *arr.shape[1:]), float(fill), dtype=np.float64)
+    out[:rows] = arr
     out.flags.writeable = False
     return out
 
@@ -311,53 +348,60 @@ class EventuallyConstSeq:
     afterwards.  These are the states of constant-padded convolutional
     recursions: the l_inf norm is ``max(|head|_inf, |tail|)``, and the
     sequence lies in l_p for finite p exactly when the tail is zero.
+
+    A batch of S sequences of one head length has a ``(h, S)`` head and a
+    length-S tail (a scalar tail is broadcast), one sequence per column;
+    every method then acts column by column and returns per-column results.
     """
 
     head: np.ndarray
-    tail: float
+    tail: float | np.ndarray
 
     def __post_init__(self):
         arr = np.array(self.head, dtype=np.float64, copy=True)
-        if arr.ndim != 1:
-            raise ValueError(f"sequence head must be 1-d, got shape {arr.shape}")
+        if arr.ndim not in (1, 2):
+            raise ValueError(f"sequence head must be 1-d or 2-d, got shape {arr.shape}")
         if arr.size and not np.all(np.isfinite(arr)):
             raise ValueError("sequence head entries must be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "head", arr)
-        t = float(self.tail)
-        if not math.isfinite(t):
+        t = np.array(np.broadcast_to(self.tail, arr.shape[1:]), dtype=np.float64)
+        if not np.all(np.isfinite(t)):
             raise ValueError("sequence tail must be finite")
-        object.__setattr__(self, "tail", t)
+        t.flags.writeable = False
+        object.__setattr__(self, "tail", float(t) if arr.ndim == 1 else t)
 
     @property
     def head_len(self) -> int:
-        return int(self.head.size)
+        return int(self.head.shape[0])
 
-    def value_at(self, i: int) -> float:
+    def value_at(self, i: int):
         if i < 0:
             raise IndexError("sequence index must be >= 0")
-        return float(self.head[i]) if i < self.head.size else self.tail
+        if i >= self.head_len:
+            return self.tail
+        return float(self.head[i]) if self.head.ndim == 1 else self.head[i]
 
     def truncated(self, count: int) -> np.ndarray:
-        """First ``count`` entries as a dense vector."""
+        """First ``count`` entries as a dense vector (rows of a batch)."""
         if count < 0:
             raise ValueError("truncated: count must be >= 0")
-        out = np.full(count, self.tail, dtype=np.float64)
-        k = min(count, self.head.size)
+        out = np.empty((count, *self.head.shape[1:]), dtype=np.float64)
+        out[...] = self.tail
+        k = min(count, self.head_len)
         out[:k] = self.head[:k]
         return out
 
-    def in_lp(self, p: PNorm) -> bool:
+    def in_lp(self, p: PNorm):
         return p.is_inf or self.tail == 0.0
 
-    def norm(self, p: PNorm) -> float:
+    def norm(self, p: PNorm):
         """l_p(N) norm; +inf for finite p when the tail is nonzero."""
         if p.is_inf:
-            head_part = float(np.max(np.abs(self.head))) if self.head.size else 0.0
-            return max(head_part, abs(self.tail))
-        if self.tail != 0.0:
-            return math.inf
-        return vector_norm(self.head, p)
+            out = np.maximum(vector_norm(self.head, p), np.abs(self.tail))
+        else:
+            out = np.where(self.tail != 0.0, math.inf, vector_norm(self.head, p))
+        return float(out) if self.head.ndim == 1 else out
 
     def _combine(self, other: "EventuallyConstSeq", sign: float) -> "EventuallyConstSeq":
         n = max(self.head_len, other.head_len)
@@ -462,20 +506,22 @@ def toeplitz_norms(t: BandedToeplitz, p: PNorm) -> float:
 
 
 def apply_banded(t: BandedToeplitz, x: EventuallyConstSeq) -> EventuallyConstSeq:
-    """Apply the semi-infinite constant-padded operator to a sequence.
+    """Apply the semi-infinite constant-padded operator to a sequence or a
+    batch of sequences.
 
     The head grows by tau entries; every row past the new head sees only the
-    constant tail, so the output tail is ``sum(mask) * x.tail``.  Row sums
-    run in column order, matching the sequential-summation convention.
+    constant tail, so the output tail is ``sum(mask) * x.tail``.  Row i sums
+    ``mask[k] * x[i - k]`` for k descending to 0 (column order), adding one
+    shifted slice of the padded input per k, which matches the
+    sequential-summation convention entry by entry.
     """
     if not t.semi_infinite:
         raise ValueError("apply_banded requires the semi-infinite operator form")
     mask = t.mask
     tau = t.tau
-    out_len = x.head_len + tau
-    out = np.empty(out_len, dtype=np.float64)
-    for i in range(out_len):
-        lo = max(0, i - tau)
-        out[i] = seq_sum([mask[i - j] * x.value_at(j) for j in range(lo, i + 1)])
-    tail = seq_sum(mask) * x.tail
-    return EventuallyConstSeq(out, tail)
+    xe = x.truncated(x.head_len + tau)  # the head, then tau copies of the tail
+    out = np.zeros_like(xe)
+    size = xe.shape[0]
+    for k in range(tau, -1, -1):
+        out[k:] += mask[k] * xe[: size - k]
+    return EventuallyConstSeq(out, seq_sum(mask) * x.tail)

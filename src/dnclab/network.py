@@ -16,6 +16,11 @@ Widths may vary: ``width(n)`` is the state dimension after layer n
 ``width(n) = width(0) + n * tau`` because each full banded convolution
 lengthens the state by tau.
 
+Every evaluation takes one input vector ``x`` of shape ``(dim,)`` or a
+batch of S inputs as the columns of a ``(dim, S)`` array, and walks the
+recursion once per layer for the whole batch.  Each column's states are the
+same bits in any batch (the kernels sum in a fixed left-to-right order).
+
 Two extensions embed finite states into sequence space for cross-depth
 comparison (:func:`eval_extended_trajectory`; the bounds measure in them
 through ``dnclab.analysis.ZeroPad`` and ``dnclab.analysis.ConstantPad``):
@@ -32,7 +37,6 @@ through ``dnclab.analysis.ZeroPad`` and ``dnclab.analysis.ConstantPad``):
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -81,8 +85,8 @@ class MaskSeq:
     ``limit`` optionally declares the coordinatewise limit mask, and
     ``rate`` an exponential envelope for |mask(n) - limit| when the
     construction guarantees one; analysis code uses these to label verdicts
-    analytic instead of window-based.  Masks are cached per index under a
-    lock, so concurrent evaluations see identical coefficients.
+    analytic instead of window-based.  Masks are validated and cached per
+    index, so every evaluation sees identical coefficients.
     """
 
     tau: int
@@ -90,9 +94,6 @@ class MaskSeq:
     limit: np.ndarray | None = None
     rate: float | None = None
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
 
     def __post_init__(self):
         tau = int(self.tau)
@@ -115,16 +116,15 @@ class MaskSeq:
     def mask(self, n: int) -> np.ndarray:
         if n < 1:
             raise ValueError(f"mask index must be >= 1, got {n}")
-        with self._lock:
-            got = self._cache.get(n)
-            if got is None:
-                got = as_vector(self.source(n), name=f"mask({n})")
-                if got.size != self.tau + 1:
-                    raise ValueError(
-                        f"mask({n}) has {got.size} coefficients, expected {self.tau + 1}"
-                    )
-                self._cache[n] = got
-            return got
+        got = self._cache.get(n)
+        if got is None:
+            got = as_vector(self.source(n), name=f"mask({n})")
+            if got.size != self.tau + 1:
+                raise ValueError(
+                    f"mask({n}) has {got.size} coefficients, expected {self.tau + 1}"
+                )
+            self._cache[n] = got
+        return got
 
     def abs_sum(self, n: int) -> float:
         """sum_k |w_k^(n)| — the exact induced l_1/l_inf norm of the
@@ -162,10 +162,10 @@ def pool_of(kind: NetworkKind) -> PoolingOp:
 class LayerSeq:
     """Lazily generated, cached sequence of layer parameters (W_n, b_n).
 
-    ``layer_fn(n)`` is called at most once per index, under a lock, and its
-    output is validated against the width schedule (a mismatch raises a
-    ValueError naming the offending layer), frozen, and cached — so
-    concurrent evaluations at any depths see bitwise-identical parameters.
+    ``layer_fn(n)`` is called at most once per index, and its output is
+    validated against the width schedule (a mismatch raises a ValueError
+    naming the offending layer), frozen, and cached — so evaluations at any
+    depths see bitwise-identical parameters.
 
     ``weight_limit`` / ``bias_limit`` optionally declare limits W*, b* that
     the layers converge to (for growing-width sequences the bias limit is a
@@ -212,7 +212,6 @@ class LayerSeq:
         self._widths: dict[int, int] = {}
         self._layers: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._norms: dict[tuple[int, float], float] = {}
-        self._lock = threading.RLock()
 
     def width(self, n: int) -> int:
         """State dimension after layer n; width(0) is the input dimension."""
@@ -220,47 +219,49 @@ class LayerSeq:
             raise ValueError(f"width index must be >= 0, got {n}")
         if n == 0:
             return self.input_dim
-        with self._lock:
-            got = self._widths.get(n)
-            if got is None:
-                got = int(self._width_fn(n))
-                if got < 1:
-                    raise ValueError(f"layer {n}: width must be >= 1, got {got}")
-                self._widths[n] = got
-            return got
+        got = self._widths.get(n)
+        if got is None:
+            got = int(self._width_fn(n))
+            if got < 1:
+                raise ValueError(f"layer {n}: width must be >= 1, got {got}")
+            self._widths[n] = got
+        return got
 
     def layer(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         if n < 1:
             raise ValueError(f"layer index must be >= 1, got {n}")
-        with self._lock:
-            got = self._layers.get(n)
-            if got is None:
-                w_raw, b_raw = self._layer_fn(n)
-                w = as_matrix(w_raw, name=f"layer {n} weight")
-                b = as_vector(b_raw, name=f"layer {n} bias")
-                expected = (self.width(n) + self.extra_rows, self.width(n - 1))
-                if w.shape != expected:
-                    raise ValueError(
-                        f"layer {n}: weight shape {w.shape} does not chain, "
-                        f"expected {expected}"
-                    )
-                if b.size != self.width(n):
-                    raise ValueError(
-                        f"layer {n}: bias length {b.size}, expected {self.width(n)}"
-                    )
-                got = (w, b)
-                self._layers[n] = got
-            return got
+        got = self._layers.get(n)
+        if got is None:
+            w_raw, b_raw = self._layer_fn(n)
+            w = as_matrix(w_raw, name=f"layer {n} weight")
+            b = as_vector(b_raw, name=f"layer {n} bias")
+            expected = (self.width(n) + self.extra_rows, self.width(n - 1))
+            if w.shape != expected:
+                raise ValueError(
+                    f"layer {n}: weight shape {w.shape} does not chain, "
+                    f"expected {expected}"
+                )
+            if b.size != self.width(n):
+                raise ValueError(
+                    f"layer {n}: bias length {b.size}, expected {self.width(n)}"
+                )
+            got = (w, b)
+            self._layers[n] = got
+        return got
 
     def weight_norm(self, n: int, p: PNorm) -> float:
         """Cached induced p-norm of W_n."""
         key = (n, p.p)
-        with self._lock:
-            got = self._norms.get(key)
-            if got is None:
-                got = induced_norm(self.layer(n)[0], p)
-                self._norms[key] = got
-            return got
+        got = self._norms.get(key)
+        if got is None:
+            got = induced_norm(self.layer(n)[0], p)
+            self._norms[key] = got
+        return got
+
+
+def _column(b: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Bias ``b`` shaped to add to ``z``, a state or a batch of columns."""
+    return b if z.ndim == 1 else b[:, None]
 
 
 def _step(seq: LayerSeq, kind: NetworkKind, act: Activation, v: np.ndarray, j: int):
@@ -268,17 +269,18 @@ def _step(seq: LayerSeq, kind: NetworkKind, act: Activation, v: np.ndarray, j: i
     z = matvec(w, v)
     if isinstance(kind, Pooled):
         z = kind.op.pool(z)
-    return act.apply(z + b)
+    return act.apply(z + _column(b, z))
 
 
 def _input(seq: LayerSeq, kind: NetworkKind, x, n_max: int) -> np.ndarray:
-    """The validated input vector of a recursion run to depth n_max."""
+    """The validated input, one vector or a batch of columns, of a
+    recursion run to depth n_max."""
     if n_max < 1:
         raise ValueError(f"depth must be >= 1, got {n_max}")
-    v = as_vector(x, name="network input")
-    if v.size != seq.width(0):
+    v = (as_vector if np.ndim(x) == 1 else as_matrix)(x, name="network input")
+    if v.shape[0] != seq.width(0):
         raise ValueError(
-            f"input has dimension {v.size}, network expects {seq.width(0)}"
+            f"input has dimension {v.shape[0]}, network expects {seq.width(0)}"
         )
     if isinstance(kind, Pooled) and kind.op.mu != seq.extra_rows:
         raise ValueError(
@@ -293,7 +295,8 @@ def _input(seq: LayerSeq, kind: NetworkKind, x, n_max: int) -> np.ndarray:
 def eval_trajectory(
     seq: LayerSeq, kind: NetworkKind, act: Activation, x, n_max: int
 ) -> list[np.ndarray]:
-    """[N_1(x), ..., N_{n_max}(x)] computed in one sweep."""
+    """[N_1(x), ..., N_{n_max}(x)] computed in one sweep; for a ``(dim, S)``
+    batch each state is ``(width, S)``, one column per sample."""
     v = _input(seq, kind, x, n_max)
     out = []
     for j in range(1, n_max + 1):
@@ -310,7 +313,8 @@ def eval_extended_trajectory(
     n_max: int,
     scheme: str = ZERO_PAD,
 ) -> list[EventuallyConstSeq]:
-    """Extended states at depths 1..n_max under the chosen padding scheme."""
+    """Extended states at depths 1..n_max under the chosen padding scheme
+    (sequence batches with one column per sample for a batched ``x``)."""
     if scheme == ZERO_PAD:
         tail = act.value_at_zero
         return [
@@ -321,25 +325,23 @@ def eval_extended_trajectory(
         raise ValueError(f"unknown extension scheme {scheme!r}")
     if not isinstance(kind, Conv):
         raise ValueError("constant padding is defined for convolutional networks only")
-    v = _input(seq, kind, x, n_max)
-    out: list[EventuallyConstSeq] = []
-    state: EventuallyConstSeq | None = None
-    for j in range(1, n_max + 1):
-        wj, bj = seq.layer(j)
-        if j == 1:
-            # Layer 1 keeps its zero-padded finite form: head = N_1(x),
-            # every padded coordinate reads act(0).
-            head = act.apply(matvec(wj, v) + bj)
-            state = EventuallyConstSeq(head, act.value_at_zero)
-        else:
-            op = constant_padded_toeplitz(kind.masks.mask(j))
-            z = apply_banded(op, state)
-            if z.head_len != seq.width(j):
-                raise ValueError(
-                    f"layer {j}: extended head length {z.head_len} does not "
-                    f"match width {seq.width(j)}"
-                )
-            state = EventuallyConstSeq(act.apply(z.head + bj), act.scalar(z.tail))
+    # Layer 1 keeps its zero-padded finite form: head = N_1(x), every padded
+    # coordinate reads act(0).
+    state = EventuallyConstSeq(
+        _step(seq, kind, act, _input(seq, kind, x, n_max), 1), act.value_at_zero
+    )
+    out = [state]
+    for j in range(2, n_max + 1):
+        bj = seq.layer(j)[1]
+        z = apply_banded(constant_padded_toeplitz(kind.masks.mask(j)), state)
+        if z.head_len != seq.width(j):
+            raise ValueError(
+                f"layer {j}: extended head length {z.head_len} does not "
+                f"match width {seq.width(j)}"
+            )
+        state = EventuallyConstSeq(
+            act.apply(z.head + _column(bj, z.head)), act.apply(z.tail)
+        )
         out.append(state)
     return out
 

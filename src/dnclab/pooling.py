@@ -11,10 +11,11 @@ scanning windows of mu + 1 consecutive entries:
   At p = inf the constant is 1.
 * ``identity`` — mu = 0, the do-nothing operator (plain recursions).
 
-Window sums use ``np.convolve`` and window maxima use
-``sliding_window_view`` + rowwise max: single-threaded C loops with a fixed
-accumulation order, so pooled evaluations are deterministic across runs and
-thread counts.
+Operators act on a vector or, along axis 0, on a ``(dim, S)`` batch of
+columns.  Window sums use ``np.convolve`` (one call per column, so a column
+pools to the same bits in any batch) and window maxima use
+``sliding_window_view`` + max over the window: single-threaded C loops
+with a fixed accumulation order, so pooled evaluations are deterministic.
 """
 
 from __future__ import annotations
@@ -71,15 +72,22 @@ class PoolingOp:
         return float(self.window) ** (1.0 / p.p)
 
     def pool(self, x) -> np.ndarray:
+        """Pool a vector, or each column of a ``(dim, S)`` batch."""
         arr = np.asarray(x, dtype=np.float64)
-        if arr.ndim != 1:
-            raise ValueError(f"pool: expected a 1-d vector, got shape {arr.shape}")
-        self.out_dim(arr.size)  # validates the window fits
+        if arr.ndim not in (1, 2):
+            raise ValueError(
+                f"pool: expected a 1-d vector or a 2-d batch, got shape {arr.shape}"
+            )
+        self.out_dim(arr.shape[0])  # validates the window fits
         if self.kind == "identity":
             return np.array(arr)
         if self.kind == "average":
-            return np.convolve(arr, np.ones(self.window), mode="valid") / self.window
-        return sliding_window_view(arr, self.window).max(axis=1)
+            ones = np.ones(self.window)
+            if arr.ndim == 1:
+                return np.convolve(arr, ones, mode="valid") / self.window
+            cols = [np.convolve(col, ones, mode="valid") for col in arr.T]
+            return np.stack(cols, axis=1) / self.window
+        return sliding_window_view(arr, self.window, axis=0).max(axis=-1)
 
 
 def no_pooling() -> PoolingOp:

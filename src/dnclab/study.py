@@ -1,8 +1,8 @@
 """Convergence studies: sampled deviations against every bound at once.
 
 A study takes one network family, draws inputs from the domain, evaluates
-the state trajectories once per sample, and then audits the full grid of
-depth pairs:
+the state trajectories of all samples in one batch (one recursion sweep per
+layer), and then audits the full grid of depth pairs:
 
 * per (n, m): the empirical deviation |N_{n+m}(x) - N_n(x)| against the
   three-term deviation bound (per sample — dominance is checked pointwise,
@@ -12,15 +12,18 @@ depth pairs:
   constants exist) the limit bound pair J(n) + J(reference);
 * the fitted exponential rate of the reference deviations.
 
-Trajectory evaluation is the expensive part and is farmed out to a thread
-pool; results are merged in sample-index order, and every reduction is a
-sequential sum, so reports are byte-identical for any thread count.
+Each cell's deviations and bounds come back as one array over the samples,
+bit-identical to evaluating each sample alone, and are reduced as a scan in
+sample order would: violations ascending, the first strict maximum, NaN
+skipped.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
+
+import numpy as np
 
 from .activations import Activation
 from .analysis import (
@@ -47,7 +50,6 @@ __all__ = [
     "StudyRow",
     "StateRow",
     "StudyResult",
-    "build_trajectories",
     "convergence_study",
 ]
 
@@ -109,16 +111,7 @@ class StudyRow:
     worst_sample: int
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "empirical": self.empirical,
-            "bound": self.bound,
-            "limit_pair": self.limit_pair,
-            "dominance_ok": self.dominance_ok,
-            "limit_ok": self.limit_ok,
-            "worst_sample": self.worst_sample,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -135,15 +128,7 @@ class StateRow:
     limit_ok: bool | None
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "sup_norm": self.sup_norm,
-            "apriori": self.apriori,
-            "apriori_ok": self.apriori_ok,
-            "dev_to_ref": self.dev_to_ref,
-            "limit_pair": self.limit_pair,
-            "limit_ok": self.limit_ok,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -197,24 +182,13 @@ class StudyResult:
         return " | ".join(parts)
 
 
-def build_trajectories(
-    ctx: BoundContext,
-    samples,
-    depth: int,
-    threads: int = 1,
-) -> list[Trajectory]:
-    """Evaluate one trajectory per sample, optionally on a thread pool.
-
-    The result list is in sample order regardless of completion order, and
-    trajectory states are pure functions of (layer data, sample), so any
-    thread count produces identical values.
-    """
-    threads = max(1, int(threads))
-    if threads == 1 or len(samples) <= 1:
-        return [Trajectory(ctx, x, depth) for x in samples]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(Trajectory, ctx, x, depth) for x in samples]
-        return [f.result() for f in futures]
+def _sup(values: np.ndarray) -> tuple[float, int]:
+    """(max, first index attaining it) of the non-NaN values, floored at
+    (0.0, 0): what the scan ``if v > best: best, at = v, i`` from
+    (0.0, 0) in sample order returns."""
+    v = np.where(np.isnan(values), -math.inf, values)
+    i = int(np.argmax(v))
+    return (float(v[i]), i) if v[i] > 0.0 else (0.0, 0)
 
 
 def convergence_study(
@@ -227,7 +201,6 @@ def convergence_study(
     depths: DepthPlan = DepthPlan(),
     *,
     extension: str = ZERO_PAD,
-    threads: int = 1,
     dominance_rtol: float = 1.0e-9,
     condition_window: tuple[int, int] = (8, 64),
     constants_scan: tuple[int, int] = (8, 48),
@@ -246,7 +219,7 @@ def convergence_study(
     ctx = BoundContext(seq, kind, act, p, extension)
     samples = domain.samples(sampler)
     ref = depths.reference
-    trajs = build_trajectories(ctx, samples, depths.max_depth, threads)
+    traj = Trajectory(ctx, samples.T, depths.max_depth)  # one sample per column
 
     condition = check_condition(seq, kind, act, p, condition_window)
     mask_conditions = (
@@ -272,24 +245,17 @@ def convergence_study(
     dominance_violations: list[tuple[int, int, int]] = []
     for n in depths.n_list:
         for m in depths.m_list:
-            sup_dev = 0.0
-            sup_bound = 0.0
-            worst = 0
-            ok = True
-            for i, traj in enumerate(trajs):
-                dev = traj.deviation(n, n + m)
-                bnd = deviation_bound_ctx(ctx, traj, n, m)
-                if dev > bnd * slack:
-                    ok = False
-                    dominance_violations.append((n, m, i))
-                if dev > sup_dev:
-                    sup_dev = dev
-                    worst = i
-                sup_bound = max(sup_bound, bnd)
+            dev = traj.deviation(n, n + m)
+            bnd = deviation_bound_ctx(ctx, traj, n, m)
+            bad = np.flatnonzero(dev > bnd * slack)
+            dominance_violations.extend((n, m, int(i)) for i in bad)
+            sup_dev, worst = _sup(dev)
             pair = lb(n) + lb(n + m) if constants is not None else None
             limit_ok = None if pair is None else sup_dev <= pair * slack
             rows.append(
-                StudyRow(n, m, sup_dev, sup_bound, pair, ok, limit_ok, worst)
+                StudyRow(
+                    n, m, sup_dev, _sup(bnd)[0], pair, bad.size == 0, limit_ok, worst
+                )
             )
 
     x_bound = domain.norm_bound(p)
@@ -298,20 +264,15 @@ def convergence_study(
     limit_violations: list[tuple[int, int]] = []
     for n in (*depths.n_list, ref):
         apri = apriori_bound_ctx(ctx, n, x_bound)
-        sup_norm = 0.0
-        ok = True
-        for i, traj in enumerate(trajs):
-            norm = traj.state_norm(n)
-            if norm > apri * slack:
-                ok = False
-                apriori_violations.append((n, i))
-            sup_norm = max(sup_norm, norm)
+        norms = traj.state_norm(n)
+        bad = np.flatnonzero(norms > apri * slack)
+        apriori_violations.extend((n, int(i)) for i in bad)
+        sup_norm = _sup(norms)[0]
+        ok = bad.size == 0
         if n == ref:
             state_rows.append(StateRow(n, sup_norm, apri, ok, None, None, None))
             continue
-        dev_ref = 0.0
-        for traj in trajs:
-            dev_ref = max(dev_ref, traj.deviation(n, ref))
+        dev_ref = _sup(traj.deviation(n, ref))[0]
         pair = lb(n) + lb(ref) if constants is not None else None
         limit_ok = None
         if pair is not None:

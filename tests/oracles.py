@@ -90,3 +90,94 @@ def nested_weighted_tail_sum(alphas, betas, n: int) -> float:
             prod *= alphas[n - j - 1]
         total += prod * betas[n - i - 1]
     return total
+
+
+# ---------------------------------------------------------------------------
+# per-element kernels and the per-sample recursion: the loop forms the
+# batched library kernels replaced, kept as bit-exact references
+# ---------------------------------------------------------------------------
+
+
+def left_to_right_sum(values) -> float:
+    """0.0 + v0 + v1 + ..., one double addition at a time."""
+    total = 0.0
+    for v in values:
+        total += float(v)
+    return total
+
+
+def rowwise_matvec(a, x) -> np.ndarray:
+    """A x for one vector: one left-to-right sum per row."""
+    a = np.asarray(a, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    return np.array([left_to_right_sum(row) for row in a * x], dtype=np.float64)
+
+
+def nested_gram(m) -> np.ndarray:
+    """A^T A with each entry a left-to-right sum over rows, filled from the
+    upper triangle."""
+    m = np.asarray(m, dtype=np.float64)
+    cols = m.shape[1]
+    gram = np.empty((cols, cols))
+    for i in range(cols):
+        for j in range(i, cols):
+            gram[i, j] = gram[j, i] = left_to_right_sum(m[:, i] * m[:, j])
+    return gram
+
+
+def elementwise_apply_banded(mask, head, tail) -> tuple[np.ndarray, float]:
+    """(head, tail) of the constant-padded Toeplitz operator applied to one
+    eventually-constant sequence, entry by entry: row i sums
+    mask[i - j] * x_j over ascending j."""
+    mask = np.asarray(mask, dtype=np.float64)
+    head = np.asarray(head, dtype=np.float64)
+    tau = mask.size - 1
+
+    def x(j):
+        return float(head[j]) if j < head.size else float(tail)
+
+    out = np.empty(head.size + tau)
+    for i in range(out.size):
+        out[i] = left_to_right_sum(
+            [mask[i - j] * x(j) for j in range(max(0, i - tau), i + 1)]
+        )
+    return out, left_to_right_sum(mask) * float(tail)
+
+
+def pool_vector(op, v) -> np.ndarray:
+    """One vector through a pooling operator: window means by np.convolve,
+    window maxima by Python's max."""
+    v = np.asarray(v, dtype=np.float64)
+    if op.kind == "identity":
+        return v.copy()
+    if op.kind == "average":
+        return np.convolve(v, np.ones(op.window), mode="valid") / op.window
+    return np.array([max(v[i : i + op.window].tolist()) for i in range(v.size - op.mu)])
+
+
+def per_sample_trajectory(seq, kind, act, x, n_max: int) -> list:
+    """States N_1(x) .. N_{n_max}(x) of one sample, one row sum at a time."""
+    pool = getattr(kind, "op", None)
+    v = np.asarray(x, dtype=np.float64)
+    out = []
+    for j in range(1, n_max + 1):
+        w, b = seq.layer(j)
+        z = rowwise_matvec(w, v)
+        if pool is not None:
+            z = pool_vector(pool, z)
+        v = act.apply(z + b)
+        out.append(v)
+    return out
+
+
+def per_sample_constant_pad(seq, masks, act, x, n_max: int) -> list:
+    """(head, tail) states of one sample under constant padding: layer 1 is
+    the zero-padded matrix, later layers the per-element banded operator."""
+    w, b = seq.layer(1)
+    state = (act.apply(rowwise_matvec(w, x) + b), act.value_at_zero)
+    out = [state]
+    for j in range(2, n_max + 1):
+        head, tail = elementwise_apply_banded(masks.mask(j), *state)
+        state = (act.apply(head + seq.layer(j)[1]), act.scalar(tail))
+        out.append(state)
+    return out

@@ -72,3 +72,63 @@ def test_setup_probe_reaches_the_study(tmp_path):
     rec = json.loads(record.read_text(encoding="utf-8"))
     assert rec["exit_code"] == 0
     assert "first_study_t" in rec
+
+
+CONV_CONFIG = {
+    "schema": "dnc-lab/config/v1",
+    "label": "traced-conv",
+    "seed": 4,
+    "generator": {
+        "family": "conv",
+        "input_dim": 4,
+        "mask": {
+            "family": "constant_limit",
+            "base": [0.2, -0.1, 0.1],
+            "rate": 0.5,
+            "limit": [0.2, -0.1, 0.1],
+        },
+    },
+    "activation": {"name": "sigmoid"},
+    "norm": {"p": "inf"},
+    "comparison": {"extension": "constant_pad"},
+    "domain": {"bound": 1.0, "sampler": {"kind": "uniform", "count": 12}},
+    "depths": {"n_list": [1, 2, 4], "m_list": [1, 2], "reference_depth": 12},
+}
+
+
+def test_traced_run_sees_the_batched_layers(tmp_path):
+    """The per-layer run still finds every target and records spans for the
+    recursion and both kernels it drives on a constant-padded convolution."""
+    cfg = tmp_path / "conv.json"
+    cfg.write_text(json.dumps(CONV_CONFIG), encoding="utf-8")
+    record = tmp_path / "record.json"
+    res = subprocess.run(
+        [
+            sys.executable,
+            str(PERFBENCH / "child.py"),
+            str(record),
+            "traced",
+            "--",
+            "run",
+            "--config",
+            str(cfg),
+            "--threads",
+            "1",
+            "--out",
+            str(tmp_path / "out"),
+        ],
+        capture_output=True,
+        text=True,
+        env=_env(),
+        timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    rec = json.loads(record.read_text(encoding="utf-8"))
+    assert rec["exit_code"] == 0
+    trace = rec["trace"]
+    assert trace["missing"] == []
+    calls: dict[str, int] = {}
+    for name, _parent, n, _total, _child in trace["spans"]:
+        calls[name] = calls.get(name, 0) + n
+    for name in ("network.trajectory", "linalg.matvec", "linalg.apply_banded"):
+        assert calls.get(name, 0) > 0, name

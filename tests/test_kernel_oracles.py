@@ -1,0 +1,232 @@
+"""The batched kernels reproduce the per-element loop forms bit for bit.
+
+Each library kernel that evaluates a whole batch of samples at once is
+checked against its loop reference in ``oracles`` (one left-to-right sum
+per output entry, one sample at a time).  Results are compared as uint64
+bit patterns, so a signed zero or a last-bit drift counts as a mismatch.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+import oracles
+from dnclab.activations import ACTIVATION_NAMES, make_activation
+from dnclab.analysis import BoundContext, Trajectory
+from dnclab.corpus import corpus_instances
+from dnclab.linalg import (
+    INF,
+    ONE,
+    TWO,
+    EventuallyConstSeq,
+    PNorm,
+    apply_banded,
+    constant_padded_toeplitz,
+    induced_norm,
+    matvec,
+    seq_sum,
+    vector_norm,
+)
+from dnclab.linalg import _accumulate
+from dnclab.network import CONSTANT_PAD, eval_extended_trajectory, eval_trajectory
+from dnclab.pooling import average_pooling, max_pooling
+
+# signed zeros, cancelling magnitudes and ordinary values
+ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e16, -1e16, 3e-300, -3e-300]),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+)
+SEEDS = st.integers(0, 2**31 - 1)
+
+
+def bits(values) -> np.ndarray:
+    return np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+
+
+def assert_same_bits(got, want) -> None:
+    np.testing.assert_array_equal(bits(got), bits(want))
+
+
+def operand(draw, shape, zero: bool):
+    arr = draw(arrays(np.float64, shape, elements=ENTRIES))
+    return np.zeros(shape) if zero else arr
+
+
+@st.composite
+def matrix_and_batch(draw):
+    rows = draw(st.integers(1, 9))
+    cols = draw(st.integers(1, 9))
+    samples = draw(st.integers(1, 4))
+    a = operand(draw, (rows, cols), draw(st.booleans()) and draw(st.booleans()))
+    x = operand(draw, (cols, samples), draw(st.booleans()) and draw(st.booleans()))
+    return a, x
+
+
+def test_seq_sum_is_not_compensated():
+    # a compensated (Neumaier) sum, as built-in sum() is from Python 3.12,
+    # returns 1.0 here; left to right, 1e16 + 1.0 rounds back to 1e16
+    assert seq_sum([1e16, 1.0, -1e16]) == 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix_and_batch())
+def test_matvec_matches_row_sums(case):
+    a, x = case
+    want = np.stack([oracles.rowwise_matvec(a, col) for col in x.T], axis=1)
+    assert_same_bits(matvec(a, x), want)
+    for s in range(x.shape[1]):
+        assert_same_bits(matvec(a, x[:, s]), want[:, s])
+
+
+def test_matvec_all_negative_zero_row_sums_to_positive_zero():
+    a = np.array([[-0.0, 1.0], [1.0, -0.0]])
+    x = np.array([1.0, -0.0])
+    # row 0: -0.0*1.0 + 1.0*-0.0 is -0.0 + -0.0; left to right from 0.0 it is +0.0
+    assert bits(matvec(a, x))[0] == bits(0.0)
+    assert bits(matvec(a, x[:, None]))[0, 0] == bits(0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 9), SEEDS, st.booleans())
+def test_gram_matches_nested_row_sums(rows, cols, seed, signed_zeros):
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(rows, cols))
+    if signed_zeros:
+        m[rng.random((rows, cols)) < 0.5] = -0.0
+    assert_same_bits(_accumulate(m.T, m), oracles.nested_gram(m))
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrix_and_batch())
+def test_norms_match_loop_sums(case):
+    a, x = case
+    assert induced_norm(a, ONE) == oracles.abs_col_sum_norm(a)
+    assert induced_norm(a, INF) == oracles.abs_row_sum_norm(a)
+    for p in (ONE, TWO, INF, PNorm(3.0)):
+        batch = vector_norm(x, p)
+        for s in range(x.shape[1]):
+            col = np.abs(x[:, s])
+            if p.is_inf:
+                want = float(np.max(col))
+            elif p.p == 2.0:
+                want = math.sqrt(oracles.left_to_right_sum(col * col))
+            else:
+                want = oracles.left_to_right_sum(col**p.p) ** (1.0 / p.p)
+            assert bits(batch[s]) == bits(want)
+            assert bits(vector_norm(x[:, s], p)) == bits(want)
+
+
+@st.composite
+def banded_case(draw):
+    mask = draw(arrays(np.float64, draw(st.integers(1, 5)), elements=ENTRIES))
+    samples = draw(st.integers(1, 4))
+    head = operand(draw, (draw(st.integers(0, 8)), samples), draw(st.booleans()))
+    tail = draw(
+        st.one_of(
+            st.just(np.zeros(samples)),
+            arrays(np.float64, samples, elements=ENTRIES),
+        )
+    )
+    return mask, head, tail
+
+
+@settings(max_examples=150, deadline=None)
+@given(banded_case())
+def test_apply_banded_matches_elementwise_rows(case):
+    mask, head, tail = case
+    op = constant_padded_toeplitz(mask)
+    out = apply_banded(op, EventuallyConstSeq(head, tail))
+    for s in range(head.shape[1]):
+        want_head, want_tail = oracles.elementwise_apply_banded(
+            mask, head[:, s], tail[s]
+        )
+        assert_same_bits(out.head[:, s], want_head)
+        assert bits(out.tail[s]) == bits(want_tail)
+        single = apply_banded(op, EventuallyConstSeq(head[:, s], tail[s]))
+        assert_same_bits(single.head, want_head)
+        assert bits(single.tail) == bits(want_tail)
+
+
+def test_apply_banded_tau_zero_and_empty_head():
+    x = EventuallyConstSeq(np.empty((0, 2)), [2.0, -0.0])
+    out = apply_banded(constant_padded_toeplitz([0.5]), x)
+    assert out.head.shape == (0, 2)
+    assert_same_bits(out.tail, [1.0, -0.0])
+
+
+BATCHES = arrays(
+    np.float64,
+    st.tuples(st.integers(1, 8), st.integers(1, 5)),
+    elements=st.one_of(ENTRIES, st.floats(-50, 50)),
+)
+
+
+@pytest.mark.parametrize("name", ACTIVATION_NAMES)
+@settings(max_examples=40, deadline=None)
+@given(BATCHES)
+def test_activation_on_batch_matches_columns(name, z):
+    act = make_activation(name, **({"alpha": 2.0} if name == "prelu" else {}))
+    batch = act.apply(z)
+    for s in range(z.shape[1]):
+        assert_same_bits(batch[:, s], act.apply(z[:, s]))
+        for i in range(z.shape[0]):
+            assert bits(batch[i, s]) == bits(act.scalar(z[i, s]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(["average", "max"]),
+    st.integers(1, 4),
+    st.integers(0, 6),
+    st.integers(1, 4),
+    SEEDS,
+)
+def test_pooling_on_batch_matches_columns(kind, mu, extra, samples, seed):
+    op = average_pooling(mu) if kind == "average" else max_pooling(mu)
+    z = np.random.default_rng(seed).normal(size=(mu + 1 + extra, samples))
+    batch = op.pool(z)
+    for s in range(samples):
+        assert_same_bits(batch[:, s], oracles.pool_vector(op, z[:, s]))
+
+
+# one corpus instance per geometry; the recursion oracle evaluates each sample
+# alone, one row sum at a time
+RECURSION_PICKS = (
+    "fixed4-exp_decay-sigmoid-p2",
+    "avg2-exp_decay-selu-p1",
+    "max1-exp_decay-prelu-p1",
+    "cyc534-exp_decay-relu-p1",
+    "convz-t2-sigmoid-pinf",
+    "convc-t2-sigmoid-pinf",
+)
+
+
+@pytest.mark.parametrize("label", RECURSION_PICKS)
+def test_batched_recursion_matches_per_sample_loop(label):
+    inst = {i.label: i for i in corpus_instances()}[label]
+    seq, kind = inst.build()
+    act = inst.activation()
+    xs = inst.domain().uniform_samples(5, seed=17).T
+    depth = 10
+    if inst.extension == CONSTANT_PAD:
+        states = eval_extended_trajectory(seq, kind, act, xs, depth, CONSTANT_PAD)
+        for s in range(xs.shape[1]):
+            want = oracles.per_sample_constant_pad(seq, kind.masks, act, xs[:, s], depth)
+            for got, (head, tail) in zip(states, want):
+                assert_same_bits(got.head[:, s], head)
+                assert bits(got.tail[s]) == bits(tail)
+    else:
+        states = eval_trajectory(seq, kind, act, xs, depth)
+        for s in range(xs.shape[1]):
+            want = oracles.per_sample_trajectory(seq, kind, act, xs[:, s], depth)
+            for got, v in zip(states, want):
+                assert_same_bits(got[:, s], v)
+    # a trajectory over the batch agrees with the one over a single column
+    ctx = BoundContext(seq, kind, act, inst.p, inst.extension)
+    full = Trajectory(ctx, xs, depth)
+    one = Trajectory(ctx, xs[:, 2], depth)
+    assert bits(full.state_norm(depth)[2]) == bits(one.state_norm(depth))

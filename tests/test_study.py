@@ -4,11 +4,17 @@ import numpy as np
 import pytest
 
 from dnclab.activations import relu
-from dnclab.analysis import Domain, SamplerSpec
+from dnclab.analysis import (
+    BoundContext,
+    Domain,
+    SamplerSpec,
+    Trajectory,
+    deviation_bound_ctx,
+)
 from dnclab.corpus import control_instances, corpus_instances
-from dnclab.linalg import ONE
+from dnclab.linalg import ONE, EventuallyConstSeq
 from dnclab.network import PLAIN, LayerSeq
-from dnclab.study import DepthPlan, build_trajectories, convergence_study
+from dnclab.study import DepthPlan, convergence_study
 
 
 def scalar_net(weight: float) -> LayerSeq:
@@ -92,22 +98,6 @@ class TestConvergenceStudy:
         assert res.rate.rate == pytest.approx(0.4, rel=1e-3)
         assert res.rate.r_squared >= 0.999
 
-    def test_thread_count_does_not_change_results(self):
-        a = run_scalar(threads=1)
-        b = run_scalar(threads=4)
-        for ra, rb in zip(a.rows, b.rows):
-            assert (ra.empirical, ra.bound, ra.limit_pair) == (
-                rb.empirical,
-                rb.bound,
-                rb.limit_pair,
-            )
-        for sa, sb in zip(a.state_rows, b.state_rows):
-            assert (sa.sup_norm, sa.apriori, sa.dev_to_ref) == (
-                sb.sup_norm,
-                sb.apriori,
-                sb.dev_to_ref,
-            )
-
     def test_domain_dimension_checked(self):
         with pytest.raises(ValueError, match="dimension"):
             convergence_study(
@@ -160,14 +150,75 @@ class TestCorpusSmoke:
             assert res.constants is None
 
 
-class TestBuildTrajectories:
-    def test_order_preserved_across_threads(self):
-        from dnclab.analysis import BoundContext
+def _bits(values) -> np.ndarray:
+    return np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
 
-        ctx = BoundContext(scalar_net(0.4), PLAIN, relu(), ONE)
-        samples = [np.array([v]) for v in (0.1, -0.5, 0.9)]
-        one = build_trajectories(ctx, samples, 5, 1)
-        many = build_trajectories(ctx, samples, 5, 3)
-        for t1, t2, x in zip(one, many, samples):
-            assert t1.x[0] == t2.x[0] == x[0]
-            assert t1.state_norm(5) == t2.state_norm(5)
+
+def _state_columns(state, i: int | None) -> tuple:
+    """Sample i's part of a batched state (finite array or sequence batch);
+    the whole state when ``i`` is None (a single sample's state)."""
+    if isinstance(state, EventuallyConstSeq):
+        if i is None:
+            return _bits(state.head), _bits(state.tail)
+        return _bits(state.head[:, i]), _bits(state.tail[i])
+    return (_bits(state if i is None else state[:, i]),)
+
+
+class TestBatchComposition:
+    """A sample's states, norms, deviations, product gaps and deviation
+    bounds are the same bits whether it is evaluated in the full batch,
+    alone (as a batch of one or as a plain vector) or in a reversed batch."""
+
+    PICKS = (
+        "fixed4-exp_decay-sigmoid-p2",
+        "avg2-exp_decay-selu-p1",
+        "max1-exp_decay-selu-p2",
+        "cyc534-exp_decay-prelu-p2",
+        "convz-t2-sigmoid-pinf",
+        "convc-t2-sigmoid-pinf",
+    )
+    DEPTH = 12
+    PAIRS = ((1, 1), (2, 3), (4, 2), (6, 5), (3, 8))
+
+    def _per_sample(self, ctx, traj, i: int) -> list:
+        """Every per-sample figure of column i (all of them for a vector)."""
+
+        def col(values):
+            return _bits(values if np.ndim(values) == 0 else values[i])
+
+        out = []
+        for n in range(1, self.DEPTH + 1):
+            out.append(col(traj.state_norm(n)))
+            out.append(col(traj.product_gap(n)) if n < self.DEPTH else None)
+        for n, m in self.PAIRS:
+            out.append(col(traj.deviation(n, n + m)))
+            out.append(col(deviation_bound_ctx(ctx, traj, n, m)))
+        return out
+
+    @pytest.mark.parametrize("label", PICKS)
+    def test_sample_bits_independent_of_batch(self, label):
+        inst = {i.label: i for i in corpus_instances()}[label]
+        seq, kind = inst.build()
+        ctx = BoundContext(seq, kind, inst.activation(), inst.p, inst.extension)
+        xs = inst.domain().uniform_samples(7, seed=41).T
+        count = xs.shape[1]
+        full = Trajectory(ctx, xs, self.DEPTH)
+        rev = Trajectory(ctx, xs[:, ::-1], self.DEPTH)
+        for i in range(count):
+            want = self._per_sample(ctx, full, i)
+            alone = Trajectory(ctx, xs[:, [i]], self.DEPTH)
+            vector = Trajectory(ctx, xs[:, i], self.DEPTH)
+            for other, j in ((alone, 0), (vector, 0), (rev, count - 1 - i)):
+                got = self._per_sample(ctx, other, j)
+                for a, b in zip(want, got):
+                    if a is not None:
+                        np.testing.assert_array_equal(a, b)
+            for n in (1, 5, self.DEPTH):
+                want_state = _state_columns(full.state(n), i)
+                for got_state in (
+                    _state_columns(alone.state(n), 0),
+                    _state_columns(vector.state(n), None),
+                    _state_columns(rev.state(n), count - 1 - i),
+                ):
+                    for a, b in zip(want_state, got_state):
+                        np.testing.assert_array_equal(a, b)
