@@ -49,7 +49,7 @@ from .linalg import (
     apply_banded,
     constant_padded_toeplitz,
     extend_vector,
-    induced_norm,
+    induced_norms,
     matvec,
     seq_sum,
     vector_norm,
@@ -221,11 +221,11 @@ def check_condition(
         est = lp * seq_sum(np.abs(kind.masks.limit))
         method = "analytic"
     elif seq.weight_limit is not None:
-        est = lp * induced_norm(seq.weight_limit, p)
+        est = lp * seq.weight_limit_norm(p)
         method = "analytic"
     else:
         n0, n1 = _validate_window(window)
-        est = max(lp * seq.weight_norm(n, p) for n in range(n0, n1 + 1))
+        est = max(lp * w for w in seq.weight_norms(range(n0, n1 + 1), p))
         method = f"tail-scan[{n0},{n1}]"
     return ConditionVerdict(est, est < 1.0, method, 1.0 - est)
 
@@ -346,7 +346,8 @@ class ZeroPad:
     """Finite states in l_p: weights, biases and pre-activations are padded
     with zeros, states with act(0).  A geometry computes every quantity in
     which the two extensions differ; :class:`BoundContext` caches them.
-    The state methods take a whole batch of samples (one per column) and
+    The weight norms come one at a time or as a batch (:meth:`norms`); the
+    state methods take a whole batch of samples (one per column) and
     return one value per sample."""
 
     def __init__(self, seq: LayerSeq, kind: NetworkKind, act: Activation, p: PNorm):
@@ -359,9 +360,7 @@ class ZeroPad:
         return self.seq.weight_norm(n, self.p)
 
     def weight_diff(self, j: int, k: int) -> float:
-        return induced_norm(
-            _padded_diff(self.seq.layer(j)[0], self.seq.layer(k)[0]), self.p
-        )
+        return self.norms((), ((j, k),), ())[1][0]
 
     def weight_limit_norm(self) -> float | None:
         """|W*|, or None when the extension has no declared limit operator."""
@@ -369,18 +368,35 @@ class ZeroPad:
             lim = self.kind.masks.limit
             # only a vanishing mask has a zero-padded limit operator
             return None if lim is None or lim.any() else 0.0
-        if self.seq.weight_limit is None:
-            return None
-        return induced_norm(self.seq.weight_limit, self.p)
+        return self.seq.weight_limit_norm(self.p)
 
     def weight_limit_diff(self, k: int) -> float:
-        if isinstance(self.kind, Conv) and self.weight_limit_norm() == 0.0:
-            return self.weight_norm(k)  # |W_k - 0|
+        return self.norms((), (), (k,))[2][0]
+
+    def norms(self, weights, drifts, limit_drifts) -> tuple[list, list, list]:
+        """|W_n| for n in ``weights``, |W_j - W_k| for (j, k) in ``drifts``
+        and |W_k - W*| for k in ``limit_drifts``, computed as one batch:
+        the weight norms through the layer sequence's cache, the padded
+        differences in one stacked ``induced_norm`` call per shape."""
+        ops = [self._drift(j, k) for j, k in drifts]
+        zero_limit = isinstance(self.kind, Conv) and self.weight_limit_norm() == 0.0
+        if not zero_limit:
+            ops += [self._limit_drift(k) for k in limit_drifts]
+        got = induced_norms(ops, self.p)
+        limit = (
+            self.seq.weight_norms(limit_drifts, self.p)  # |W_k - 0|
+            if zero_limit
+            else got[len(drifts) :]
+        )
+        return self.seq.weight_norms(weights, self.p), got[: len(drifts)], limit
+
+    def _drift(self, j: int, k: int) -> np.ndarray:
+        return _padded_diff(self.seq.layer(j)[0], self.seq.layer(k)[0])
+
+    def _limit_drift(self, k: int) -> np.ndarray:
         if self.seq.weight_limit is None:
             raise ValueError("no declared weight limit")
-        return induced_norm(
-            _padded_diff(self.seq.layer(k)[0], self.seq.weight_limit), self.p
-        )
+        return _padded_diff(self.seq.layer(k)[0], self.seq.weight_limit)
 
     def zero_image_norm(self, n: int) -> float:
         dim = self.seq.width(n) + self.seq.extra_rows
@@ -439,6 +455,15 @@ class ConstantPad(ZeroPad):
             raise ValueError("no declared mask limit")
         return seq_sum(np.abs(self._mask(k) - lim))
 
+    def norms(self, weights, drifts, limit_drifts) -> tuple[list, list, list]:
+        """The batch form of the single-key methods; mask sums are exact and
+        cheap, so they are taken one at a time."""
+        return (
+            [self.weight_norm(n) for n in weights],
+            [self.weight_diff(j, k) for j, k in drifts],
+            [self.weight_limit_diff(k) for k in limit_drifts],
+        )
+
     def _mask(self, n: int) -> np.ndarray:
         if n < 2:
             raise ValueError(
@@ -489,8 +514,10 @@ class BoundContext:
 
     One instance per (layer sequence, kind, activation, p, extension); the
     caches matter because the study grid revisits the same weight-difference
-    norms for every (n, m) pair and sample.  ``geometry`` computes what the
-    extension decides; biases are zero-padded under both schemes.
+    norms for every (n, m) pair and sample.  A cache computes a missing
+    entry on its own; :meth:`prefetch` fills many weight-norm, drift and
+    limit-drift entries in one batch instead.  ``geometry`` computes what
+    the extension decides; biases are zero-padded under both schemes.
     """
 
     def __init__(
@@ -522,6 +549,19 @@ class BoundContext:
             return state_deviation(a, b, p, 0.0)
 
         self._bdiff = _Lazy(bias_gap)
+        self._bnorm = _Lazy(lambda n: vector_norm(seq.layer(n)[1], p))
+
+    def prefetch(self, weights=(), drifts=(), limit_drifts=()) -> None:
+        """Fill the caches of |W_n| for n in ``weights``, |W_j - W_k| for
+        (j, k) in ``drifts`` and |W_k - W*| for k in ``limit_drifts`` in one
+        batch; entries already cached are not computed again."""
+        caches = (self._wnorm, self._wdiff, self._Elim)
+        keys = [
+            [key for key in dict.fromkeys(wanted) if key not in cache]
+            for cache, wanted in zip(caches, (weights, drifts, limit_drifts))
+        ]
+        for cache, ks, values in zip(caches, keys, self.geometry.norms(*keys)):
+            cache.update(zip(ks, values))
 
     def weight_norm(self, n: int) -> float:
         return self._wnorm[n]
@@ -550,7 +590,7 @@ class BoundContext:
         return self._bdiff[k, None]
 
     def bias_norm(self, n: int) -> float:
-        return vector_norm(self.seq.layer(n)[1], self.p)
+        return self._bnorm[n]
 
     def lambda_products(self, top: int, count: int) -> list[float]:
         """vals[i] = Lam^{i-1} = prod_{j=0..i-1} L*P*|W_{top-j}|, vals[0]=1."""
@@ -697,6 +737,7 @@ def derive_limit_constants(
     refusal = ctx.geometry.tail_cap_refusal()
     if refusal is not None:
         return None, refusal
+    ctx.prefetch(weights=range(1, n1 + 1), limit_drifts=(n1,))
     lp = ctx.L * ctx.P
     e_end = ctx.bias_limit_diff(n1)
     E_end = ctx.weight_limit_diff(n1)

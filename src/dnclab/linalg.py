@@ -4,16 +4,21 @@ Everything downstream (layer recursions, bound evaluation, report tables)
 rests on the primitives here, so two properties are enforced globally:
 
 * **Determinism.**  Every reduction that produces a reported number uses
-  left-to-right sequential summation over IEEE doubles (:func:`seq_sum`, or
-  a ``cumsum`` along one axis, which accumulates in the same order), never
-  a BLAS or pairwise reduction.  Results are bit-reproducible across runs,
-  batch compositions, and BLAS builds.
+  left-to-right sequential summation over IEEE doubles (:func:`seq_sum`;
+  ``np.add.accumulate`` along one axis; or adding one column of products
+  at a time to an array of partial sums that starts at 0.0 — all three add
+  in the same order), never a BLAS or pairwise reduction.  Results are
+  bit-reproducible across runs, batch and stack compositions, and BLAS
+  builds.
 * **Exactness discipline.**  Induced matrix norms are computed exactly for
   p in {1, inf}, iteratively for p = 2 (power iteration on ``A^T A`` with a
   deterministic start vector), and are *refused* for any other exponent:
   general p only admits the interpolation upper bound
   ``|A|_1^(1/p) * |A|_inf^(1-1/p)``, which :func:`norm_upper_bound` returns
-  labelled as a bound, never as a value.
+  labelled as a bound, never as a value.  :func:`induced_norm` takes one
+  matrix or a ``(K, rows, cols)`` stack; at p = 2 a stack runs one power
+  iteration for all its members, each stopping at its own step, with the
+  same bits per member as alone.
 
 The module also provides the two vector extensions used to compare networks
 of different widths: plain zero padding, and eventually-constant sequences
@@ -42,6 +47,7 @@ __all__ = [
     "matvec",
     "vector_norm",
     "induced_norm",
+    "induced_norms",
     "norm_upper_bound",
     "zero_pad_matrix",
     "extend_vector",
@@ -74,9 +80,9 @@ def seq_sum(values) -> float:
 
 def _seq_sums(a: np.ndarray, axis: int) -> np.ndarray:
     """Left-to-right sums of ``a`` along ``axis``, bit-identical to
-    :func:`seq_sum` of each line.  The accumulation (``cumsum``) runs
-    sequentially but starts from the first term instead of 0.0; ``+ 0.0``
-    turns the one possible difference, an all-(-0.0) line, into +0.0."""
+    :func:`seq_sum` of each line.  ``np.add.accumulate`` runs sequentially
+    but starts from the first term instead of 0.0; ``+ 0.0`` turns the one
+    possible difference, an all-(-0.0) line, into +0.0."""
     return np.add.accumulate(a, axis=axis).take(-1, axis=axis) + 0.0
 
 
@@ -200,77 +206,165 @@ def vector_norm(x, p: PNorm):
 
 _POWER_ITERATIONS = 200
 _POWER_RTOL = 1.0e-12
+# one chunk of a p = 2 stack holds at most this many Gram entries (8 MB), or
+# one matrix whose Gram is larger, which bounds the Gram array and its
+# product temporary whatever the stack size
+_GRAM_ENTRIES = 1 << 20
+# up to this many entries per column of products, one accumulation call over
+# all of them beats ``cols`` separate additions
+_ONE_CALL_ENTRIES = 256
 
 
-def _rayleigh_iterate(gram: np.ndarray, v0: np.ndarray) -> float:
-    """Power iteration on a PSD matrix from a fixed start; returns the
-    Rayleigh-quotient estimate of the top eigenvalue (0.0 if the start is
-    annihilated, in which case the caller moves to the next start)."""
-    nv = vector_norm(v0, TWO)
-    v = v0 / nv
-    lam = 0.0
-    lam_prev = -1.0
+def _grams(ms: np.ndarray) -> np.ndarray:
+    """The Gram matrices A^T A of a ``(K, rows, cols)`` stack as one
+    ``(cols, cols, K)`` array: entry [i, j, k] adds ``ms[k, r, i] *
+    ms[k, r, j]`` over ascending rows r from 0.0, as :func:`matvec` adds.
+    The products commute bitwise, so each Gram matrix is exactly symmetric."""
+    k, rows, cols = ms.shape
+    mt = np.ascontiguousarray(ms.transpose(1, 2, 0))  # (rows, cols, K)
+    g = np.zeros((cols, cols, k))
+    prod = np.empty_like(g)
+    for r in range(rows):
+        np.multiply(mt[r, :, None], mt[r, None], out=prod)
+        g += prod
+    return g
+
+
+def _gram_matvec(g: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Column k of the result is ``G_k v[:, k]``, each entry the left-to-right
+    sum over j of ``G_k[i, j] * v[j, k]``.  By symmetry ``g[j]`` holds column
+    j of every G_k; small stacks accumulate all the products in one call,
+    larger ones add one column of products at a time (the same additions)."""
+    cols, _, k = g.shape
+    if cols * k <= _ONE_CALL_ENTRIES:
+        return _seq_sums(g * v[:, None, :], 0)
+    w = np.zeros((cols, k))
+    prod = np.empty_like(w)
+    for j in range(cols):
+        np.multiply(g[j], v[j], out=prod)
+        w += prod
+    return w
+
+
+def _rayleigh_iterate(g: np.ndarray, v0: np.ndarray) -> np.ndarray:
+    """Power iteration on every Gram matrix of the stack from the start
+    ``v0``; returns each member's Rayleigh estimate of its top eigenvalue.
+
+    A member stops at its own step: the first whose estimate moved by at
+    most 1e-12 relative, or the 200th; its estimate is 0.0 if the start is
+    annihilated (the caller moves it to the next start).  Stopped members
+    leave the stack, so each runs exactly the steps it would run alone."""
+    cols, _, k = g.shape
+    out = np.zeros(k)
+    live = np.arange(k)
+    v = (v0 / np.sqrt(_seq_sums(v0 * v0, 0)))[:, None]
+    lam_prev = np.full(k, -1.0)
     for _ in range(_POWER_ITERATIONS):
-        w = matvec(gram, v)
-        lam = seq_sum(v * w)
-        nw = vector_norm(w, TWO)
-        if nw == 0.0:
-            return 0.0
+        w = _gram_matvec(g, v)
+        lam = _seq_sums(v * w, 0)
+        nw = np.sqrt(_seq_sums(w * w, 0))
+        dead = nw == 0.0
+        stop = dead | (lam_prev >= 0.0) & (
+            np.abs(lam - lam_prev) <= _POWER_RTOL * np.abs(lam)
+        )
+        if stop.any():
+            out[live[stop]] = lam[stop]  # 0.0 where w = 0
+            keep = ~stop
+            if not keep.any():
+                return out
+            live, nw, lam = live[keep], nw[keep], lam[keep]
+            g, w = g.compress(keep, axis=2), w.compress(keep, axis=1)
         v = w / nw
-        if lam_prev >= 0.0 and abs(lam - lam_prev) <= _POWER_RTOL * abs(lam):
-            break
         lam_prev = lam
-    return max(lam, 0.0)
+    out[live] = lam
+    return out
 
 
-def _spectral_norm(m: np.ndarray) -> float:
-    """Largest singular value via power iteration on the Gram matrix A^T A.
+def _spectral_norms(ms: np.ndarray) -> np.ndarray:
+    """Largest singular value of every matrix of a ``(K, rows, cols)`` stack,
+    by power iteration on its Gram matrix A^T A.
 
-    The Gram entries are exact sequential dot products, the start vector is
-    all ones, and if that start happens to lie in the null space the
-    iteration restarts from a deterministic ramp and then from coordinate
-    vectors — so the routine is fully deterministic and terminates with a
-    positive estimate whenever A != 0.
+    All members start from the all-ones vector; the members whose start is
+    annihilated are retried as a smaller stack from a deterministic ramp,
+    then from each coordinate vector in turn, so the routine is fully
+    deterministic and positive whenever A != 0.  A zero Gram matrix gives
+    0.0.  The stack is processed in chunks of at most 2^20 Gram entries (or
+    of one matrix, if its Gram is larger); no member's bits depend on the
+    stack around it.
     """
-    cols = m.shape[1]
-    # gram[i, j] sums m[r, i] * m[r, j] over ascending rows r; the products
-    # commute bitwise, so the matrix comes out exactly symmetric
-    gram = _accumulate(m.T, m)
-    if not gram.any():
-        return 0.0
-    # the fallback starts are built only when the first ones are annihilated
-    starts = itertools.chain(
-        (np.ones(cols), 1.0 + np.arange(cols) / (cols + 1.0)),
-        (np.eye(cols)[k] for k in range(cols)),
-    )
-    for v0 in starts:
-        lam = _rayleigh_iterate(gram, v0)
-        if lam > 0.0:
-            return math.sqrt(lam)
-    return 0.0
+    k, rows, cols = ms.shape
+    out = np.zeros(k)
+    step = max(1, _GRAM_ENTRIES // (cols * cols))
+    for lo in range(0, k, step):
+        g = _grams(ms[lo : lo + step])
+        nonzero = g.any(axis=(0, 1))
+        todo = lo + np.flatnonzero(nonzero)
+        if todo.size < nonzero.size:
+            g = g.compress(nonzero, axis=2)
+        # the fallback starts are built only when the first ones are annihilated
+        starts = itertools.chain(
+            (np.ones(cols), 1.0 + np.arange(cols) / (cols + 1.0)),
+            (np.eye(cols)[i] for i in range(cols)),
+        )
+        for v0 in starts:
+            if todo.size == 0:
+                break
+            lam = _rayleigh_iterate(g, v0)
+            ok = lam > 0.0
+            out[todo[ok]] = np.sqrt(lam[ok])
+            todo = todo[~ok]
+            g = g.compress(~ok, axis=2)
+    return out
 
 
-def induced_norm(a, p: PNorm) -> float:
-    """Induced (operator) norm of a matrix on l_p.
+def induced_norm(a, p: PNorm):
+    """Induced (operator) norm of a matrix on l_p, or of every matrix of a
+    ``(K, rows, cols)`` stack.
 
-    p = 1 is the maximum absolute column sum, p = inf the maximum absolute
-    row sum (both exact); p = 2 is the largest singular value by power
-    iteration on ``A^T A`` (deterministic all-ones start with fallback
-    restarts, at most 200 rounds or a relative Rayleigh change below 1e-12).
-    Any other exponent has no closed form and is refused — use
-    :func:`norm_upper_bound` for the interpolation estimate.
+    A matrix gives a float, a stack an array of K norms, each the same bits
+    as the norm of that matrix alone.  p = 1 is the maximum absolute column
+    sum, p = inf the maximum absolute row sum (both exact); p = 2 is the
+    largest singular value by power iteration on ``A^T A``, run for the
+    whole stack at once (deterministic all-ones start with fallback
+    restarts, at most 200 rounds or a relative Rayleigh change below
+    1e-12, per matrix).  Any other exponent has no closed form and is
+    refused — use :func:`norm_upper_bound` for the interpolation estimate.
     """
-    m = as_matrix(a, name="induced_norm operand")
+    m = np.asarray(a, dtype=np.float64)
+    if m.ndim not in (2, 3) or 0 in m.shape:
+        raise ValueError(
+            "induced_norm operand: expected a matrix or a (K, rows, cols) stack "
+            f"with every dimension >= 1, got shape {m.shape}"
+        )
+    if not np.all(np.isfinite(m)):
+        raise ValueError("induced_norm operand: entries must be finite")
+    stack = m if m.ndim == 3 else m[None]
     if p.p == 1.0:
-        return float(_seq_sums(np.abs(m), 0).max())
-    if p.is_inf:
-        return float(_seq_sums(np.abs(m), 1).max())
-    if p.p == 2.0:
-        return _spectral_norm(m)
-    raise ValueError(
-        "induced_norm: exact induced norms exist only for p in {1, 2, inf}; "
-        f"got p = {p}. Use norm_upper_bound for an interpolation upper bound."
-    )
+        out = _seq_sums(np.abs(stack), 1).max(axis=1)
+    elif p.is_inf:
+        out = _seq_sums(np.abs(stack), 2).max(axis=1)
+    elif p.p == 2.0:
+        out = _spectral_norms(stack)
+    else:
+        raise ValueError(
+            "induced_norm: exact induced norms exist only for p in {1, 2, inf}; "
+            f"got p = {p}. Use norm_upper_bound for an interpolation upper bound."
+        )
+    return float(out[0]) if m.ndim == 2 else out
+
+
+def induced_norms(mats, p: PNorm) -> list[float]:
+    """Induced norms of a list of matrices of any shapes: one stacked
+    :func:`induced_norm` call per shape, in order of first appearance."""
+    groups: dict[tuple, list[int]] = {}
+    for i, m in enumerate(mats):
+        groups.setdefault(np.shape(m), []).append(i)
+    out = [0.0] * len(mats)
+    for idx in groups.values():
+        got = induced_norm(np.stack([mats[i] for i in idx]), p)
+        for i, v in zip(idx, got.tolist()):
+            out[i] = v
+    return out
 
 
 def norm_upper_bound(a, p: PNorm) -> float:

@@ -13,9 +13,10 @@ scanning windows of mu + 1 consecutive entries:
 
 Operators act on a vector or, along axis 0, on a ``(dim, S)`` batch of
 columns.  Window sums use ``np.convolve`` (one call per column, so a column
-pools to the same bits in any batch) and window maxima use
-``sliding_window_view`` + max over the window: single-threaded C loops
-with a fixed accumulation order, so pooled evaluations are deterministic.
+pools to the same bits in any batch) and window maxima fold ``np.maximum``
+over the mu + 1 shifted slices in window order (a NaN in the window gives
+NaN; of equal entries such as -0.0 and +0.0 the later one is kept): fixed
+orders of elementwise C loops, so pooled evaluations are deterministic.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .linalg import PNorm
 
@@ -87,7 +87,11 @@ class PoolingOp:
                 return np.convolve(arr, ones, mode="valid") / self.window
             cols = [np.convolve(col, ones, mode="valid") for col in arr.T]
             return np.stack(cols, axis=1) / self.window
-        return sliding_window_view(arr, self.window, axis=0).max(axis=-1)
+        size = arr.shape[0] - self.mu
+        out = np.array(arr[:size])
+        for t in range(1, self.window):
+            np.maximum(out, arr[t : t + size], out=out)
+        return out
 
 
 def no_pooling() -> PoolingOp:

@@ -191,6 +191,25 @@ def _sup(values: np.ndarray) -> tuple[float, int]:
     return (float(v[i]), i) if v[i] > 0.0 else (0.0, 0)
 
 
+def _grid_norm_keys(depths: DepthPlan, limits: bool) -> tuple[list, list, list]:
+    """The weight-norm, drift and limit-drift keys the audit grid reads.
+
+    Per (n, m) the deviation bound reads |W_i| for i in [m + 2, n + m] (its
+    Lam products) and |W_{k+m} - W_k| for k in [2, n]; the a-priori bound
+    at depth n reads |W_1| .. |W_n|; with certified constants the limit
+    bound at depth n reads E_k for k in [2, n], and the grid takes it at n,
+    n + m and the reference depth.
+    """
+    weights = set(range(1, depths.reference + 1))
+    drifts = set()
+    for n in depths.n_list:
+        for m in depths.m_list:
+            weights.update(range(m + 2, n + m + 1))
+            drifts.update((k + m, k) for k in range(2, n + 1))
+    limit_drifts = range(2, depths.max_depth + 1) if limits else ()
+    return sorted(weights), sorted(drifts), list(limit_drifts)
+
+
 def convergence_study(
     seq: LayerSeq,
     kind: NetworkKind,
@@ -219,8 +238,9 @@ def convergence_study(
     ctx = BoundContext(seq, kind, act, p, extension)
     samples = domain.samples(sampler)
     ref = depths.reference
-    traj = Trajectory(ctx, samples.T, depths.max_depth)  # one sample per column
 
+    # the x-independent phase runs before the states exist, so the norm
+    # batches' working set is freed before the trajectory is allocated
     condition = check_condition(seq, kind, act, p, condition_window)
     mask_conditions = (
         check_mask_conditions(kind.masks, act, condition_window)
@@ -230,6 +250,8 @@ def convergence_study(
     constants, constants_note = derive_limit_constants(
         ctx, domain.norm_bound(p), constants_scan
     )
+    ctx.prefetch(*_grid_norm_keys(depths, constants is not None))
+    traj = Trajectory(ctx, samples.T, depths.max_depth)  # one sample per column
 
     limit_cache: dict[int, float] = {}
 

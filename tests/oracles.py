@@ -5,6 +5,8 @@ LAPACK-backed SVD, textbook definitions — so that agreement with the
 library is evidence, not circularity.
 """
 
+import math
+
 import numpy as np
 
 
@@ -93,8 +95,9 @@ def nested_weighted_tail_sum(alphas, betas, n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# per-element kernels and the per-sample recursion: the loop forms the
-# batched library kernels replaced, kept as bit-exact references
+# per-element kernels, the per-matrix power iteration and the per-sample
+# recursion: the loop forms the batched library kernels replaced, kept as
+# bit-exact references
 # ---------------------------------------------------------------------------
 
 
@@ -125,6 +128,49 @@ def nested_gram(m) -> np.ndarray:
     return gram
 
 
+def _rayleigh_iterate(gram, v0, steps) -> float:
+    """Power iteration on one Gram matrix from one start, one matrix-vector
+    product at a time: the Rayleigh estimate at the first step whose
+    estimate moved by at most 1e-12 relative, or at step 200; 0.0 if the
+    start is annihilated.  Appends the number of steps taken to ``steps``."""
+    v = v0 / math.sqrt(left_to_right_sum(v0 * v0))
+    lam = 0.0
+    lam_prev = -1.0
+    for step in range(1, 201):
+        w = rowwise_matvec(gram, v)
+        lam = left_to_right_sum(v * w)
+        nw = math.sqrt(left_to_right_sum(w * w))
+        if nw == 0.0:
+            steps.append(step)
+            return 0.0
+        v = w / nw
+        if lam_prev >= 0.0 and abs(lam - lam_prev) <= 1.0e-12 * abs(lam):
+            break
+        lam_prev = lam
+    steps.append(step)
+    return max(lam, 0.0)
+
+
+def per_matrix_spectral_norm(m, steps=None) -> float:
+    """Largest singular value of one matrix by power iteration on its Gram
+    matrix: the all-ones start, then the ramp 1 + i/(cols+1), then each
+    coordinate vector, until a start gives a positive estimate; 0.0 for a
+    zero Gram matrix.  ``steps``, if given, receives the step count of each
+    start tried."""
+    m = np.asarray(m, dtype=np.float64)
+    cols = m.shape[1]
+    gram = nested_gram(m)
+    steps = [] if steps is None else steps
+    if not gram.any():
+        return 0.0
+    starts = [np.ones(cols), 1.0 + np.arange(cols) / (cols + 1.0), *np.eye(cols)]
+    for v0 in starts:
+        lam = _rayleigh_iterate(gram, v0, steps)
+        if lam > 0.0:
+            return math.sqrt(lam)
+    return 0.0
+
+
 def elementwise_apply_banded(mask, head, tail) -> tuple[np.ndarray, float]:
     """(head, tail) of the constant-padded Toeplitz operator applied to one
     eventually-constant sequence, entry by entry: row i sums
@@ -144,15 +190,32 @@ def elementwise_apply_banded(mask, head, tail) -> tuple[np.ndarray, float]:
     return out, left_to_right_sum(mask) * float(tail)
 
 
+def _later_max(a: float, b: float) -> float:
+    """The larger of a and b; a NaN operand (the first, if both) is returned,
+    and of equal values (such as -0.0 and +0.0) the later one, b."""
+    if a != a:
+        return a
+    if b != b:
+        return b
+    return a if a > b else b
+
+
 def pool_vector(op, v) -> np.ndarray:
     """One vector through a pooling operator: window means by np.convolve,
-    window maxima by Python's max."""
+    window maxima by a left-to-right fold of :func:`_later_max` over each
+    window."""
     v = np.asarray(v, dtype=np.float64)
     if op.kind == "identity":
         return v.copy()
     if op.kind == "average":
         return np.convolve(v, np.ones(op.window), mode="valid") / op.window
-    return np.array([max(v[i : i + op.window].tolist()) for i in range(v.size - op.mu)])
+    out = []
+    for i in range(v.size - op.mu):
+        best = float(v[i])
+        for t in range(1, op.window):
+            best = _later_max(best, float(v[i + t]))
+        out.append(best)
+    return np.array(out, dtype=np.float64)
 
 
 def per_sample_trajectory(seq, kind, act, x, n_max: int) -> list:

@@ -1,6 +1,7 @@
 """Tests for the bounds, convergence conditions, and sequence lemmas."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from dnclab import analysis
 from dnclab.activations import relu, sigmoid
 from dnclab.analysis import (
     BoundContext,
@@ -265,6 +267,25 @@ class TestLimitConstants:
         sup = BoundContext(net.seq, Conv(net.masks), sigmoid(), INF)
         constants, why = derive_limit_constants(sup, 1.0)
         assert why == "ok" and constants.omega0 < 1
+
+    def test_each_bias_norm_computed_once(self, monkeypatch):
+        # the a-priori bound at every scan depth n re-reads |b_1| .. |b_n|
+        seq = drifting_net()
+        biases = {id(seq.layer(j)[1]): j for j in range(1, 49)}
+        calls = Counter()
+        real = analysis.vector_norm
+
+        def counting(x, p):
+            if id(x) in biases:
+                calls[biases[id(x)]] += 1
+            return real(x, p)
+
+        monkeypatch.setattr(analysis, "vector_norm", counting)
+        constants, why = derive_limit_constants(
+            BoundContext(seq, PLAIN, relu(), ONE), 1.0
+        )
+        assert why == "ok"
+        assert calls == Counter(range(1, 49))
 
 
 class TestLimitBound:

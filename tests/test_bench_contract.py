@@ -96,11 +96,11 @@ CONV_CONFIG = {
 }
 
 
-def test_traced_run_sees_the_batched_layers(tmp_path):
-    """The per-layer run still finds every target and records spans for the
-    recursion and both kernels it drives on a constant-padded convolution."""
-    cfg = tmp_path / "conv.json"
-    cfg.write_text(json.dumps(CONV_CONFIG), encoding="utf-8")
+def _traced_run(tmp_path, config: dict) -> dict:
+    """Run ``dnc-lab run`` on ``config`` under the span tracer; returns the
+    trace after checking the exit code."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
     record = tmp_path / "record.json"
     res = subprocess.run(
         [
@@ -125,10 +125,51 @@ def test_traced_run_sees_the_batched_layers(tmp_path):
     assert res.returncode == 0, res.stderr
     rec = json.loads(record.read_text(encoding="utf-8"))
     assert rec["exit_code"] == 0
-    trace = rec["trace"]
-    assert trace["missing"] == []
+    return rec["trace"]
+
+
+def _span_calls(trace: dict) -> dict[str, int]:
     calls: dict[str, int] = {}
     for name, _parent, n, _total, _child in trace["spans"]:
         calls[name] = calls.get(name, 0) + n
+    return calls
+
+
+def test_traced_run_sees_the_batched_layers(tmp_path):
+    """The per-layer run still finds every target and records spans for the
+    recursion and both kernels it drives on a constant-padded convolution."""
+    trace = _traced_run(tmp_path, CONV_CONFIG)
+    assert trace["missing"] == []
+    calls = _span_calls(trace)
     for name in ("network.trajectory", "linalg.matvec", "linalg.apply_banded"):
         assert calls.get(name, 0) > 0, name
+
+
+DENSE_P2_CONFIG = {
+    "schema": "dnc-lab/config/v1",
+    "label": "traced-dense-p2",
+    "seed": 5,
+    "generator": {
+        "family": "exp_decay",
+        "input_dim": 3,
+        "widths": 6,
+        "rate": 0.5,
+        "norm_target": 0.55,
+    },
+    "activation": {"name": "relu"},
+    "norm": {"p": 2},
+    "domain": {"bound": 1.0, "sampler": {"kind": "uniform", "count": 12}},
+    "depths": {"n_list": [1, 2, 4], "m_list": [1, 2], "reference_depth": 12},
+}
+
+
+def test_traced_run_sees_the_stacked_p2_norms(tmp_path):
+    """The tracer wraps ``induced_norm`` for stacked operands too: a p = 2
+    dense run records its spans, and the power iterations no longer go
+    through ``matvec`` (what is left is the first-layer products)."""
+    trace = _traced_run(tmp_path, DENSE_P2_CONFIG)
+    assert trace["missing"] == []
+    calls = _span_calls(trace)
+    assert calls.get("linalg.induced_norm", 0) > 0
+    assert trace["counts"].get("linalg.induced_norm.p2_calls", 0) > 0
+    assert 0 < calls.get("linalg.matvec", 0) < 100

@@ -1,9 +1,10 @@
 """The batched kernels reproduce the per-element loop forms bit for bit.
 
-Each library kernel that evaluates a whole batch of samples at once is
-checked against its loop reference in ``oracles`` (one left-to-right sum
-per output entry, one sample at a time).  Results are compared as uint64
-bit patterns, so a signed zero or a last-bit drift counts as a mismatch.
+Each library kernel that evaluates a whole batch of samples (or a stack of
+matrices) at once is checked against its loop reference in ``oracles`` (one
+left-to-right sum per output entry, one sample or one matrix at a time).
+Results are compared as uint64 bit patterns, so a signed zero or a
+last-bit drift counts as a mismatch.
 """
 
 import math
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
+from dnclab import linalg
 from dnclab.activations import ACTIVATION_NAMES, make_activation
 from dnclab.analysis import BoundContext, Trajectory
 from dnclab.corpus import corpus_instances
@@ -31,7 +33,7 @@ from dnclab.linalg import (
     seq_sum,
     vector_norm,
 )
-from dnclab.linalg import _accumulate
+from dnclab.linalg import _grams
 from dnclab.network import CONSTANT_PAD, eval_extended_trajectory, eval_trajectory
 from dnclab.pooling import average_pooling, max_pooling
 
@@ -91,13 +93,126 @@ def test_matvec_all_negative_zero_row_sums_to_positive_zero():
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(1, 9), st.integers(1, 9), SEEDS, st.booleans())
-def test_gram_matches_nested_row_sums(rows, cols, seed, signed_zeros):
+@given(st.integers(1, 9), st.integers(1, 9), st.integers(1, 4), SEEDS, st.booleans())
+def test_gram_matches_nested_row_sums(rows, cols, count, seed, signed_zeros):
     rng = np.random.default_rng(seed)
-    m = rng.normal(size=(rows, cols))
+    ms = rng.normal(size=(count, rows, cols))
     if signed_zeros:
-        m[rng.random((rows, cols)) < 0.5] = -0.0
-    assert_same_bits(_accumulate(m.T, m), oracles.nested_gram(m))
+        ms[rng.random(ms.shape) < 0.5] = -0.0
+    grams = _grams(ms)
+    for k in range(count):
+        assert_same_bits(grams[:, :, k], oracles.nested_gram(ms[k]))
+
+
+SPECTRAL_KINDS = ("normal", "zero", "rank_one", "sparse", "near_repeated", "ones_null")
+
+
+def spectral_member(kind: str, rows: int, cols: int, rng) -> np.ndarray:
+    """One test matrix: the all-ones start annihilates ``ones_null``, and
+    ``near_repeated`` (top singular values 1 and 0.995) runs to the
+    200-step cap."""
+    if kind == "zero":
+        return np.zeros((rows, cols))
+    if kind == "rank_one":
+        return np.outer(rng.normal(size=rows), rng.normal(size=cols))
+    if kind == "sparse":
+        m = rng.normal(size=(rows, cols))
+        m[rng.random(m.shape) < 0.7] = -0.0
+        return m
+    if kind == "near_repeated" and min(rows, cols) >= 2:
+        u = np.linalg.qr(rng.normal(size=(rows, rows)))[0]
+        vt = np.linalg.qr(rng.normal(size=(cols, cols)))[0]
+        s = np.zeros((rows, cols))
+        s[0, 0], s[1, 1] = 1.0, 0.995
+        return u @ s @ vt
+    if kind == "ones_null" and cols >= 2:
+        m = np.zeros((rows, cols))
+        m[:, 0] = rng.normal(size=rows)
+        m[:, 1] = -m[:, 0]
+        return m
+    return rng.normal(size=(rows, cols))
+
+
+@st.composite
+def spectral_stacks(draw):
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 6))
+    kinds = draw(st.lists(st.sampled_from(SPECTRAL_KINDS), min_size=1, max_size=40))
+    rng = np.random.default_rng(draw(SEEDS))
+    return np.stack([spectral_member(k, rows, cols, rng) for k in kinds])
+
+
+# (entries up to which one accumulation call forms the Gram products,
+# Gram entries per chunk): the kernel's defaults, the column-by-column
+# products everywhere, and one matrix per chunk
+KERNEL_SETTINGS = (
+    (linalg._ONE_CALL_ENTRIES, linalg._GRAM_ENTRIES),
+    (0, linalg._GRAM_ENTRIES),
+    (linalg._ONE_CALL_ENTRIES, 1),
+)
+
+
+def assert_stack_matches(stack: np.ndarray, want: np.ndarray) -> None:
+    """Each matrix's p = 2 norm has the oracle's bits alone, in the stack and
+    in the reversed stack, under every kernel setting."""
+    for one_call, gram_entries in KERNEL_SETTINGS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "_ONE_CALL_ENTRIES", one_call)
+            mp.setattr(linalg, "_GRAM_ENTRIES", gram_entries)
+            assert_same_bits(induced_norm(stack, TWO), want)
+            assert_same_bits(induced_norm(stack[::-1], TWO), want[::-1])
+    for m, w in zip(stack, want):
+        assert bits(induced_norm(m, TWO)) == bits(w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spectral_stacks())
+def test_stacked_spectral_norm_matches_per_matrix_oracle(stack):
+    want = np.array([oracles.per_matrix_spectral_norm(m) for m in stack])
+    assert_stack_matches(stack, want)
+
+
+def test_spectral_restarts_cap_and_mixed_stopping_steps():
+    rng = np.random.default_rng(11)
+    members = {
+        "zero": np.zeros((2, 4)),
+        # A 1 = 0 for the all-ones start; the ramp start succeeds
+        "ones_null": np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]),
+        # the ramp 1 + i/5 is annihilated too; e_0 succeeds
+        "ramp_null": np.array([[1.0, -2.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0]]),
+        "near_repeated": spectral_member("near_repeated", 2, 4, rng),
+        "rank_one": spectral_member("rank_one", 2, 4, rng),
+        "normal": rng.normal(size=(2, 4)),
+    }
+    steps = {}
+    want = []
+    for name, m in members.items():
+        steps[name] = []
+        want.append(oracles.per_matrix_spectral_norm(m, steps[name]))
+    assert steps["zero"] == []
+    assert len(steps["ones_null"]) == 2 and steps["ones_null"][0] == 1
+    assert len(steps["ramp_null"]) == 3 and steps["ramp_null"][:2] == [1, 1]
+    assert steps["near_repeated"] == [200]
+    # the members that run leave the stack at different steps
+    finals = [s[-1] for s in steps.values() if s]
+    assert len(set(finals)) >= 3
+    assert_stack_matches(np.stack(list(members.values())), np.array(want))
+    # the 1 x 2 difference operator alone and among other 1 x 2 matrices
+    row = np.array([[[1.0, -1.0]], [[2.0, 1.0]], [[0.0, 0.0]]])
+    row_want = np.array([oracles.per_matrix_spectral_norm(m) for m in row])
+    assert row_want[0] == math.sqrt(2.0)
+    assert_stack_matches(row, row_want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 12), SEEDS)
+def test_stacked_exact_norms_match_loop_sums(rows, cols, count, seed):
+    stack = np.random.default_rng(seed).normal(size=(count, rows, cols))
+    stack[::2, 0] = -0.0
+    for p, oracle in ((ONE, oracles.abs_col_sum_norm), (INF, oracles.abs_row_sum_norm)):
+        want = np.array([oracle(m) for m in stack])
+        assert_same_bits(induced_norm(stack, p), want)
+        assert_same_bits(induced_norm(stack[::-1], p), want[::-1])
 
 
 @settings(max_examples=100, deadline=None)
@@ -184,13 +299,19 @@ def test_activation_on_batch_matches_columns(name, z):
     st.integers(0, 6),
     st.integers(1, 4),
     SEEDS,
+    st.booleans(),
 )
-def test_pooling_on_batch_matches_columns(kind, mu, extra, samples, seed):
+def test_pooling_on_batch_matches_columns(kind, mu, extra, samples, seed, specials):
     op = average_pooling(mu) if kind == "average" else max_pooling(mu)
-    z = np.random.default_rng(seed).normal(size=(mu + 1 + extra, samples))
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(mu + 1 + extra, samples))
+    if specials:  # signed zeros meet in one window; NaN propagates
+        hit = rng.random(z.shape) < 0.6
+        z[hit] = rng.choice([0.0, -0.0, math.nan], size=int(hit.sum()))
     batch = op.pool(z)
     for s in range(samples):
         assert_same_bits(batch[:, s], oracles.pool_vector(op, z[:, s]))
+        assert_same_bits(op.pool(z[:, s]), batch[:, s])
 
 
 # one corpus instance per geometry; the recursion oracle evaluates each sample

@@ -1,8 +1,12 @@
 """Tests for the orchestrated convergence studies."""
 
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from dnclab import analysis, linalg, network
 from dnclab.activations import relu
 from dnclab.analysis import (
     BoundContext,
@@ -11,6 +15,7 @@ from dnclab.analysis import (
     Trajectory,
     deviation_bound_ctx,
 )
+from dnclab.config import load_config
 from dnclab.corpus import control_instances, corpus_instances
 from dnclab.linalg import ONE, EventuallyConstSeq
 from dnclab.network import PLAIN, LayerSeq
@@ -222,3 +227,118 @@ class TestBatchComposition:
                 ):
                     for a, b in zip(want_state, got_state):
                         np.testing.assert_array_equal(a, b)
+
+
+class NormAudit:
+    """Watches one study's weight-norm, drift and limit-drift caches: which
+    entries a cache miss computed (``lazy``), which :meth:`prefetch`
+    filled, which the study read, which difference operators the zero-pad
+    geometry built (``built``), and how many matrices had their induced
+    norm evaluated outside the generators (``evaluated``)."""
+
+    CACHES = {"_wnorm": "weight_norm", "_wdiff": "weight_diff", "_Elim": "weight_limit_diff"}
+
+    def __init__(self, mp: pytest.MonkeyPatch):
+        self.lazy: list = []
+        self.prefetched: set = set()
+        self.read: set = set()
+        self.built: Counter = Counter()
+        self.evaluated = 0
+        init, prefetch = BoundContext.__init__, BoundContext.prefetch
+
+        def patched_init(ctx, *args, **kwargs):
+            init(ctx, *args, **kwargs)
+            for attr, name in self.CACHES.items():
+                cache = getattr(ctx, attr)
+                cache.compute = self._on_miss(name, cache.compute)
+
+        def patched_prefetch(ctx, *args, **kwargs):
+            before = {attr: set(getattr(ctx, attr)) for attr in self.CACHES}
+            prefetch(ctx, *args, **kwargs)
+            for attr, name in self.CACHES.items():
+                new = set(getattr(ctx, attr)) - before[attr]
+                self.prefetched.update((name, key) for key in new)
+
+        mp.setattr(BoundContext, "__init__", patched_init)
+        mp.setattr(BoundContext, "prefetch", patched_prefetch)
+        for name in self.CACHES.values():
+            mp.setattr(BoundContext, name, self._on_read(name, getattr(BoundContext, name)))
+        for attr in ("_drift", "_limit_drift"):
+            mp.setattr(analysis.ZeroPad, attr, self._on_build(attr, getattr(analysis.ZeroPad, attr)))
+        norm = linalg.induced_norm  # induced_norms calls it through linalg
+        for module in (linalg, network):
+            mp.setattr(module, "induced_norm", self._on_norm(norm))
+
+    def _on_miss(self, name, compute):
+        def recorded(key):
+            self.lazy.append((name, key))
+            return compute(key)
+
+        return recorded
+
+    def _on_read(self, name, method):
+        def recorded(ctx, *key):
+            self.read.add((name, key[0] if len(key) == 1 else key))
+            return method(ctx, *key)
+
+        return recorded
+
+    def _on_build(self, name, method):
+        def recorded(geo, *key):
+            self.built[name, key] += 1
+            return method(geo, *key)
+
+        return recorded
+
+    def _on_norm(self, norm):
+        def recorded(a, p):
+            self.evaluated += len(a) if np.ndim(a) == 3 else 1
+            return norm(a, p)
+
+        return recorded
+
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "sample_configs"
+AUDIT_PLAN = DepthPlan(n_list=(1, 2, 3, 4, 6, 8), m_list=(1, 2, 4), reference_depth=16)
+# past the constants scan end (48), so both prefetches ask for E_48
+DEEP_PLAN = DepthPlan(n_list=(1, 2, 4, 8), m_list=(1, 4), reference_depth=56)
+
+
+def _audit_cases():
+    for path in sorted(CONFIG_DIR.glob("*.json")):
+        exp = load_config(str(path))
+        yield path.stem, (
+            exp.seq, exp.kind, exp.act, exp.p, exp.domain, exp.sampler, exp.depths,
+            exp.extension,
+        )
+        yield path.stem + "-deep", (
+            *(exp.seq, exp.kind, exp.act, exp.p, exp.domain),
+            SamplerSpec(count=2, seed=5), DEEP_PLAN, exp.extension,
+        )
+    for inst in (*corpus_instances(), *control_instances()):
+        seq, kind = inst.build()
+        yield inst.label, (
+            seq, kind, inst.activation(), inst.p, inst.domain(),
+            SamplerSpec(count=2, seed=inst.gen.seed + 7), AUDIT_PLAN, inst.extension,
+        )
+
+
+def test_prefetch_covers_exactly_the_norms_a_study_reads():
+    """The grid's key lists match the bound formulas: after the study, no
+    norm was computed on a cache miss, none was prefetched and never read,
+    and none was computed twice: every evaluated matrix is one entry of the
+    layer sequence's norm cache (|W_n|, |W*|) or one difference operator,
+    and no difference operator was built twice."""
+    studies = 0
+    for label, (seq, kind, act, p, domain, sampler, depths, ext) in _audit_cases():
+        cached = len(seq._norms)
+        with pytest.MonkeyPatch.context() as mp:
+            audit = NormAudit(mp)
+            convergence_study(seq, kind, act, p, domain, sampler, depths, extension=ext)
+        assert audit.prefetched, label
+        assert audit.lazy == [], label
+        assert audit.prefetched <= audit.read, (label, audit.prefetched - audit.read)
+        assert max(audit.built.values(), default=1) == 1, label
+        assert audit.evaluated == len(seq._norms) - cached + len(audit.built), label
+        studies += 1
+    assert studies == 2 * 2 + 50 + 2
