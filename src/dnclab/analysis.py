@@ -49,6 +49,7 @@ from .linalg import (
     apply_banded,
     constant_padded_toeplitz,
     extend_vector,
+    induced_norm,
     induced_norms,
     matvec,
     seq_sum,
@@ -204,28 +205,28 @@ def _validate_window(window: tuple[int, int]) -> tuple[int, int]:
 
 
 def check_condition(
-    seq: LayerSeq,
-    kind: NetworkKind,
-    act: Activation,
-    p: PNorm,
-    window: tuple[int, int] = (8, 64),
+    ctx: BoundContext, window: tuple[int, int] = (8, 64)
 ) -> ConditionVerdict:
     """Verdict on the central condition omega = lim L*P*|W_n|_p < 1 (strict).
 
     With declared limits the estimate is analytic: L*P*|W*|_p (norm
     continuity), or L*P*sum|w*_k| for convolutional sequences.  Otherwise it
-    is the labelled maximum of L*P*|W_n|_p over the scan window.
+    is the labelled maximum of L*P*|W_n|_p over the scan window, taken on
+    the finite weight matrices in either extension.
     """
-    lp = act.lipschitz * pool_of(kind).lipschitz(p)
-    if isinstance(kind, Conv) and kind.masks.limit is not None:
-        est = lp * seq_sum(np.abs(kind.masks.limit))
-        method = "analytic"
-    elif seq.weight_limit is not None:
-        est = lp * seq.weight_limit_norm(p)
+    lp = ctx.L * ctx.P
+    if isinstance(ctx.kind, Conv):
+        lim = ctx.kind.masks.limit
+        limit_norm = None if lim is None else seq_sum(np.abs(lim))
+    else:
+        limit_norm = ctx.weight_limit_norm
+    if limit_norm is not None:
+        est = lp * limit_norm
         method = "analytic"
     else:
         n0, n1 = _validate_window(window)
-        est = max(lp * w for w in seq.weight_norms(range(n0, n1 + 1), p))
+        mats = [ctx.seq.layer(n)[0] for n in range(n0, n1 + 1)]
+        est = max(lp * w for w in induced_norms(mats, ctx.p))
         method = f"tail-scan[{n0},{n1}]"
     return ConditionVerdict(est, est < 1.0, method, 1.0 - est)
 
@@ -346,9 +347,9 @@ class ZeroPad:
     """Finite states in l_p: weights, biases and pre-activations are padded
     with zeros, states with act(0).  A geometry computes every quantity in
     which the two extensions differ; :class:`BoundContext` caches them.
-    The weight norms come one at a time or as a batch (:meth:`norms`); the
-    state methods take a whole batch of samples (one per column) and
-    return one value per sample."""
+    The weight-operator norms come as a batch (:meth:`norms`); the state
+    methods take a whole batch of samples (one per column) and return one
+    value per sample."""
 
     def __init__(self, seq: LayerSeq, kind: NetworkKind, act: Activation, p: PNorm):
         self.seq = seq
@@ -356,47 +357,29 @@ class ZeroPad:
         self.act = act
         self.p = p
 
-    def weight_norm(self, n: int) -> float:
-        return self.seq.weight_norm(n, self.p)
-
-    def weight_diff(self, j: int, k: int) -> float:
-        return self.norms((), ((j, k),), ())[1][0]
-
     def weight_limit_norm(self) -> float | None:
         """|W*|, or None when the extension has no declared limit operator."""
         if isinstance(self.kind, Conv):
             lim = self.kind.masks.limit
             # only a vanishing mask has a zero-padded limit operator
             return None if lim is None or lim.any() else 0.0
-        return self.seq.weight_limit_norm(self.p)
+        lim = self.seq.weight_limit
+        return None if lim is None else induced_norm(lim, self.p)
 
-    def weight_limit_diff(self, k: int) -> float:
-        return self.norms((), (), (k,))[2][0]
+    def norms(self, keys) -> list[float]:
+        """The norms of the operators named by ``keys`` (see
+        :class:`BoundContext`), one stacked ``induced_norm`` call per shape."""
+        return induced_norms([self._operator(*key) for key in keys], self.p)
 
-    def norms(self, weights, drifts, limit_drifts) -> tuple[list, list, list]:
-        """|W_n| for n in ``weights``, |W_j - W_k| for (j, k) in ``drifts``
-        and |W_k - W*| for k in ``limit_drifts``, computed as one batch:
-        the weight norms through the layer sequence's cache, the padded
-        differences in one stacked ``induced_norm`` call per shape."""
-        ops = [self._drift(j, k) for j, k in drifts]
-        zero_limit = isinstance(self.kind, Conv) and self.weight_limit_norm() == 0.0
-        if not zero_limit:
-            ops += [self._limit_drift(k) for k in limit_drifts]
-        got = induced_norms(ops, self.p)
-        limit = (
-            self.seq.weight_norms(limit_drifts, self.p)  # |W_k - 0|
-            if zero_limit
-            else got[len(drifts) :]
-        )
-        return self.seq.weight_norms(weights, self.p), got[: len(drifts)], limit
-
-    def _drift(self, j: int, k: int) -> np.ndarray:
-        return _padded_diff(self.seq.layer(j)[0], self.seq.layer(k)[0])
-
-    def _limit_drift(self, k: int) -> np.ndarray:
+    def _operator(self, tag: str, a: int, b: int | None = None) -> np.ndarray:
+        w = self.seq.layer(a)[0]
+        if tag == "W":
+            return w
+        if tag == "dW":
+            return _padded_diff(w, self.seq.layer(b)[0])
         if self.seq.weight_limit is None:
             raise ValueError("no declared weight limit")
-        return _padded_diff(self.seq.layer(k)[0], self.seq.weight_limit)
+        return _padded_diff(w, self.seq.weight_limit)
 
     def zero_image_norm(self, n: int) -> float:
         dim = self.seq.width(n) + self.seq.extra_rows
@@ -437,32 +420,25 @@ class ConstantPad(ZeroPad):
     zero-padded matrix, later layers act by their constant-padded Toeplitz
     operators, whose induced norms are the exact absolute mask sums."""
 
-    def weight_norm(self, n: int) -> float:
-        if n >= 2:
-            return self.kind.masks.abs_sum(n)
-        return super().weight_norm(n)
-
-    def weight_diff(self, j: int, k: int) -> float:
-        return seq_sum(np.abs(self._mask(j) - self._mask(k)))
-
     def weight_limit_norm(self) -> float | None:
         lim = self.kind.masks.limit
         return None if lim is None else seq_sum(np.abs(lim))
 
-    def weight_limit_diff(self, k: int) -> float:
+    def norms(self, keys) -> list[float]:
+        """Mask sums are exact and cheap, so they are taken one at a time."""
+        return [self._mask_norm(*key) for key in keys]
+
+    def _mask_norm(self, tag: str, a: int, b: int | None = None) -> float:
+        if tag == "W":
+            if a == 1:  # layer 1 keeps its zero-padded matrix
+                return super().norms([(tag, a)])[0]
+            return self.kind.masks.abs_sum(a)
+        if tag == "dW":
+            return seq_sum(np.abs(self._mask(a) - self._mask(b)))
         lim = self.kind.masks.limit
         if lim is None:
             raise ValueError("no declared mask limit")
-        return seq_sum(np.abs(self._mask(k) - lim))
-
-    def norms(self, weights, drifts, limit_drifts) -> tuple[list, list, list]:
-        """The batch form of the single-key methods; mask sums are exact and
-        cheap, so they are taken one at a time."""
-        return (
-            [self.weight_norm(n) for n in weights],
-            [self.weight_diff(j, k) for j, k in drifts],
-            [self.weight_limit_diff(k) for k in limit_drifts],
-        )
+        return seq_sum(np.abs(self._mask(a) - lim))
 
     def _mask(self, n: int) -> np.ndarray:
         if n < 2:
@@ -514,10 +490,12 @@ class BoundContext:
 
     One instance per (layer sequence, kind, activation, p, extension); the
     caches matter because the study grid revisits the same weight-difference
-    norms for every (n, m) pair and sample.  A cache computes a missing
-    entry on its own; :meth:`prefetch` fills many weight-norm, drift and
-    limit-drift entries in one batch instead.  ``geometry`` computes what
-    the extension decides; biases are zero-padded under both schemes.
+    norms for every (n, m) pair and sample.  Every weight-operator norm, in
+    the extension, lives in one cache keyed by its operator: ``("W", n)``
+    for W_n, ``("dW", j, k)`` for W_j - W_k and ``("E", k)`` for W_k - W*.
+    A missing entry is computed on its own; :meth:`prefetch` fills many in
+    one batch instead.  ``geometry`` computes what the extension decides;
+    biases are zero-padded under both schemes.
     """
 
     def __init__(
@@ -539,9 +517,10 @@ class BoundContext:
         self.has_limits = (
             self.weight_limit_norm is not None and seq.bias_limit is not None
         )
-        self._wnorm = _Lazy(geo.weight_norm)
-        self._wdiff = _Lazy(lambda jk: geo.weight_diff(*jk))
-        self._Elim = _Lazy(geo.weight_limit_diff)
+        # a vanishing conv mask has the zero operator as its limit, so there
+        # |W_k - W*| is |W_k| and the two keys share one entry
+        self._zero_limit = isinstance(kind, Conv) and self.weight_limit_norm == 0.0
+        self._norm = _Lazy(lambda key: geo.norms([key])[0])
         self._znorm = _Lazy(geo.zero_image_norm)
 
         def bias_gap(jk):  # layer None stands for the declared limit b*
@@ -551,28 +530,28 @@ class BoundContext:
         self._bdiff = _Lazy(bias_gap)
         self._bnorm = _Lazy(lambda n: vector_norm(seq.layer(n)[1], p))
 
-    def prefetch(self, weights=(), drifts=(), limit_drifts=()) -> None:
-        """Fill the caches of |W_n| for n in ``weights``, |W_j - W_k| for
-        (j, k) in ``drifts`` and |W_k - W*| for k in ``limit_drifts`` in one
-        batch; entries already cached are not computed again."""
-        caches = (self._wnorm, self._wdiff, self._Elim)
-        keys = [
-            [key for key in dict.fromkeys(wanted) if key not in cache]
-            for cache, wanted in zip(caches, (weights, drifts, limit_drifts))
+    def _key(self, key: tuple) -> tuple:
+        return ("W", key[1]) if key[0] == "E" and self._zero_limit else key
+
+    def prefetch(self, keys) -> None:
+        """Fill the norm cache for the operator ``keys`` in one geometry
+        batch (one stacked norm call per shape); entries already cached are
+        not computed again."""
+        missing = [
+            key for key in dict.fromkeys(map(self._key, keys)) if key not in self._norm
         ]
-        for cache, ks, values in zip(caches, keys, self.geometry.norms(*keys)):
-            cache.update(zip(ks, values))
+        self._norm.update(zip(missing, self.geometry.norms(missing)))
 
     def weight_norm(self, n: int) -> float:
-        return self._wnorm[n]
+        return self._norm["W", n]
 
     def weight_diff(self, j: int, k: int) -> float:
         """|W_j - W_k| in the extension."""
-        return self._wdiff[j, k]
+        return self._norm["dW", j, k]
 
     def weight_limit_diff(self, k: int) -> float:
         """E_k = |W_k - W*| in the extension."""
-        return self._Elim[k]
+        return self._norm[self._key(("E", k))]
 
     def zero_image_norm(self, n: int) -> float:
         """|(act o pool)(0)| at layer n — the additive constant of the
@@ -737,7 +716,7 @@ def derive_limit_constants(
     refusal = ctx.geometry.tail_cap_refusal()
     if refusal is not None:
         return None, refusal
-    ctx.prefetch(weights=range(1, n1 + 1), limit_drifts=(n1,))
+    ctx.prefetch([*(("W", n) for n in range(1, n1 + 1)), ("E", n1)])
     lp = ctx.L * ctx.P
     e_end = ctx.bias_limit_diff(n1)
     E_end = ctx.weight_limit_diff(n1)

@@ -11,13 +11,15 @@ Subcommands:
 * ``selftest`` — re-verify the shipped corpus (and that the diverging
                  controls fail the conditions) at reduced depth.
 
-Exit codes: 0 success; 1 invalid configuration or usage; 2 a verified
+Exit codes: 0 success; 1 invalid configuration or usage, or a network
+the kernel refuses (an operator norm out of double range); 2 a verified
 inequality was violated or (with ``--require-pass``) a convergence
 condition did not hold.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 
 import click
@@ -51,6 +53,21 @@ def _load(config_path: str) -> Experiment:
         return load_config(config_path)
     except ConfigError as exc:
         raise click.ClickException(str(exc)) from exc
+
+
+def _refusal_exits_1(command):
+    """Report a ValueError raised while evaluating the configured network
+    (an operator norm out of double range, say) as ``Error: ...`` with exit
+    code 1, as an invalid configuration is reported."""
+
+    @functools.wraps(command)
+    def wrapped(*args, **kwargs):
+        try:
+            return command(*args, **kwargs)
+        except ValueError as exc:
+            raise click.ClickException(str(exc)) from exc
+
+    return wrapped
 
 
 def _study(exp: Experiment):
@@ -111,6 +128,7 @@ def main():
 @_threads_opt
 @_require_pass_opt
 @click.pass_context
+@_refusal_exits_1
 def run(ctx, config_path, out_dir, threads, require_pass):
     """Run the full study: sampled deviations against every bound."""
     exp = _load(config_path)
@@ -149,11 +167,12 @@ def run(ctx, config_path, out_dir, threads, require_pass):
 )
 @_require_pass_opt
 @click.pass_context
+@_refusal_exits_1
 def check(ctx, config_path, out_dir, require_pass):
     """Evaluate the convergence conditions without drawing samples."""
     exp = _load(config_path)
     bctx = BoundContext(exp.seq, exp.kind, exp.act, exp.p, exp.extension)
-    condition = check_condition(exp.seq, exp.kind, exp.act, exp.p)
+    condition = check_condition(bctx)
     click.echo(
         f"weight-norm condition: estimate={condition.estimate:.9g} "
         f"passed={condition.passed} ({condition.method})"
@@ -199,6 +218,7 @@ def check(ctx, config_path, out_dir, require_pass):
 @_config_opt
 @_out_opt
 @click.pass_context
+@_refusal_exits_1
 def bounds(ctx, config_path, out_dir):
     """Tabulate the x-independent bounds per depth (no samples drawn).
 
@@ -233,6 +253,7 @@ def bounds(ctx, config_path, out_dir):
 @_out_opt
 @_threads_opt
 @click.pass_context
+@_refusal_exits_1
 def rates(ctx, config_path, out_dir, threads):
     """Fit the empirical convergence rate of deviations to the reference."""
     exp = _load(config_path)

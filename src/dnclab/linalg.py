@@ -213,6 +213,7 @@ _GRAM_ENTRIES = 1 << 20
 # up to this many entries per column of products, one accumulation call over
 # all of them beats ``cols`` separate additions
 _ONE_CALL_ENTRIES = 256
+_OUT_OF_RANGE = "induced_norm: a p = 2 operand is out of double range: "
 
 
 def _grams(ms: np.ndarray) -> np.ndarray:
@@ -280,6 +281,7 @@ def _rayleigh_iterate(g: np.ndarray, v0: np.ndarray) -> np.ndarray:
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")  # out-of-range input is refused
 def _spectral_norms(ms: np.ndarray) -> np.ndarray:
     """Largest singular value of every matrix of a ``(K, rows, cols)`` stack,
     by power iteration on its Gram matrix A^T A.
@@ -287,17 +289,25 @@ def _spectral_norms(ms: np.ndarray) -> np.ndarray:
     All members start from the all-ones vector; the members whose start is
     annihilated are retried as a smaller stack from a deterministic ramp,
     then from each coordinate vector in turn, so the routine is fully
-    deterministic and positive whenever A != 0.  A zero Gram matrix gives
-    0.0.  The stack is processed in chunks of at most 2^20 Gram entries (or
-    of one matrix, if its Gram is larger); no member's bits depend on the
-    stack around it.
+    deterministic and positive whenever A != 0.  A zero matrix gives 0.0.
+    A non-zero matrix whose Gram matrix or iterates leave the double range
+    (a Gram entry overflows, the whole Gram matrix underflows to zero, or
+    no start yields a positive estimate) is refused with a ValueError
+    rather than given a norm of 0.0.  The stack is processed in chunks of
+    at most 2^20 Gram entries (or of one matrix, if its Gram is larger); no
+    member's bits depend on the stack around it.
     """
     k, rows, cols = ms.shape
     out = np.zeros(k)
     step = max(1, _GRAM_ENTRIES // (cols * cols))
     for lo in range(0, k, step):
-        g = _grams(ms[lo : lo + step])
+        chunk = ms[lo : lo + step]
+        g = _grams(chunk)
+        if not np.isfinite(g).all():
+            raise ValueError(_OUT_OF_RANGE + "A^T A overflows")
         nonzero = g.any(axis=(0, 1))
+        if not np.array_equal(nonzero, chunk.any(axis=(1, 2))):
+            raise ValueError(_OUT_OF_RANGE + "A^T A underflows to zero")
         todo = lo + np.flatnonzero(nonzero)
         if todo.size < nonzero.size:
             g = g.compress(nonzero, axis=2)
@@ -314,6 +324,8 @@ def _spectral_norms(ms: np.ndarray) -> np.ndarray:
             out[todo[ok]] = np.sqrt(lam[ok])
             todo = todo[~ok]
             g = g.compress(~ok, axis=2)
+        if todo.size:
+            raise ValueError(_OUT_OF_RANGE + "the power iteration overflows")
     return out
 
 

@@ -50,7 +50,6 @@ from .linalg import (
     as_matrix,
     as_vector,
     constant_padded_toeplitz,
-    induced_norm,
     induced_norms,
     matvec,
     seq_sum,
@@ -212,7 +211,6 @@ class LayerSeq:
         self.rate = rate
         self._widths: dict[int, int] = {}
         self._layers: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._norms: dict[tuple[int | None, float], float] = {}
 
     def width(self, n: int) -> int:
         """State dimension after layer n; width(0) is the input dimension."""
@@ -249,28 +247,6 @@ class LayerSeq:
             got = (w, b)
             self._layers[n] = got
         return got
-
-    def weight_norms(self, ns, p: PNorm) -> list[float]:
-        """Cached induced p-norms of W_n for each n in ``ns``; the missing
-        ones are computed together, one stacked call per matrix shape."""
-        ns = list(ns)
-        missing = [n for n in dict.fromkeys(ns) if (n, p.p) not in self._norms]
-        got = induced_norms([self.layer(n)[0] for n in missing], p)
-        self._norms.update(((n, p.p), v) for n, v in zip(missing, got))
-        return [self._norms[n, p.p] for n in ns]
-
-    def weight_norm(self, n: int, p: PNorm) -> float:
-        """Cached induced p-norm of W_n."""
-        return self.weight_norms((n,), p)[0]
-
-    def weight_limit_norm(self, p: PNorm) -> float | None:
-        """Cached |W*|_p, or None when no weight limit is declared."""
-        if self.weight_limit is None:
-            return None
-        key = (None, p.p)  # layer None stands for the declared limit
-        if key not in self._norms:
-            self._norms[key] = induced_norm(self.weight_limit, p)
-        return self._norms[key]
 
 
 def _column(b: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -403,6 +379,6 @@ def network_lipschitz_bound(
         raise ValueError(f"depth must be >= 1, got {n}")
     factor = act.lipschitz * pool.lipschitz(p)
     acc = 1.0
-    for j in range(1, n + 1):
-        acc *= factor * seq.weight_norm(j, p)
+    for w in induced_norms([seq.layer(j)[0] for j in range(1, n + 1)], p):
+        acc *= factor * w
     return acc

@@ -34,6 +34,7 @@ from .analysis import (
     RateFit,
     SamplerSpec,
     Trajectory,
+    _Lazy,
     apriori_bound_ctx,
     check_condition,
     check_mask_conditions,
@@ -191,8 +192,8 @@ def _sup(values: np.ndarray) -> tuple[float, int]:
     return (float(v[i]), i) if v[i] > 0.0 else (0.0, 0)
 
 
-def _grid_norm_keys(depths: DepthPlan, limits: bool) -> tuple[list, list, list]:
-    """The weight-norm, drift and limit-drift keys the audit grid reads.
+def _grid_norm_keys(depths: DepthPlan, limits: bool) -> list[tuple]:
+    """The keys of the weight-operator norms the audit grid reads.
 
     Per (n, m) the deviation bound reads |W_i| for i in [m + 2, n + m] (its
     Lam products) and |W_{k+m} - W_k| for k in [2, n]; the a-priori bound
@@ -200,14 +201,14 @@ def _grid_norm_keys(depths: DepthPlan, limits: bool) -> tuple[list, list, list]:
     bound at depth n reads E_k for k in [2, n], and the grid takes it at n,
     n + m and the reference depth.
     """
-    weights = set(range(1, depths.reference + 1))
-    drifts = set()
+    keys = {("W", n) for n in range(1, depths.reference + 1)}
     for n in depths.n_list:
         for m in depths.m_list:
-            weights.update(range(m + 2, n + m + 1))
-            drifts.update((k + m, k) for k in range(2, n + 1))
-    limit_drifts = range(2, depths.max_depth + 1) if limits else ()
-    return sorted(weights), sorted(drifts), list(limit_drifts)
+            keys.update(("W", i) for i in range(m + 2, n + m + 1))
+            keys.update(("dW", k + m, k) for k in range(2, n + 1))
+    if limits:
+        keys.update(("E", k) for k in range(2, depths.max_depth + 1))
+    return sorted(keys)
 
 
 def convergence_study(
@@ -241,7 +242,7 @@ def convergence_study(
 
     # the x-independent phase runs before the states exist, so the norm
     # batches' working set is freed before the trajectory is allocated
-    condition = check_condition(seq, kind, act, p, condition_window)
+    condition = check_condition(ctx, condition_window)
     mask_conditions = (
         check_mask_conditions(kind.masks, act, condition_window)
         if isinstance(kind, Conv)
@@ -250,18 +251,10 @@ def convergence_study(
     constants, constants_note = derive_limit_constants(
         ctx, domain.norm_bound(p), constants_scan
     )
-    ctx.prefetch(*_grid_norm_keys(depths, constants is not None))
+    ctx.prefetch(_grid_norm_keys(depths, constants is not None))
     traj = Trajectory(ctx, samples.T, depths.max_depth)  # one sample per column
 
-    limit_cache: dict[int, float] = {}
-
-    def lb(n: int) -> float:
-        got = limit_cache.get(n)
-        if got is None:
-            got = limit_bound_ctx(ctx, n, constants)
-            limit_cache[n] = got
-        return got
-
+    lb = _Lazy(lambda n: limit_bound_ctx(ctx, n, constants))
     slack = 1.0 + dominance_rtol
     rows: list[StudyRow] = []
     dominance_violations: list[tuple[int, int, int]] = []
@@ -272,7 +265,7 @@ def convergence_study(
             bad = np.flatnonzero(dev > bnd * slack)
             dominance_violations.extend((n, m, int(i)) for i in bad)
             sup_dev, worst = _sup(dev)
-            pair = lb(n) + lb(n + m) if constants is not None else None
+            pair = lb[n] + lb[n + m] if constants is not None else None
             limit_ok = None if pair is None else sup_dev <= pair * slack
             rows.append(
                 StudyRow(
@@ -295,7 +288,7 @@ def convergence_study(
             state_rows.append(StateRow(n, sup_norm, apri, ok, None, None, None))
             continue
         dev_ref = _sup(traj.deviation(n, ref))[0]
-        pair = lb(n) + lb(ref) if constants is not None else None
+        pair = lb[n] + lb[ref] if constants is not None else None
         limit_ok = None
         if pair is not None:
             limit_ok = dev_ref <= pair * slack

@@ -255,9 +255,7 @@ def test_criterion_5_uniform_convergence(prepared, capsys):
     never_converged = []
     worst = (0, "")
     for pi in data:
-        verdict = check_condition(
-            pi.ctx.seq, pi.ctx.kind, pi.ctx.act, pi.inst.p
-        )
+        verdict = check_condition(pi.ctx)
         if not verdict.passed:
             not_passing.append(pi.inst.label)
             continue

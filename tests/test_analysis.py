@@ -29,8 +29,18 @@ from dnclab.analysis import (
     weighted_tail_sums,
 )
 from dnclab.generators import GenSpec, MaskSpec, build, build_masks
-from dnclab.linalg import INF, ONE, TWO, vector_norm
-from dnclab.network import CONSTANT_PAD, PLAIN, Conv, LayerSeq, Pooled
+from dnclab.linalg import INF, ONE, TWO, induced_norm, vector_norm
+from dnclab.network import (
+    CONSTANT_PAD,
+    PLAIN,
+    ZERO_PAD,
+    Conv,
+    LayerSeq,
+    MaskSeq,
+    Pooled,
+    cnn_layer_seq,
+    pool_of,
+)
 from dnclab.pooling import max_pooling
 
 import oracles
@@ -331,13 +341,14 @@ class TestLimitBound:
 
 class TestConditionChecks:
     def test_analytic_dense(self):
-        v = check_condition(scalar_net(0.4), PLAIN, relu(), ONE)
+        v = check_condition(BoundContext(scalar_net(0.4), PLAIN, relu(), ONE))
         assert v.passed and v.method == "analytic"
         assert v.estimate == pytest.approx(0.4, rel=1e-12)
         assert v.margin == pytest.approx(0.6, rel=1e-12)
 
     def test_tail_scan_label_without_limits(self):
-        v = check_condition(scalar_net(0.9, limits=False), PLAIN, relu(), ONE, (4, 16))
+        ctx = BoundContext(scalar_net(0.9, limits=False), PLAIN, relu(), ONE)
+        v = check_condition(ctx, (4, 16))
         assert v.method == "tail-scan[4,16]"
         assert v.passed and v.estimate == pytest.approx(0.9)
 
@@ -351,7 +362,7 @@ class TestConditionChecks:
             weight_limit=w,
             bias_limit=np.zeros(1),
         )
-        v = check_condition(seq, Pooled(max_pooling(1)), relu(), ONE)
+        v = check_condition(BoundContext(seq, Pooled(max_pooling(1)), relu(), ONE))
         assert v.estimate == pytest.approx(2 * 0.6, rel=1e-12)
         assert not v.passed
 
@@ -363,9 +374,40 @@ class TestConditionChecks:
             mask=MaskSpec("constant_limit", (0.2, -0.1), rate=0.5, limit=(0.2, -0.1)),
         )
         net = build(spec)
-        v = check_condition(net.seq, Conv(net.masks), relu(), INF)
+        v = check_condition(BoundContext(net.seq, Conv(net.masks), relu(), INF))
         assert v.method == "analytic"
         assert v.estimate == pytest.approx(0.3, rel=1e-12)
+
+
+def _tail_scan_cases():
+    """Sequences without declared limits, each with the extension and norm
+    it is checked under."""
+    masks = MaskSeq(1, lambda n: [0.3 + 0.4 / n, -0.2 + 0.1 * (-1) ** n])
+    conv = cnn_layer_seq(masks, lambda n: np.zeros(2 + n), 2)
+    for ext in (ZERO_PAD, CONSTANT_PAD):
+        yield conv, Conv(masks), sigmoid(), INF, ext
+    rng = np.random.default_rng(3)
+    # widths cycle through 3, 4, 5 so the window holds three shapes
+    shape = lambda n: (3 + n % 3, 3 + (n - 1) % 3)
+    mats = {n: rng.uniform(-0.5, 0.5, shape(n)) for n in range(1, 40)}
+    plain = LayerSeq(3, lambda n: 3 + n % 3, lambda n: (mats[n], np.zeros(3 + n % 3)))
+    yield plain, PLAIN, sigmoid(), TWO, ZERO_PAD
+
+
+@pytest.mark.parametrize(
+    "case", list(_tail_scan_cases()), ids=["conv-zero", "conv-const", "plain-p2"]
+)
+def test_tail_scan_takes_the_finite_matrix_norms(case):
+    """Without declared limits the omega estimate is L*P times the window
+    maximum of the finite weight matrices' induced norms, whatever the
+    extension (a constant-padded operator's mask sum does not enter)."""
+    seq, kind, act, p, ext = case
+    window = (5, 31)
+    v = check_condition(BoundContext(seq, kind, act, p, ext), window)
+    lp = act.lipschitz * pool_of(kind).lipschitz(p)
+    want = max(lp * induced_norm(seq.layer(n)[0], p) for n in range(5, 32))
+    assert v.method == "tail-scan[5,31]"
+    assert v.estimate == want
 
 
 class TestMaskConditions:

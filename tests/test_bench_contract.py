@@ -166,10 +166,14 @@ DENSE_P2_CONFIG = {
 def test_traced_run_sees_the_stacked_p2_norms(tmp_path):
     """The tracer wraps ``induced_norm`` for stacked operands too: a p = 2
     dense run records its spans, and the power iterations no longer go
-    through ``matvec`` (what is left is the first-layer products)."""
+    through ``matvec`` (what is left is the first-layer products).  One
+    norm cache makes four stacked p = 2 calls, none on an operand seen
+    before: |W*|, then the constants scan (W_1 alone; W_2..W_48 with E_48),
+    then the grid's drifts and limit drifts."""
     trace = _traced_run(tmp_path, DENSE_P2_CONFIG)
     assert trace["missing"] == []
     calls = _span_calls(trace)
     assert calls.get("linalg.induced_norm", 0) > 0
-    assert trace["counts"].get("linalg.induced_norm.p2_calls", 0) > 0
+    assert trace["counts"].get("linalg.induced_norm.p2_calls", 0) == 4
+    assert trace["counts"].get("linalg.induced_norm.repeats", 0) == 0
     assert 0 < calls.get("linalg.matvec", 0) < 100

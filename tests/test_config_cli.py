@@ -253,6 +253,23 @@ class TestOtherCommands:
         assert rates["rate"]["r_squared"] > 0.9
         assert len(rates["dev_to_reference"]) == 6
 
+    @pytest.mark.parametrize("command", ["run", "rates", "check", "bounds"])
+    def test_out_of_range_norm_is_exit_1(self, tmp_path, command):
+        """Weights near 1e200 overflow the p = 2 Gram matrices: the commands
+        refuse the config instead of certifying bounds on a zero norm."""
+        doc = base_doc(norm={"p": 2})
+        doc["generator"]["scale"] = 1e200
+        cfg = write_config(tmp_path, doc)
+        result = CliRunner().invoke(
+            main, [command, "--config", str(cfg), "--out", str(tmp_path)]
+        )
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Error: induced_norm: a p = 2 operand is out of double range" in (
+            result.output
+        )
+        assert "Traceback" not in result.output
+
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_selftest_rejects_nonpositive_samples(self, count):
         result = CliRunner().invoke(main, ["selftest", "--samples", count])

@@ -119,6 +119,29 @@ class TestInducedNorm:
         with pytest.raises(ValueError, match="norm_upper_bound"):
             induced_norm(FROZEN, PNorm(3.0))
 
+    @pytest.mark.parametrize(
+        "a, why",
+        [
+            ([[1e200, 1.0], [0.0, 1.0]], "overflows"),  # a Gram entry is inf
+            ([[1e-170, 0.0], [0.0, 1e-170]], "underflows"),  # the Gram is all 0
+            ([[1e100, 1.0], [0.0, 1.0]], "power iteration"),  # |G v|^2 is inf
+        ],
+    )
+    def test_out_of_range_spectral_norm_refused(self, a, why):
+        """A non-zero matrix never gets a spectral norm of 0.0, alone or
+        anywhere in a stack of ordinary matrices."""
+        a = np.array(a)
+        with pytest.raises(ValueError, match=why):
+            induced_norm(a, TWO)
+        for at in range(3):
+            stack = np.insert(np.stack([FROZEN, FROZEN]), at, a, axis=0)
+            with pytest.raises(ValueError, match=why):
+                induced_norm(stack, TWO)
+        assert induced_norm(a, ONE) > 0.0  # the exact norms stay in range
+
+    def test_partial_gram_underflow_keeps_its_norm(self):
+        assert induced_norm(np.array([[1e-170, 0.0], [0.0, 1.0]]), TWO) == 1.0
+
 
 class TestNormUpperBound:
     def test_frozen_value(self):

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from dnclab.activations import identity, relu, sigmoid
+from dnclab.analysis import BoundContext
 from dnclab.linalg import INF, ONE, seq_sum
 from dnclab.network import (
     CONSTANT_PAD,
@@ -67,9 +68,12 @@ class TestLayerSeq:
             LayerSeq(0, lambda n: 1, lambda n: None)
 
     def test_weight_norm_cached_per_exponent(self):
+        # the norms of a sequence's weights live in one bound context per p
         seq = scalar_net(-0.7)
-        assert seq.weight_norm(1, ONE) == 0.7
-        assert seq.weight_norm(1, INF) == 0.7
+        for p in (ONE, INF):
+            ctx = BoundContext(seq, PLAIN, relu(), p)
+            assert ctx.weight_norm(1) == 0.7
+            assert ctx.weight_norm(1) is ctx.weight_norm(1)
 
     def test_input_dim_mismatch(self):
         seq = scalar_net(0.5)

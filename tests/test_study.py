@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dnclab import analysis, linalg, network
+from dnclab import analysis, linalg
 from dnclab.activations import relu
 from dnclab.analysis import (
     BoundContext,
@@ -18,7 +18,7 @@ from dnclab.analysis import (
 from dnclab.config import load_config
 from dnclab.corpus import control_instances, corpus_instances
 from dnclab.linalg import ONE, EventuallyConstSeq
-from dnclab.network import PLAIN, LayerSeq
+from dnclab.network import PLAIN, Conv, LayerSeq
 from dnclab.study import DepthPlan, convergence_study
 
 
@@ -230,15 +230,16 @@ class TestBatchComposition:
 
 
 class NormAudit:
-    """Watches one study's weight-norm, drift and limit-drift caches: which
-    entries a cache miss computed (``lazy``), which :meth:`prefetch`
-    filled, which the study read, which difference operators the zero-pad
-    geometry built (``built``), and how many matrices had their induced
-    norm evaluated outside the generators (``evaluated``)."""
+    """Watches one study's norm cache: which entries a cache miss computed
+    (``lazy``), which :meth:`prefetch` filled, which the study read, which
+    operators a geometry built or mask-summed for a norm (``built``), and
+    how many matrices had their induced norm evaluated outside the
+    generators (``evaluated``)."""
 
-    CACHES = {"_wnorm": "weight_norm", "_wdiff": "weight_diff", "_Elim": "weight_limit_diff"}
+    READS = {"weight_norm": "W", "weight_diff": "dW", "weight_limit_diff": "E"}
 
     def __init__(self, mp: pytest.MonkeyPatch):
+        self.ctx = None
         self.lazy: list = []
         self.prefetched: set = set()
         self.read: set = set()
@@ -248,37 +249,41 @@ class NormAudit:
 
         def patched_init(ctx, *args, **kwargs):
             init(ctx, *args, **kwargs)
-            for attr, name in self.CACHES.items():
-                cache = getattr(ctx, attr)
-                cache.compute = self._on_miss(name, cache.compute)
+            self.ctx = ctx
+            ctx._norm.compute = self._on_miss(ctx._norm.compute)
 
-        def patched_prefetch(ctx, *args, **kwargs):
-            before = {attr: set(getattr(ctx, attr)) for attr in self.CACHES}
-            prefetch(ctx, *args, **kwargs)
-            for attr, name in self.CACHES.items():
-                new = set(getattr(ctx, attr)) - before[attr]
-                self.prefetched.update((name, key) for key in new)
+        def patched_prefetch(ctx, keys):
+            before = set(ctx._norm)
+            prefetch(ctx, keys)
+            self.prefetched.update(set(ctx._norm) - before)
 
         mp.setattr(BoundContext, "__init__", patched_init)
         mp.setattr(BoundContext, "prefetch", patched_prefetch)
-        for name in self.CACHES.values():
-            mp.setattr(BoundContext, name, self._on_read(name, getattr(BoundContext, name)))
-        for attr in ("_drift", "_limit_drift"):
-            mp.setattr(analysis.ZeroPad, attr, self._on_build(attr, getattr(analysis.ZeroPad, attr)))
+        for name, tag in self.READS.items():
+            read = self._on_read(tag, getattr(BoundContext, name))
+            mp.setattr(BoundContext, name, read)
+        builders = ((analysis.ZeroPad, "_operator"), (analysis.ConstantPad, "_mask_norm"))
+        for cls, attr in builders:
+            mp.setattr(cls, attr, self._on_build(attr, getattr(cls, attr)))
         norm = linalg.induced_norm  # induced_norms calls it through linalg
-        for module in (linalg, network):
+        for module in (linalg, analysis):
             mp.setattr(module, "induced_norm", self._on_norm(norm))
 
-    def _on_miss(self, name, compute):
+    @property
+    def operators(self) -> set:
+        """The keys whose operator a geometry built for an induced norm."""
+        return {key for name, key in self.built if name == "_operator"}
+
+    def _on_miss(self, compute):
         def recorded(key):
-            self.lazy.append((name, key))
+            self.lazy.append(key)
             return compute(key)
 
         return recorded
 
-    def _on_read(self, name, method):
+    def _on_read(self, tag, method):
         def recorded(ctx, *key):
-            self.read.add((name, key[0] if len(key) == 1 else key))
+            self.read.add(ctx._key((tag, *key)))
             return method(ctx, *key)
 
         return recorded
@@ -326,19 +331,20 @@ def _audit_cases():
 def test_prefetch_covers_exactly_the_norms_a_study_reads():
     """The grid's key lists match the bound formulas: after the study, no
     norm was computed on a cache miss, none was prefetched and never read,
-    and none was computed twice: every evaluated matrix is one entry of the
-    layer sequence's norm cache (|W_n|, |W*|) or one difference operator,
-    and no difference operator was built twice."""
+    and none was computed twice: every evaluated matrix is |W*| or the
+    operator of one entry of the context's norm cache, and no operator was
+    built (or mask-summed) twice."""
     studies = 0
     for label, (seq, kind, act, p, domain, sampler, depths, ext) in _audit_cases():
-        cached = len(seq._norms)
         with pytest.MonkeyPatch.context() as mp:
             audit = NormAudit(mp)
             convergence_study(seq, kind, act, p, domain, sampler, depths, extension=ext)
+        limit = int(not isinstance(kind, Conv) and seq.weight_limit is not None)
         assert audit.prefetched, label
         assert audit.lazy == [], label
         assert audit.prefetched <= audit.read, (label, audit.prefetched - audit.read)
         assert max(audit.built.values(), default=1) == 1, label
-        assert audit.evaluated == len(seq._norms) - cached + len(audit.built), label
+        assert audit.operators <= set(audit.ctx._norm), label
+        assert audit.evaluated == len(audit.operators) + limit, label
         studies += 1
     assert studies == 2 * 2 + 50 + 2
