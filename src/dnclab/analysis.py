@@ -44,15 +44,12 @@ import numpy as np
 from .activations import Activation
 from .linalg import (
     INF,
-    EventuallyConstSeq,
     PNorm,
-    apply_banded,
-    constant_padded_toeplitz,
     extend_vector,
     induced_norm,
     induced_norms,
-    matvec,
     seq_sum,
+    stacked_norms,
     vector_norm,
 )
 from .network import (
@@ -212,7 +209,8 @@ def check_condition(
     With declared limits the estimate is analytic: L*P*|W*|_p (norm
     continuity), or L*P*sum|w*_k| for convolutional sequences.  Otherwise it
     is the labelled maximum of L*P*|W_n|_p over the scan window, taken on
-    the finite weight matrices in either extension.
+    the finite weight matrices in either extension
+    (:meth:`BoundContext.finite_weight_norms`).
     """
     lp = ctx.L * ctx.P
     if isinstance(ctx.kind, Conv):
@@ -225,8 +223,7 @@ def check_condition(
         method = "analytic"
     else:
         n0, n1 = _validate_window(window)
-        mats = [ctx.seq.layer(n)[0] for n in range(n0, n1 + 1)]
-        est = max(lp * w for w in induced_norms(mats, ctx.p))
+        est = max(lp * w for w in ctx.finite_weight_norms(n0, n1))
         method = f"tail-scan[{n0},{n1}]"
     return ConditionVerdict(est, est < 1.0, method, 1.0 - est)
 
@@ -321,12 +318,19 @@ def state_deviation(a: np.ndarray, b: np.ndarray, p: PNorm, fill: float):
     )
 
 
-def _padded_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a - b with both matrices zero-padded to a common shape."""
-    out = np.zeros((max(a.shape[0], b.shape[0]), max(a.shape[1], b.shape[1])))
+def _padded_shape(a: np.ndarray, b: np.ndarray | None) -> tuple[int, int]:
+    """The common shape of ``a`` and ``b`` zero-padded (``a``'s, if b is None)."""
+    if b is None:
+        return a.shape
+    return max(a.shape[0], b.shape[0]), max(a.shape[1], b.shape[1])
+
+
+def _write_padded_diff(out: np.ndarray, a: np.ndarray, b: np.ndarray | None) -> None:
+    """Write a - b, both zero-padded to ``out``'s shape, into the zeroed
+    ``out`` (``a`` alone if b is None)."""
     out[: a.shape[0], : a.shape[1]] = a
-    out[: b.shape[0], : b.shape[1]] -= b
-    return out
+    if b is not None:
+        out[: b.shape[0], : b.shape[1]] -= b
 
 
 class _Lazy(dict):
@@ -368,18 +372,26 @@ class ZeroPad:
 
     def norms(self, keys) -> list[float]:
         """The norms of the operators named by ``keys`` (see
-        :class:`BoundContext`), one stacked ``induced_norm`` call per shape."""
-        return induced_norms([self._operator(*key) for key in keys], self.p)
+        :class:`BoundContext`): each operator is written straight into one
+        stack per shape, and each stack takes one ``induced_norm`` call."""
+        pairs = [self._operator(*key) for key in keys]
+        return stacked_norms(
+            [_padded_shape(*pair) for pair in pairs],
+            lambda i, out: _write_padded_diff(out, *pairs[i]),
+            self.p,
+        )
 
-    def _operator(self, tag: str, a: int, b: int | None = None) -> np.ndarray:
+    def _operator(self, tag: str, a: int, b: int | None = None) -> tuple:
+        """The operator named by a key, as the pair (A, B) of matrices whose
+        zero-padded difference it is; B is None for W_n itself."""
         w = self.seq.layer(a)[0]
         if tag == "W":
-            return w
+            return w, None
         if tag == "dW":
-            return _padded_diff(w, self.seq.layer(b)[0])
+            return w, self.seq.layer(b)[0]
         if self.seq.weight_limit is None:
             raise ValueError("no declared weight limit")
-        return _padded_diff(w, self.seq.weight_limit)
+        return w, self.seq.weight_limit
 
     def zero_image_norm(self, n: int) -> float:
         dim = self.seq.width(n) + self.seq.extra_rows
@@ -397,16 +409,14 @@ class ZeroPad:
             )
         return None
 
-    def states(self, x: np.ndarray, depth: int) -> list:
-        return eval_trajectory(self.seq, self.kind, self.act, x, depth)
+    def states(self, x, depth: int, select) -> list:
+        return eval_trajectory(self.seq, self.kind, self.act, x, depth, select)
 
-    def first_product(self, x: np.ndarray):
-        return matvec(self.seq.layer(1)[0], x)
-
-    def restart_gap(self, m: int, state, first) -> float:
-        """|W_{m+1} N_m(x) - W_1 x| given N_m(x) and ``first`` = W_1 x."""
-        prod = matvec(self.seq.layer(m + 1)[0], state)
-        return state_deviation(prod, first, self.p, 0.0)
+    def restart_gap(self, product, first) -> float:
+        """|W_{m+1} N_m(x) - W_1 x| from the sweep's products ``product`` =
+        W_{m+1} N_m(x) and ``first`` = W_1 x, the shorter one padded with 0
+        (a product has not met the activation)."""
+        return state_deviation(product, first, self.p, 0.0)
 
     def state_norm(self, state) -> float:
         return vector_norm(state, self.p)
@@ -450,17 +460,13 @@ class ConstantPad(ZeroPad):
     def zero_image_norm(self, n: int) -> float:
         return abs(self.act.value_at_zero)
 
-    def states(self, x: np.ndarray, depth: int) -> list:
+    def states(self, x, depth: int, select) -> list:
         return eval_extended_trajectory(
-            self.seq, self.kind, self.act, x, depth, CONSTANT_PAD
+            self.seq, self.kind, self.act, x, depth, CONSTANT_PAD, select
         )
 
-    def first_product(self, x: np.ndarray):
-        return EventuallyConstSeq(super().first_product(x), 0.0)
-
-    def restart_gap(self, m: int, state, first) -> float:
-        op = constant_padded_toeplitz(self.kind.masks.mask(m + 1))
-        return self.distance(apply_banded(op, state), first)
+    def restart_gap(self, product, first) -> float:
+        return self.distance(product, first)
 
     def state_norm(self, state) -> float:
         return state.norm(INF)
@@ -553,6 +559,20 @@ class BoundContext:
         """E_k = |W_k - W*| in the extension."""
         return self._norm[self._key(("E", k))]
 
+    def finite_weight_norms(self, lo: int, hi: int) -> list[float]:
+        """|W_lo| .. |W_hi| of the finite weight matrices, whatever the
+        extension.  Under zero padding these are the cache's ``("W", n)``
+        entries, prefetched in one batch.  Constant padding caches the mask
+        sums from layer 2 on, so there those layers' matrices are normed
+        directly; layer 1 is its finite matrix in both and comes from the
+        cache."""
+        ns = range(lo, hi + 1)
+        if not isinstance(self.geometry, ConstantPad):
+            self.prefetch(("W", n) for n in ns)
+            return [self.weight_norm(n) for n in ns]
+        later = induced_norms([self.seq.layer(n)[0] for n in ns if n > 1], self.p)
+        return [self.weight_norm(1), *later] if lo == 1 else later
+
     def zero_image_norm(self, n: int) -> float:
         """|(act o pool)(0)| at layer n — the additive constant of the
         a-priori recursion."""
@@ -582,28 +602,53 @@ class BoundContext:
 
 
 class Trajectory:
-    """Evaluation data of all samples, shared by deviations and bounds.
+    """Evaluation data of all samples at the depths a caller reads.
 
     ``x`` is one input vector or a ``(dim, S)`` batch holding one sample per
-    column.  The states are computed once, eagerly, one recursion sweep per
-    layer for the whole batch; state norms, deviations between depths, and
-    the first-layer product gap |W_{m+1} N_m(x) - W_1 x| are served on
-    demand, one value per sample (an array of S, or a float for a vector),
-    with the same bits in any batch.
+    column.  One recursion sweep to ``depth`` (one step per layer for the
+    whole batch) keeps the states at the depths in ``keep`` (every depth
+    1..depth by default) and, at each kept m below ``depth``, the restart
+    gap |W_{m+1} N_m(x) - W_1 x|, taken from the products the sweep
+    computed anyway; all other states are dropped as the sweep moves on,
+    so memory is O(len(keep) * width * S), not O(depth * width * S).  State
+    norms and deviations between kept depths are served on demand, one
+    value per sample (an array of S, or a float for a vector), with the
+    same bits in any batch and whatever is kept.  Reading a depth outside
+    ``keep`` raises a ValueError.
     """
 
-    def __init__(self, ctx: BoundContext, x, depth: int):
+    def __init__(self, ctx: BoundContext, x, depth: int, keep=None):
         geo = self._geo = ctx.geometry
-        states = self._states = geo.states(x, int(depth))  # validates x, depth
-        first = geo.first_product(np.asarray(x, dtype=np.float64))
+        depth = int(depth)
+        self.kept = frozenset(range(1, depth + 1) if keep is None else map(int, keep))
+        outside = sorted(n for n in self.kept if not 1 <= n <= depth)
+        if outside:
+            raise ValueError(f"kept depths {outside} lie outside 1..{depth}")
+        kept = self.kept
+        gaps = self._gaps = {}
+        first = None
+
+        def select(n, product, state):
+            nonlocal first
+            if n == 1:
+                first = product
+            elif n - 1 in kept:
+                gaps[n - 1] = geo.restart_gap(product, first)
+            return state if n in kept else None
+
+        states = self._states = geo.states(x, depth, select)  # validates x, depth
         self._norms = _Lazy(lambda n: geo.state_norm(states[n - 1]))
-        self._gaps = _Lazy(lambda m: geo.restart_gap(m, states[m - 1], first))
+
+    def _read(self, n: int) -> int:
+        if n not in self.kept:
+            raise ValueError(f"depth {n} is not kept by this trajectory")
+        return n
 
     def state(self, n: int):
-        return self._states[n - 1]
+        return self._states[self._read(n) - 1]
 
     def state_norm(self, n: int):
-        return self._norms[n]
+        return self._norms[self._read(n)]
 
     def deviation(self, n_small: int, n_large: int):
         """|N_{n_large}(x) - N_{n_small}(x)| in the extension metric."""
@@ -612,6 +657,8 @@ class Trajectory:
     def product_gap(self, m: int):
         """|W_{m+1} N_m(x) - W_1 x| — the pre-activation mismatch between
         restarting the recursion at depth m and at the input."""
+        if self._read(m) not in self._gaps:
+            raise ValueError(f"no restart gap at depth {m}: the sweep ends there")
         return self._gaps[m]
 
 

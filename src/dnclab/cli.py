@@ -35,7 +35,7 @@ from .analysis import (
 )
 from .config import ConfigError, Experiment, load_config
 from .corpus import control_instances, corpus_instances
-from .network import Conv, network_lipschitz_bound, pool_of
+from .network import Conv
 from .report import (
     format_float,
     render_report,
@@ -232,9 +232,14 @@ def bounds(ctx, config_path, out_dir):
     constants, note = derive_limit_constants(bctx, xb)
     depths = sorted({*exp.depths.n_list, exp.depths.reference})
     lines = ["n,lipschitz_bound,apriori_bound,limit_bound"]
-    pool = pool_of(exp.kind)
+    # network_lipschitz_bound at every depth, as one running product over
+    # the finite weight matrices' norms, each taken once
+    factor = bctx.L * bctx.P
+    lips = [1.0]
+    for w in bctx.finite_weight_norms(1, depths[-1]):
+        lips.append(lips[-1] * (factor * w))
     for n in depths:
-        lip = network_lipschitz_bound(exp.seq, exp.act, pool, n, exp.p)
+        lip = lips[n]
         apri = apriori_bound_ctx(bctx, n, xb)
         lim = None if constants is None else limit_bound_ctx(bctx, n, constants)
         lines.append(

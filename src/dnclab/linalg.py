@@ -48,6 +48,7 @@ __all__ = [
     "vector_norm",
     "induced_norm",
     "induced_norms",
+    "stacked_norms",
     "norm_upper_bound",
     "zero_pad_matrix",
     "extend_vector",
@@ -207,9 +208,12 @@ def vector_norm(x, p: PNorm):
 _POWER_ITERATIONS = 200
 _POWER_RTOL = 1.0e-12
 # one chunk of a p = 2 stack holds at most this many Gram entries (8 MB), or
-# one matrix whose Gram is larger, which bounds the Gram array and its
-# product temporary whatever the stack size
+# one matrix whose Gram is larger, which bounds the Gram array whatever the
+# stack size
 _GRAM_ENTRIES = 1 << 20
+# the Gram builder's product buffer holds a block of Gram rows of at most
+# this many bytes (or one row, if a row is larger)
+_GRAM_BLOCK_BYTES = 1 << 18
 # up to this many entries per column of products, one accumulation call over
 # all of them beats ``cols`` separate additions
 _ONE_CALL_ENTRIES = 256
@@ -220,14 +224,22 @@ def _grams(ms: np.ndarray) -> np.ndarray:
     """The Gram matrices A^T A of a ``(K, rows, cols)`` stack as one
     ``(cols, cols, K)`` array: entry [i, j, k] adds ``ms[k, r, i] *
     ms[k, r, j]`` over ascending rows r from 0.0, as :func:`matvec` adds.
-    The products commute bitwise, so each Gram matrix is exactly symmetric."""
+    The products commute bitwise, so each Gram matrix is exactly symmetric.
+    Besides the result it holds one row of the stack, ``(cols, K)``, and
+    one product buffer of a block of Gram rows, at most 256 KB or one
+    Gram row of every member, whichever is larger."""
     k, rows, cols = ms.shape
-    mt = np.ascontiguousarray(ms.transpose(1, 2, 0))  # (rows, cols, K)
     g = np.zeros((cols, cols, k))
-    prod = np.empty_like(g)
+    block = max(1, min(cols, _GRAM_BLOCK_BYTES // (8 * cols * k)))
+    prod = np.empty((block, cols, k))
+    row = np.empty((cols, k))
     for r in range(rows):
-        np.multiply(mt[r, :, None], mt[r, None], out=prod)
-        g += prod
+        np.copyto(row, ms[:, r, :].T)
+        for i in range(0, cols, block):
+            gb = g[i : i + block]
+            pb = prod[: len(gb)]
+            np.multiply(row[i : i + block, None], row[None], out=pb)
+            gb += pb
     return g
 
 
@@ -368,13 +380,25 @@ def induced_norm(a, p: PNorm):
 def induced_norms(mats, p: PNorm) -> list[float]:
     """Induced norms of a list of matrices of any shapes: one stacked
     :func:`induced_norm` call per shape, in order of first appearance."""
+    return stacked_norms(
+        [np.shape(m) for m in mats], lambda i, out: np.copyto(out, mats[i]), p
+    )
+
+
+def stacked_norms(shapes, write, p: PNorm) -> list[float]:
+    """Induced norms of ``len(shapes)`` matrices that are never held outside
+    their stack: ``write(i, out)`` writes matrix i into ``out``, its zeroed
+    slot of shape ``shapes[i]`` in the one stack of that shape.  One
+    :func:`induced_norm` call per shape, in order of first appearance."""
     groups: dict[tuple, list[int]] = {}
-    for i, m in enumerate(mats):
-        groups.setdefault(np.shape(m), []).append(i)
-    out = [0.0] * len(mats)
-    for idx in groups.values():
-        got = induced_norm(np.stack([mats[i] for i in idx]), p)
-        for i, v in zip(idx, got.tolist()):
+    for i, shape in enumerate(shapes):
+        groups.setdefault(tuple(shape), []).append(i)
+    out = [0.0] * len(shapes)
+    for shape, idx in groups.items():
+        stack = np.zeros((len(idx), *shape))
+        for slot, i in zip(stack, idx):
+            write(i, slot)
+        for i, v in zip(idx, induced_norm(stack, p).tolist()):
             out[i] = v
     return out
 

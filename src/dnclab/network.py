@@ -20,6 +20,12 @@ Every evaluation takes one input vector ``x`` of shape ``(dim,)`` or a
 batch of S inputs as the columns of a ``(dim, S)`` array, and walks the
 recursion once per layer for the whole batch.  Each column's states are the
 same bits in any batch (the kernels sum in a fixed left-to-right order).
+There is one copy of the recursion, a sweep that steps every layer once;
+:func:`eval_trajectory` and :func:`eval_extended_trajectory` are list
+wrappers over it.  By default they keep every state.  Given ``select``,
+they hand each layer's product W_j N_{j-1}(x) (before pooling and bias) and
+its state to the caller, which keeps only what it reads: a deep sweep then
+holds one state at a time, not all of them.
 
 Two extensions embed finite states into sequence space for cross-depth
 comparison (:func:`eval_extended_trajectory`; the bounds measure in them
@@ -38,7 +44,7 @@ through ``dnclab.analysis.ZeroPad`` and ``dnclab.analysis.ConstantPad``):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -254,14 +260,6 @@ def _column(b: np.ndarray, z: np.ndarray) -> np.ndarray:
     return b if z.ndim == 1 else b[:, None]
 
 
-def _step(seq: LayerSeq, kind: NetworkKind, act: Activation, v: np.ndarray, j: int):
-    w, b = seq.layer(j)
-    z = matvec(w, v)
-    if isinstance(kind, Pooled):
-        z = kind.op.pool(z)
-    return act.apply(z + _column(b, z))
-
-
 def _input(seq: LayerSeq, kind: NetworkKind, x, n_max: int) -> np.ndarray:
     """The validated input, one vector or a batch of columns, of a
     recursion run to depth n_max."""
@@ -282,17 +280,65 @@ def _input(seq: LayerSeq, kind: NetworkKind, x, n_max: int) -> np.ndarray:
     return v
 
 
-def eval_trajectory(
-    seq: LayerSeq, kind: NetworkKind, act: Activation, x, n_max: int
-) -> list[np.ndarray]:
-    """[N_1(x), ..., N_{n_max}(x)] computed in one sweep; for a ``(dim, S)``
-    batch each state is ``(width, S)``, one column per sample."""
+def _sweep(
+    seq: LayerSeq,
+    kind: NetworkKind,
+    act: Activation,
+    x,
+    n_max: int,
+    scheme: str,
+) -> Iterator[tuple]:
+    """Walk the recursion once, yielding ``(W_j N_{j-1}(x), N_j(x))`` for
+    j = 1..n_max, with N_0(x) = x: the layer's product before pooling and
+    bias, and its state.  Under ``zero_pad`` both are finite arrays; under
+    ``constant_pad`` both are :class:`EventuallyConstSeq` (layer 1 keeps its
+    zero-padded finite form: product tail 0, state tail act(0); later layers
+    apply their constant-padded Toeplitz operator)."""
+    if scheme not in (ZERO_PAD, CONSTANT_PAD):
+        raise ValueError(f"unknown extension scheme {scheme!r}")
+    if scheme == CONSTANT_PAD and not isinstance(kind, Conv):
+        raise ValueError("constant padding is defined for convolutional networks only")
     v = _input(seq, kind, x, n_max)
-    out = []
     for j in range(1, n_max + 1):
-        v = _step(seq, kind, act, v, j)
-        out.append(v)
-    return out
+        w, b = seq.layer(j)
+        if j > 1 and scheme == CONSTANT_PAD:
+            prod = apply_banded(constant_padded_toeplitz(kind.masks.mask(j)), v)
+            if prod.head_len != seq.width(j):
+                raise ValueError(
+                    f"layer {j}: extended head length {prod.head_len} does not "
+                    f"match width {seq.width(j)}"
+                )
+            v = EventuallyConstSeq(
+                act.apply(prod.head + _column(b, prod.head)), act.apply(prod.tail)
+            )
+        else:
+            prod = matvec(w, v)
+            z = kind.op.pool(prod) if isinstance(kind, Pooled) else prod
+            v = act.apply(z + _column(b, z))
+            if scheme == CONSTANT_PAD:
+                prod = EventuallyConstSeq(prod, 0.0)
+                v = EventuallyConstSeq(v, act.value_at_zero)
+        yield prod, v
+
+
+def _listed(steps: Iterator[tuple], select) -> list:
+    if select is None:
+        return [state for _, state in steps]
+    return [select(j, prod, state) for j, (prod, state) in enumerate(steps, 1)]
+
+
+def eval_trajectory(
+    seq: LayerSeq, kind: NetworkKind, act: Activation, x, n_max: int, select=None
+) -> list:
+    """[N_1(x), ..., N_{n_max}(x)] computed in one sweep; for a ``(dim, S)``
+    batch each state is ``(width, S)``, one column per sample.
+
+    With ``select``, entry j is ``select(j, W_j N_{j-1}(x), N_j(x))``
+    instead: the sweep hands each layer's product (before pooling and
+    bias) and state to the caller, and drops both unless the selected
+    value holds them.
+    """
+    return _listed(_sweep(seq, kind, act, x, n_max, ZERO_PAD), select)
 
 
 def eval_extended_trajectory(
@@ -302,38 +348,21 @@ def eval_extended_trajectory(
     x,
     n_max: int,
     scheme: str = ZERO_PAD,
-) -> list[EventuallyConstSeq]:
+    select=None,
+) -> list:
     """Extended states at depths 1..n_max under the chosen padding scheme
-    (sequence batches with one column per sample for a batched ``x``)."""
+    (sequence batches with one column per sample for a batched ``x``);
+    ``select`` as in :func:`eval_trajectory`, on extended products and
+    states."""
     if scheme == ZERO_PAD:
         tail = act.value_at_zero
-        return [
-            EventuallyConstSeq(v, tail)
-            for v in eval_trajectory(seq, kind, act, x, n_max)
-        ]
-    if scheme != CONSTANT_PAD:
-        raise ValueError(f"unknown extension scheme {scheme!r}")
-    if not isinstance(kind, Conv):
-        raise ValueError("constant padding is defined for convolutional networks only")
-    # Layer 1 keeps its zero-padded finite form: head = N_1(x), every padded
-    # coordinate reads act(0).
-    state = EventuallyConstSeq(
-        _step(seq, kind, act, _input(seq, kind, x, n_max), 1), act.value_at_zero
-    )
-    out = [state]
-    for j in range(2, n_max + 1):
-        bj = seq.layer(j)[1]
-        z = apply_banded(constant_padded_toeplitz(kind.masks.mask(j)), state)
-        if z.head_len != seq.width(j):
-            raise ValueError(
-                f"layer {j}: extended head length {z.head_len} does not "
-                f"match width {seq.width(j)}"
-            )
-        state = EventuallyConstSeq(
-            act.apply(z.head + _column(bj, z.head)), act.apply(z.tail)
-        )
-        out.append(state)
-    return out
+
+        def extended(j, prod, v):
+            v = EventuallyConstSeq(v, tail)
+            return v if select is None else select(j, EventuallyConstSeq(prod, 0.0), v)
+
+        return eval_trajectory(seq, kind, act, x, n_max, extended)
+    return _listed(_sweep(seq, kind, act, x, n_max, scheme), select)
 
 
 def cnn_layer_seq(

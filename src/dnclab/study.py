@@ -2,7 +2,8 @@
 
 A study takes one network family, draws inputs from the domain, evaluates
 the state trajectories of all samples in one batch (one recursion sweep per
-layer), and then audits the full grid of depth pairs:
+layer, keeping the states only at the depths the grid reads), and then
+audits the full grid of depth pairs:
 
 * per (n, m): the empirical deviation |N_{n+m}(x) - N_n(x)| against the
   three-term deviation bound (per sample — dominance is checked pointwise,
@@ -211,6 +212,17 @@ def _grid_norm_keys(depths: DepthPlan, limits: bool) -> list[tuple]:
     return sorted(keys)
 
 
+def _trajectory_depths(depths: DepthPlan) -> set[int]:
+    """The depths at which the audit grid reads the trajectory: states at
+    n, n + m and the reference depth (deviations, and the state norms of
+    the a-priori rows), the restart gap at m, and the state norms at
+    1 .. max(n_list) - 1 that the deviation bound's second term weighs."""
+    ns, ms = depths.n_list, depths.m_list
+    keep = {*ns, *ms, depths.reference, *range(1, max(ns))}
+    keep.update(n + m for n in ns for m in ms)
+    return keep
+
+
 def convergence_study(
     seq: LayerSeq,
     kind: NetworkKind,
@@ -252,7 +264,8 @@ def convergence_study(
         ctx, domain.norm_bound(p), constants_scan
     )
     ctx.prefetch(_grid_norm_keys(depths, constants is not None))
-    traj = Trajectory(ctx, samples.T, depths.max_depth)  # one sample per column
+    # one sample per column; only the states the grid reads are kept
+    traj = Trajectory(ctx, samples.T, depths.max_depth, _trajectory_depths(depths))
 
     lb = _Lazy(lambda n: limit_bound_ctx(ctx, n, constants))
     slack = 1.0 + dominance_rtol

@@ -3,14 +3,20 @@
 import json
 import subprocess
 import sys
+from collections import Counter
+from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from dnclab import analysis, linalg
 from dnclab.cli import main
 from dnclab.config import CONFIG_SCHEMA, ConfigError, load_config, parse_config
-from dnclab.network import CONSTANT_PAD, ZERO_PAD
-from dnclab.report import strip_generated_at
+from dnclab.network import CONSTANT_PAD, ZERO_PAD, network_lipschitz_bound, pool_of
+from dnclab.report import format_float, strip_generated_at
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "sample_configs"
 
 
 def base_doc(**over):
@@ -236,6 +242,45 @@ class TestOtherCommands:
         assert b"apriori_bound" in raw and b"limit_bound" in raw
         # header, depths 1,2,3,4, and the reference 10 — all CRLF-terminated
         assert raw.count(b"\r\n") == 6
+
+    @pytest.mark.parametrize("case", ["dense_exp_decay", "conv-constant-pad"])
+    def test_bounds_norms_each_layer_once(self, tmp_path, monkeypatch, case):
+        """The Lipschitz column is one running product over |W_1| .. |W_ref|:
+        no matrix is normed twice (the a-priori and limit columns share the
+        context's cache), every layer up to the reference depth is normed,
+        and each entry is network_lipschitz_bound's value at its depth."""
+        if case == "conv-constant-pad":
+            cfg = write_config(tmp_path, CONV_DOC)
+        else:
+            cfg = CONFIG_DIR / f"{case}.json"
+        evaluated: Counter = Counter()
+        norm = linalg.induced_norm
+
+        def counted(a, p):
+            arr = np.asarray(a, dtype=np.float64)
+            for m in arr if arr.ndim == 3 else arr[None]:
+                evaluated[m.shape, m.tobytes()] += 1
+            return norm(a, p)
+
+        for module in (linalg, analysis):
+            monkeypatch.setattr(module, "induced_norm", counted)
+        result = CliRunner().invoke(
+            main, ["bounds", "--config", str(cfg), "--out", str(tmp_path)]
+        )
+        monkeypatch.undo()
+        assert result.exit_code == 0, result.output
+        assert max(evaluated.values()) == 1
+        exp = load_config(str(cfg))
+        dense = case == "dense_exp_decay"
+        assert exp.extension == (ZERO_PAD if dense else CONSTANT_PAD)
+        layers = [exp.seq.layer(j)[0] for j in range(1, exp.depths.reference + 1)]
+        assert all((w.shape, w.tobytes()) in evaluated for w in layers)
+        rows = (tmp_path / "bounds.csv").read_text().splitlines()[1:]
+        pool = pool_of(exp.kind)
+        for row in rows:
+            n, lip = row.split(",")[:2]
+            want = network_lipschitz_bound(exp.seq, exp.act, pool, int(n), exp.p)
+            assert lip == format_float(want), n
 
     def test_rates_output(self, tmp_path):
         # shallow grids are polluted by transients, so fit over deeper n

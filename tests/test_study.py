@@ -1,12 +1,13 @@
 """Tests for the orchestrated convergence studies."""
 
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dnclab import analysis, linalg
+from dnclab import analysis, linalg, study
 from dnclab.activations import relu
 from dnclab.analysis import (
     BoundContext,
@@ -15,10 +16,17 @@ from dnclab.analysis import (
     Trajectory,
     deviation_bound_ctx,
 )
-from dnclab.config import load_config
+from dnclab.config import load_config, parse_config
 from dnclab.corpus import control_instances, corpus_instances
-from dnclab.linalg import ONE, EventuallyConstSeq
-from dnclab.network import PLAIN, Conv, LayerSeq
+from dnclab.linalg import (
+    ONE,
+    TWO,
+    EventuallyConstSeq,
+    apply_banded,
+    constant_padded_toeplitz,
+    matvec,
+)
+from dnclab.network import CONSTANT_PAD, PLAIN, Conv, LayerSeq
 from dnclab.study import DepthPlan, convergence_study
 
 
@@ -228,6 +236,73 @@ class TestBatchComposition:
                     for a, b in zip(want_state, got_state):
                         np.testing.assert_array_equal(a, b)
 
+    # keeps 1..8, 11 and 12 of the 12 depths: 9 and 10 are swept, not kept
+    LEAN_PLAN = DepthPlan(n_list=(1, 2, 3, 6), m_list=(1, 2, 5), reference_depth=12)
+
+    @staticmethod
+    def _recomputed_gap(ctx, xs, state, m: int):
+        """|W_{m+1} N_m(x) - W_1 x| with both products computed again from
+        a state and the input: the reference for the gaps a trajectory takes
+        from its sweep."""
+        seq = ctx.seq
+        first = matvec(seq.layer(1)[0], xs)
+        if isinstance(ctx.geometry, analysis.ConstantPad):
+            op = constant_padded_toeplitz(ctx.kind.masks.mask(m + 1))
+            return ctx.geometry.restart_gap(
+                apply_banded(op, state), EventuallyConstSeq(first, 0.0)
+            )
+        return ctx.geometry.restart_gap(matvec(seq.layer(m + 1)[0], state), first)
+
+    @pytest.mark.parametrize("label", PICKS)
+    def test_lean_trajectory_bits_match_keeping_every_depth(self, label):
+        inst = {i.label: i for i in corpus_instances()}[label]
+        seq, kind = inst.build()
+        ctx = BoundContext(seq, kind, inst.activation(), inst.p, inst.extension)
+        xs = inst.domain().uniform_samples(7, seed=41).T
+        plan = self.LEAN_PLAN
+        keep = study._trajectory_depths(plan)
+        assert keep == {1, 2, 3, 4, 5, 6, 7, 8, 11, 12}
+        full = Trajectory(ctx, xs, plan.max_depth)
+        lean = Trajectory(ctx, xs, plan.max_depth, keep)
+        assert lean.kept == keep and full.kept == set(range(1, 13))
+        for n in sorted(keep):
+            got, want = lean.state(n), full.state(n)
+            for a, b in zip(_state_columns(got, None), _state_columns(want, None)):
+                np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(
+                _bits(lean.state_norm(n)), _bits(full.state_norm(n))
+            )
+        for m in plan.m_list:
+            want = _bits(self._recomputed_gap(ctx, xs, full.state(m), m))
+            np.testing.assert_array_equal(_bits(full.product_gap(m)), want)
+            np.testing.assert_array_equal(_bits(lean.product_gap(m)), want)
+        for n in plan.n_list:
+            for n_large in (*(n + m for m in plan.m_list), plan.reference):
+                np.testing.assert_array_equal(
+                    _bits(lean.deviation(n, n_large)), _bits(full.deviation(n, n_large))
+                )
+            for m in plan.m_list:
+                np.testing.assert_array_equal(
+                    _bits(deviation_bound_ctx(ctx, lean, n, m)),
+                    _bits(deviation_bound_ctx(ctx, full, n, m)),
+                )
+
+    def test_reading_an_unkept_depth_names_it(self):
+        ctx = BoundContext(scalar_net(0.4), PLAIN, relu(), ONE)
+        lean = Trajectory(ctx, [[0.5, -0.25]], 12, {1, 2, 11, 12})
+        for read in (
+            lambda: lean.state(9),
+            lambda: lean.state_norm(9),
+            lambda: lean.deviation(2, 9),
+            lambda: lean.product_gap(9),
+        ):
+            with pytest.raises(ValueError, match="depth 9 "):
+                read()
+        with pytest.raises(ValueError, match="restart gap at depth 12"):
+            lean.product_gap(12)  # kept, but the sweep has no layer 13
+        with pytest.raises(ValueError, match=r"\[0, 13\]"):
+            Trajectory(ctx, [[0.5]], 12, {0, 5, 13})
+
 
 class NormAudit:
     """Watches one study's norm cache: which entries a cache miss computed
@@ -307,6 +382,20 @@ CONFIG_DIR = Path(__file__).resolve().parents[1] / "sample_configs"
 AUDIT_PLAN = DepthPlan(n_list=(1, 2, 3, 4, 6, 8), m_list=(1, 2, 4), reference_depth=16)
 # past the constants scan end (48), so both prefetches ask for E_48
 DEEP_PLAN = DepthPlan(n_list=(1, 2, 4, 8), m_list=(1, 4), reference_depth=56)
+# the condition's tail scan window (8, 64) ends at the reference depth
+SCAN_PLAN = DepthPlan(n_list=(1, 2, 4, 8), m_list=(1, 2, 4), reference_depth=64)
+
+
+def _plain_net_without_limits(width: int = 4) -> LayerSeq:
+    """A fixed-width net that declares no limits, so its condition verdict
+    is a tail scan over finite weight norms."""
+
+    def layer(n: int):
+        rng = np.random.default_rng(1000 + n)
+        w = rng.uniform(-1.0, 1.0, (width, width))
+        return 0.5 * w / np.abs(w).sum(axis=1).max(), rng.uniform(-0.1, 0.1, width)
+
+    return LayerSeq(width, lambda n: width, layer, name="no-limits")
 
 
 def _audit_cases():
@@ -326,6 +415,10 @@ def _audit_cases():
             seq, kind, inst.activation(), inst.p, inst.domain(),
             SamplerSpec(count=2, seed=inst.gen.seed + 7), AUDIT_PLAN, inst.extension,
         )
+    yield "no-limits-p2", (
+        _plain_net_without_limits(), PLAIN, relu(), TWO, Domain(4, 1.0),
+        SamplerSpec(count=2, seed=9), SCAN_PLAN, "zero_pad",
+    )
 
 
 def test_prefetch_covers_exactly_the_norms_a_study_reads():
@@ -333,7 +426,8 @@ def test_prefetch_covers_exactly_the_norms_a_study_reads():
     norm was computed on a cache miss, none was prefetched and never read,
     and none was computed twice: every evaluated matrix is |W*| or the
     operator of one entry of the context's norm cache, and no operator was
-    built (or mask-summed) twice."""
+    built (or mask-summed) twice.  A net without declared limits checks
+    the condition's tail scan, which reads the same cache."""
     studies = 0
     for label, (seq, kind, act, p, domain, sampler, depths, ext) in _audit_cases():
         with pytest.MonkeyPatch.context() as mp:
@@ -347,4 +441,98 @@ def test_prefetch_covers_exactly_the_norms_a_study_reads():
         assert audit.operators <= set(audit.ctx._norm), label
         assert audit.evaluated == len(audit.operators) + limit, label
         studies += 1
-    assert studies == 2 * 2 + 50 + 2
+    assert studies == 2 * 2 + 50 + 2 + 1
+
+
+def _watched_trajectories(mp: pytest.MonkeyPatch) -> list:
+    """Every Trajectory the study module builds from now on, each with a
+    ``read`` set of the depths its readers asked for."""
+    made = []
+
+    class Watched(Trajectory):
+        def __init__(self, *args, **kwargs):
+            self.read = set()
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+        def _read(self, n):
+            self.read.add(n)
+            return super()._read(n)
+
+    mp.setattr(study, "Trajectory", Watched)
+    return made
+
+
+def test_trajectory_keeps_exactly_the_depths_a_study_reads():
+    """The working set matches the grid: a study's trajectory keeps a depth
+    only if the grid reads it, and the grid reads no other (that read
+    would raise), on both shipped configs, their deep variants, all 52
+    selftest studies and a net without limits."""
+    studies = 0
+    for label, (seq, kind, act, p, domain, sampler, depths, ext) in _audit_cases():
+        with pytest.MonkeyPatch.context() as mp:
+            made = _watched_trajectories(mp)
+            convergence_study(seq, kind, act, p, domain, sampler, depths, extension=ext)
+        (traj,) = made
+        assert traj.read == traj.kept, (label, sorted(traj.kept ^ traj.read))
+        assert max(traj.kept) == depths.max_depth, label
+        studies += 1
+    assert studies == 2 * 2 + 50 + 2 + 1
+
+
+# a state of the guard study is GUARD_WIDTH x GUARD_SAMPLES doubles (128 KB)
+GUARD_WIDTH, GUARD_SAMPLES = 32, 500
+GUARD_DOC = {
+    "schema": "dnc-lab/config/v1",
+    "label": "memory-guard",
+    "seed": 11,
+    "generator": {
+        "family": "exp_decay",
+        "input_dim": 16,
+        "widths": GUARD_WIDTH,
+        "rate": 0.5,
+        "norm_target": 0.55,
+    },
+    "activation": {"name": "relu"},
+    "norm": {"p": 2},
+    "domain": {"bound": 1.0, "sampler": {"kind": "uniform", "count": GUARD_SAMPLES}},
+    "depths": {
+        "n_list": [1, 2, 3, 4, 6, 8, 10, 12],
+        "m_list": [1, 2, 4, 8],
+        "reference_depth": 64,
+    },
+}
+# states besides the kept ones: the sweep's current state and product, the
+# first product, the input batch and the kernels' temporaries
+GUARD_SPARE_STATES = 8
+# a p = 2 batch holds its operand stack, their Gram matrices and one
+# compacted copy of the Gram matrices still iterating
+GUARD_P2_COPIES = 3
+
+
+def test_study_memory_scales_with_the_depths_it_reads():
+    """Deterministic memory guard: the traced allocation peak of a dense
+    p = 2 study at reference depth 64 is bounded by the states its grid
+    reads (18 depths), not by the 64 it sweeps, plus one batch of p = 2
+    operands.  Keeping every state needs about 8 MB here, over the bound."""
+    exp = parse_config(GUARD_DOC)
+    state = GUARD_WIDTH * GUARD_SAMPLES * 8
+    kept = len(study._trajectory_depths(exp.depths))
+    operators = len(study._grid_norm_keys(exp.depths, limits=True))
+    p2 = GUARD_P2_COPIES * operators * GUARD_WIDTH * GUARD_WIDTH * 8
+    bound = (kept + GUARD_SPARE_STATES) * state + p2
+    assert kept == 18 and exp.depths.max_depth == 64
+    assert bound < exp.depths.max_depth * state  # the guard tells the two apart
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = convergence_study(
+            exp.seq, exp.kind, exp.act, exp.p, exp.domain, exp.sampler, exp.depths,
+            extension=exp.extension,
+        )
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert result.passed
+    assert peak < bound, (peak, bound)
