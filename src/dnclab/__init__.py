@@ -96,7 +96,6 @@ from .network import (
 from .pooling import PoolingOp, average_pooling, max_pooling, no_pooling
 from .report import (
     REPORT_SCHEMA,
-    TABLE_SCHEMA,
     render_report,
     render_table,
     report_payload,

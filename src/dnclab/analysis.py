@@ -194,6 +194,13 @@ class ConditionVerdict:
         return asdict(self)
 
 
+# the scan window of the condition checks when no limit is declared
+_WINDOW = (8, 64)
+# the last layer the limit constants scan; layers past it are capped
+# through the declared decay
+_SCAN_END = 48
+
+
 def _validate_window(window: tuple[int, int]) -> tuple[int, int]:
     n0, n1 = int(window[0]), int(window[1])
     if not 1 <= n0 <= n1:
@@ -202,7 +209,7 @@ def _validate_window(window: tuple[int, int]) -> tuple[int, int]:
 
 
 def check_condition(
-    ctx: BoundContext, window: tuple[int, int] = (8, 64)
+    ctx: BoundContext, window: tuple[int, int] = _WINDOW
 ) -> ConditionVerdict:
     """Verdict on the central condition omega = lim L*P*|W_n|_p < 1 (strict).
 
@@ -232,7 +239,7 @@ _EXP_FIT_R2_MIN = 0.98
 
 
 def check_mask_conditions(
-    masks, act: Activation, window: tuple[int, int] = (8, 64)
+    masks, act: Activation, window: tuple[int, int] = _WINDOW
 ) -> dict[str, ConditionVerdict]:
     """The three mask conditions for convolutional layer sequences.
 
@@ -742,11 +749,10 @@ class LimitConstants:
 
 
 def derive_limit_constants(
-    ctx: BoundContext,
-    x_bound: float,
-    scan: tuple[int, int] = (8, 48),
+    ctx: BoundContext, x_bound: float
 ) -> tuple[LimitConstants | None, str]:
-    """Derive (omega0, w, rho) from declared limits and a labelled scan.
+    """Derive (omega0, w, rho) from declared limits and a scan of layers
+    1 .. 48.
 
     The unscanned tail is capped through the declared decay: past the scan
     end, |W_n| <= |W*| + E_end and |b_n| <= |b*| + e_end (the shipped
@@ -757,9 +763,7 @@ def derive_limit_constants(
     """
     if not ctx.has_limits:
         return None, "no declared limits"
-    n0, n1 = _validate_window(scan)
-    if n1 < 2:
-        return None, "scan window must reach at least layer 2"
+    n1 = _SCAN_END
     refusal = ctx.geometry.tail_cap_refusal()
     if refusal is not None:
         return None, refusal
@@ -769,8 +773,8 @@ def derive_limit_constants(
     E_end = ctx.weight_limit_diff(n1)
     wlim = ctx.weight_limit_norm
     # the limit bound discounts every peeled layer k in [2, n] by omega0,
-    # so omega0 must dominate L*P*|W_k| for ALL k >= 2 — scanning only the
-    # declared window would miss the early layers (past n1 the analytic
+    # so omega0 must dominate L*P*|W_k| for ALL k >= 2 — scanning only a
+    # tail window would miss the early layers (past n1 the analytic
     # piece L*P*(|W*| + E_end) takes over through the decaying drift)
     scan_lp = max(lp * ctx.weight_norm(n) for n in range(2, n1 + 1))
     omega0 = max(scan_lp, lp * (wlim + E_end))

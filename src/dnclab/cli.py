@@ -80,7 +80,6 @@ def _study(exp: Experiment):
         exp.sampler,
         exp.depths,
         extension=exp.extension,
-        dominance_rtol=exp.dominance_rtol,
         label=exp.label,
     )
 

@@ -22,8 +22,8 @@ depth grid, and output names.  Example:
 
 Parsing is strict — unknown keys and out-of-range values raise
 :class:`ConfigError` (the CLI maps it to exit code 1) rather than being
-silently ignored.  The environment variable ``DNC_LAB_SEED`` overrides the
-top-level seed; section-level seeds, when given explicitly, always win.
+silently ignored.  The top-level seed is the only seed source; a
+section-level seed, when given explicitly, wins over it.
 Norms are restricted to p in {1, 2, "inf"}, the exponents with exact
 induced norms — the bounds would otherwise silently lose their "computed
 exactly" guarantee.
@@ -32,7 +32,6 @@ exactly" guarantee.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 
 from .activations import Activation, make_activation
@@ -54,7 +53,6 @@ from .study import DepthPlan
 __all__ = ["CONFIG_SCHEMA", "ConfigError", "Experiment", "load_config", "parse_config"]
 
 CONFIG_SCHEMA = "dnc-lab/config/v1"
-SEED_ENV = "DNC_LAB_SEED"
 
 
 class ConfigError(ValueError):
@@ -74,7 +72,6 @@ class Experiment:
     domain: Domain
     sampler: SamplerSpec
     depths: DepthPlan
-    dominance_rtol: float
     report_name: str
     table_name: str
     echo: dict = field(repr=False)
@@ -92,6 +89,12 @@ def _get(section: dict, key: str, where: str):
     if key not in section:
         raise ConfigError(f"{where}: missing required key {key!r}")
     return section[key]
+
+
+def _string(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{where} must be a string, got {value!r}")
+    return value
 
 
 def _parse_p(doc: dict) -> PNorm:
@@ -174,7 +177,7 @@ def _parse_activation(doc: dict) -> Activation:
     sec = doc.get("activation")
     if not isinstance(sec, dict):
         raise ConfigError("config needs an 'activation' section, e.g. {\"name\": \"relu\"}")
-    name = _get(sec, "name", "activation")
+    name = _string(_get(sec, "name", "activation"), "activation.name")
     params = {k: v for k, v in sec.items() if k != "name"}
     try:
         return make_activation(name, **params)
@@ -253,7 +256,6 @@ _TOP_KEYS = {
     "domain",
     "depths",
     "comparison",
-    "tolerances",
     "output",
 }
 
@@ -267,12 +269,6 @@ def parse_config(doc: dict) -> Experiment:
         raise ConfigError(f"unsupported schema {schema!r}; this build reads {CONFIG_SCHEMA}")
 
     master_seed = doc.get("seed", 0)
-    env_seed = os.environ.get(SEED_ENV)
-    if env_seed is not None:
-        try:
-            master_seed = int(env_seed)
-        except ValueError as exc:
-            raise ConfigError(f"{SEED_ENV} must be an integer, got {env_seed!r}") from exc
     try:
         master_seed = int(master_seed)
     except (TypeError, ValueError) as exc:
@@ -288,7 +284,7 @@ def parse_config(doc: dict) -> Experiment:
     depths = _parse_depths(doc)
 
     comparison = doc.get("comparison", {})
-    if comparison and not isinstance(comparison, dict):
+    if not isinstance(comparison, dict):
         raise ConfigError("comparison section must be an object")
     _require_keys(comparison, {"extension"}, "comparison")
     extension = comparison.get("extension")
@@ -303,20 +299,12 @@ def parse_config(doc: dict) -> Experiment:
         else:
             extension = ZERO_PAD
 
-    tol = doc.get("tolerances", {})
-    if not isinstance(tol, dict):
-        raise ConfigError("tolerances section must be an object")
-    _require_keys(tol, {"dominance_rtol"}, "tolerances")
-    rtol = float(tol.get("dominance_rtol", 1.0e-9))
-    if not 0.0 <= rtol < 1.0:
-        raise ConfigError(f"dominance_rtol must lie in [0, 1), got {rtol}")
-
     out = doc.get("output", {})
     if not isinstance(out, dict):
         raise ConfigError("output section must be an object")
     _require_keys(out, {"report", "table"}, "output")
-    report_name = str(out.get("report", "report.json"))
-    table_name = str(out.get("table", "table.csv"))
+    report_name = _string(out.get("report", "report.json"), "output.report")
+    table_name = _string(out.get("table", "table.csv"), "output.table")
 
     built = build(gen_spec)
     if built.masks is not None:
@@ -339,7 +327,7 @@ def parse_config(doc: dict) -> Experiment:
     }
 
     return Experiment(
-        label=str(doc.get("label", gen_spec.family)),
+        label=_string(doc.get("label", gen_spec.family), "label"),
         seq=built.seq,
         kind=kind,
         act=act,
@@ -348,7 +336,6 @@ def parse_config(doc: dict) -> Experiment:
         domain=domain,
         sampler=sampler,
         depths=depths,
-        dominance_rtol=rtol,
         report_name=report_name,
         table_name=table_name,
         echo=echo,

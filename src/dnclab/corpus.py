@@ -69,8 +69,8 @@ class Instance:
     def pooling(self) -> PoolingOp:
         return PoolingOp(self.pool_kind, self.pool_mu)
 
-    def domain(self, bound: float = 1.0) -> Domain:
-        return Domain(self.gen.input_dim, bound)
+    def domain(self) -> Domain:
+        return Domain(self.gen.input_dim, 1.0)
 
     def build(self) -> tuple:
         """(layer sequence, network kind) ready for evaluation."""

@@ -153,13 +153,13 @@ def build_masks(spec: MaskSpec) -> MaskSeq:
     tau = spec.tau
     if spec.family == "vanishing_exponential":
         r = spec.rate
-        return MaskSeq(tau, lambda n: base * r**n, limit=np.zeros(tau + 1), rate=r)
+        return MaskSeq(tau, lambda n: base * r**n, limit=np.zeros(tau + 1))
     if spec.family == "vanishing_harmonic":
         return MaskSeq(tau, lambda n: base / n, limit=np.zeros(tau + 1))
     if spec.family == "constant_limit":
         lim = np.array(spec.limit, dtype=np.float64)
         r = spec.rate
-        return MaskSeq(tau, lambda n: lim + base * r**n, limit=lim, rate=r)
+        return MaskSeq(tau, lambda n: lim + base * r**n, limit=lim)
     # diverging: constant mask, limit equals the mask itself
     return MaskSeq(tau, lambda n: base, limit=base)
 
@@ -249,12 +249,6 @@ class GenSpec:
         if self.family == "diverging" and self.norm_target is None:
             raise ValueError("diverging control needs an explicit norm_target")
 
-    @property
-    def width_cycle(self) -> tuple[int, ...]:
-        if self.family == "conv":
-            raise ValueError("conv widths grow; there is no cycle")
-        return self.widths  # normalized to a tuple above
-
 
 @dataclass(frozen=True)
 class BuiltNetwork:
@@ -276,7 +270,7 @@ def _embed(block: np.ndarray, rows: int, cols: int) -> np.ndarray:
 
 
 def _build_matrix_family(spec: GenSpec) -> BuiltNetwork:
-    cycle = spec.width_cycle
+    cycle = spec.widths  # normalised to a tuple
     period = len(cycle)
     min_w, max_w = min(cycle), max(cycle)
     s, mu, p = spec.input_dim, spec.extra_rows, spec.norm_p
@@ -349,8 +343,6 @@ def _build_matrix_family(spec: GenSpec) -> BuiltNetwork:
         extra_rows=mu,
         weight_limit=_embed(core, max_w + mu, max_w),
         bias_limit=bias_core,
-        rate=spec.rate if spec.family in _RATE_FAMILIES else None,
-        name=f"{spec.family}[s={s},w={spec.widths},seed={seed}]",
     )
     return BuiltNetwork(seq)
 
@@ -379,15 +371,7 @@ def _build_conv_family(spec: GenSpec) -> BuiltNetwork:
         b[j] += spec.bias_scale * bias_rate**n
         return b
 
-    seq = cnn_layer_seq(
-        masks,
-        bias,
-        s,
-        bias_limit=bias_core,
-        rate=bias_rate if 0.0 < bias_rate < 1.0 else None,
-        name=f"conv[{spec.mask.family},tau={tau},s={s},seed={seed}]",
-    )
-    return BuiltNetwork(seq, masks)
+    return BuiltNetwork(cnn_layer_seq(masks, bias, s, bias_limit=bias_core), masks)
 
 
 def build(spec: GenSpec) -> BuiltNetwork:

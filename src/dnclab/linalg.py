@@ -594,9 +594,10 @@ class BandedToeplitz:
         if rows < 1 or cols < 1:
             raise ValueError("dense_truncation: window dims must be >= 1")
         t = np.zeros((rows, cols), dtype=np.float64)
-        for i in range(rows):
-            for j in range(max(0, i - self.tau), min(i, cols - 1) + 1):
-                t[i, j] = self.mask[i - j]
+        # diagonal k holds mask[k] at (j + k, j): one placement per diagonal
+        for k in range(min(self.tau, rows - 1) + 1):
+            j = np.arange(min(rows - k, cols))
+            t[j + k, j] = self.mask[k]
         t.flags.writeable = False
         return t
 

@@ -88,17 +88,15 @@ CONSTANT_PAD = "constant_pad"
 class MaskSeq:
     """Per-layer convolution masks w^(n) = (w_0, ..., w_tau), lazily cached.
 
-    ``limit`` optionally declares the coordinatewise limit mask, and
-    ``rate`` an exponential envelope for |mask(n) - limit| when the
-    construction guarantees one; analysis code uses these to label verdicts
-    analytic instead of window-based.  Masks are validated and cached per
-    index, so every evaluation sees identical coefficients.
+    ``limit`` optionally declares the coordinatewise limit mask; analysis
+    code uses it to label verdicts analytic instead of window-based.  Masks
+    are validated and cached per index, so every evaluation sees identical
+    coefficients.
     """
 
     tau: int
     source: Callable[[int], object] = field(repr=False, compare=False)
     limit: np.ndarray | None = None
-    rate: float | None = None
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -113,11 +111,6 @@ class MaskSeq:
                     f"mask limit has {lim.size} coefficients, expected {tau + 1}"
                 )
             object.__setattr__(self, "limit", lim)
-        if self.rate is not None:
-            r = float(self.rate)
-            if not 0.0 < r < 1.0:
-                raise ValueError(f"declared mask rate must lie in (0, 1), got {r}")
-            object.__setattr__(self, "rate", r)
 
     def mask(self, n: int) -> np.ndarray:
         if n < 1:
@@ -175,8 +168,7 @@ class LayerSeq:
 
     ``weight_limit`` / ``bias_limit`` optionally declare limits W*, b* that
     the layers converge to (for growing-width sequences the bias limit is a
-    finite vector read as zero-extended), and ``rate`` declares an
-    exponential envelope for the approach.  These power the analytic
+    finite vector read as zero-extended).  These power the analytic
     convergence verdicts; without them the analysis falls back to labelled
     window scans.
     """
@@ -190,8 +182,6 @@ class LayerSeq:
         extra_rows: int = 0,
         weight_limit=None,
         bias_limit=None,
-        rate: float | None = None,
-        name: str = "",
     ):
         input_dim = int(input_dim)
         if input_dim < 1:
@@ -201,7 +191,6 @@ class LayerSeq:
             raise ValueError(f"extra_rows must be >= 0, got {extra_rows}")
         self.input_dim = input_dim
         self.extra_rows = extra_rows
-        self.name = name
         self._width_fn = width_fn
         self._layer_fn = layer_fn
         self.weight_limit = (
@@ -210,11 +199,6 @@ class LayerSeq:
         self.bias_limit = (
             None if bias_limit is None else as_vector(bias_limit, name="b* limit")
         )
-        if rate is not None:
-            rate = float(rate)
-            if not 0.0 < rate < 1.0:
-                raise ValueError(f"declared rate must lie in (0, 1), got {rate}")
-        self.rate = rate
         self._widths: dict[int, int] = {}
         self._layers: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -371,8 +355,6 @@ def cnn_layer_seq(
     input_dim: int,
     *,
     bias_limit=None,
-    rate: float | None = None,
-    name: str = "conv",
 ) -> LayerSeq:
     """LayerSeq whose n-th weight is the finite banded Toeplitz matrix of
     mask(n); widths grow arithmetically, width(n) = input_dim + n * tau."""
@@ -385,14 +367,7 @@ def cnn_layer_seq(
         w = toeplitz_from_mask(masks.mask(n), input_dim + (n - 1) * tau)
         return w.to_dense(), bias_source(n)
 
-    return LayerSeq(
-        input_dim,
-        width,
-        layers,
-        bias_limit=bias_limit,
-        rate=rate,
-        name=name,
-    )
+    return LayerSeq(input_dim, width, layers, bias_limit=bias_limit)
 
 
 def network_lipschitz_bound(

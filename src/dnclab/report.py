@@ -20,7 +20,6 @@ from .study import StudyResult
 
 __all__ = [
     "REPORT_SCHEMA",
-    "TABLE_SCHEMA",
     "format_float",
     "report_payload",
     "render_report",
@@ -29,7 +28,6 @@ __all__ = [
 ]
 
 REPORT_SCHEMA = "dnc-lab/report/v1"
-TABLE_SCHEMA = "dnc-lab/table/v1"
 
 _TABLE_COLUMNS = (
     "kind",
@@ -50,9 +48,10 @@ def format_float(x: float | None) -> str:
     return "" if x is None else f"{x:.17g}"
 
 
-def report_payload(result: StudyResult, echo: dict | None = None) -> dict:
-    """JSON-able report body (no timestamp; add one with ``generated_at``)."""
-    payload: dict = {
+def report_payload(result: StudyResult, echo: dict) -> dict:
+    """JSON-able report body with the config ``echo`` (no timestamp; add
+    one with ``generated_at``)."""
+    return {
         "schema": REPORT_SCHEMA,
         "label": result.label,
         "p": str(result.p),
@@ -79,10 +78,8 @@ def report_payload(result: StudyResult, echo: dict | None = None) -> dict:
         "bounds_ok": result.bounds_ok,
         "passed": result.passed,
         "summary": result.summary(),
+        "config_echo": echo,
     }
-    if echo is not None:
-        payload["config_echo"] = echo
-    return payload
 
 
 def render_report(payload: dict) -> str:

@@ -184,6 +184,11 @@ class StudyResult:
         return " | ".join(parts)
 
 
+# the relative slack granted to the theoretical side of every inequality:
+# a floating-point noise allowance, far below any meaningful violation
+_DOMINANCE_RTOL = 1.0e-9
+
+
 def _sup(values: np.ndarray) -> tuple[float, int]:
     """(max, first index attaining it) of the non-NaN values, floored at
     (0.0, 0): what the scan ``if v > best: best, at = v, i`` from
@@ -233,16 +238,14 @@ def convergence_study(
     depths: DepthPlan = DepthPlan(),
     *,
     extension: str = ZERO_PAD,
-    dominance_rtol: float = 1.0e-9,
-    condition_window: tuple[int, int] = (8, 64),
-    constants_scan: tuple[int, int] = (8, 48),
     label: str = "",
 ) -> StudyResult:
     """Run the full audit for one network family.
 
-    ``dominance_rtol`` is the relative slack granted to the theoretical side
-    of each inequality (floating-point noise allowance, not a weakening:
-    the default 1e-9 is far below any meaningful violation).
+    The conditions and the certified constants use the windows of
+    :func:`check_condition`, :func:`check_mask_conditions` and
+    :func:`derive_limit_constants`, as ``dnc-lab check`` does.  Each
+    inequality grants its theoretical side a relative slack of 1e-9.
     """
     if domain.dim != seq.input_dim:
         raise ValueError(
@@ -254,21 +257,17 @@ def convergence_study(
 
     # the x-independent phase runs before the states exist, so the norm
     # batches' working set is freed before the trajectory is allocated
-    condition = check_condition(ctx, condition_window)
+    condition = check_condition(ctx)
     mask_conditions = (
-        check_mask_conditions(kind.masks, act, condition_window)
-        if isinstance(kind, Conv)
-        else None
+        check_mask_conditions(kind.masks, act) if isinstance(kind, Conv) else None
     )
-    constants, constants_note = derive_limit_constants(
-        ctx, domain.norm_bound(p), constants_scan
-    )
+    constants, constants_note = derive_limit_constants(ctx, domain.norm_bound(p))
     ctx.prefetch(_grid_norm_keys(depths, constants is not None))
     # one sample per column; only the states the grid reads are kept
     traj = Trajectory(ctx, samples.T, depths.max_depth, _trajectory_depths(depths))
 
     lb = _Lazy(lambda n: limit_bound_ctx(ctx, n, constants))
-    slack = 1.0 + dominance_rtol
+    slack = 1.0 + _DOMINANCE_RTOL
     rows: list[StudyRow] = []
     dominance_violations: list[tuple[int, int, int]] = []
     for n in depths.n_list:

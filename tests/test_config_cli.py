@@ -119,14 +119,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="inf"):
             parse_config(doc)
 
-    def test_env_seed_override(self, monkeypatch):
+    def test_env_seed_is_ignored(self, monkeypatch):
+        """The config's seed is the only seed source."""
         monkeypatch.setenv("DNC_LAB_SEED", "99")
         exp = parse_config(base_doc())
-        assert exp.echo["resolved"]["seed"] == 99
-        assert exp.echo["resolved"]["generator_seed"] == 99
+        assert exp.echo["resolved"]["seed"] == 7
+        assert exp.echo["resolved"]["generator_seed"] == 7
         monkeypatch.setenv("DNC_LAB_SEED", "not-a-number")
-        with pytest.raises(ConfigError, match="DNC_LAB_SEED"):
-            parse_config(base_doc())
+        assert parse_config(base_doc()).echo["resolved"]["seed"] == 7
 
     def test_explicit_generator_seed_wins_over_env(self, monkeypatch):
         monkeypatch.setenv("DNC_LAB_SEED", "99")
@@ -314,6 +314,39 @@ class TestOtherCommands:
             result.output
         )
         assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("command", ["run", "check", "bounds"])
+    @pytest.mark.parametrize(
+        "over, message",
+        [
+            ({"activation": {"name": ["relu"]}}, "activation.name must be a string"),
+            ({"activation": {"name": {"relu": 1}}}, "activation.name must be a string"),
+            ({"comparison": None}, "comparison section must be an object"),
+            ({"comparison": ""}, "comparison section must be an object"),
+            ({"comparison": 0}, "comparison section must be an object"),
+            ({"comparison": []}, "comparison section must be an object"),
+            ({"label": 5}, "label must be a string"),
+            ({"output": {"report": ["a"]}}, "output.report must be a string"),
+            ({"output": {"table": 3}}, "output.table must be a string"),
+            ({"tolerances": {"dominance_rtol": 0.5}}, "config: unknown key(s) ['tolerances']"),
+        ],
+        ids=[
+            "name-list", "name-object", "comparison-null", "comparison-empty",
+            "comparison-zero", "comparison-list", "label-number", "report-list",
+            "table-number", "tolerances",
+        ],
+    )
+    def test_malformed_config_is_exit_1(self, tmp_path, command, over, message):
+        """Ill-typed config values are refused before any output is written."""
+        cfg = write_config(tmp_path, base_doc(**over))
+        result = CliRunner().invoke(
+            main, [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+        )
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"Error: {message}" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_selftest_rejects_nonpositive_samples(self, count):

@@ -232,7 +232,6 @@ class TestMaskFamilies:
         masks = build_masks(MaskSpec("vanishing_exponential", (0.6, -0.4), rate=0.5))
         assert_allclose(masks.mask(2), [0.15, -0.1], rtol=1e-14)
         assert np.array_equal(masks.limit, [0.0, 0.0])
-        assert masks.rate == 0.5
 
     def test_vanishing_harmonic_values(self):
         masks = build_masks(MaskSpec("vanishing_harmonic", (0.6, -0.4)))

@@ -240,6 +240,18 @@ def test_output_bytes_match_golden(digests, name):
     assert digests[name] == GOLDEN[name]
 
 
+@pytest.mark.parametrize("cfg", CONFIGS)
+def test_run_bytes_ignore_seed_environment(tmp_path, cfg):
+    """The config's seed is the only seed source: a ``DNC_LAB_SEED`` in the
+    environment leaves the ``run`` bytes as frozen."""
+    runner = CliRunner(env={"DNC_LAB_SEED": "99"})
+    path = str(CONFIG_DIR / f"{cfg}.json")
+    res = runner.invoke(main, ["run", "--config", path, "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    for f in ("report.json", "table.csv"):
+        assert _digest(f, (tmp_path / f).read_bytes()) == GOLDEN[f"{cfg}/run/{f}"], f
+
+
 @pytest.fixture(scope="module")
 def study_digests():
     return compute_study_digests()

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -271,6 +271,27 @@ def test_apply_banded_tau_zero_and_empty_head():
     out = apply_banded(constant_padded_toeplitz([0.5]), x)
     assert out.head.shape == (0, 2)
     assert_same_bits(out.tail, [1.0, -0.0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 5).flatmap(
+        lambda tau: arrays(np.float64, tau + 1, elements=ENTRIES)
+    ),
+    st.integers(1, 12),
+    st.integers(1, 12),
+)
+@example(np.array([0.5, -0.0, 0.25]), 3, 7)  # rows < cols
+@example(np.array([-0.0, 1.0]), 9, 4)  # cols < rows
+@example(np.array([1.0, -2.0, -0.0, 3.0, 4.0]), 3, 5)  # tau >= rows
+def test_dense_truncation_matches_entry_loop(mask, rows, cols):
+    """One placement per diagonal writes the entries the per-entry loop
+    writes, signed zeros included, whether the window is tall, wide or
+    shorter than the band; the finite form's matrix too."""
+    window = constant_padded_toeplitz(mask).dense_truncation(rows, cols)
+    assert_same_bits(window, oracles.toeplitz_window(mask, rows, cols))
+    finite = linalg.toeplitz_from_mask(mask, cols).to_dense()
+    assert_same_bits(finite, oracles.toeplitz_window(mask, cols + mask.size - 1, cols))
 
 
 BATCHES = arrays(

@@ -34,7 +34,6 @@ def scalar_net(weight: float, bias: float = 0.0) -> LayerSeq:
         lambda n: (np.array([[weight]]), np.array([bias])),
         weight_limit=np.array([[weight]]),
         bias_limit=np.array([bias]),
-        name=f"scalar[{weight}]",
     )
 
 

@@ -395,7 +395,7 @@ def _plain_net_without_limits(width: int = 4) -> LayerSeq:
         w = rng.uniform(-1.0, 1.0, (width, width))
         return 0.5 * w / np.abs(w).sum(axis=1).max(), rng.uniform(-0.1, 0.1, width)
 
-    return LayerSeq(width, lambda n: width, layer, name="no-limits")
+    return LayerSeq(width, lambda n: width, layer)
 
 
 def _audit_cases():
