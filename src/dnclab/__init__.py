@@ -60,20 +60,17 @@ from .linalg import (
     INF,
     ONE,
     TWO,
-    BandedToeplitz,
     EventuallyConstSeq,
     PNorm,
     apply_banded,
     as_matrix,
     as_vector,
-    constant_padded_toeplitz,
     extend_vector,
     induced_norm,
     matvec,
     norm_upper_bound,
     seq_sum,
-    toeplitz_from_mask,
-    toeplitz_norms,
+    toeplitz_matrix,
     vector_norm,
     zero_pad_matrix,
 )

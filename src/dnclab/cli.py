@@ -11,10 +11,10 @@ Subcommands:
 * ``selftest`` — re-verify the shipped corpus (and that the diverging
                  controls fail the conditions) at reduced depth.
 
-Exit codes: 0 success; 1 invalid configuration or usage, or a network
-the kernel refuses (an operator norm out of double range); 2 a verified
-inequality was violated or (with ``--require-pass``) a convergence
-condition did not hold.
+Exit codes: 0 success; 1 invalid configuration or usage, a network the
+kernel refuses (an operator norm out of double range), or an output file
+that cannot be written; 2 a verified inequality was violated or (with
+``--require-pass``) a convergence condition did not hold.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .analysis import (
     derive_limit_constants,
     limit_bound_ctx,
 )
-from .config import ConfigError, Experiment, load_config
+from .config import Experiment, load_config
 from .corpus import control_instances, corpus_instances
 from .network import Conv
 from .report import (
@@ -48,23 +48,17 @@ from .study import DepthPlan, convergence_study
 __all__ = ["main"]
 
 
-def _load(config_path: str) -> Experiment:
-    try:
-        return load_config(config_path)
-    except ConfigError as exc:
-        raise click.ClickException(str(exc)) from exc
-
-
 def _refusal_exits_1(command):
-    """Report a ValueError raised while evaluating the configured network
-    (an operator norm out of double range, say) as ``Error: ...`` with exit
-    code 1, as an invalid configuration is reported."""
+    """Report an invalid configuration (a ``ConfigError``), a ValueError
+    raised while evaluating the configured network (an operator norm out of
+    double range, say) or an output file that cannot be written (an
+    OSError) as ``Error: ...`` with exit code 1."""
 
     @functools.wraps(command)
     def wrapped(*args, **kwargs):
         try:
             return command(*args, **kwargs)
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             raise click.ClickException(str(exc)) from exc
 
     return wrapped
@@ -130,7 +124,7 @@ def main():
 @_refusal_exits_1
 def run(ctx, config_path, out_dir, threads, require_pass):
     """Run the full study: sampled deviations against every bound."""
-    exp = _load(config_path)
+    exp = load_config(config_path)
     result = _study(exp)
     payload = report_payload(result, exp.echo)
     payload["generated_at"] = timestamp()
@@ -169,7 +163,7 @@ def run(ctx, config_path, out_dir, threads, require_pass):
 @_refusal_exits_1
 def check(ctx, config_path, out_dir, require_pass):
     """Evaluate the convergence conditions without drawing samples."""
-    exp = _load(config_path)
+    exp = load_config(config_path)
     bctx = BoundContext(exp.seq, exp.kind, exp.act, exp.p, exp.extension)
     condition = check_condition(bctx)
     click.echo(
@@ -225,7 +219,7 @@ def bounds(ctx, config_path, out_dir):
     a-priori state-norm bound at the domain's norm bound, and the limit
     bound when certified constants exist (empty otherwise).
     """
-    exp = _load(config_path)
+    exp = load_config(config_path)
     bctx = BoundContext(exp.seq, exp.kind, exp.act, exp.p, exp.extension)
     xb = exp.domain.norm_bound(exp.p)
     constants, note = derive_limit_constants(bctx, xb)
@@ -260,7 +254,7 @@ def bounds(ctx, config_path, out_dir):
 @_refusal_exits_1
 def rates(ctx, config_path, out_dir, threads):
     """Fit the empirical convergence rate of deviations to the reference."""
-    exp = _load(config_path)
+    exp = load_config(config_path)
     result = _study(exp)
     if result.rate is None:
         click.echo(f"rate fit unavailable: {result.rate_note}")

@@ -91,10 +91,45 @@ def _get(section: dict, key: str, where: str):
     return section[key]
 
 
-def _string(value, where: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{where} must be a string, got {value!r}")
+def _typed(value, types, noun: str, where: str):
+    """``value`` if it has one of the JSON ``types``; ``bool`` never counts
+    as a number."""
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigError(f"{where} must be {noun}, got {value!r}")
     return value
+
+
+def _string(value, where: str) -> str:
+    return _typed(value, str, "a string", where)
+
+
+def _int(value, where: str) -> int:
+    return _typed(value, int, "an integer", where)
+
+
+def _real(value, where: str) -> float:
+    return _typed(value, (int, float), "a number", where)
+
+
+def _optional(check, value, where: str):
+    """``value`` checked by ``check``, or None when it is null or absent."""
+    return None if value is None else check(value, where)
+
+
+def _list_of(item, value, where: str) -> tuple:
+    """The JSON array ``value`` as a tuple, each entry checked by ``item``."""
+    _typed(value, list, "a list", where)
+    return tuple(item(v, f"{where}[{i}]") for i, v in enumerate(value))
+
+
+def _exact_p(raw, where: str) -> PNorm:
+    if raw == "inf":
+        return INF
+    if not isinstance(raw, bool) and raw in (1, 2):
+        return ONE if raw == 1 else TWO
+    raise ConfigError(
+        f"{where} must be 1, 2, or \"inf\" (exact induced norms only), got {raw!r}"
+    )
 
 
 def _parse_p(doc: dict) -> PNorm:
@@ -102,29 +137,22 @@ def _parse_p(doc: dict) -> PNorm:
     if not isinstance(norm, dict):
         raise ConfigError("config needs a 'norm' section, e.g. {\"p\": 2}")
     _require_keys(norm, {"p"}, "norm")
-    raw = _get(norm, "p", "norm")
-    if raw == "inf":
-        return INF
-    if raw in (1, 1.0):
-        return ONE
-    if raw in (2, 2.0):
-        return TWO
-    raise ConfigError(
-        f"norm.p must be 1, 2, or \"inf\" (exact induced norms only), got {raw!r}"
-    )
+    return _exact_p(_get(norm, "p", "norm"), "norm.p")
 
 
 def _parse_mask(section: dict) -> MaskSpec:
-    _require_keys(section, {"family", "base", "rate", "limit"}, "generator.mask")
+    where = "generator.mask"
+    _require_keys(section, {"family", "base", "rate", "limit"}, where)
+    family = _get(section, "family", where)
+    base = _list_of(_real, _get(section, "base", where), f"{where}.base")
+    rate = _optional(_real, section.get("rate"), f"{where}.rate")
+    limit = section.get("limit")
+    if limit is not None:
+        limit = _list_of(_real, limit, f"{where}.limit")
     try:
-        return MaskSpec(
-            family=_get(section, "family", "generator.mask"),
-            base=tuple(_get(section, "base", "generator.mask")),
-            rate=section.get("rate"),
-            limit=tuple(section["limit"]) if section.get("limit") is not None else None,
-        )
+        return MaskSpec(family=family, base=base, rate=rate, limit=limit)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"generator.mask: {exc}") from exc
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _parse_generator(doc: dict, master_seed: int, extra_rows: int) -> GenSpec:
@@ -147,26 +175,27 @@ def _parse_generator(doc: dict, master_seed: int, extra_rows: int) -> GenSpec:
     family = _get(gen, "family", "generator")
     widths = gen.get("widths")
     if isinstance(widths, list):
-        widths = tuple(widths)
+        widths = _list_of(_int, widths, "generator.widths")
+    elif widths is not None:
+        widths = _int(widths, "generator.widths")
     mask = _parse_mask(gen["mask"]) if gen.get("mask") is not None else None
     norm_p = ONE
     if "norm_p" in gen:
-        norm_p = _parse_p({"norm": {"p": gen["norm_p"]}})
+        norm_p = _exact_p(gen["norm_p"], "generator.norm_p")
     kwargs = dict(
         family=family,
-        input_dim=_get(gen, "input_dim", "generator"),
+        input_dim=_int(_get(gen, "input_dim", "generator"), "generator.input_dim"),
         widths=widths,
-        seed=gen.get("seed", master_seed),
-        rate=gen.get("rate"),
-        norm_target=gen.get("norm_target"),
+        seed=_int(gen.get("seed", master_seed), "generator.seed"),
+        rate=_optional(_real, gen.get("rate"), "generator.rate"),
+        norm_target=_optional(_real, gen.get("norm_target"), "generator.norm_target"),
         norm_p=norm_p,
         extra_rows=extra_rows,
         mask=mask,
     )
-    if "scale" in gen:
-        kwargs["scale"] = gen["scale"]
-    if "bias_scale" in gen:
-        kwargs["bias_scale"] = gen["bias_scale"]
+    for key in ("scale", "bias_scale"):
+        if key in gen:
+            kwargs[key] = _real(gen[key], f"generator.{key}")
     try:
         return GenSpec(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -178,7 +207,7 @@ def _parse_activation(doc: dict) -> Activation:
     if not isinstance(sec, dict):
         raise ConfigError("config needs an 'activation' section, e.g. {\"name\": \"relu\"}")
     name = _string(_get(sec, "name", "activation"), "activation.name")
-    params = {k: v for k, v in sec.items() if k != "name"}
+    params = {k: _real(v, f"activation.{k}") for k, v in sec.items() if k != "name"}
     try:
         return make_activation(name, **params)
     except ValueError as exc:
@@ -197,8 +226,9 @@ def _parse_pooling(doc: dict) -> PoolingOp | None:
         return None
     if name not in ("average", "max"):
         raise ConfigError(f"pooling.name must be none/average/max, got {name!r}")
+    mu = _int(_get(sec, "mu", "pooling"), "pooling.mu")
     try:
-        return PoolingOp(name, int(_get(sec, "mu", "pooling")))
+        return PoolingOp(name, mu)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"pooling: {exc}") from exc
 
@@ -208,21 +238,21 @@ def _parse_domain(doc: dict, dim: int, master_seed: int) -> tuple[Domain, Sample
     if not isinstance(sec, dict):
         raise ConfigError("config needs a 'domain' section, e.g. {\"bound\": 1.0}")
     _require_keys(sec, {"bound", "sampler"}, "domain")
+    bound = _real(_get(sec, "bound", "domain"), "domain.bound")
     try:
-        domain = Domain(dim, _get(sec, "bound", "domain"))
+        domain = Domain(dim, bound)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"domain: {exc}") from exc
     samp = sec.get("sampler", {})
     if not isinstance(samp, dict):
         raise ConfigError("domain.sampler must be an object")
     _require_keys(samp, {"kind", "count", "seed", "points_per_axis"}, "domain.sampler")
+    where = "domain.sampler"
+    count = _int(samp.get("count", 100), f"{where}.count")
+    seed = _int(samp.get("seed", master_seed + 1), f"{where}.seed")
+    points = _int(samp.get("points_per_axis", 5), f"{where}.points_per_axis")
     try:
-        sampler = SamplerSpec(
-            kind=samp.get("kind", "uniform"),
-            count=int(samp.get("count", 100)),
-            seed=int(samp.get("seed", master_seed + 1)),
-            points_per_axis=int(samp.get("points_per_axis", 5)),
-        )
+        sampler = SamplerSpec(samp.get("kind", "uniform"), count, seed, points)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"domain.sampler: {exc}") from exc
     return domain, sampler
@@ -235,12 +265,12 @@ def _parse_depths(doc: dict) -> DepthPlan:
     if not isinstance(sec, dict):
         raise ConfigError("depths section must be an object")
     _require_keys(sec, {"n_list", "m_list", "reference_depth"}, "depths")
+    default = DepthPlan()
+    n_list = _list_of(_int, sec.get("n_list", list(default.n_list)), "depths.n_list")
+    m_list = _list_of(_int, sec.get("m_list", list(default.m_list)), "depths.m_list")
+    ref = _optional(_int, sec.get("reference_depth"), "depths.reference_depth")
     try:
-        return DepthPlan(
-            n_list=tuple(sec.get("n_list", DepthPlan().n_list)),
-            m_list=tuple(sec.get("m_list", DepthPlan().m_list)),
-            reference_depth=sec.get("reference_depth"),
-        )
+        return DepthPlan(n_list=n_list, m_list=m_list, reference_depth=ref)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"depths: {exc}") from exc
 
@@ -268,11 +298,7 @@ def parse_config(doc: dict) -> Experiment:
     if schema != CONFIG_SCHEMA:
         raise ConfigError(f"unsupported schema {schema!r}; this build reads {CONFIG_SCHEMA}")
 
-    master_seed = doc.get("seed", 0)
-    try:
-        master_seed = int(master_seed)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"seed must be an integer, got {master_seed!r}") from exc
+    master_seed = _int(doc.get("seed", 0), "seed")
 
     pool = _parse_pooling(doc)
     p = _parse_p(doc)
@@ -305,6 +331,9 @@ def parse_config(doc: dict) -> Experiment:
     _require_keys(out, {"report", "table"}, "output")
     report_name = _string(out.get("report", "report.json"), "output.report")
     table_name = _string(out.get("table", "table.csv"), "output.table")
+    for key, name in (("report", report_name), ("table", table_name)):
+        if not name:
+            raise ConfigError(f"output.{key} must name a file, got an empty string")
 
     built = build(gen_spec)
     if built.masks is not None:

@@ -285,15 +285,12 @@ def _build_matrix_family(spec: GenSpec) -> BuiltNetwork:
     core_norm = induced_norm(core, p)
     bias_core = spec.bias_scale * _rng(seed, "bias-core").uniform(-1.0, 1.0, min_w)
 
-    if spec.family == "exp_decay":
+    if spec.family in _RATE_FAMILIES:
         decay = lambda n: spec.scale * spec.rate**n
         bias_decay = lambda n: spec.bias_scale * spec.rate**n
     elif spec.family == "harmonic":
         decay = lambda n: spec.scale / n
         bias_decay = lambda n: spec.bias_scale / n
-    elif spec.family == "random_convergent":
-        decay = lambda n: spec.scale * spec.rate**n
-        bias_decay = lambda n: spec.bias_scale * spec.rate**n
     else:  # constant, diverging
         decay = bias_decay = lambda n: 0.0
 

@@ -22,8 +22,11 @@ rests on the primitives here, so two properties are enforced globally:
 
 The module also provides the two vector extensions used to compare networks
 of different widths: plain zero padding, and eventually-constant sequences
-(:class:`EventuallyConstSeq`) on which constant-padded banded Toeplitz
-operators act.
+(:class:`EventuallyConstSeq`).  A convolution is given by its mask alone:
+:func:`toeplitz_matrix` cuts a finite window out of the banded Toeplitz
+matrix of a mask (the finite convolution matrix is one such window), and
+:func:`apply_banded` applies the mask's constant-padded semi-infinite
+operator to eventually-constant sequences.
 """
 
 from __future__ import annotations
@@ -53,10 +56,7 @@ __all__ = [
     "zero_pad_matrix",
     "extend_vector",
     "EventuallyConstSeq",
-    "BandedToeplitz",
-    "toeplitz_from_mask",
-    "constant_padded_toeplitz",
-    "toeplitz_norms",
+    "toeplitz_matrix",
     "apply_banded",
 ]
 
@@ -125,18 +125,13 @@ def matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if a.ndim != 2 or x.ndim not in (1, 2) or a.shape[1] != x.shape[0]:
         raise ValueError(f"matvec: incompatible shapes {a.shape} and {x.shape}")
-    if x.ndim == 1:
-        return _seq_sums(a * x, 1)
-    return _accumulate(a, x)
-
-
-def _accumulate(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``a @ x`` for a 2-d ``x``, accumulated over ascending j from 0.0:
-    no rows x cols x S temporary, and the same additions as seq_sum."""
-    out = np.zeros((a.shape[0], x.shape[1]))
+    batch = x if x.ndim == 2 else x[:, None]
+    # accumulated over ascending j from 0.0, one column of products at a
+    # time: no rows x cols x S temporary, and the same additions as seq_sum
+    out = np.zeros((a.shape[0], batch.shape[1]))
     for j in range(a.shape[1]):
-        out += a[:, j, None] * x[j]
-    return out
+        out += a[:, j, None] * batch[j]
+    return out if x.ndim == 2 else out[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -548,108 +543,47 @@ class EventuallyConstSeq:
 
 
 # ---------------------------------------------------------------------------
-# banded Toeplitz operators
+# banded Toeplitz operators of a convolution mask
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BandedToeplitz:
-    """Lower banded Toeplitz operator ``T[i, j] = mask[i - j]``, 0 <= i-j <= tau.
+def toeplitz_matrix(mask, rows: int, cols: int) -> np.ndarray:
+    """Top-left ``rows`` x ``cols`` window of the lower banded Toeplitz
+    matrix ``T[i, j] = mask[i - j]``, 0 <= i - j <= tau.
 
-    With ``in_cols`` set this is the finite convolution matrix of a
-    length-(tau+1) mask: ``in_cols + tau`` rows, so applying it lengthens a
-    vector by tau (full zero-padded convolution).  With ``in_cols=None`` it
-    is the constant-padded semi-infinite form acting on eventually-constant
-    sequences; its induced l_1 and l_inf norms both equal the absolute mask
-    sum, which also bounds every intermediate p.
+    The finite convolution matrix of a length-c input is the window
+    ``toeplitz_matrix(mask, c + tau, c)``: applying it lengthens a vector by
+    tau (full zero-padded convolution).  Any other window cuts out a piece
+    of the semi-infinite constant-padded operator that :func:`apply_banded`
+    applies.
     """
-
-    mask: np.ndarray
-    in_cols: int | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "mask", as_vector(self.mask, name="Toeplitz mask"))
-        if self.in_cols is not None:
-            c = int(self.in_cols)
-            if c < 1:
-                raise ValueError(f"in_cols must be >= 1, got {self.in_cols}")
-            object.__setattr__(self, "in_cols", c)
-
-    @property
-    def tau(self) -> int:
-        return int(self.mask.size - 1)
-
-    @property
-    def semi_infinite(self) -> bool:
-        return self.in_cols is None
-
-    @property
-    def out_rows(self) -> int:
-        if self.in_cols is None:
-            raise ValueError("semi-infinite operator has no finite row count")
-        return self.in_cols + self.tau
-
-    def dense_truncation(self, rows: int, cols: int) -> np.ndarray:
-        """Top-left ``rows`` x ``cols`` window of the (possibly infinite) matrix."""
-        if rows < 1 or cols < 1:
-            raise ValueError("dense_truncation: window dims must be >= 1")
-        t = np.zeros((rows, cols), dtype=np.float64)
-        # diagonal k holds mask[k] at (j + k, j): one placement per diagonal
-        for k in range(min(self.tau, rows - 1) + 1):
-            j = np.arange(min(rows - k, cols))
-            t[j + k, j] = self.mask[k]
-        t.flags.writeable = False
-        return t
-
-    def to_dense(self) -> np.ndarray:
-        if self.in_cols is None:
-            raise ValueError(
-                "to_dense applies to the finite form; use dense_truncation "
-                "for a window of the semi-infinite operator"
-            )
-        return self.dense_truncation(self.out_rows, self.in_cols)
+    mask = as_vector(mask, name="Toeplitz mask")
+    if rows < 1 or cols < 1:
+        raise ValueError("toeplitz_matrix: window dims must be >= 1")
+    t = np.zeros((rows, cols), dtype=np.float64)
+    # diagonal k holds mask[k] at (j + k, j): one placement per diagonal
+    for k in range(min(mask.size - 1, rows - 1) + 1):
+        j = np.arange(min(rows - k, cols))
+        t[j + k, j] = mask[k]
+    t.flags.writeable = False
+    return t
 
 
-def toeplitz_from_mask(mask, in_cols: int) -> BandedToeplitz:
-    """Finite convolution matrix of ``mask`` acting on vectors of length in_cols."""
-    return BandedToeplitz(mask, int(in_cols))
-
-
-def constant_padded_toeplitz(mask) -> BandedToeplitz:
-    """Semi-infinite constant-padded form: the mask repeats along every diagonal."""
-    return BandedToeplitz(mask, None)
-
-
-def toeplitz_norms(t: BandedToeplitz, p: PNorm) -> float:
-    """Induced norm of the semi-infinite constant-padded operator.
-
-    Equals sum_k |mask[k]| exactly for p in {1, inf}; for intermediate p the
-    same number is returned as an upper bound (interpolating the two exact
-    endpoints).  Finite forms are ordinary matrices and are refused here —
-    take ``induced_norm(t.to_dense(), p)`` instead.
-    """
-    if not t.semi_infinite:
-        raise ValueError(
-            "toeplitz_norms handles the semi-infinite form; for the finite "
-            "matrix use induced_norm(t.to_dense(), p)"
-        )
-    return seq_sum(np.abs(t.mask))
-
-
-def apply_banded(t: BandedToeplitz, x: EventuallyConstSeq) -> EventuallyConstSeq:
-    """Apply the semi-infinite constant-padded operator to a sequence or a
-    batch of sequences.
+def apply_banded(mask, x: EventuallyConstSeq) -> EventuallyConstSeq:
+    """Apply the semi-infinite constant-padded Toeplitz operator of ``mask``
+    to a sequence or a batch of sequences.
 
     The head grows by tau entries; every row past the new head sees only the
     constant tail, so the output tail is ``sum(mask) * x.tail``.  Row i sums
     ``mask[k] * x[i - k]`` for k descending to 0 (column order), adding one
     shifted slice of the padded input per k, which matches the
-    sequential-summation convention entry by entry.
+    sequential-summation convention entry by entry.  The operator's induced
+    l_1 and l_inf norms both equal the absolute mask sum
+    (``dnclab.network.MaskSeq.abs_sum``), which also bounds every
+    intermediate p.
     """
-    if not t.semi_infinite:
-        raise ValueError("apply_banded requires the semi-infinite operator form")
-    mask = t.mask
-    tau = t.tau
+    mask = as_vector(mask, name="Toeplitz mask")
+    tau = mask.size - 1
     xe = x.truncated(x.head_len + tau)  # the head, then tau copies of the tail
     out = np.zeros_like(xe)
     size = xe.shape[0]

@@ -36,9 +36,11 @@ through ``dnclab.analysis.ZeroPad`` and ``dnclab.analysis.ConstantPad``):
   padded coordinate reads act(0), since a zero row plus a zero bias entry
   feeds 0 into the activation at every layer.
 * ``constant_pad`` — convolutional networks only.  Layer 1 is the
-  zero-padded finite matrix; layers 2, 3, ... act by their constant-padded
-  Toeplitz extension, so the constant tail evolves by
-  ``t -> act(sum(mask) * t)`` while the head lengthens by tau per layer.
+  zero-padded finite matrix; layers 2, 3, ... apply their mask's
+  constant-padded Toeplitz operator (``linalg.apply_banded``), so the
+  constant tail evolves by ``t -> act(sum(mask) * t)`` while the head
+  lengthens by tau per layer.  Convolutional weights are the finite
+  windows ``linalg.toeplitz_matrix(mask(n), width(n), width(n - 1))``.
 """
 
 from __future__ import annotations
@@ -55,11 +57,10 @@ from .linalg import (
     apply_banded,
     as_matrix,
     as_vector,
-    constant_padded_toeplitz,
     induced_norms,
     matvec,
     seq_sum,
-    toeplitz_from_mask,
+    toeplitz_matrix,
 )
 from .pooling import PoolingOp, no_pooling
 
@@ -286,7 +287,7 @@ def _sweep(
     for j in range(1, n_max + 1):
         w, b = seq.layer(j)
         if j > 1 and scheme == CONSTANT_PAD:
-            prod = apply_banded(constant_padded_toeplitz(kind.masks.mask(j)), v)
+            prod = apply_banded(kind.masks.mask(j), v)
             if prod.head_len != seq.width(j):
                 raise ValueError(
                     f"layer {j}: extended head length {prod.head_len} does not "
@@ -357,15 +358,15 @@ def cnn_layer_seq(
     bias_limit=None,
 ) -> LayerSeq:
     """LayerSeq whose n-th weight is the finite banded Toeplitz matrix of
-    mask(n); widths grow arithmetically, width(n) = input_dim + n * tau."""
+    mask(n), ``toeplitz_matrix(mask(n), width(n), width(n - 1))``; widths
+    grow arithmetically, width(n) = input_dim + n * tau."""
     tau = masks.tau
 
     def width(n: int) -> int:
         return input_dim + n * tau
 
     def layers(n: int):
-        w = toeplitz_from_mask(masks.mask(n), input_dim + (n - 1) * tau)
-        return w.to_dense(), bias_source(n)
+        return toeplitz_matrix(masks.mask(n), width(n), width(n - 1)), bias_source(n)
 
     return LayerSeq(input_dim, width, layers, bias_limit=bias_limit)
 

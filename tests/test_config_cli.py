@@ -42,6 +42,11 @@ def base_doc(**over):
     return doc
 
 
+def section(name, **over):
+    """One section of ``base_doc()`` with some of its keys replaced."""
+    return {name: {**base_doc()[name], **over}}
+
+
 DIVERGING_DOC = base_doc(
     label="cli-diverging",
     generator={
@@ -329,11 +334,64 @@ class TestOtherCommands:
             ({"output": {"report": ["a"]}}, "output.report must be a string"),
             ({"output": {"table": 3}}, "output.table must be a string"),
             ({"tolerances": {"dominance_rtol": 0.5}}, "config: unknown key(s) ['tolerances']"),
+            # JSON values of the wrong type are refused, never coerced
+            (section("depths", n_list="12"), "depths.n_list must be a list, got '12'"),
+            (
+                section("depths", m_list=[1.9, 2]),
+                "depths.m_list[0] must be an integer, got 1.9",
+            ),
+            (
+                section("depths", reference_depth=40.5),
+                "depths.reference_depth must be an integer, got 40.5",
+            ),
+            (
+                section("generator", widths="45"),
+                "generator.widths must be an integer, got '45'",
+            ),
+            (
+                section("generator", input_dim=3.7),
+                "generator.input_dim must be an integer, got 3.7",
+            ),
+            (section("generator", rate="0.5"), "generator.rate must be a number, got '0.5'"),
+            (
+                {
+                    "generator": {
+                        **CONV_DOC["generator"],
+                        "mask": {**CONV_DOC["generator"]["mask"], "base": "21"},
+                    },
+                    "norm": {"p": "inf"},
+                },
+                "generator.mask.base must be a list, got '21'",
+            ),
+            ({"seed": True}, "seed must be an integer, got True"),
+            ({"norm": {"p": True}}, 'norm.p must be 1, 2, or "inf"'),
+            (
+                section("domain", sampler={"count": 2.9}),
+                "domain.sampler.count must be an integer, got 2.9",
+            ),
+            (
+                section("domain", sampler={"count": "30"}),
+                "domain.sampler.count must be an integer, got '30'",
+            ),
+            (section("domain", bound="1"), "domain.bound must be a number, got '1'"),
+            (
+                {"activation": {"name": "leaky_relu", "alpha": "0.1"}},
+                "activation.alpha must be a number, got '0.1'",
+            ),
+            (
+                {"activation": {"name": "leaky_relu", "alpha": False}},
+                "activation.alpha must be a number, got False",
+            ),
+            ({"output": {"report": ""}}, "output.report must name a file"),
+            ({"output": {"table": ""}}, "output.table must name a file"),
         ],
         ids=[
             "name-list", "name-object", "comparison-null", "comparison-empty",
             "comparison-zero", "comparison-list", "label-number", "report-list",
-            "table-number", "tolerances",
+            "table-number", "tolerances", "n_list-string", "m_list-real",
+            "reference-real", "widths-string", "input_dim-real", "rate-string",
+            "mask-base-string", "seed-bool", "p-bool", "count-real", "count-string",
+            "bound-string", "alpha-string", "alpha-bool", "report-empty", "table-empty",
         ],
     )
     def test_malformed_config_is_exit_1(self, tmp_path, command, over, message):
@@ -347,6 +405,19 @@ class TestOtherCommands:
         assert f"Error: {message}" in result.stderr
         assert "Traceback" not in result.stderr
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["report", "table"])
+    def test_unwritable_output_is_exit_1(self, tmp_path, key):
+        """An output file in a missing directory ends in ``Error: ...`` and
+        exit code 1, not a traceback after the study has run."""
+        cfg = write_config(tmp_path, base_doc(output={key: "nodir/x.out"}))
+        result = CliRunner().invoke(
+            main, ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        )
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Error: " in result.stderr and "nodir" in result.stderr
+        assert "Traceback" not in result.stderr
 
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_selftest_rejects_nonpositive_samples(self, count):

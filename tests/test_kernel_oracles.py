@@ -27,10 +27,10 @@ from dnclab.linalg import (
     EventuallyConstSeq,
     PNorm,
     apply_banded,
-    constant_padded_toeplitz,
     induced_norm,
     matvec,
     seq_sum,
+    toeplitz_matrix,
     vector_norm,
 )
 from dnclab.linalg import _grams
@@ -253,22 +253,21 @@ def banded_case(draw):
 @given(banded_case())
 def test_apply_banded_matches_elementwise_rows(case):
     mask, head, tail = case
-    op = constant_padded_toeplitz(mask)
-    out = apply_banded(op, EventuallyConstSeq(head, tail))
+    out = apply_banded(mask, EventuallyConstSeq(head, tail))
     for s in range(head.shape[1]):
         want_head, want_tail = oracles.elementwise_apply_banded(
             mask, head[:, s], tail[s]
         )
         assert_same_bits(out.head[:, s], want_head)
         assert bits(out.tail[s]) == bits(want_tail)
-        single = apply_banded(op, EventuallyConstSeq(head[:, s], tail[s]))
+        single = apply_banded(mask, EventuallyConstSeq(head[:, s], tail[s]))
         assert_same_bits(single.head, want_head)
         assert bits(single.tail) == bits(want_tail)
 
 
 def test_apply_banded_tau_zero_and_empty_head():
     x = EventuallyConstSeq(np.empty((0, 2)), [2.0, -0.0])
-    out = apply_banded(constant_padded_toeplitz([0.5]), x)
+    out = apply_banded([0.5], x)
     assert out.head.shape == (0, 2)
     assert_same_bits(out.tail, [1.0, -0.0])
 
@@ -287,10 +286,10 @@ def test_apply_banded_tau_zero_and_empty_head():
 def test_dense_truncation_matches_entry_loop(mask, rows, cols):
     """One placement per diagonal writes the entries the per-entry loop
     writes, signed zeros included, whether the window is tall, wide or
-    shorter than the band; the finite form's matrix too."""
-    window = constant_padded_toeplitz(mask).dense_truncation(rows, cols)
+    shorter than the band; the finite convolution matrix's window too."""
+    window = toeplitz_matrix(mask, rows, cols)
     assert_same_bits(window, oracles.toeplitz_window(mask, rows, cols))
-    finite = linalg.toeplitz_from_mask(mask, cols).to_dense()
+    finite = toeplitz_matrix(mask, cols + mask.size - 1, cols)
     assert_same_bits(finite, oracles.toeplitz_window(mask, cols + mask.size - 1, cols))
 
 

@@ -12,23 +12,21 @@ from dnclab.linalg import (
     INF,
     ONE,
     TWO,
-    BandedToeplitz,
     EventuallyConstSeq,
     PNorm,
     apply_banded,
     as_matrix,
     as_vector,
-    constant_padded_toeplitz,
     extend_vector,
     induced_norm,
     matvec,
     norm_upper_bound,
     seq_sum,
-    toeplitz_from_mask,
-    toeplitz_norms,
+    toeplitz_matrix,
     vector_norm,
     zero_pad_matrix,
 )
+from dnclab.network import MaskSeq
 
 import oracles
 
@@ -276,53 +274,59 @@ class TestEventuallyConstSeq:
 
 
 class TestBandedToeplitz:
+    """``toeplitz_matrix``: windows of the banded Toeplitz matrix of a mask."""
+
     def test_frozen_dense_expansion(self):
-        t = toeplitz_from_mask([1.0, 2.0], 3)
         assert_array_equal(
-            t.to_dense(),
+            toeplitz_matrix([1.0, 2.0], 4, 3),
             [[1.0, 0.0, 0.0], [2.0, 1.0, 0.0], [0.0, 2.0, 1.0], [0.0, 0.0, 2.0]],
         )
-        assert t.out_rows == 4 and t.tau == 1
 
     def test_dense_matches_entrywise_oracle(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
             mask = rng.normal(size=rng.integers(1, 5))
             cols = int(rng.integers(1, 7))
-            t = toeplitz_from_mask(mask, cols)
-            assert_array_equal(t.to_dense(), oracles.toeplitz_window(mask, cols + t.tau, cols))
-
-    def test_semi_infinite_refusals(self):
-        semi = constant_padded_toeplitz([0.5, 0.25])
-        with pytest.raises(ValueError):
-            semi.to_dense()
-        with pytest.raises(ValueError):
-            _ = semi.out_rows
-        finite = toeplitz_from_mask([0.5, 0.25], 4)
-        with pytest.raises(ValueError, match="induced_norm"):
-            toeplitz_norms(finite, ONE)
+            rows = cols + mask.size - 1
+            assert_array_equal(
+                toeplitz_matrix(mask, rows, cols),
+                oracles.toeplitz_window(mask, rows, cols),
+            )
 
     def test_semi_infinite_norms_equal_mask_sum(self):
         mask = [0.2, -0.3]
-        semi = constant_padded_toeplitz(mask)
-        assert toeplitz_norms(semi, ONE) == 0.5
-        assert toeplitz_norms(semi, INF) == 0.5
+        masks = MaskSeq(1, lambda n: mask)
+        assert masks.abs_sum(1) == 0.5
         # a window with every column fully inside the band reproduces it
-        window = semi.dense_truncation(20, 14)
+        window = toeplitz_matrix(mask, 20, 14)
         assert induced_norm(window, ONE) == 0.5
         assert induced_norm(window, INF) == 0.5
+
+    @pytest.mark.parametrize(
+        "mask",
+        [[], [1.0, math.nan], [math.inf], [[0.5, 0.25]]],
+        ids=["empty", "nan", "inf", "2-d"],
+    )
+    def test_malformed_mask_refused(self, mask):
+        with pytest.raises(ValueError, match="Toeplitz mask"):
+            toeplitz_matrix(mask, 3, 3)
+        with pytest.raises(ValueError, match="Toeplitz mask"):
+            apply_banded(mask, EventuallyConstSeq([1.0], 0.0))
+
+    @pytest.mark.parametrize("rows, cols", [(0, 3), (3, 0), (-1, 2)])
+    def test_window_below_one_refused(self, rows, cols):
+        with pytest.raises(ValueError, match="window dims must be >= 1"):
+            toeplitz_matrix([0.5, 0.25], rows, cols)
 
 
 class TestApplyBanded:
     def test_frozen_example(self):
-        t = constant_padded_toeplitz([1.0, 1.0])
-        out = apply_banded(t, EventuallyConstSeq([1.0], 0.0))
+        out = apply_banded([1.0, 1.0], EventuallyConstSeq([1.0], 0.0))
         assert_array_equal(out.head, [1.0, 1.0])
         assert out.tail == 0.0
 
     def test_constant_sequence_reaches_mask_sum(self):
-        t = constant_padded_toeplitz([0.5, 0.25, 0.125])
-        out = apply_banded(t, EventuallyConstSeq(np.array([]), 2.0))
+        out = apply_banded([0.5, 0.25, 0.125], EventuallyConstSeq(np.array([]), 2.0))
         # rows see progressively more of the mask: 0.5*2, (0.5+0.25)*2, ...
         assert_allclose(out.truncated(4), [1.0, 1.5, 1.75, 1.75], rtol=0, atol=0)
         assert out.tail == 1.75
@@ -333,12 +337,11 @@ class TestApplyBanded:
             mask = rng.normal(size=rng.integers(1, 5))
             head = rng.normal(size=rng.integers(0, 6))
             tail = float(rng.normal())
-            t = constant_padded_toeplitz(mask)
             x = EventuallyConstSeq(head, tail)
-            out = apply_banded(t, x)
+            out = apply_banded(mask, x)
             rows = out.head_len
             cols = rows + len(mask)  # wide enough that every row is complete
-            window = t.dense_truncation(rows, cols)
+            window = toeplitz_matrix(mask, rows, cols)
             expect = np.array(
                 [seq_sum(window[i] * x.truncated(cols)) for i in range(rows)]
             )
@@ -347,13 +350,9 @@ class TestApplyBanded:
     def test_zero_tail_matches_full_convolution(self):
         mask = [1.0, -0.5, 0.25]
         x = [2.0, 0.0, 1.0, -3.0]
-        out = apply_banded(constant_padded_toeplitz(mask), EventuallyConstSeq(x, 0.0))
+        out = apply_banded(mask, EventuallyConstSeq(x, 0.0))
         assert_allclose(out.head, oracles.conv_full(mask, x), rtol=1e-14, atol=1e-14)
         assert out.tail == 0.0
-
-    def test_requires_semi_infinite_form(self):
-        with pytest.raises(ValueError):
-            apply_banded(toeplitz_from_mask([1.0], 2), EventuallyConstSeq([1.0], 0.0))
 
 
 @settings(max_examples=60, deadline=None)
@@ -363,7 +362,7 @@ class TestApplyBanded:
     st.floats(-2, 2),
 )
 def test_apply_banded_tail_is_mask_sum_times_tail(mask, head, tail):
-    out = apply_banded(constant_padded_toeplitz(mask), EventuallyConstSeq(head, tail))
+    out = apply_banded(mask, EventuallyConstSeq(head, tail))
     assert out.tail == pytest.approx(seq_sum(mask) * tail, rel=1e-12, abs=1e-12)
     assert out.head_len == len(head) + len(mask) - 1
 

@@ -184,7 +184,7 @@ class TestConstantPadExtension:
         # dense shadow: truncate every operator wide enough that no head row
         # ever sees the cut
         width = states[-1].head_len + 8
-        from dnclab.linalg import constant_padded_toeplitz, matvec
+        from dnclab.linalg import matvec, toeplitz_matrix
 
         vec = np.concatenate([x, np.zeros(width - x.size)])
         for j in range(1, depth + 1):
@@ -193,9 +193,7 @@ class TestConstantPadExtension:
                 dense = np.zeros((width, width))
                 dense[: w.shape[0], : w.shape[1]] = w
             else:
-                dense = constant_padded_toeplitz(masks.mask(j)).dense_truncation(
-                    width, width
-                )
+                dense = toeplitz_matrix(masks.mask(j), width, width)
             b = np.zeros(width)
             bj = seq.layer(j)[1]
             b[: bj.size] = bj

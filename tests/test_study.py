@@ -23,7 +23,6 @@ from dnclab.linalg import (
     TWO,
     EventuallyConstSeq,
     apply_banded,
-    constant_padded_toeplitz,
     matvec,
 )
 from dnclab.network import CONSTANT_PAD, PLAIN, Conv, LayerSeq
@@ -247,9 +246,9 @@ class TestBatchComposition:
         seq = ctx.seq
         first = matvec(seq.layer(1)[0], xs)
         if isinstance(ctx.geometry, analysis.ConstantPad):
-            op = constant_padded_toeplitz(ctx.kind.masks.mask(m + 1))
+            mask = ctx.kind.masks.mask(m + 1)
             return ctx.geometry.restart_gap(
-                apply_banded(op, state), EventuallyConstSeq(first, 0.0)
+                apply_banded(mask, state), EventuallyConstSeq(first, 0.0)
             )
         return ctx.geometry.restart_gap(matvec(seq.layer(m + 1)[0], state), first)
 
