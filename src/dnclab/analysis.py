@@ -614,9 +614,10 @@ class Trajectory:
     ``x`` is one input vector or a ``(dim, S)`` batch holding one sample per
     column.  One recursion sweep to ``depth`` (one step per layer for the
     whole batch) keeps the states at the depths in ``keep`` (every depth
-    1..depth by default) and, at each kept m below ``depth``, the restart
-    gap |W_{m+1} N_m(x) - W_1 x|, taken from the products the sweep
-    computed anyway; all other states are dropped as the sweep moves on,
+    1..depth by default) and, at each m in ``gaps`` below ``depth`` (every
+    kept m by default), the restart gap |W_{m+1} N_m(x) - W_1 x|, taken
+    from the products the sweep computed anyway; all other states are
+    dropped as the sweep moves on,
     so memory is O(len(keep) * width * S), not O(depth * width * S).  State
     norms and deviations between kept depths are served on demand, one
     value per sample (an array of S, or a float for a vector), with the
@@ -624,7 +625,7 @@ class Trajectory:
     ``keep`` raises a ValueError.
     """
 
-    def __init__(self, ctx: BoundContext, x, depth: int, keep=None):
+    def __init__(self, ctx: BoundContext, x, depth: int, keep=None, *, gaps=None):
         geo = self._geo = ctx.geometry
         depth = int(depth)
         self.kept = frozenset(range(1, depth + 1) if keep is None else map(int, keep))
@@ -632,15 +633,16 @@ class Trajectory:
         if outside:
             raise ValueError(f"kept depths {outside} lie outside 1..{depth}")
         kept = self.kept
-        gaps = self._gaps = {}
+        gap_depths = kept if gaps is None else frozenset(map(int, gaps))
+        taken = self._gaps = {}
         first = None
 
         def select(n, product, state):
             nonlocal first
             if n == 1:
                 first = product
-            elif n - 1 in kept:
-                gaps[n - 1] = geo.restart_gap(product, first)
+            elif n - 1 in gap_depths:
+                taken[n - 1] = geo.restart_gap(product, first)
             return state if n in kept else None
 
         states = self._states = geo.states(x, depth, select)  # validates x, depth
@@ -665,7 +667,9 @@ class Trajectory:
         """|W_{m+1} N_m(x) - W_1 x| — the pre-activation mismatch between
         restarting the recursion at depth m and at the input."""
         if self._read(m) not in self._gaps:
-            raise ValueError(f"no restart gap at depth {m}: the sweep ends there")
+            raise ValueError(
+                f"no restart gap at depth {m}: not requested, or the sweep ends there"
+            )
         return self._gaps[m]
 
 

@@ -108,7 +108,17 @@ def _int(value, where: str) -> int:
 
 
 def _real(value, where: str) -> float:
-    return _typed(value, (int, float), "a number", where)
+    """A JSON number; an integer must have a finite double (JSON integers
+    are unbounded, and every real setting is used as a double)."""
+    _typed(value, (int, float), "a number", where)
+    try:
+        float(value)
+    except OverflowError:
+        raise ConfigError(
+            f"{where} must be a number within the double range, "
+            f"got an integer of {value.bit_length()} bits"
+        ) from None
+    return value
 
 
 def _optional(check, value, where: str):

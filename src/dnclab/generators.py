@@ -15,7 +15,11 @@ in closed form rather than estimated:
 Randomness is drawn from per-layer PCG64 streams keyed by
 (seed, role, layer index) through ``SeedSequence``, which makes every layer
 a pure function of the spec — independent of evaluation order, thread
-count, or how deep previous calls went.
+count, or how deep previous calls went.  Drift directions are normalised
+in stacks, one stacked induced-norm call per shape: the per-phase
+directions all at once, the per-layer directions of ``random_convergent``
+one index-aligned block of layers at a time.  A stack gives each member
+the same bits as alone, so this changes no layer.
 """
 
 from __future__ import annotations
@@ -54,6 +58,11 @@ MASK_FAMILIES = (
 
 _RATE_FAMILIES = ("exp_decay", "random_convergent")
 _DRIFT_FAMILIES = ("exp_decay", "harmonic", "random_convergent")
+# random_convergent draws its per-layer drift directions for the layers
+# 2..65, 66..129, ... of one block at a time and normalises them in one
+# stacked induced-norm call per shape: the blocks are aligned to the layer
+# index, so a layer's bits do not depend on which layer is asked for first
+_DRIFT_BLOCK = 64
 
 
 def _rng(seed: int, role: str, *index: int) -> np.random.Generator:
@@ -68,19 +77,32 @@ def _rng(seed: int, role: str, *index: int) -> np.random.Generator:
 
 
 def rescale_to_norm(w, target: float, p: PNorm) -> np.ndarray:
-    """Scale a matrix so its induced p-norm equals ``target``."""
+    """Scale a matrix, or each matrix of a ``(K, rows, cols)`` stack, so its
+    induced p-norm equals ``target``.  A stack takes one :func:`induced_norm`
+    call, and each member gets the same bits as rescaled alone."""
     arr = np.asarray(w, dtype=np.float64)
-    cur = induced_norm(arr, p)
-    if cur == 0.0:
+    cur = np.asarray(induced_norm(arr, p))
+    if (cur == 0.0).any():
         raise ValueError("rescale_to_norm: zero matrix has no rescaling")
-    out = arr * (float(target) / cur)
+    out = arr * (float(target) / cur)[..., None, None]
     out.flags.writeable = False
     return out
 
 
-def _unit_matrix(rng: np.random.Generator, shape: tuple[int, int], p: PNorm) -> np.ndarray:
-    a = rng.uniform(-1.0, 1.0, shape)
-    return np.asarray(rescale_to_norm(a, 1.0, p))
+def _drift_directions(seed: int, draws: dict, p: PNorm) -> dict:
+    """Unit-norm drift directions ``{key: D}``, D drawn uniform in [-1, 1]
+    from the stream ("weight-drift", key) with shape ``draws[key]``: one
+    stacked rescale per shape, each D the same bits as rescaled alone."""
+    groups: dict[tuple, list] = {}
+    for key, shape in draws.items():
+        groups.setdefault(shape, []).append(key)
+    out = {}
+    for shape, keys in groups.items():
+        stack = np.stack(
+            [_rng(seed, "weight-drift", key).uniform(-1.0, 1.0, shape) for key in keys]
+        )
+        out.update(zip(keys, rescale_to_norm(stack, 1.0, p)))
+    return out
 
 
 def _unit_vector(rng: np.random.Generator, size: int, p: PNorm) -> np.ndarray:
@@ -295,26 +317,31 @@ def _build_matrix_family(spec: GenSpec) -> BuiltNetwork:
         decay = bias_decay = lambda n: 0.0
 
     # One fixed unit drift direction per width phase (layers n >= 2); the
-    # random_convergent family redraws the direction at every layer instead.
-    drift_dirs = None
-    if spec.family in ("exp_decay", "harmonic"):
-        drift_dirs = [
-            _unit_matrix(
-                _rng(seed, "weight-drift", phase),
-                (cycle[phase] + mu, cycle[(phase - 1) % period]),
-                p,
-            )
-            for phase in range(period)
-        ]
+    # random_convergent family redraws the direction at every layer instead,
+    # a block of layers at a time (see _DRIFT_BLOCK).
+    if spec.family == "random_convergent":
+        layer_dirs: dict[int, np.ndarray] = {}
 
-    def drift_direction(n: int) -> np.ndarray:
-        if drift_dirs is not None:
-            return drift_dirs[(n - 1) % period]
-        return _unit_matrix(
-            _rng(seed, "weight-drift", n),
-            (width(n) + mu, width(n - 1)),
+        def drift_direction(n: int) -> np.ndarray:
+            if n not in layer_dirs:
+                first = n - (n - 2) % _DRIFT_BLOCK
+                block = range(first, first + _DRIFT_BLOCK)
+                shapes = {i: (width(i) + mu, width(i - 1)) for i in block}
+                layer_dirs.update(_drift_directions(seed, shapes, p))
+            return layer_dirs[n]
+
+    elif spec.family in ("exp_decay", "harmonic"):
+        phase_dirs = _drift_directions(
+            seed,
+            {
+                phase: (cycle[phase] + mu, cycle[(phase - 1) % period])
+                for phase in range(period)
+            },
             p,
         )
+
+        def drift_direction(n: int) -> np.ndarray:
+            return phase_dirs[(n - 1) % period]
 
     drifting = spec.family in _DRIFT_FAMILIES
 

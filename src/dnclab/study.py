@@ -263,8 +263,10 @@ def convergence_study(
     )
     constants, constants_note = derive_limit_constants(ctx, domain.norm_bound(p))
     ctx.prefetch(_grid_norm_keys(depths, constants is not None))
-    # one sample per column; only the states the grid reads are kept
-    traj = Trajectory(ctx, samples.T, depths.max_depth, _trajectory_depths(depths))
+    # one sample per column; only the states and gaps the grid reads are kept
+    traj = Trajectory(
+        ctx, samples.T, depths.max_depth, _trajectory_depths(depths), gaps=depths.m_list
+    )
 
     lb = _Lazy(lambda n: limit_bound_ctx(ctx, n, constants))
     slack = 1.0 + _DOMINANCE_RTOL

@@ -384,6 +384,27 @@ class TestOtherCommands:
             ),
             ({"output": {"report": ""}}, "output.report must name a file"),
             ({"output": {"table": ""}}, "output.table must name a file"),
+            # JSON integers are unbounded; one with no finite double is refused
+            (section("domain", bound=10**400), "domain.bound must be a number within"),
+            (section("generator", rate=10**400), "generator.rate must be a number within"),
+            (
+                section("generator", norm_target=10**400),
+                "generator.norm_target must be a number within",
+            ),
+            (
+                {"activation": {"name": "leaky_relu", "alpha": 10**400}},
+                "activation.alpha must be a number within",
+            ),
+            (
+                {
+                    "generator": {
+                        **CONV_DOC["generator"],
+                        "mask": {**CONV_DOC["generator"]["mask"], "base": [0.2, 10**400]},
+                    },
+                    "norm": {"p": "inf"},
+                },
+                "generator.mask.base[1] must be a number within",
+            ),
         ],
         ids=[
             "name-list", "name-object", "comparison-null", "comparison-empty",
@@ -392,6 +413,8 @@ class TestOtherCommands:
             "reference-real", "widths-string", "input_dim-real", "rate-string",
             "mask-base-string", "seed-bool", "p-bool", "count-real", "count-string",
             "bound-string", "alpha-string", "alpha-bool", "report-empty", "table-empty",
+            "bound-huge-int", "rate-huge-int", "norm_target-huge-int", "alpha-huge-int",
+            "mask-base-huge-int",
         ],
     )
     def test_malformed_config_is_exit_1(self, tmp_path, command, over, message):

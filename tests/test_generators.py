@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from dnclab.activations import relu, sigmoid
 from dnclab.analysis import BoundContext
+from dnclab import generators
 from dnclab.generators import (
     MASK_FAMILIES,
     MATRIX_FAMILIES,
@@ -15,7 +16,7 @@ from dnclab.generators import (
     build_masks,
     rescale_to_norm,
 )
-from dnclab.linalg import INF, ONE, induced_norm, vector_norm
+from dnclab.linalg import INF, ONE, TWO, induced_norm, vector_norm
 from dnclab.network import CONSTANT_PAD, PLAIN, Conv
 
 
@@ -187,6 +188,74 @@ class TestDeterminismAndOrder:
         # drift still bounded by the envelope, but directions are per-layer
         for k in (2, 4, 6):
             assert ctx.weight_limit_diff(k) <= spec.scale * spec.rate**k * (1 + 1e-12)
+
+
+RANDOM_P2 = GenSpec(
+    "random_convergent", input_dim=3, widths=(4, 3), seed=9, rate=0.9,
+    norm_target=0.5, norm_p=TWO,
+)
+
+
+class TestBlockedDriftDirections:
+    """random_convergent normalises its per-layer drift directions a block
+    of layers at a time, in one stacked p = 2 call per shape."""
+
+    DEPTH = 70  # layer 66 opens the second block
+
+    def _fetch(self, order):
+        seq = build(RANDOM_P2).seq
+        for n in order:
+            seq.layer(n)
+        return [seq.layer(n)[0] for n in range(1, self.DEPTH + 1)]
+
+    def test_layer_bits_do_not_depend_on_access_order(self):
+        depth = self.DEPTH
+        want = self._fetch(range(1, depth + 1))
+        for order in (range(depth, 0, -1), [70, *range(1, depth + 1)]):
+            for a, b in zip(self._fetch(order), want):
+                assert a.tobytes() == b.tobytes()
+
+    def test_layers_match_the_per_layer_rescale(self):
+        spec, seq = RANDOM_P2, build(RANDOM_P2).seq
+        core = seq.weight_limit[:3, :3]
+        for n in range(2, self.DEPTH + 1):
+            shape = (seq.width(n), seq.width(n - 1))
+            drift = generators._rng(spec.seed, "weight-drift", n).uniform(-1, 1, shape)
+            direction = rescale_to_norm(drift, 1.0, TWO)
+            want = generators._embed(core, *shape) + spec.scale * spec.rate**n * direction
+            assert seq.layer(n)[0].tobytes() == want.tobytes(), n
+
+    @staticmethod
+    def _stack_shapes(monkeypatch) -> list:
+        """The shape of every stack the generators pass to induced_norm."""
+        stacks = []
+        norm = generators.induced_norm
+
+        def counted(a, p):
+            if np.ndim(a) == 3:
+                stacks.append(np.shape(a))
+            return norm(a, p)
+
+        monkeypatch.setattr(generators, "induced_norm", counted)
+        return stacks
+
+    def test_one_normalisation_call_per_block_and_shape(self, monkeypatch):
+        stacks = self._stack_shapes(monkeypatch)
+        seq = build(RANDOM_P2).seq
+        for n in range(1, self.DEPTH + 1):
+            seq.layer(n)
+        # two blocks (layers 2..65 and 66..129), two shapes in each
+        assert sorted(stacks) == [(32, 3, 4), (32, 3, 4), (32, 4, 3), (32, 4, 3)]
+
+    def test_phase_directions_take_one_call_per_shape(self, monkeypatch):
+        stacks = self._stack_shapes(monkeypatch)
+        spec = GenSpec(
+            "harmonic", input_dim=3, widths=(4, 3, 4, 3), seed=2, norm_target=0.5,
+            norm_p=TWO,
+        )
+        build(spec)
+        # phases 0 and 2 are 4 x 3, phases 1 and 3 are 3 x 4
+        assert sorted(stacks) == [(2, 3, 4), (2, 4, 3)]
 
 
 class TestGeometries:

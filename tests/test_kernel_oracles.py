@@ -92,6 +92,51 @@ def test_matvec_all_negative_zero_row_sums_to_positive_zero():
     assert bits(matvec(a, x[:, None]))[0, 0] == bits(0.0)
 
 
+SIGNED_ZEROS = st.sampled_from([0.0, -0.0])
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def sparse_matvec_operands(draw):
+    """``a`` with some all-zero columns and ``x`` with some all-zero rows
+    (of mixed signed zeros), sometimes a NaN or an infinity in either, and
+    sometimes a 1-d ``x``."""
+    rows = draw(st.integers(1, 8))
+    cols = draw(st.integers(1, 8))
+    samples = draw(st.integers(1, 4))
+    a = draw(arrays(np.float64, (rows, cols), elements=ENTRIES))
+    x = draw(arrays(np.float64, (cols, samples), elements=ENTRIES))
+    for j in draw(st.sets(st.integers(0, cols - 1))):
+        a[:, j] = draw(arrays(np.float64, rows, elements=SIGNED_ZEROS))
+    for j in draw(st.sets(st.integers(0, cols - 1))):
+        x[j] = draw(arrays(np.float64, samples, elements=SIGNED_ZEROS))
+    for _ in range(draw(st.integers(0, 2))):
+        target = a if draw(st.booleans()) else x
+        i = draw(st.integers(0, target.shape[0] - 1))
+        j = draw(st.integers(0, target.shape[1] - 1))
+        target[i, j] = draw(NON_FINITE)
+    return a, (x[:, 0] if draw(st.booleans()) else x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_matvec_operands())
+# a dead unit facing an infinite weight: inf * 0.0 makes the entry NaN
+@example((np.array([[math.inf, 1.0]]), np.array([[0.0], [2.0]])))
+@example((np.array([[1.0, 2.0]]), np.array([-0.0, math.nan])))
+def test_matvec_skips_only_terms_that_cannot_change_a_bit(case):
+    """Skipping dead units and zero columns keeps every bit of the full
+    left-to-right sum, and a NaN or an infinity reaches the same entries."""
+    a, x = case
+    batch = x if x.ndim == 2 else x[:, None]
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = matvec(a, x)
+        want = np.stack([oracles.rowwise_matvec(a, col) for col in batch.T], axis=1)
+    want = want if x.ndim == 2 else want[:, 0]
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    assert_same_bits(np.where(nan, 0.0, got), np.where(nan, 0.0, want))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 9), st.integers(1, 9), st.integers(1, 4), SEEDS, st.booleans())
 def test_gram_matches_nested_row_sums(rows, cols, count, seed, signed_zeros):

@@ -535,3 +535,25 @@ def test_study_memory_scales_with_the_depths_it_reads():
         tracemalloc.stop()
     assert result.passed
     assert peak < bound, (peak, bound)
+
+
+def test_study_takes_restart_gaps_only_where_the_grid_reads_them(monkeypatch):
+    """The sweep takes the restart gap |W_{m+1} N_m(x) - W_1 x| at the grid's
+    m only, not at every kept depth, and refuses a gap it did not take."""
+    exp = parse_config(GUARD_DOC)
+    taken = []
+    gap = analysis.ZeroPad.restart_gap
+    monkeypatch.setattr(
+        analysis.ZeroPad, "restart_gap",
+        lambda geo, product, first: taken.append(1) or gap(geo, product, first),
+    )
+    made = _watched_trajectories(monkeypatch)
+    convergence_study(
+        exp.seq, exp.kind, exp.act, exp.p, exp.domain, exp.sampler, exp.depths,
+        extension=exp.extension,
+    )
+    (traj,) = made
+    assert len(taken) == len(exp.depths.m_list) == 4
+    assert 3 in traj.kept and 3 not in exp.depths.m_list
+    with pytest.raises(ValueError, match="no restart gap at depth 3: not requested"):
+        traj.product_gap(3)
