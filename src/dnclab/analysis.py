@@ -614,10 +614,9 @@ class Trajectory:
     ``x`` is one input vector or a ``(dim, S)`` batch holding one sample per
     column.  One recursion sweep to ``depth`` (one step per layer for the
     whole batch) keeps the states at the depths in ``keep`` (every depth
-    1..depth by default) and, at each m in ``gaps`` below ``depth`` (every
-    kept m by default), the restart gap |W_{m+1} N_m(x) - W_1 x|, taken
-    from the products the sweep computed anyway; all other states are
-    dropped as the sweep moves on,
+    1..depth by default) and, at each m in ``gaps`` below ``depth``, the
+    restart gap |W_{m+1} N_m(x) - W_1 x|, taken from the products the sweep
+    computed anyway; all other states are dropped as the sweep moves on,
     so memory is O(len(keep) * width * S), not O(depth * width * S).  State
     norms and deviations between kept depths are served on demand, one
     value per sample (an array of S, or a float for a vector), with the
@@ -625,7 +624,7 @@ class Trajectory:
     ``keep`` raises a ValueError.
     """
 
-    def __init__(self, ctx: BoundContext, x, depth: int, keep=None, *, gaps=None):
+    def __init__(self, ctx: BoundContext, x, depth: int, keep=None, *, gaps):
         geo = self._geo = ctx.geometry
         depth = int(depth)
         self.kept = frozenset(range(1, depth + 1) if keep is None else map(int, keep))
@@ -633,7 +632,7 @@ class Trajectory:
         if outside:
             raise ValueError(f"kept depths {outside} lie outside 1..{depth}")
         kept = self.kept
-        gap_depths = kept if gaps is None else frozenset(map(int, gaps))
+        gap_depths = frozenset(map(int, gaps))
         taken = self._gaps = {}
         first = None
 

@@ -318,7 +318,9 @@ def _build_matrix_family(spec: GenSpec) -> BuiltNetwork:
 
     # One fixed unit drift direction per width phase (layers n >= 2); the
     # random_convergent family redraws the direction at every layer instead,
-    # a block of layers at a time (see _DRIFT_BLOCK).
+    # a block of layers at a time (see _DRIFT_BLOCK).  A direction is dropped
+    # once handed out: LayerSeq keeps the built layer, and asking again
+    # redraws the block with the same bits.
     if spec.family == "random_convergent":
         layer_dirs: dict[int, np.ndarray] = {}
 
@@ -328,7 +330,7 @@ def _build_matrix_family(spec: GenSpec) -> BuiltNetwork:
                 block = range(first, first + _DRIFT_BLOCK)
                 shapes = {i: (width(i) + mu, width(i - 1)) for i in block}
                 layer_dirs.update(_drift_directions(seed, shapes, p))
-            return layer_dirs[n]
+            return layer_dirs.pop(n)
 
     elif spec.family in ("exp_decay", "harmonic"):
         phase_dirs = _drift_directions(

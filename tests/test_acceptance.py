@@ -81,7 +81,8 @@ def prepared():
         seq, kind = inst.build()
         ctx = BoundContext(seq, kind, inst.activation(), inst.p, inst.extension)
         samples = inst.domain().uniform_samples(SAMPLE_COUNT, SAMPLE_SEED)
-        traj = Trajectory(ctx, samples.T, REFERENCE_DEPTH)
+        gaps = range(1, REFERENCE_DEPTH)
+        traj = Trajectory(ctx, samples.T, REFERENCE_DEPTH, gaps=gaps)
         out.append(PreparedInstance(inst, ctx, traj))
     return out, time.perf_counter() - t0
 
@@ -223,7 +224,7 @@ def test_criterion_4_deviation_dominance(prepared, capsys):
     worst_gap = 0.0
     scalar_ctx = BoundContext(seq, PLAIN, relu(), ONE)
     for n, m in ((1, 1), (2, 3), (3, 2), (5, 4)):
-        traj = Trajectory(scalar_ctx, [1.0], n + m)
+        traj = Trajectory(scalar_ctx, [1.0], n + m, gaps=(m,))
         bound = deviation_bound_ctx(scalar_ctx, traj, n, m)
         closed_form = 0.4**n - 0.4 ** (n + m)
         emp = abs(

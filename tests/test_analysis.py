@@ -161,7 +161,7 @@ class TestAprioriBound:
         dom = Domain(3, 1.0)
         bound_cache = {n: apriori_bound_ctx(ctx, n, dom.norm_bound(ONE)) for n in (1, 3, 6)}
         for x in dom.uniform_samples(30, seed=2):
-            traj = Trajectory(ctx, x, 6)
+            traj = Trajectory(ctx, x, 6, gaps=())
             for n, bound in bound_cache.items():
                 assert traj.state_norm(n) <= bound * (1 + 1e-9)
 
@@ -178,7 +178,7 @@ class TestDeviationBound:
     def test_scalar_net_achieves_equality(self):
         ctx = BoundContext(scalar_net(0.4), PLAIN, relu(), ONE)
         for n, m in ((1, 1), (3, 2), (5, 4)):
-            traj = Trajectory(ctx, [1.0], n + m)
+            traj = Trajectory(ctx, [1.0], n + m, gaps=(m,))
             bound = deviation_bound_ctx(ctx, traj, n, m)
             emp = traj.deviation(n, n + m)
             exact = 0.4**n - 0.4 ** (n + m)
@@ -189,14 +189,14 @@ class TestDeviationBound:
     def test_head_start_term_alone_at_depth_one(self):
         # n = 1 keeps only the third term: |W_{m+1} N_m(x) - W_1 x|
         ctx = BoundContext(scalar_net(0.4), PLAIN, relu(), ONE)
-        got = deviation_bound_ctx(ctx, Trajectory(ctx, [1.0], 4), 1, 3)
+        got = deviation_bound_ctx(ctx, Trajectory(ctx, [1.0], 4, gaps=(3,)), 1, 3)
         assert got == pytest.approx(0.4 - 0.4**4, rel=1e-14)
 
     def test_dominates_drifting_network(self):
         seq = drifting_net()
         ctx = BoundContext(seq, PLAIN, relu(), ONE)
         for x in Domain(3, 1.0).uniform_samples(15, seed=4):
-            traj = Trajectory(ctx, x, 9)
+            traj = Trajectory(ctx, x, 9, gaps=(2, 3, 5))
             for n, m in ((1, 2), (2, 3), (4, 5), (6, 3)):
                 bound = deviation_bound_ctx(ctx, traj, n, m)
                 emp = traj.deviation(n, n + m)
@@ -212,7 +212,7 @@ class TestDeviationBound:
         net = build(spec)
         ctx = BoundContext(net.seq, Conv(net.masks), sigmoid(), INF, CONSTANT_PAD)
         for x in Domain(2, 1.0).uniform_samples(8, seed=1):
-            traj = Trajectory(ctx, x, 7)
+            traj = Trajectory(ctx, x, 7, gaps=(2, 3))
             for n, m in ((1, 2), (3, 2), (4, 3)):
                 bound = deviation_bound_ctx(ctx, traj, n, m)
                 assert traj.deviation(n, n + m) <= bound * (1 + 1e-9)
@@ -220,7 +220,7 @@ class TestDeviationBound:
     def test_rejects_bad_depths(self):
         with pytest.raises(ValueError, match="n >= 1"):
             ctx = BoundContext(scalar_net(0.4), PLAIN, relu(), ONE)
-            deviation_bound_ctx(ctx, Trajectory(ctx, [1.0], 1), 0, 1)
+            deviation_bound_ctx(ctx, Trajectory(ctx, [1.0], 1, gaps=()), 0, 1)
 
 
 class TestLimitConstants:
@@ -326,7 +326,7 @@ class TestLimitBound:
             for n in (2, 4, 8)
         }
         for x in Domain(3, 1.0).uniform_samples(10, seed=6):
-            traj = Trajectory(ctx, x, ref)
+            traj = Trajectory(ctx, x, ref, gaps=())
             for n, budget in pair.items():
                 assert traj.deviation(n, ref) <= budget * (1 + 1e-9)
 
@@ -458,7 +458,7 @@ class TestMaskConditions:
 class TestTrajectory:
     def test_product_gap_hand_computed(self):
         ctx = BoundContext(scalar_net(0.4), PLAIN, relu(), ONE)
-        traj = Trajectory(ctx, [1.0], 4)
+        traj = Trajectory(ctx, [1.0], 4, gaps=(2,))
         # |W_3 N_2(x) - W_1 x| = |0.4 * 0.16 - 0.4|
         assert traj.product_gap(2) == pytest.approx(0.4 - 0.4**3, rel=1e-14)
 
@@ -466,7 +466,7 @@ class TestTrajectory:
         seq = drifting_net()
         ctx = BoundContext(seq, PLAIN, relu(), ONE)
         x = np.array([0.3, -0.8, 0.5])
-        traj = Trajectory(ctx, x, 5)
+        traj = Trajectory(ctx, x, 5, gaps=())
         from dnclab.network import eval_trajectory
 
         for n in (1, 3, 5):
@@ -476,7 +476,7 @@ class TestTrajectory:
     def test_empirical_sup_is_max_over_samples(self):
         ctx = BoundContext(scalar_net(0.4), PLAIN, relu(), ONE)
         samples = [[0.2], [1.0], [-0.6]]
-        got = max(Trajectory(ctx, x, 4).deviation(2, 4) for x in samples)
+        got = max(Trajectory(ctx, x, 4, gaps=()).deviation(2, 4) for x in samples)
         assert got == pytest.approx((0.4**2 - 0.4**4) * 1.0, rel=1e-12)
 
 

@@ -413,6 +413,6 @@ def test_batched_recursion_matches_per_sample_loop(label):
                 assert_same_bits(got[:, s], v)
     # a trajectory over the batch agrees with the one over a single column
     ctx = BoundContext(seq, kind, act, inst.p, inst.extension)
-    full = Trajectory(ctx, xs, depth)
-    one = Trajectory(ctx, xs[:, 2], depth)
+    full = Trajectory(ctx, xs, depth, gaps=())
+    one = Trajectory(ctx, xs[:, 2], depth, gaps=())
     assert bits(full.state_norm(depth)[2]) == bits(one.state_norm(depth))

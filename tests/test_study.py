@@ -214,12 +214,13 @@ class TestBatchComposition:
         ctx = BoundContext(seq, kind, inst.activation(), inst.p, inst.extension)
         xs = inst.domain().uniform_samples(7, seed=41).T
         count = xs.shape[1]
-        full = Trajectory(ctx, xs, self.DEPTH)
-        rev = Trajectory(ctx, xs[:, ::-1], self.DEPTH)
+        every = range(1, self.DEPTH)
+        full = Trajectory(ctx, xs, self.DEPTH, gaps=every)
+        rev = Trajectory(ctx, xs[:, ::-1], self.DEPTH, gaps=every)
         for i in range(count):
             want = self._per_sample(ctx, full, i)
-            alone = Trajectory(ctx, xs[:, [i]], self.DEPTH)
-            vector = Trajectory(ctx, xs[:, i], self.DEPTH)
+            alone = Trajectory(ctx, xs[:, [i]], self.DEPTH, gaps=every)
+            vector = Trajectory(ctx, xs[:, i], self.DEPTH, gaps=every)
             for other, j in ((alone, 0), (vector, 0), (rev, count - 1 - i)):
                 got = self._per_sample(ctx, other, j)
                 for a, b in zip(want, got):
@@ -261,8 +262,8 @@ class TestBatchComposition:
         plan = self.LEAN_PLAN
         keep = study._trajectory_depths(plan)
         assert keep == {1, 2, 3, 4, 5, 6, 7, 8, 11, 12}
-        full = Trajectory(ctx, xs, plan.max_depth)
-        lean = Trajectory(ctx, xs, plan.max_depth, keep)
+        full = Trajectory(ctx, xs, plan.max_depth, gaps=range(1, plan.max_depth))
+        lean = Trajectory(ctx, xs, plan.max_depth, keep, gaps=plan.m_list)
         assert lean.kept == keep and full.kept == set(range(1, 13))
         for n in sorted(keep):
             got, want = lean.state(n), full.state(n)
@@ -288,7 +289,7 @@ class TestBatchComposition:
 
     def test_reading_an_unkept_depth_names_it(self):
         ctx = BoundContext(scalar_net(0.4), PLAIN, relu(), ONE)
-        lean = Trajectory(ctx, [[0.5, -0.25]], 12, {1, 2, 11, 12})
+        lean = Trajectory(ctx, [[0.5, -0.25]], 12, {1, 2, 11, 12}, gaps=(1, 2, 11, 12))
         for read in (
             lambda: lean.state(9),
             lambda: lean.state_norm(9),
@@ -300,7 +301,7 @@ class TestBatchComposition:
         with pytest.raises(ValueError, match="restart gap at depth 12"):
             lean.product_gap(12)  # kept, but the sweep has no layer 13
         with pytest.raises(ValueError, match=r"\[0, 13\]"):
-            Trajectory(ctx, [[0.5]], 12, {0, 5, 13})
+            Trajectory(ctx, [[0.5]], 12, {0, 5, 13}, gaps=())
 
 
 class NormAudit:
