@@ -141,8 +141,8 @@ def run(ctx, config_path, out_dir, threads, require_pass):
             click.echo(f"DOMINANCE VIOLATION: n={n} m={m} sample={i}")
         for n, i in result.apriori_violations:
             click.echo(f"A-PRIORI VIOLATION: n={n} sample={i}")
-        for n, ref in result.limit_violations:
-            click.echo(f"LIMIT-BOUND VIOLATION: n={n} reference={ref}")
+        for n, k in result.limit_violations:
+            click.echo(f"LIMIT-BOUND VIOLATION: n={n} vs depth {k}")
         ctx.exit(2)
     if require_pass and not result.passed:
         click.echo("convergence condition failed (--require-pass)")

@@ -389,4 +389,6 @@ def load_config(path: str) -> Experiment:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer past the digit limit, or not UTF-8
+        raise ConfigError(f"config {path} cannot be parsed: {exc}") from exc
     return parse_config(doc)

@@ -150,6 +150,9 @@ class StudyResult:
     rate_note: str
     dominance_violations: tuple[tuple[int, int, int], ...] = field(default=())
     apriori_violations: tuple[tuple[int, int], ...] = field(default=())
+    # (n, k): the sup deviation between depths n and k exceeded the limit
+    # pair J(n) + J(k); the grid rows' (n, n + m) come first, then the state
+    # rows' (n, reference depth)
     limit_violations: tuple[tuple[int, int], ...] = field(default=())
 
     @property
@@ -272,6 +275,7 @@ def convergence_study(
     slack = 1.0 + _DOMINANCE_RTOL
     rows: list[StudyRow] = []
     dominance_violations: list[tuple[int, int, int]] = []
+    limit_violations: list[tuple[int, int]] = []
     for n in depths.n_list:
         for m in depths.m_list:
             dev = traj.deviation(n, n + m)
@@ -281,6 +285,8 @@ def convergence_study(
             sup_dev, worst = _sup(dev)
             pair = lb[n] + lb[n + m] if constants is not None else None
             limit_ok = None if pair is None else sup_dev <= pair * slack
+            if limit_ok is False:
+                limit_violations.append((n, n + m))
             rows.append(
                 StudyRow(
                     n, m, sup_dev, _sup(bnd)[0], pair, bad.size == 0, limit_ok, worst
@@ -290,7 +296,6 @@ def convergence_study(
     x_bound = domain.norm_bound(p)
     state_rows: list[StateRow] = []
     apriori_violations: list[tuple[int, int]] = []
-    limit_violations: list[tuple[int, int]] = []
     for n in (*depths.n_list, ref):
         apri = apriori_bound_ctx(ctx, n, x_bound)
         norms = traj.state_norm(n)

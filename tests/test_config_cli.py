@@ -429,6 +429,22 @@ class TestOtherCommands:
         assert "Traceback" not in result.stderr
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["run", "check", "rates", "bounds"])
+    def test_integer_past_the_digit_limit_is_exit_1(self, tmp_path, command):
+        """A JSON integer of 5,001 digits exceeds Python's integer-string
+        limit inside ``json.load``; the error names the config file."""
+        text = json.dumps(base_doc(domain={"bound": 0.0}))
+        text = text.replace('"bound": 0.0', '"bound": 1' + "0" * 5000)
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(text)
+        result = CliRunner().invoke(
+            main, [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+        )
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"Error: config {cfg} cannot be parsed" in result.stderr
+        assert "Traceback" not in result.stderr
+
     @pytest.mark.parametrize("key", ["report", "table"])
     def test_unwritable_output_is_exit_1(self, tmp_path, key):
         """An output file in a missing directory ends in ``Error: ...`` and

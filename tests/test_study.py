@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from dnclab import analysis, linalg, study
 from dnclab.activations import relu
@@ -16,6 +17,7 @@ from dnclab.analysis import (
     Trajectory,
     deviation_bound_ctx,
 )
+from dnclab.cli import main
 from dnclab.config import load_config, parse_config
 from dnclab.corpus import control_instances, corpus_instances
 from dnclab.linalg import (
@@ -115,6 +117,35 @@ class TestConvergenceStudy:
             convergence_study(
                 scalar_net(0.4), PLAIN, relu(), ONE, Domain(2, 1.0), SMALL_SAMPLER
             )
+
+
+def _limit_bound_zero_at(*depths):
+    """A stand-in for ``limit_bound_ctx``: 0.0 at ``depths``, 1e3 elsewhere.
+    A grid row (n, n + m) with both depths listed then fails its limit
+    check while every state row (n, reference) passes."""
+    return lambda ctx, n, constants: 0.0 if n in depths else 1e3
+
+
+class TestRowLimitVerdict:
+    def test_failing_grid_row_is_a_limit_violation(self, monkeypatch):
+        monkeypatch.setattr(study, "limit_bound_ctx", _limit_bound_zero_at(6, 9))
+        res = run_scalar()
+        failed = [(r.n, r.m) for r in res.rows if r.limit_ok is False]
+        assert failed == [(6, 3)]
+        assert all(s.limit_ok is not False for s in res.state_rows)
+        assert res.limit_violations == ((6, 9),)
+        assert not res.bounds_ok and not res.passed
+        assert "limit=1" in res.summary()
+
+    def test_failing_grid_row_makes_run_exit_2(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(study, "limit_bound_ctx", _limit_bound_zero_at(12, 20))
+        cfg = Path(__file__).resolve().parents[1] / "sample_configs/dense_exp_decay.json"
+        result = CliRunner().invoke(
+            main, ["run", "--config", str(cfg), "--out", str(tmp_path)]
+        )
+        assert result.exit_code == 2, result.output
+        assert "LIMIT-BOUND VIOLATION: n=12 vs depth 20" in result.output
+        assert result.output.count("LIMIT-BOUND VIOLATION") == 1
 
 
 class TestCorpusSmoke:
