@@ -68,7 +68,6 @@ from .linalg import (
     extend_vector,
     induced_norm,
     matvec,
-    norm_upper_bound,
     seq_sum,
     toeplitz_matrix,
     vector_norm,

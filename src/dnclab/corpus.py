@@ -13,8 +13,9 @@ The corpus spans the whole parameter cube the laboratory claims to cover:
   exponential envelope, vanishing and constant-limit convolution masks;
 * norms — p in {1, 2, inf} round-robin on dense families; convolutional
   instances stay on {1, inf}, where banded operator norms are exact column/
-  row sums (p = 2 power iteration on the growing Toeplitz sections would
-  dominate the runtime without adding coverage — dense families exercise it).
+  row sums (certified p = 2 norms of the growing Toeplitz sections would
+  dominate the runtime without adding coverage — dense families exercise
+  them).
 
 Every instance dials the limiting contraction factor omega = L*P*|W*| to a
 target strictly below 1; `controls()` returns deliberately diverging

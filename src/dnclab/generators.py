@@ -7,7 +7,9 @@ in closed form rather than estimated:
   induced norm) in the top-left corner of every layer and add a drift
   ``scale * decay(n) * D_n`` with ``D_n`` of unit induced norm — so the
   zero-padded distance to the limit is |W_n - W*| = scale * decay(n)
-  exactly, and likewise |b_n - b*| = bias_scale * decay(n);
+  (exactly at p in {1, inf}; at p = 2 the unit is a certified norm, so the
+  exact distance is at most that, up to rounding), and likewise
+  |b_n - b*| = bias_scale * decay(n);
 * convolutional families drive the masks directly
   (``limit + base * rate^n`` etc.), so mask sums and mask limits are exact
   by construction.
@@ -77,9 +79,14 @@ def _rng(seed: int, role: str, *index: int) -> np.random.Generator:
 
 
 def rescale_to_norm(w, target: float, p: PNorm) -> np.ndarray:
-    """Scale a matrix, or each matrix of a ``(K, rows, cols)`` stack, so its
-    induced p-norm equals ``target``.  A stack takes one :func:`induced_norm`
-    call, and each member gets the same bits as rescaled alone."""
+    """Scale a matrix, or each matrix of a ``(K, rows, cols)`` stack, by
+    ``target`` over its :func:`induced_norm`.  At p in {1, inf} the norm
+    then equals ``target`` up to rounding; at p = 2 the divisor is a
+    certified upper bound, so the exact norm is at most ``target`` up to
+    rounding and the certified norm that every bound reads is at most
+    ``target`` within 1e-11 relative.  A stack takes one
+    :func:`induced_norm` call, and each member gets the same bits as
+    rescaled alone."""
     arr = np.asarray(w, dtype=np.float64)
     cur = np.asarray(induced_norm(arr, p))
     if (cur == 0.0).any():
@@ -192,8 +199,8 @@ class GenSpec:
 
     Matrix families need ``widths`` (an int for fixed width or a tuple for
     a cyclic schedule); ``norm_target`` rescales the core so the limit
-    matrix has exactly that induced norm_p norm (handy for dialing the
-    contraction factor).  The convolutional family ("conv") instead takes a
+    matrix has that induced norm_p norm (:func:`rescale_to_norm`; handy for
+    dialing the contraction factor).  The convolutional family ("conv") instead takes a
     :class:`MaskSpec` and grows widths arithmetically by its band width.
     ``extra_rows`` reserves pooling rows (weights are (width + extra_rows) x
     previous width) and must match the pooling window later attached.

@@ -1,18 +1,41 @@
 """Independent oracles for the test suite.
 
 Everything here is written the dumb way on purpose — literal loops, numpy's
-LAPACK-backed SVD, textbook definitions — so that agreement with the
-library is evidence, not circularity.
+LAPACK-backed SVD, mpmath's arbitrary-precision SVD, textbook definitions —
+so that agreement with the library is evidence, not circularity.
 """
 
-import math
 
+import mpmath
 import numpy as np
 
 
 def svd_spectral_norm(a) -> float:
     """Largest singular value straight from LAPACK."""
     return float(np.linalg.svd(np.asarray(a, dtype=np.float64), compute_uv=False)[0])
+
+
+def mp_spectral_norm(a, dps: int = 40) -> mpmath.mpf:
+    """Largest singular value of the double matrix ``a``, exact to about
+    ``dps`` digits: mpmath's SVD of the same entries (a double converts to
+    an mpf exactly), at ``dps`` significant digits."""
+    a = np.asarray(a, dtype=np.float64)
+    with mpmath.workdps(dps):
+        m = mpmath.matrix([[mpmath.mpf(float(x)) for x in row] for row in a])
+        return max(mpmath.svd_r(m, compute_uv=False))
+
+
+def norm_upper_bound(a, p) -> float:
+    """Interpolation upper bound |A|_1^(1/p) * |A|_inf^(1-1/p), 1 < p < inf.
+
+    This bounds the induced l_p norm for every intermediate exponent
+    (Riesz-Thorin between the two exact endpoints); at p = 2 it reduces to
+    the familiar sqrt(|A|_1 |A|_inf) >= largest singular value.
+    """
+    if p.p <= 1.0 or p.is_inf:
+        raise ValueError("norm_upper_bound covers 1 < p < inf only")
+    t = 1.0 / p.p
+    return (abs_col_sum_norm(a) ** t) * (abs_row_sum_norm(a) ** (1.0 - t))
 
 
 def abs_col_sum_norm(a) -> float:
@@ -95,9 +118,8 @@ def nested_weighted_tail_sum(alphas, betas, n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# per-element kernels, the per-matrix power iteration and the per-sample
-# recursion: the loop forms the batched library kernels replaced, kept as
-# bit-exact references
+# per-element kernels and the per-sample recursion: the loop forms the
+# batched library kernels replaced, kept as bit-exact references
 # ---------------------------------------------------------------------------
 
 
@@ -126,49 +148,6 @@ def nested_gram(m) -> np.ndarray:
         for j in range(i, cols):
             gram[i, j] = gram[j, i] = left_to_right_sum(m[:, i] * m[:, j])
     return gram
-
-
-def _rayleigh_iterate(gram, v0, steps) -> float:
-    """Power iteration on one Gram matrix from one start, one matrix-vector
-    product at a time: the Rayleigh estimate at the first step whose
-    estimate moved by at most 1e-12 relative, or at step 200; 0.0 if the
-    start is annihilated.  Appends the number of steps taken to ``steps``."""
-    v = v0 / math.sqrt(left_to_right_sum(v0 * v0))
-    lam = 0.0
-    lam_prev = -1.0
-    for step in range(1, 201):
-        w = rowwise_matvec(gram, v)
-        lam = left_to_right_sum(v * w)
-        nw = math.sqrt(left_to_right_sum(w * w))
-        if nw == 0.0:
-            steps.append(step)
-            return 0.0
-        v = w / nw
-        if lam_prev >= 0.0 and abs(lam - lam_prev) <= 1.0e-12 * abs(lam):
-            break
-        lam_prev = lam
-    steps.append(step)
-    return max(lam, 0.0)
-
-
-def per_matrix_spectral_norm(m, steps=None) -> float:
-    """Largest singular value of one matrix by power iteration on its Gram
-    matrix: the all-ones start, then the ramp 1 + i/(cols+1), then each
-    coordinate vector, until a start gives a positive estimate; 0.0 for a
-    zero Gram matrix.  ``steps``, if given, receives the step count of each
-    start tried."""
-    m = np.asarray(m, dtype=np.float64)
-    cols = m.shape[1]
-    gram = nested_gram(m)
-    steps = [] if steps is None else steps
-    if not gram.any():
-        return 0.0
-    starts = [np.ones(cols), 1.0 + np.arange(cols) / (cols + 1.0), *np.eye(cols)]
-    for v0 in starts:
-        lam = _rayleigh_iterate(gram, v0, steps)
-        if lam > 0.0:
-            return math.sqrt(lam)
-    return 0.0
 
 
 def elementwise_apply_banded(mask, head, tail) -> tuple[np.ndarray, float]:

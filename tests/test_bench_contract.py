@@ -165,8 +165,8 @@ DENSE_P2_CONFIG = {
 
 def test_traced_run_sees_the_stacked_p2_norms(tmp_path):
     """The tracer wraps ``induced_norm`` for stacked operands too: a p = 2
-    dense run records its spans, and the power iterations no longer go
-    through ``matvec`` (what is left is the first-layer products).  One
+    dense run records its spans, and the p = 2 norms do not go through
+    ``matvec`` (what is left is the first-layer products).  One
     norm cache makes four stacked p = 2 calls, none on an operand seen
     before: |W*|, then the constants scan (W_1 alone; W_2..W_48 with E_48),
     then the grid's drifts and limit drifts."""

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dnclab.activations import relu, sigmoid
-from dnclab.analysis import BoundContext
+from dnclab.analysis import BoundContext, check_condition
 from dnclab import generators
 from dnclab.generators import (
     MASK_FAMILIES,
@@ -18,6 +18,8 @@ from dnclab.generators import (
 )
 from dnclab.linalg import INF, ONE, TWO, induced_norm, vector_norm
 from dnclab.network import CONSTANT_PAD, PLAIN, Conv
+
+import oracles
 
 
 EXP = GenSpec(
@@ -37,6 +39,32 @@ class TestRescale:
     def test_zero_matrix_rejected(self):
         with pytest.raises(ValueError, match="zero"):
             rescale_to_norm(np.zeros((2, 2)), 1.0, ONE)
+
+    def test_spectral_rescale_is_certified_at_its_target(self):
+        rng = np.random.default_rng(1)
+        for shape in ((4, 3), (16, 16)):
+            out = rescale_to_norm(rng.uniform(-1, 1, shape), 0.7, TWO)
+            certified = induced_norm(out, TWO)
+            assert oracles.mp_spectral_norm(out) <= min(certified, 0.7 * (1 + 1e-15))
+            assert certified == pytest.approx(0.7, rel=1e-11)
+
+    def test_seed_113_limit_norm_bounds_the_exact_norm(self):
+        """A 200-step power iteration reported |W*|_2 = 0.999 for this core
+        when its exact norm was 1.00276.  The core is now divided by a
+        certified norm, so the reported |W*|_2 bounds the exact one and the
+        condition passes on a true contraction."""
+        spec = GenSpec(
+            "exp_decay", input_dim=3, widths=16, seed=113, rate=0.5,
+            norm_target=0.999, norm_p=TWO,
+        )
+        seq = build(spec).seq
+        ctx = BoundContext(seq, PLAIN, relu(), TWO)
+        exact = oracles.mp_spectral_norm(seq.weight_limit)
+        assert ctx.weight_limit_norm >= exact
+        assert ctx.weight_limit_norm >= np.linalg.norm(seq.weight_limit, 2)
+        assert ctx.weight_limit_norm <= 0.999 * (1 + 1e-11)
+        verdict = check_condition(ctx)
+        assert verdict.method == "analytic" and verdict.passed
 
 
 class TestGenSpecValidation:

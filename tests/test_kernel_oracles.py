@@ -9,6 +9,7 @@ last-bit drift counts as a mismatch.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -149,13 +150,21 @@ def test_gram_matches_nested_row_sums(rows, cols, count, seed, signed_zeros):
         assert_same_bits(grams[:, :, k], oracles.nested_gram(ms[k]))
 
 
-SPECTRAL_KINDS = ("normal", "zero", "rank_one", "sparse", "near_repeated", "ones_null")
+SPECTRAL_KINDS = (
+    "normal",
+    "zero",
+    "rank_one",
+    "sparse",
+    "near_repeated",
+    "ones_null",
+    "ramp_null",
+)
 
 
 def spectral_member(kind: str, rows: int, cols: int, rng) -> np.ndarray:
-    """One test matrix: the all-ones start annihilates ``ones_null``, and
-    ``near_repeated`` (top singular values 1 and 0.995) runs to the
-    200-step cap."""
+    """One test matrix: the all-ones start annihilates ``ones_null``, the
+    ramp start (up to rounding) also ``ramp_null``, and ``near_repeated``
+    has the top singular values 1 and 0.995."""
     if kind == "zero":
         return np.zeros((rows, cols))
     if kind == "rank_one":
@@ -175,6 +184,12 @@ def spectral_member(kind: str, rows: int, cols: int, rng) -> np.ndarray:
         m[:, 0] = rng.normal(size=rows)
         m[:, 1] = -m[:, 0]
         return m
+    if kind == "ramp_null" and cols >= 3:
+        m = np.zeros((rows, cols))
+        m[:, 0] = rng.normal(size=rows)
+        m[:, 1] = -2.0 * m[:, 0]
+        m[:, 2] = m[:, 0]
+        return m
     return rng.normal(size=(rows, cols))
 
 
@@ -187,41 +202,73 @@ def spectral_stacks(draw):
     return np.stack([spectral_member(k, rows, cols, rng) for k in kinds])
 
 
-# (entries up to which one accumulation call forms the Gram products,
-# Gram entries per chunk): the kernel's defaults, the column-by-column
-# products everywhere, and one matrix per chunk
+# (entries up to which one accumulation call forms the Gram products and
+# the Gram-Schmidt corrections, Gram entries per chunk, product-buffer
+# bytes): the kernel's defaults, the one-at-a-time additions everywhere,
+# one matrix per chunk, and one row or vector per product buffer
 KERNEL_SETTINGS = (
-    (linalg._ONE_CALL_ENTRIES, linalg._GRAM_ENTRIES),
-    (0, linalg._GRAM_ENTRIES),
-    (linalg._ONE_CALL_ENTRIES, 1),
+    (linalg._ONE_CALL_ENTRIES, linalg._GRAM_ENTRIES, linalg._GRAM_BLOCK_BYTES),
+    (0, linalg._GRAM_ENTRIES, linalg._GRAM_BLOCK_BYTES),
+    (linalg._ONE_CALL_ENTRIES, 1, linalg._GRAM_BLOCK_BYTES),
+    (linalg._ONE_CALL_ENTRIES, linalg._GRAM_ENTRIES, 8),
 )
 
 
-def assert_stack_matches(stack: np.ndarray, want: np.ndarray) -> None:
-    """Each matrix's p = 2 norm has the oracle's bits alone, in the stack and
-    in the reversed stack, under every kernel setting."""
-    for one_call, gram_entries in KERNEL_SETTINGS:
+def assert_stack_matches(stack: np.ndarray) -> np.ndarray:
+    """Each matrix's p = 2 norm has the bits it has alone, in the stack and
+    in the reversed stack, under every kernel setting.  Returns the norms."""
+    want = np.array([induced_norm(m, TWO) for m in stack])
+    for one_call, gram_entries, block_bytes in KERNEL_SETTINGS:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(linalg, "_ONE_CALL_ENTRIES", one_call)
             mp.setattr(linalg, "_GRAM_ENTRIES", gram_entries)
+            mp.setattr(linalg, "_GRAM_BLOCK_BYTES", block_bytes)
             assert_same_bits(induced_norm(stack, TWO), want)
             assert_same_bits(induced_norm(stack[::-1], TWO), want[::-1])
-    for m, w in zip(stack, want):
-        assert bits(induced_norm(m, TWO)) == bits(w)
+    return want
+
+
+def assert_certified(got, stack) -> None:
+    """Each p = 2 value is at least the largest singular value (mpmath, 40
+    digits) and at most 1e-9 relative above it; a zero matrix gets 0.0."""
+    for value, m in zip(np.asarray(got).tolist(), stack):
+        sigma = oracles.mp_spectral_norm(m)
+        assert value >= sigma
+        assert value <= sigma * (1 + mpmath.mpf("1e-9"))
+        assert (value == 0.0) == (not m.any())
 
 
 @settings(max_examples=40, deadline=None)
 @given(spectral_stacks())
-def test_stacked_spectral_norm_matches_per_matrix_oracle(stack):
-    want = np.array([oracles.per_matrix_spectral_norm(m) for m in stack])
-    assert_stack_matches(stack, want)
+def test_stacked_spectral_norm_matches_alone(stack):
+    assert_stack_matches(stack)
 
 
-def test_spectral_restarts_cap_and_mixed_stopping_steps():
+@settings(max_examples=60, deadline=None)
+@given(spectral_stacks())
+def test_spectral_norm_is_a_tight_certified_upper_bound(stack):
+    assert_certified(induced_norm(stack, TWO), stack)
+
+
+def _record_lanczos_starts(mp) -> list:
+    """Make every Lanczos run append its start columns, normalised to a
+    largest entry of 1, to the returned list."""
+    starts = []
+    run = linalg._lanczos
+
+    def recording(g, v0):
+        starts.append(np.asarray(v0) / np.abs(v0).max(axis=0))
+        return run(g, v0)
+
+    mp.setattr(linalg, "_lanczos", recording)
+    return starts
+
+
+def test_spectral_restarts_cap_and_mixed_stopping_steps(monkeypatch):
     rng = np.random.default_rng(11)
     members = {
         "zero": np.zeros((2, 4)),
-        # A 1 = 0 for the all-ones start; the ramp start succeeds
+        # A 1 = 0: the all-ones run breaks down at once, the ramp start succeeds
         "ones_null": np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]),
         # the ramp 1 + i/5 is annihilated too; e_0 succeeds
         "ramp_null": np.array([[1.0, -2.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0]]),
@@ -229,24 +276,49 @@ def test_spectral_restarts_cap_and_mixed_stopping_steps():
         "rank_one": spectral_member("rank_one", 2, 4, rng),
         "normal": rng.normal(size=(2, 4)),
     }
-    steps = {}
-    want = []
-    for name, m in members.items():
-        steps[name] = []
-        want.append(oracles.per_matrix_spectral_norm(m, steps[name]))
-    assert steps["zero"] == []
-    assert len(steps["ones_null"]) == 2 and steps["ones_null"][0] == 1
-    assert len(steps["ramp_null"]) == 3 and steps["ramp_null"][:2] == [1, 1]
-    assert steps["near_repeated"] == [200]
-    # the members that run leave the stack at different steps
-    finals = [s[-1] for s in steps.values() if s]
-    assert len(set(finals)) >= 3
-    assert_stack_matches(np.stack(list(members.values())), np.array(want))
+    stack = np.stack(list(members.values()))
+    starts = _record_lanczos_starts(monkeypatch)
+    got = induced_norm(stack, TWO)
+    ramp = 1.0 + np.arange(4) / 5.0
+    # the zero member never runs; two members restart, one of them twice
+    assert [s.shape[1] for s in starts] == [5, 2, 1]
+    np.testing.assert_array_equal(starts[0], 1.0)
+    np.testing.assert_array_equal(starts[1], np.stack([ramp, ramp], axis=1) / ramp[-1])
+    np.testing.assert_array_equal(starts[2][:, 0], np.eye(4)[0])
+    assert_certified(got, stack)
+    monkeypatch.undo()
+    assert_same_bits(assert_stack_matches(stack), got)
     # the 1 x 2 difference operator alone and among other 1 x 2 matrices
     row = np.array([[[1.0, -1.0]], [[2.0, 1.0]], [[0.0, 0.0]]])
-    row_want = np.array([oracles.per_matrix_spectral_norm(m) for m in row])
-    assert row_want[0] == math.sqrt(2.0)
-    assert_stack_matches(row, row_want)
+    assert_certified(assert_stack_matches(row), row)
+
+
+def test_spectral_rungs_climb_and_end_at_the_frobenius_rung(monkeypatch):
+    """Thirty Lanczos steps cannot split a top pair 1e-10 apart in 40
+    columns, so its first rungs fail and the slack grows; with no rungs
+    left every member takes |A|_F^2, which still bounds it."""
+    rng = np.random.default_rng(5)
+    q = np.linalg.qr(rng.normal(size=(40, 40)))[0]
+    spectrum = np.concatenate([[1.0, 1.0 - 1e-10], np.linspace(0.9, 0.1, 38)])
+    clustered = (q * spectrum) @ q.T
+    stack = np.stack([clustered, rng.normal(size=(40, 40))])
+    rungs = []
+    rung = linalg._cholesky_rung
+
+    def recording(g, shift):
+        out = rung(g, shift)
+        rungs.append(out[0].tolist())
+        return out
+
+    monkeypatch.setattr(linalg, "_cholesky_rung", recording)
+    got = induced_norm(stack, TWO)
+    assert rungs[0] == [False, True] and len(rungs) > 1 and rungs[-1] == [True]
+    assert_certified(got, stack)
+    monkeypatch.setattr(linalg, "_RUNGS", 0)
+    capped = induced_norm(stack, TWO)
+    for value, m in zip(capped.tolist(), stack):
+        assert oracles.mp_spectral_norm(m) <= value
+        assert value <= math.sqrt(oracles.left_to_right_sum(m.ravel() ** 2)) * (1 + 1e-12)
 
 
 @settings(max_examples=60, deadline=None)
