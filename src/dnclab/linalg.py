@@ -236,10 +236,10 @@ _U = 2.0**-53
 _ETA = 2.0**-1074
 # Lanczos steps per start, at most (fewer when the matrix has fewer columns)
 _LANCZOS_STEPS = 30
-# the multisection splits a bracket into _SHIFTS + 1 parts per round; nine
-# rounds narrow it by 2^45, far below the first rung's 1e-12 slack
-_SHIFTS = 31
-_SECTION_ROUNDS = 9
+# the multisection splits a bracket into _SHIFTS + 1 parts per round; twelve
+# rounds narrow it by 2^48, far below the first rung's 1e-12 slack
+_SHIFTS = 15
+_SECTION_ROUNDS = 12
 # rung k factors theta * (1 + _RUNG_SLACK * 10^k) I - G; past the last rung
 # (or once a rung reaches it) the Frobenius rung |A|_F^2 is taken
 _RUNG_SLACK = 1.0e-12
@@ -383,7 +383,7 @@ def _top_ritz_values(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     ``alpha[:, k]``, off-diagonal ``beta[:, k]``), by Sturm multisection.
 
     The bracket starts at [max diagonal, Gershgorin bound]; each round
-    counts the negative pivots of T - xI at 31 evenly spaced shifts x for
+    counts the negative pivots of T - xI at 15 evenly spaced shifts x for
     every member at once and keeps the part between the last shift below
     the top eigenvalue and the first above it.  Each tridiagonal is first
     scaled by a power of two (exactly), so no square overflows, and a zero
@@ -502,9 +502,11 @@ def _top_eigenvalue_bounds(ms: np.ndarray) -> np.ndarray:
     rows, cols = ms.shape[1:]
     diag = np.arange(cols)
     # a Gram matrix whose diagonal is below 1/2 is scaled up by a power of
-    # two (exactly), so no square in the Lanczos run underflows; everything
-    # below works on the scaled matrices, down to the final division
-    scale = np.ldexp(1.0, np.maximum(0, -np.frexp(g[diag, diag].max(axis=0))[1]))
+    # two (exactly, and by at most 2^1000, which stays finite), so no square
+    # in the Lanczos run underflows; everything below works on the scaled
+    # matrices, down to the final division
+    exponent = np.clip(-np.frexp(g[diag, diag].max(axis=0))[1], 0, 1000)
+    scale = np.ldexp(1.0, exponent)
     g *= scale
     tiny = scale * (rows * cols * _ETA)  # the Gram products' underflow, scaled
     # |A|_F^2 from the Gram diagonal: each entry sums squares, so it is low

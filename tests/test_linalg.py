@@ -136,6 +136,19 @@ class TestInducedNorm:
                 induced_norm(stack, TWO)
         assert induced_norm(a, ONE) > 0.0  # the exact norms stay in range
 
+    @pytest.mark.parametrize("scale", [1e-140, 1e-151, 1e-160])
+    def test_tiny_matrices_stay_certified(self, scale):
+        """Squares of the Lanczos vectors of such a Gram matrix would
+        underflow, so it is scaled up by a power of two first.  The bracket
+        stays tight while the Gram entries are normal doubles; subnormal
+        ones (at 1e-160) carry too few bits for that, but the value is
+        still certified."""
+        a = np.random.default_rng(8).normal(size=(3, 4)) * scale
+        value = induced_norm(a, TWO)
+        sigma = oracles.mp_spectral_norm(a)
+        assert sigma <= value
+        assert value <= sigma * (1 + (1e-9 if scale > 1e-154 else 1e-2))
+
     def test_partial_gram_underflow_keeps_its_norm(self):
         """The 1e-170 entry squares to 0.0 in the Gram matrix; the certified
         value still brackets the exact norm 1 from above, tightly."""
