@@ -35,11 +35,11 @@ CONFIGS = ("dense_exp_decay", "conv_constant_limit")
 STAMPED = ("report.json", "rates.json", "verdicts.json")
 
 GOLDEN = {
-    "dense_exp_decay/run/report.json": "26098d78c9857918b1a3c415cf895d8e12dcf6d00076bbe7e494742444f2f4a4",
-    "dense_exp_decay/run/table.csv": "f215605f3ed1ea24e092dcdc9e450cf644d46ed7f47bf7668a392e2e779fb098",
+    "dense_exp_decay/run/report.json": "ca5ad0da906a91203425dc9407a8840376b30ddf72c85617aa4d03c373b2506e",
+    "dense_exp_decay/run/table.csv": "b3e9813053950a2f4534a119d007b02f9076059aaa8471e77e973d1ed7a9eb45",
     "dense_exp_decay/rates/rates.json": "009a6f4223e83f39822744602681b166d5f2e2d757830e5229f73f0cc180912f",
-    "dense_exp_decay/check/verdicts.json": "96eb9e599cc413746edf350f7bf40b4e48bcccb50aa041d50db5ecfa19d3f0af",
-    "dense_exp_decay/bounds/bounds.csv": "3f35e7a77f3eaa7588b86cf5060f65898444565b80e3516e759ade074d7fc641",
+    "dense_exp_decay/check/verdicts.json": "001dd62d1d7911222f136c7e04e1d09e5e3e7a3e2cab68ac3495dce66ed53545",
+    "dense_exp_decay/bounds/bounds.csv": "ef91f550d9e05342b6ec40ff23225aa317b8f67219ce83dda58b880634fcbc9a",
     "conv_constant_limit/run/report.json": "1ca6d00d756da3f277d73cf652f7d311575fb7fdfbde415d154be62c8a639645",
     "conv_constant_limit/run/table.csv": "aa2d077e2e5e99ae43d343a27f2c0e9b3d73043e24928babc77b315201894925",
     "conv_constant_limit/rates/rates.json": "ffc899b778e1b6eb8ebb3d2443aa44a1d0a736f607aba304c84c681c18c704e5",
@@ -51,37 +51,37 @@ GOLDEN = {
 
 STUDY_GOLDEN = {
     "corpus/fixed4-constant-relu-p1": "2d0707070c6458d0dc1c0c7f2d90892c2b845780e1a82f686c943fadeab553c0",
-    "corpus/fixed4-constant-prelu-p2": "5f5d48600c15331542de327c0dff7795a04591d9044e6c1195cbf530e5787f96",
+    "corpus/fixed4-constant-prelu-p2": "9290907cbff4f69dd94289749d1cda5870a58e434e2d7fee081ab02ec56b1c42",
     "corpus/fixed4-constant-selu-pinf": "34bfaf57455a1cac9e4d14ff6c8ec6da2572b7ac48d4de884c0147788bc72d32",
     "corpus/fixed4-constant-sigmoid-p1": "1b6e43953758f103aa417f9343924602f55d1e5550ae2f6d53bae296ad0d28a4",
-    "corpus/fixed4-exp_decay-relu-p2": "c30dd49faee53572f747b9373739415fca0d07a6678c39531e72b98aed3638fa",
+    "corpus/fixed4-exp_decay-relu-p2": "e9b9e62678662dabde830d20236d010d2fa4fef886d170c4e18d83650404c87f",
     "corpus/fixed4-exp_decay-prelu-pinf": "ea2ef3812a9bb79f7f2effa0bd746daa21d77ae2e54a2ad62912008254a5bbf6",
     "corpus/fixed4-exp_decay-selu-p1": "bc23868048db348050bc0881e6f2ab625d02e17ec1a4a7147e13f13332500c54",
-    "corpus/fixed4-exp_decay-sigmoid-p2": "e4c7c778ef4e6ca06d5d359bbd6105f3c642056ee80a1e9bd80e971249007fa9",
+    "corpus/fixed4-exp_decay-sigmoid-p2": "806f8f7459a7ecdaa99796d20a205e3f70f63fe42b5b0269e12a40344e19cb50",
     "corpus/fixed4-random_convergent-relu-pinf": "e0e862b449433b486dd5acffed06059cf248e231a93003b5f67cb291ba85279b",
     "corpus/fixed4-random_convergent-prelu-p1": "c5dd4929b95c94323b19dc9448c9f06ba260bf5bc9a205c5505344393c4dee37",
-    "corpus/fixed4-random_convergent-selu-p2": "bd8521318732eb896765d6e56f2af6d360b52bab2512829ad6aa98064aec9ded",
+    "corpus/fixed4-random_convergent-selu-p2": "0684804c9ddabe0cef083d7c1feb473207d35a5b40dfcb631be805c57b395fa8",
     "corpus/fixed4-random_convergent-sigmoid-pinf": "68325de86a153c6923c7770438cd146b1ff8745c174fa03cedc67f1c6f78a49d",
     "corpus/avg2-constant-relu-p1": "b6b0ada79eed8c04a1821a78214321cbb607c6ac661e3c3fd368a71a1e545a13",
-    "corpus/avg2-constant-prelu-p2": "23322482f28da8c43626e07d78d2465e7100fa1b48fbffe9befde2bb724d47e8",
+    "corpus/avg2-constant-prelu-p2": "bfd3b66901564d4fd281a6973f6d1d1c00c59869adbd4efd90e715b601df455e",
     "corpus/avg2-constant-selu-pinf": "e903c52f056658f8b2c4c0edf65b1bfa761444c67adcfe3d9b4604c3ded69748",
     "corpus/avg2-constant-sigmoid-p1": "3071cb3d97a9c2fa991f08e5dc74a77e2e06c5dcd6218ab45e050c3288689709",
-    "corpus/avg2-exp_decay-relu-p2": "bbce6c02ac32145d645b56c7f171f31fb358cad3a9a703c0c3a964af2741ba78",
+    "corpus/avg2-exp_decay-relu-p2": "89a7e7858b3543a519f815ff9368c5e7dca027a4331b01cec17a6968274455df",
     "corpus/avg2-exp_decay-prelu-pinf": "2c0a237ad3da662147cb7f86eb05c7232be780112cfbc2fa4d130da58776b23c",
     "corpus/avg2-exp_decay-selu-p1": "e3b36639b53150f0b15a5bfe5522d4beb8d1f56a83aba8e1ad7c6e7fed7a6661",
-    "corpus/avg2-exp_decay-sigmoid-p2": "eacc04def10e0555eab433c60a1c209f7bcedde96d5041574c1689a4f70c381c",
+    "corpus/avg2-exp_decay-sigmoid-p2": "778b3d602aa4d1fd4f101de14b85e1d3213f0e5fe6c27b989057de17123583f0",
     "corpus/max1-exp_decay-relu-pinf": "f103cf15cbc03a8adc826039c7dc645d2c4db0fa5cc1f66b82066ee606beb319",
     "corpus/max1-exp_decay-prelu-p1": "bcf14da566951ab3d2e6f904f35a3b44c72449f8cc32eb23bd045db1c436e857",
-    "corpus/max1-exp_decay-selu-p2": "c265c3af0f4b3a6a1160dee1bb7476aa0f0a73dfaf097f2dd89e7148288abdc8",
+    "corpus/max1-exp_decay-selu-p2": "deef54369dd37db170937dd7195c80cb86bdac4535bd2b9d8c579e194e930f0e",
     "corpus/max1-exp_decay-sigmoid-pinf": "d978e98c8f870be69b6f0345baa8d978563b0aa3c2ae5cbbb5969daac5138c95",
     "corpus/cyc534-exp_decay-relu-p1": "a72e66ff071476cd78c2c4c293e7ba432b191f2321ba4b7943f92f65408ab617",
-    "corpus/cyc534-exp_decay-prelu-p2": "28e408cb89a3fd31dd52035c3fe28f946e1e3655ced50a72033c09453146aabf",
+    "corpus/cyc534-exp_decay-prelu-p2": "9909f4b8c66f7c3107d4f05687209c626b621f61abc96953c40c1d4deded89ec",
     "corpus/cyc534-exp_decay-selu-pinf": "92e00d141577372fa76fcb471a4646b889ba622d6e8410adf450f1567dcbce54",
     "corpus/cyc534-exp_decay-sigmoid-p1": "c168f6e446abbcac84e0e29ea7703122c13a31005d4d468c7b62091c1cd14013",
-    "corpus/cyc43-random_convergent-relu-p2": "42a6336426509554a4f9103a08f14fe9692b064d67972369de14da8a59dff1aa",
+    "corpus/cyc43-random_convergent-relu-p2": "92cc6bc322a9319158542feaf385fd2b57e2056b37177279c63681a4b4f2bc79",
     "corpus/cyc43-random_convergent-prelu-pinf": "6c626c9ed05b14f0f4e14612c6640c3e2b26db0df96a7dba16778dd619c606b9",
     "corpus/cyc43-random_convergent-selu-p1": "5fb266b64d8d13201cd0f3324e6c652b647200d83bcb46b6a9323b9bb81e16d1",
-    "corpus/cyc43-random_convergent-sigmoid-p2": "6e035305ce27adb3e973ddb9d38eac2deaf6e1d29535779458b42cee22121f2a",
+    "corpus/cyc43-random_convergent-sigmoid-p2": "18a019a41be135b100130c19918ce5848694485151689de4b2fea83ac439c65e",
     "corpus/convz-t1-relu-p1": "ee9d31166255968792872a87972508664ea76f6a510b36bd3a28b42d74f2200c",
     "corpus/convz-t1-prelu-pinf": "e2dfded59a9375566375313f596fc0f303d5b974349f7bb5b5bcb66e9b7305c8",
     "corpus/convz-t1-selu-p1": "63b1ddfa0c26ffa526153d024fea27cd01bdaa0a890e46ccf21b4c329cec654e",
@@ -98,11 +98,11 @@ STUDY_GOLDEN = {
     "corpus/convc-t2-prelu-pinf": "9b7e7a9ddaf1a2851d1bb2137173df013411249f2fe03c2607f6ae12daa9ea9e",
     "corpus/convc-t2-selu-pinf": "2347caed96139f0ff0c532a1c239e650c6b7b60f5fff17ac7a7695aa4872afff",
     "corpus/convc-t2-sigmoid-pinf": "e16bc00c0b6f1f63e66670a9c0bc96a43d0f7c505abfccc3879e483bb9ba58f8",
-    "corpus/deep6-exp_decay-relu-p2": "905f9657c6984791d782f9b90201387201a96ecd63809eddbb4c6f2e6bf1a72a",
+    "corpus/deep6-exp_decay-relu-p2": "6e867135fd27694bfcf34157aa257f355c7f66bb14643580dadbf342019f9134",
     "corpus/deep6-exp_decay-prelu-pinf": "72317455d2c1ed941a1ceb7200533bfb70c1164f137b337af717bfb9a587df72",
     "control/control-diverging-dense": "1f7521f8cb52833a1c781a5977b5205e21cfc9f975d95e0721f4d9c63f56c496",
     "control/control-diverging-conv": "33952bb1b0f9fed22cf3c2a16168353d07ef70c430013c8306903088ebc27c25",
-    "inline/dense-w64-p2": "c9d289ef77aa9384b999b71e43d9d36565fdedae95d0070dc39595f1b2f148d8",
+    "inline/dense-w64-p2": "5abbfec269a9081ddfca2c6b5aa0755942f1b2e703e6028e0f26fbab3322f31e",
     "inline/conv-constant-pad-sigmoid": "e9fe56d4346b0cf838dcf7a748686742ab4f70b93a07e8ad30068d680a046f65",
 }
 
