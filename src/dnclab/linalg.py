@@ -33,7 +33,6 @@ operator to eventually-constant sequences.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -333,7 +332,9 @@ def _reorthogonalise(basis: np.ndarray, w: np.ndarray) -> np.ndarray:
     return coef
 
 
-def _lanczos(g: np.ndarray, v0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _lanczos(
+    g: np.ndarray, v0: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lanczos tridiagonalisation of every Gram matrix of ``g`` (``(cols,
     cols, K)``) from the start columns ``v0`` (``(cols, K)``), with full
     reorthogonalisation: after the three-term recurrence, one classical
@@ -425,7 +426,9 @@ def _top_ritz_values(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return ends[-1] / scale
 
 
-def _cholesky_rung(g: np.ndarray, shift: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _cholesky_rung(
+    g: np.ndarray, shift: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Factor ``shift[k] I - G_k`` for every Gram matrix of ``g`` by a
     right-looking Cholesky, in place: ``g`` is negated, shifted and
     overwritten.  Returns which members factored (every pivot positive)
@@ -475,12 +478,13 @@ def _top_eigenvalue_bounds(ms: np.ndarray) -> np.ndarray:
                     + gamma_rows |A|_F^2 + rows cols eta             (G's rounding)
 
     where F is the matrix factored, u = 2^-53, eta the smallest subnormal,
-    and every term is rounded up.  A member whose rung fails (only it) climbs a ladder: after
-    a Lanczos breakdown it restarts from the next start (the ramp, then
-    each coordinate vector) and keeps the larger theta; otherwise the
-    rung's slack grows tenfold.  The last rung, reached after 12 slacks or
-    when a rung would exceed it, is |A|_F^2 itself, which always bounds
-    the top eigenvalue; every result is at most that.
+    and every term is rounded up.  A member whose rung fails (only it)
+    climbs a ladder: after a Lanczos breakdown it restarts from the next
+    start (the ramp, then each coordinate vector) and keeps the larger
+    theta; otherwise the rung's slack grows tenfold.  The last rung,
+    reached after 12 slacks or when a rung would exceed it, is |A|_F^2
+    itself, which always bounds the top eigenvalue; every result is at
+    most that.
 
     Each member runs the same operations alone as in any stack.  This
     function builds the Gram matrices and owns them: the rung overwrites
@@ -513,7 +517,9 @@ def _top_eigenvalue_bounds(ms: np.ndarray) -> np.ndarray:
     # by at most gamma_rows relative plus the products' underflow, and the
     # trace of the rounded entries by at most gamma_cols relative
     trace = _seq_sums(g[diag, diag], 0)
-    frobenius = _INFLATE * ((trace / (1.0 - _gamma(cols)) + tiny) / (1.0 - _gamma(rows)))
+    frobenius = _INFLATE * (
+        (trace / (1.0 - _gamma(cols)) + tiny) / (1.0 - _gamma(rows))
+    )
     gram_error = _gamma(rows) * frobenius + tiny
     found = frobenius.copy()  # the last rung, unless a Cholesky rung certifies
     start = np.zeros(todo.size, dtype=np.int64)
@@ -538,7 +544,9 @@ def _top_eigenvalue_bounds(ms: np.ndarray) -> np.ndarray:
         margin = (
             _U * largest
             + _ETA
-            + _gamma(cols + 1) / (1.0 - _gamma(cols + 1)) * factored / (1.0 - _gamma(cols))
+            + _gamma(cols + 1) / (1.0 - _gamma(cols + 1))
+            * factored
+            / (1.0 - _gamma(cols))
             + 4 * cols * (2 * (cols + 1) + largest) * _ETA
             + gram_error[live]
         )

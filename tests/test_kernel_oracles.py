@@ -318,7 +318,8 @@ def test_spectral_rungs_climb_and_end_at_the_frobenius_rung(monkeypatch):
     capped = induced_norm(stack, TWO)
     for value, m in zip(capped.tolist(), stack):
         assert oracles.mp_spectral_norm(m) <= value
-        assert value <= math.sqrt(oracles.left_to_right_sum(m.ravel() ** 2)) * (1 + 1e-12)
+        frobenius = math.sqrt(oracles.left_to_right_sum(m.ravel() ** 2))
+        assert value <= frobenius * (1 + 1e-12)
 
 
 @settings(max_examples=60, deadline=None)

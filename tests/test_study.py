@@ -139,7 +139,7 @@ class TestRowLimitVerdict:
 
     def test_failing_grid_row_makes_run_exit_2(self, monkeypatch, tmp_path):
         monkeypatch.setattr(study, "limit_bound_ctx", _limit_bound_zero_at(12, 20))
-        cfg = Path(__file__).resolve().parents[1] / "sample_configs/dense_exp_decay.json"
+        cfg = Path(__file__).resolve().parents[1] / "sample_configs" / "dense_exp_decay.json"
         result = CliRunner().invoke(
             main, ["run", "--config", str(cfg), "--out", str(tmp_path)]
         )
