@@ -49,10 +49,10 @@ class TestRescale:
             assert certified == pytest.approx(0.7, rel=1e-11)
 
     def test_seed_113_limit_norm_bounds_the_exact_norm(self):
-        """A 200-step power iteration reported |W*|_2 = 0.999 for this core
-        when its exact norm was 1.00276.  The core is now divided by a
-        certified norm, so the reported |W*|_2 bounds the exact one and the
-        condition passes on a true contraction."""
+        """On this core a 200-step power-iteration estimate of |W*|_2 falls
+        0.28% short of the exact norm.  Divided by a certified norm, the
+        core's reported |W*|_2 bounds the exact one, and the condition
+        passes on a true contraction."""
         spec = GenSpec(
             "exp_decay", input_dim=3, widths=16, seed=113, rate=0.5,
             norm_target=0.999, norm_p=TWO,
