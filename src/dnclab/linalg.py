@@ -579,7 +579,7 @@ def _spectral_norms(ms: np.ndarray) -> np.ndarray:
     """Certified upper bound on the largest singular value of every matrix
     of a ``(K, rows, cols)`` stack: the square root, rounded up, of
     :func:`_top_eigenvalue_bounds`.  It is at least the exact value and,
-    when the first rung holds on a matrix of up to a few hundred rows and
+    when the first rung holds on a matrix of up to about 250 rows and
     columns, at most 1e-11 relative above it (about 1e-12 at 64 x 64).
 
     The routine is fully deterministic and positive whenever A != 0; a
