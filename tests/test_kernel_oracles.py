@@ -252,21 +252,10 @@ def test_spectral_norm_is_a_tight_certified_upper_bound(stack):
     assert_certified(induced_norm(stack, TWO), stack)
 
 
-def _record_lanczos_starts(mp) -> list:
-    """Make every Lanczos run append its start columns, normalised to a
-    largest entry of 1, to the returned list."""
-    starts = []
-    run = linalg._lanczos
-
-    def recording(g, v0):
-        starts.append(np.asarray(v0) / np.abs(v0).max(axis=0))
-        return run(g, v0)
-
-    mp.setattr(linalg, "_lanczos", recording)
-    return starts
-
-
 def test_spectral_restarts_cap_and_mixed_stopping_steps(monkeypatch):
+    """Members leave the ladder at different points: the zero member never
+    runs, ones_null after one restart, ramp_null after two, the others at
+    their first rung (the Frobenius cap is tested below)."""
     rng = np.random.default_rng(11)
     members = {
         "zero": np.zeros((2, 4)),
@@ -279,7 +268,14 @@ def test_spectral_restarts_cap_and_mixed_stopping_steps(monkeypatch):
         "normal": rng.normal(size=(2, 4)),
     }
     stack = np.stack(list(members.values()))
-    starts = _record_lanczos_starts(monkeypatch)
+    starts = []  # each Lanczos run's start columns, scaled to a largest entry of 1
+    run = linalg._lanczos
+
+    def recording(g, v0):
+        starts.append(np.asarray(v0) / np.abs(v0).max(axis=0))
+        return run(g, v0)
+
+    monkeypatch.setattr(linalg, "_lanczos", recording)
     got = induced_norm(stack, TWO)
     ramp = 1.0 + np.arange(4) / 5.0
     # the zero member never runs; two members restart, one of them twice
