@@ -19,7 +19,6 @@ from .activations import (
     ACTIVATION_NAMES,
     Activation,
     elu,
-    empirical_lipschitz,
     identity,
     leaky_relu,
     make_activation,
@@ -30,6 +29,8 @@ from .activations import (
     tanh,
 )
 from .analysis import (
+    CONSTANT_PAD,
+    ZERO_PAD,
     BoundContext,
     ConditionVerdict,
     Domain,
@@ -74,9 +75,7 @@ from .linalg import (
     zero_pad_matrix,
 )
 from .network import (
-    CONSTANT_PAD,
     PLAIN,
-    ZERO_PAD,
     Conv,
     LayerSeq,
     MaskSeq,
@@ -86,7 +85,6 @@ from .network import (
     cnn_layer_seq,
     eval_extended_trajectory,
     eval_trajectory,
-    network_lipschitz_bound,
     pool_of,
 )
 from .pooling import PoolingOp, average_pooling, max_pooling, no_pooling

@@ -46,7 +46,6 @@ __all__ = [
     "tanh",
     "make_activation",
     "ACTIVATION_NAMES",
-    "empirical_lipschitz",
 ]
 
 
@@ -63,9 +62,6 @@ class Activation:
         """Apply componentwise to a vector (returns a fresh array)."""
         arr = np.asarray(x, dtype=np.float64)
         return np.asarray(self.fn(arr), dtype=np.float64)
-
-    def scalar(self, x: float) -> float:
-        return float(self.fn(np.float64(x)))
 
 
 def _positive(value: float, what: str) -> float:
@@ -169,16 +165,3 @@ def make_activation(name: str, **params) -> Activation:
         return factory(**params)
     except TypeError as exc:
         raise ValueError(f"activation {name!r}: {exc}") from None
-
-
-def empirical_lipschitz(act: Activation) -> float:
-    """Largest secant slope of the scalar map over 4001 points of [-5, 5].
-
-    This is the independent check against the declared constant: the
-    returned value can never exceed the true Lipschitz constant, and for the
-    piecewise-linear activations it attains it exactly on any grid that
-    straddles the kink at 0.
-    """
-    grid = np.linspace(-5.0, 5.0, 4001)
-    y = act.apply(grid)
-    return float(np.max(np.abs(np.diff(y)) / np.diff(grid)))

@@ -6,7 +6,8 @@ inequality the laboratory verifies:
 * the **omega condition** lim L*P*|W_n| < 1 (:func:`check_condition`) and
   the three convolution-mask conditions (:func:`check_mask_conditions`),
   evaluated analytically when limits are declared and by labelled window
-  scans otherwise;
+  scans otherwise; :func:`network_verdicts` gives a network every
+  x-independent verdict, these and the certified limit constants;
 * the **a-priori bound** on state norms (:func:`apriori_bound_ctx`);
 * the three-term **deviation bound** on |N_{n+m}(x) - N_n(x)|
   (:func:`deviation_bound_ctx`), the workhorse inequality whose structure is
@@ -53,8 +54,6 @@ from .linalg import (
     vector_norm,
 )
 from .network import (
-    CONSTANT_PAD,
-    ZERO_PAD,
     Conv,
     LayerSeq,
     NetworkKind,
@@ -69,6 +68,9 @@ __all__ = [
     "ConditionVerdict",
     "check_condition",
     "check_mask_conditions",
+    "network_verdicts",
+    "ZERO_PAD",
+    "CONSTANT_PAD",
     "ZeroPad",
     "ConstantPad",
     "padding_geometry",
@@ -107,6 +109,8 @@ class SamplerSpec:
             raise ValueError(f"unknown sampler kind {self.kind!r}")
         if self.kind == "uniform" and self.count < 1:
             raise ValueError("uniform sampler needs count >= 1")
+        if self.seed < 0:
+            raise ValueError(f"sampler seed must be >= 0, got {self.seed}")
         if self.kind == "grid" and self.points_per_axis < 2:
             raise ValueError("grid sampler needs at least 2 points per axis")
 
@@ -201,22 +205,13 @@ _WINDOW = (8, 64)
 _SCAN_END = 48
 
 
-def _validate_window(window: tuple[int, int]) -> tuple[int, int]:
-    n0, n1 = int(window[0]), int(window[1])
-    if not 1 <= n0 <= n1:
-        raise ValueError(f"scan window must satisfy 1 <= N0 <= N1, got {window}")
-    return n0, n1
-
-
-def check_condition(
-    ctx: BoundContext, window: tuple[int, int] = _WINDOW
-) -> ConditionVerdict:
+def check_condition(ctx: BoundContext) -> ConditionVerdict:
     """Verdict on the central condition omega = lim L*P*|W_n|_p < 1 (strict).
 
     With declared limits the estimate is analytic: L*P*|W*|_p (norm
     continuity), or L*P*sum|w*_k| for convolutional sequences.  Otherwise it
-    is the labelled maximum of L*P*|W_n|_p over the scan window, taken on
-    the finite weight matrices in either extension
+    is the labelled maximum of L*P*|W_n|_p over the scan window [8, 64],
+    taken on the finite weight matrices in either extension
     (:meth:`BoundContext.finite_weight_norms`).
     """
     lp = ctx.L * ctx.P
@@ -229,7 +224,7 @@ def check_condition(
         est = lp * limit_norm
         method = "analytic"
     else:
-        n0, n1 = _validate_window(window)
+        n0, n1 = _WINDOW
         est = max(lp * w for w in ctx.finite_weight_norms(n0, n1))
         method = f"tail-scan[{n0},{n1}]"
     return ConditionVerdict(est, est < 1.0, method, 1.0 - est)
@@ -238,10 +233,9 @@ def check_condition(
 _EXP_FIT_R2_MIN = 0.98
 
 
-def check_mask_conditions(
-    masks, act: Activation, window: tuple[int, int] = _WINDOW
-) -> dict[str, ConditionVerdict]:
-    """The three mask conditions for convolutional layer sequences.
+def check_mask_conditions(masks, act: Activation) -> dict[str, ConditionVerdict]:
+    """The three mask conditions for convolutional layer sequences, scanned
+    (where no limit mask is declared) over the window [8, 64].
 
     * ``vanishing`` — mask coefficients tend to 0 (so the zero-padded
       operators vanish in norm).  Analytic when a limit mask is declared;
@@ -253,7 +247,7 @@ def check_mask_conditions(
       fit over the window, passing iff the fitted r < 1 with R^2 >= 0.98
       (sub-exponential decay such as 1/n fails the R^2 gate).
     """
-    n0, n1 = _validate_window(window)
+    n0, n1 = _WINDOW
     L = act.lipschitz
     out: dict[str, ConditionVerdict] = {}
 
@@ -311,6 +305,10 @@ def check_mask_conditions(
 # ---------------------------------------------------------------------------
 # bound context: one formula, two geometries (finite / constant-padded)
 # ---------------------------------------------------------------------------
+
+# the names of the two extensions (:func:`padding_geometry`)
+ZERO_PAD = "zero_pad"
+CONSTANT_PAD = "constant_pad"
 
 
 def state_deviation(a: np.ndarray, b: np.ndarray, p: PNorm, fill: float):
@@ -468,9 +466,7 @@ class ConstantPad(ZeroPad):
         return abs(self.act.value_at_zero)
 
     def states(self, x, depth: int, select) -> list:
-        return eval_extended_trajectory(
-            self.seq, self.kind, self.act, x, depth, CONSTANT_PAD, select
-        )
+        return eval_extended_trajectory(self.seq, self.kind, self.act, x, depth, select)
 
     def restart_gap(self, product, first) -> float:
         return self.distance(product, first)
@@ -797,6 +793,22 @@ def derive_limit_constants(
         f"E_end={E_end:.6g}"
     )
     return LimitConstants(omega0, weight_sup, rho, float(x_bound), note), "ok"
+
+
+def network_verdicts(ctx: BoundContext, x_bound: float) -> tuple:
+    """``(condition, mask_conditions, constants, constants_note)``: every
+    x-independent verdict on the network of ``ctx``, computed in that
+    order.  The mask conditions are None unless the network is a
+    convolution; the constants and their note are those of
+    :func:`derive_limit_constants` at ``x_bound``."""
+    condition = check_condition(ctx)
+    mask_conditions = (
+        check_mask_conditions(ctx.kind.masks, ctx.act)
+        if isinstance(ctx.kind, Conv)
+        else None
+    )
+    constants, note = derive_limit_constants(ctx, x_bound)
+    return condition, mask_conditions, constants, note
 
 
 def limit_bound_ctx(ctx: BoundContext, n: int, constants: LimitConstants) -> float:

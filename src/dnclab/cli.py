@@ -12,9 +12,10 @@ Subcommands:
                  controls fail the conditions) at reduced depth.
 
 Exit codes: 0 success; 1 invalid configuration or usage, a network the
-kernel refuses (an operator norm out of double range), or an output file
-that cannot be written; 2 a verified inequality was violated or (with
-``--require-pass``) a convergence condition did not hold.
+kernel refuses (an operator norm out of double range), an array too large
+to allocate, or an output file that cannot be written; 2 a verified
+inequality was violated or (with ``--require-pass``) a convergence
+condition did not hold.
 """
 
 from __future__ import annotations
@@ -28,14 +29,12 @@ from .analysis import (
     BoundContext,
     SamplerSpec,
     apriori_bound_ctx,
-    check_condition,
-    check_mask_conditions,
     derive_limit_constants,
     limit_bound_ctx,
+    network_verdicts,
 )
 from .config import Experiment, load_config
 from .corpus import control_instances, corpus_instances
-from .network import Conv
 from .report import (
     format_float,
     render_report,
@@ -51,14 +50,15 @@ __all__ = ["main"]
 def _refusal_exits_1(command):
     """Report an invalid configuration (a ``ConfigError``), a ValueError
     raised while evaluating the configured network (an operator norm out of
-    double range, say) or an output file that cannot be written (an
-    OSError) as ``Error: ...`` with exit code 1."""
+    double range, say), an array too large to allocate (a MemoryError, from
+    a sample count or a width far past the machine) or an output file that
+    cannot be written (an OSError) as ``Error: ...`` with exit code 1."""
 
     @functools.wraps(command)
     def wrapped(*args, **kwargs):
         try:
             return command(*args, **kwargs)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, MemoryError) as exc:
             raise click.ClickException(str(exc)) from exc
 
     return wrapped
@@ -165,19 +165,17 @@ def check(ctx, config_path, out_dir, require_pass):
     """Evaluate the convergence conditions without drawing samples."""
     exp = load_config(config_path)
     bctx = BoundContext(exp.seq, exp.kind, exp.act, exp.p, exp.extension)
-    condition = check_condition(bctx)
+    condition, mask_verdicts, constants, note = network_verdicts(
+        bctx, exp.domain.norm_bound(exp.p)
+    )
     click.echo(
         f"weight-norm condition: estimate={condition.estimate:.9g} "
         f"passed={condition.passed} ({condition.method})"
     )
-    mask_verdicts = None
-    if isinstance(exp.kind, Conv):
-        mask_verdicts = check_mask_conditions(exp.kind.masks, exp.act)
-        for name, v in mask_verdicts.items():
-            click.echo(
-                f"mask {name}: estimate={v.estimate:.9g} passed={v.passed} ({v.method})"
-            )
-    constants, note = derive_limit_constants(bctx, exp.domain.norm_bound(exp.p))
+    for name, v in (mask_verdicts or {}).items():
+        click.echo(
+            f"mask {name}: estimate={v.estimate:.9g} passed={v.passed} ({v.method})"
+        )
     if constants is None:
         click.echo(f"limit constants: unavailable ({note})")
     else:
@@ -225,8 +223,8 @@ def bounds(ctx, config_path, out_dir):
     constants, note = derive_limit_constants(bctx, xb)
     depths = sorted({*exp.depths.n_list, exp.depths.reference})
     lines = ["n,lipschitz_bound,apriori_bound,limit_bound"]
-    # network_lipschitz_bound at every depth, as one running product over
-    # the finite weight matrices' norms, each taken once
+    # (L*P)^n * prod_{j<=n} |W_j| at every depth, as one running product
+    # over the finite weight matrices' norms, each taken once
     factor = bctx.L * bctx.P
     lips = [1.0]
     for w in bctx.finite_weight_norms(1, depths[-1]):

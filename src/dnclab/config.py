@@ -35,18 +35,10 @@ import json
 from dataclasses import dataclass, field
 
 from .activations import Activation, make_activation
-from .analysis import Domain, SamplerSpec, padding_geometry
+from .analysis import CONSTANT_PAD, ZERO_PAD, Domain, SamplerSpec, padding_geometry
 from .generators import GenSpec, MaskSpec, build
 from .linalg import INF, ONE, TWO, PNorm
-from .network import (
-    CONSTANT_PAD,
-    PLAIN,
-    ZERO_PAD,
-    Conv,
-    LayerSeq,
-    NetworkKind,
-    Pooled,
-)
+from .network import LayerSeq, NetworkKind
 from .pooling import PoolingOp
 from .study import DepthPlan
 
@@ -312,9 +304,8 @@ def parse_config(doc: dict) -> Experiment:
 
     pool = _parse_pooling(doc)
     p = _parse_p(doc)
+    # a conv generator refuses the pooling rows, so it never gets a pooling
     gen_spec = _parse_generator(doc, master_seed, pool.mu if pool else 0)
-    if pool is not None and gen_spec.family == "conv":
-        raise ConfigError("pooling is supported on fixed/cyclic widths, not conv")
     act = _parse_activation(doc)
     domain, sampler = _parse_domain(doc, gen_spec.input_dim, master_seed)
     depths = _parse_depths(doc)
@@ -346,12 +337,7 @@ def parse_config(doc: dict) -> Experiment:
             raise ConfigError(f"output.{key} must name a file, got an empty string")
 
     built = build(gen_spec)
-    if built.masks is not None:
-        kind: NetworkKind = Conv(built.masks)
-    elif pool is not None:
-        kind = Pooled(pool)
-    else:
-        kind = PLAIN
+    kind = built.kind(pool)
     try:
         padding_geometry(extension, built.seq, kind, act, p)
     except ValueError as exc:

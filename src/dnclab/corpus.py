@@ -33,10 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .activations import Activation, make_activation
-from .analysis import Domain
-from .generators import BuiltNetwork, GenSpec, MaskSpec, build
+from .analysis import CONSTANT_PAD, ZERO_PAD, Domain
+from .generators import GenSpec, MaskSpec, build
 from .linalg import INF, ONE, TWO, PNorm
-from .network import CONSTANT_PAD, PLAIN, ZERO_PAD, Conv, NetworkKind, Pooled
 from .pooling import PoolingOp
 
 __all__ = ["Instance", "corpus_instances", "control_instances"]
@@ -75,15 +74,8 @@ class Instance:
 
     def build(self) -> tuple:
         """(layer sequence, network kind) ready for evaluation."""
-        built: BuiltNetwork = build(self.gen)
-        kind: NetworkKind
-        if built.masks is not None:
-            kind = Conv(built.masks)
-        elif self.pool_kind != "identity":
-            kind = Pooled(self.pooling())
-        else:
-            kind = PLAIN
-        return built.seq, kind
+        built = build(self.gen)
+        return built.seq, built.kind(self.pooling())
 
     @property
     def is_rate_instance(self) -> bool:

@@ -31,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import ONE, PNorm, induced_norm, vector_norm
-from .network import LayerSeq, MaskSeq, cnn_layer_seq
+from .network import PLAIN, Conv, LayerSeq, MaskSeq, NetworkKind, Pooled, cnn_layer_seq
+from .pooling import PoolingOp
 
 __all__ = [
     "MATRIX_FAMILIES",
@@ -285,6 +286,16 @@ class BuiltNetwork:
 
     seq: LayerSeq
     masks: MaskSeq | None = None
+
+    def kind(self, pool: PoolingOp | None) -> NetworkKind:
+        """The recursion this network runs with ``pool`` attached (None or
+        identity pooling for none): a convolution when it has masks, else
+        pooled or plain."""
+        if self.masks is not None:
+            return Conv(self.masks)
+        if pool is None or pool.kind == "identity":
+            return PLAIN
+        return Pooled(pool)
 
 
 # ---------------------------------------------------------------------------

@@ -20,15 +20,19 @@ rests on the primitives here, so two properties are enforced globally:
   ``|A|_1^(1/p) * |A|_inf^(1-1/p)``, never a value.  :func:`induced_norm`
   takes one matrix or a ``(K, rows, cols)`` stack; at p = 2 a stack runs
   its Lanczos runs and rungs for all its members at once, with the same
-  bits per member as alone, and no BLAS or LAPACK call.
+  bits per member as alone, and no BLAS or LAPACK call.  A Gram matrix
+  far from 1 is first scaled by a power of two, so an operand is refused
+  only when its Gram matrix or its squared norm leaves the double range.
 
-The module also provides the two vector extensions used to compare networks
-of different widths: plain zero padding, and eventually-constant sequences
-(:class:`EventuallyConstSeq`).  A convolution is given by its mask alone:
-:func:`toeplitz_matrix` cuts a finite window out of the banded Toeplitz
-matrix of a mask (the finite convolution matrix is one such window), and
-:func:`apply_banded` applies the mask's constant-padded semi-infinite
-operator to eventually-constant sequences.
+The module also provides what compares states of different widths:
+:func:`extend_vector` pads a state (or a batch) with a fill value,
+:func:`zero_pad_matrix` embeds a matrix in a larger zero matrix, which
+leaves its induced norms alone, and :class:`EventuallyConstSeq` holds the
+states of constant-padded convolutions.  A convolution is given by its
+mask alone: :func:`toeplitz_matrix` cuts a finite window out of the banded
+Toeplitz matrix of a mask (the finite convolution matrix is one such
+window), and :func:`apply_banded` applies the mask's constant-padded
+semi-infinite operator to eventually-constant sequences.
 """
 
 from __future__ import annotations
@@ -161,9 +165,8 @@ def matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 class PNorm:
     """Selector for the l_p norm family, p in [1, inf].
 
-    Exact induced matrix norms exist only for p in {1, 2, inf};
-    ``exact_induced`` tells those apart from exponents that admit only the
-    interpolation bound.
+    Induced matrix norms are taken only for p in {1, 2, inf}
+    (:func:`induced_norm` refuses any other exponent).
     """
 
     p: float
@@ -177,10 +180,6 @@ class PNorm:
     @property
     def is_inf(self) -> bool:
         return math.isinf(self.p)
-
-    @property
-    def exact_induced(self) -> bool:
-        return self.p in (1.0, 2.0) or self.is_inf
 
     def __str__(self) -> str:
         return "inf" if self.is_inf else f"{self.p:g}"
@@ -509,10 +508,18 @@ def _top_eigenvalue_bounds(ms: np.ndarray) -> np.ndarray:
     # two (exactly, and by at most 2^1000, which stays finite), so no square
     # in the Lanczos run underflows; everything below works on the scaled
     # matrices, down to the final division
-    exponent = np.clip(-np.frexp(g[diag, diag].max(axis=0))[1], 0, 1000)
+    # a Gram matrix whose trace reaches 2^511 is scaled down the same way,
+    # so no |G v|^2 in the Lanczos run overflows (|G v| <= lambda_max <=
+    # the trace); entries that the down-scaling pushes below the normal
+    # range lose at most eta / 2 each, which the underflow term covers
+    peak = g[diag, diag].max(axis=0)
+    exponent = np.clip(-np.frexp(peak)[1], 0, 1000)
+    shrink = _seq_sums(g[diag, diag], 0) >= 2.0**511
+    exponent[shrink] = -np.frexp(peak[shrink])[1]
     scale = np.ldexp(1.0, exponent)
     g *= scale
-    tiny = scale * (rows * cols * _ETA)  # the Gram products' underflow, scaled
+    # the Gram products' underflow, scaled, or the down-scaling's
+    tiny = np.maximum(scale, 1.0) * (rows * cols * _ETA)
     # |A|_F^2 from the Gram diagonal: each entry sums squares, so it is low
     # by at most gamma_rows relative plus the products' underflow, and the
     # trace of the rounded entries by at most gamma_cols relative
@@ -568,8 +575,11 @@ def _top_eigenvalue_bounds(ms: np.ndarray) -> np.ndarray:
             v0 = np.stack([_start_vector(t, cols) for t in start[again]], axis=1)
             alpha, beta, broke[again] = _lanczos(g.compress(restart, axis=2), v0)
             theta[again] = np.maximum(theta[again], _top_ritz_values(alpha, beta))
-    # dividing by the scale is exact unless the result is subnormal
+    # dividing by the scale is exact unless the result is subnormal, or
+    # overflows: a squared norm past the double range is refused
     value = found / scale
+    if not np.isfinite(value).all():
+        raise ValueError(_OUT_OF_RANGE + "its squared norm overflows")
     out[todo] = np.where(value * scale < found, np.nextafter(value, np.inf), value)
     return out
 
@@ -586,8 +596,8 @@ def _spectral_norms(ms: np.ndarray) -> np.ndarray:
     zero matrix gives 0.0.  A non-zero matrix whose Gram matrix or
     Lanczos run or Cholesky rung leaves the double range (a Gram entry
     overflows, the whole Gram matrix underflows to zero, or a Lanczos or
-    Cholesky value is not finite) is refused with a ValueError rather
-    than given a norm.  The stack is processed in chunks of at most 2^20
+    Cholesky value is not finite, or the squared norm itself overflows) is
+    refused with a ValueError rather than given a norm.  The stack is processed in chunks of at most 2^20
     Gram entries (or of one matrix, if its Gram is larger); no member's
     bits depend on the stack around it.
     """
@@ -717,8 +727,8 @@ def extend_vector(v, size: int, fill: float = 0.0) -> np.ndarray:
 class EventuallyConstSeq:
     """A real sequence with finitely many free entries followed by a constant.
 
-    ``value_at(i)`` is ``head[i]`` for ``i < len(head)`` and ``tail``
-    afterwards.  These are the states of constant-padded convolutional
+    Entry i is ``head[i]`` for ``i < len(head)`` and ``tail`` afterwards.
+    These are the states of constant-padded convolutional
     recursions: the l_inf norm is ``max(|head|_inf, |tail|)``, and the
     sequence lies in l_p for finite p exactly when the tail is zero.
 
@@ -748,13 +758,6 @@ class EventuallyConstSeq:
     def head_len(self) -> int:
         return int(self.head.shape[0])
 
-    def value_at(self, i: int):
-        if i < 0:
-            raise IndexError("sequence index must be >= 0")
-        if i >= self.head_len:
-            return self.tail
-        return float(self.head[i]) if self.head.ndim == 1 else self.head[i]
-
     def truncated(self, count: int) -> np.ndarray:
         """First ``count`` entries as a dense vector (rows of a batch)."""
         if count < 0:
@@ -765,9 +768,6 @@ class EventuallyConstSeq:
         out[:k] = self.head[:k]
         return out
 
-    def in_lp(self, p: PNorm):
-        return p.is_inf or self.tail == 0.0
-
     def norm(self, p: PNorm):
         """l_p(N) norm; +inf for finite p when the tail is nonzero."""
         if p.is_inf:
@@ -776,18 +776,12 @@ class EventuallyConstSeq:
             out = np.where(self.tail != 0.0, math.inf, vector_norm(self.head, p))
         return float(out) if self.head.ndim == 1 else out
 
-    def _combine(self, other: "EventuallyConstSeq", sign: float) -> "EventuallyConstSeq":
+    def __sub__(self, other: "EventuallyConstSeq") -> "EventuallyConstSeq":
+        """The entrywise difference, both heads read to the longer one."""
         n = max(self.head_len, other.head_len)
         return EventuallyConstSeq(
-            self.truncated(n) + sign * other.truncated(n),
-            self.tail + sign * other.tail,
+            self.truncated(n) - other.truncated(n), self.tail - other.tail
         )
-
-    def __add__(self, other: "EventuallyConstSeq") -> "EventuallyConstSeq":
-        return self._combine(other, 1.0)
-
-    def __sub__(self, other: "EventuallyConstSeq") -> "EventuallyConstSeq":
-        return self._combine(other, -1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -27,20 +27,21 @@ they hand each layer's product W_j N_{j-1}(x) (before pooling and bias) and
 its state to the caller, which keeps only what it reads: a deep sweep then
 holds one state at a time, not all of them.
 
-Two extensions embed finite states into sequence space for cross-depth
-comparison (:func:`eval_extended_trajectory`; the bounds measure in them
-through ``dnclab.analysis.ZeroPad`` and ``dnclab.analysis.ConstantPad``):
+States of different widths are compared through one of two extensions,
+named ``zero_pad`` and ``constant_pad`` (``dnclab.analysis`` holds the
+geometry of each and refuses any other name):
 
-* ``zero_pad`` — layers padded by zero rows/columns.  The head of the
-  extended state reproduces the finite evaluation bit for bit, and every
-  padded coordinate reads act(0), since a zero row plus a zero bias entry
-  feeds 0 into the activation at every layer.
-* ``constant_pad`` — convolutional networks only.  Layer 1 is the
-  zero-padded finite matrix; layers 2, 3, ... apply their mask's
-  constant-padded Toeplitz operator (``linalg.apply_banded``), so the
-  constant tail evolves by ``t -> act(sum(mask) * t)`` while the head
-  lengthens by tau per layer.  Convolutional weights are the finite
-  windows ``linalg.toeplitz_matrix(mask(n), width(n), width(n - 1))``.
+* ``zero_pad`` needs no evaluation of its own.  A zero row plus a zero
+  bias entry feeds 0 into the activation at every layer, so the extended
+  state is the finite state of :func:`eval_trajectory` followed by act(0)
+  in every padded coordinate.
+* ``constant_pad`` — convolutional networks only, evaluated by
+  :func:`eval_extended_trajectory`.  Layer 1 is the zero-padded finite
+  matrix; layers 2, 3, ... apply their mask's constant-padded Toeplitz
+  operator (``linalg.apply_banded``), so the constant tail evolves by
+  ``t -> act(sum(mask) * t)`` while the head lengthens by tau per layer.
+  Convolutional weights are the finite windows
+  ``linalg.toeplitz_matrix(mask(n), width(n), width(n - 1))``.
 """
 
 from __future__ import annotations
@@ -53,11 +54,9 @@ import numpy as np
 from .activations import Activation
 from .linalg import (
     EventuallyConstSeq,
-    PNorm,
     apply_banded,
     as_matrix,
     as_vector,
-    induced_norms,
     matvec,
     seq_sum,
     toeplitz_matrix,
@@ -76,13 +75,7 @@ __all__ = [
     "eval_trajectory",
     "eval_extended_trajectory",
     "cnn_layer_seq",
-    "network_lipschitz_bound",
-    "ZERO_PAD",
-    "CONSTANT_PAD",
 ]
-
-ZERO_PAD = "zero_pad"
-CONSTANT_PAD = "constant_pad"
 
 
 @dataclass(frozen=True)
@@ -271,22 +264,20 @@ def _sweep(
     act: Activation,
     x,
     n_max: int,
-    scheme: str,
+    padded: bool,
 ) -> Iterator[tuple]:
     """Walk the recursion once, yielding ``(W_j N_{j-1}(x), N_j(x))`` for
     j = 1..n_max, with N_0(x) = x: the layer's product before pooling and
-    bias, and its state.  Under ``zero_pad`` both are finite arrays; under
-    ``constant_pad`` both are :class:`EventuallyConstSeq` (layer 1 keeps its
+    bias, and its state.  Both are finite arrays, or, if ``padded``, both
+    are constant-padded :class:`EventuallyConstSeq` (layer 1 keeps its
     zero-padded finite form: product tail 0, state tail act(0); later layers
     apply their constant-padded Toeplitz operator)."""
-    if scheme not in (ZERO_PAD, CONSTANT_PAD):
-        raise ValueError(f"unknown extension scheme {scheme!r}")
-    if scheme == CONSTANT_PAD and not isinstance(kind, Conv):
+    if padded and not isinstance(kind, Conv):
         raise ValueError("constant padding is defined for convolutional networks only")
     v = _input(seq, kind, x, n_max)
     for j in range(1, n_max + 1):
         w, b = seq.layer(j)
-        if j > 1 and scheme == CONSTANT_PAD:
+        if j > 1 and padded:
             prod = apply_banded(kind.masks.mask(j), v)
             if prod.head_len != seq.width(j):
                 raise ValueError(
@@ -300,7 +291,7 @@ def _sweep(
             prod = matvec(w, v)
             z = kind.op.pool(prod) if isinstance(kind, Pooled) else prod
             v = act.apply(z + _column(b, z))
-            if scheme == CONSTANT_PAD:
+            if padded:
                 prod = EventuallyConstSeq(prod, 0.0)
                 v = EventuallyConstSeq(v, act.value_at_zero)
         yield prod, v
@@ -323,31 +314,17 @@ def eval_trajectory(
     bias) and state to the caller, and drops both unless the selected
     value holds them.
     """
-    return _listed(_sweep(seq, kind, act, x, n_max, ZERO_PAD), select)
+    return _listed(_sweep(seq, kind, act, x, n_max, False), select)
 
 
 def eval_extended_trajectory(
-    seq: LayerSeq,
-    kind: NetworkKind,
-    act: Activation,
-    x,
-    n_max: int,
-    scheme: str = ZERO_PAD,
-    select=None,
+    seq: LayerSeq, kind: NetworkKind, act: Activation, x, n_max: int, select=None
 ) -> list:
-    """Extended states at depths 1..n_max under the chosen padding scheme
+    """Constant-padded states at depths 1..n_max of a convolutional network
     (sequence batches with one column per sample for a batched ``x``);
     ``select`` as in :func:`eval_trajectory`, on extended products and
     states."""
-    if scheme == ZERO_PAD:
-        tail = act.value_at_zero
-
-        def extended(j, prod, v):
-            v = EventuallyConstSeq(v, tail)
-            return v if select is None else select(j, EventuallyConstSeq(prod, 0.0), v)
-
-        return eval_trajectory(seq, kind, act, x, n_max, extended)
-    return _listed(_sweep(seq, kind, act, x, n_max, scheme), select)
+    return _listed(_sweep(seq, kind, act, x, n_max, True), select)
 
 
 def cnn_layer_seq(
@@ -369,21 +346,3 @@ def cnn_layer_seq(
         return toeplitz_matrix(masks.mask(n), width(n), width(n - 1)), bias_source(n)
 
     return LayerSeq(input_dim, width, layers, bias_limit=bias_limit)
-
-
-def network_lipschitz_bound(
-    seq: LayerSeq, act: Activation, pool: PoolingOp, n: int, p: PNorm
-) -> float:
-    """(L*P)^n * prod_{j<=n} |W_j|_p — a Lipschitz constant for x -> N_n(x).
-
-    Each layer is the composition of a W-multiplication (factor |W_j|), an
-    optional pooling (factor P), and the activation (factor L); the product
-    telescopes through the recursion.
-    """
-    if n < 1:
-        raise ValueError(f"depth must be >= 1, got {n}")
-    factor = act.lipschitz * pool.lipschitz(p)
-    acc = 1.0
-    for w in induced_norms([seq.layer(j)[0] for j in range(1, n + 1)], p):
-        acc *= factor * w
-    return acc

@@ -28,6 +28,7 @@ import numpy as np
 
 from .activations import Activation
 from .analysis import (
+    ZERO_PAD,
     BoundContext,
     ConditionVerdict,
     Domain,
@@ -37,15 +38,13 @@ from .analysis import (
     Trajectory,
     _Lazy,
     apriori_bound_ctx,
-    check_condition,
-    check_mask_conditions,
-    derive_limit_constants,
     deviation_bound_ctx,
     fit_exponential_rate,
     limit_bound_ctx,
+    network_verdicts,
 )
 from .linalg import PNorm
-from .network import ZERO_PAD, Conv, LayerSeq, NetworkKind
+from .network import LayerSeq, NetworkKind
 
 __all__ = [
     "DepthPlan",
@@ -245,10 +244,10 @@ def convergence_study(
 ) -> StudyResult:
     """Run the full audit for one network family.
 
-    The conditions and the certified constants use the windows of
-    :func:`check_condition`, :func:`check_mask_conditions` and
-    :func:`derive_limit_constants`, as ``dnc-lab check`` does.  Each
-    inequality grants its theoretical side a relative slack of 1e-9.
+    The conditions and the certified constants are those of
+    :func:`dnclab.analysis.network_verdicts`, as ``dnc-lab check`` reports
+    them.  Each inequality grants its theoretical side a relative slack of
+    1e-9.
     """
     if domain.dim != seq.input_dim:
         raise ValueError(
@@ -260,11 +259,9 @@ def convergence_study(
 
     # the x-independent phase runs before the states exist, so the norm
     # batches' working set is freed before the trajectory is allocated
-    condition = check_condition(ctx)
-    mask_conditions = (
-        check_mask_conditions(kind.masks, act) if isinstance(kind, Conv) else None
+    condition, mask_conditions, constants, constants_note = network_verdicts(
+        ctx, domain.norm_bound(p)
     )
-    constants, constants_note = derive_limit_constants(ctx, domain.norm_bound(p))
     ctx.prefetch(_grid_norm_keys(depths, constants is not None))
     # one sample per column; only the states and gaps the grid reads are kept
     traj = Trajectory(

@@ -220,6 +220,36 @@ def per_sample_constant_pad(seq, masks, act, x, n_max: int) -> list:
     out = [state]
     for j in range(2, n_max + 1):
         head, tail = elementwise_apply_banded(masks.mask(j), *state)
-        state = (act.apply(head + seq.layer(j)[1]), act.scalar(tail))
+        state = (act.apply(head + seq.layer(j)[1]), float(act.apply(tail)))
         out.append(state)
     return out
+
+
+def empirical_lipschitz(act) -> float:
+    """Largest secant slope of the scalar map over 4001 points of [-5, 5].
+
+    This is the independent check against the declared constant: the
+    returned value can never exceed the true Lipschitz constant, and for the
+    piecewise-linear activations it attains it exactly on any grid that
+    straddles the kink at 0.
+    """
+    grid = np.linspace(-5.0, 5.0, 4001)
+    y = act.apply(grid)
+    return float(np.max(np.abs(np.diff(y)) / np.diff(grid)))
+
+
+def network_lipschitz_bound(seq, act, pool, n: int, p) -> float:
+    """(L*P)^n * prod_{j<=n} |W_j|_p — a Lipschitz constant for x -> N_n(x).
+
+    Each layer is the composition of a W-multiplication (factor |W_j|), an
+    optional pooling (factor P), and the activation (factor L); the product
+    telescopes through the recursion.  The norms are taken one matrix at a
+    time, in layer order.
+    """
+    from dnclab.linalg import induced_norm
+
+    factor = act.lipschitz * pool.lipschitz(p)
+    acc = 1.0
+    for j in range(1, n + 1):
+        acc *= factor * induced_norm(seq.layer(j)[0], p)
+    return acc

@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 from dnclab.activations import (
     ACTIVATION_NAMES,
     elu,
-    empirical_lipschitz,
     identity,
     leaky_relu,
     make_activation,
@@ -21,6 +20,8 @@ from dnclab.activations import (
 )
 from dnclab.linalg import EventuallyConstSeq
 
+import oracles
+
 
 ALL_FACTORIES = [identity, relu, leaky_relu, elu, selu, sigmoid, tanh]
 
@@ -29,7 +30,7 @@ class TestDeclaredConstants:
     def test_value_at_zero_is_consistent(self):
         for factory in ALL_FACTORIES:
             act = factory()
-            assert act.scalar(0.0) == act.value_at_zero
+            assert float(act.apply(0.0)) == act.value_at_zero
 
     def test_known_lipschitz_values(self):
         assert relu().lipschitz == 1.0
@@ -43,14 +44,14 @@ class TestDeclaredConstants:
     def test_sigmoid_center(self):
         act = sigmoid()
         assert act.value_at_zero == 0.5
-        assert act.scalar(0.0) == 0.5
+        assert float(act.apply(0.0)) == 0.5
 
     def test_declared_dominates_measured_slope(self):
         """The declared constant is an upper bound on every finite-difference
         slope (and is nearly attained, so it is not a lazy over-estimate)."""
         for factory in ALL_FACTORIES:
             act = factory()
-            measured = empirical_lipschitz(act)
+            measured = oracles.empirical_lipschitz(act)
             assert measured <= act.lipschitz * (1 + 1e-9), act.name
             assert measured >= act.lipschitz * 0.9, act.name
 
@@ -73,9 +74,9 @@ class TestApplication:
         assert y[1] == pytest.approx(1.0)
 
     def test_elu_and_selu_negative_branch(self):
-        assert elu(1.0).scalar(-1.0) == pytest.approx(np.expm1(-1.0))
+        assert float(elu(1.0).apply(-1.0)) == pytest.approx(np.expm1(-1.0))
         act = selu()
-        assert act.scalar(-1.0) == pytest.approx(1.0507 * 1.67326 * np.expm1(-1.0))
+        assert float(act.apply(-1.0)) == pytest.approx(1.0507 * 1.67326 * np.expm1(-1.0))
 
     def test_apply_preserves_shape_and_dtype(self):
         for factory in ALL_FACTORIES:
@@ -85,10 +86,10 @@ class TestApplication:
     def test_apply_seq_maps_head_and_tail(self):
         act = sigmoid()
         s = EventuallyConstSeq([0.0, 1.0], -1.0)
-        out = EventuallyConstSeq(act.apply(s.head), act.scalar(s.tail))
+        out = EventuallyConstSeq(act.apply(s.head), act.apply(s.tail))
         assert out.head_len == 2
-        assert out.value_at(0) == 0.5
-        assert out.tail == act.scalar(-1.0)
+        assert out.truncated(3)[0] == 0.5
+        assert out.tail == float(act.apply(-1.0))
 
 
 class TestRegistry:
@@ -116,4 +117,5 @@ class TestRegistry:
 )
 def test_lipschitz_inequality_pointwise(name, x, y):
     act = make_activation(name)
-    assert abs(act.scalar(x) - act.scalar(y)) <= act.lipschitz * abs(x - y) + 1e-12
+    fx, fy = float(act.apply(x)), float(act.apply(y))
+    assert abs(fx - fy) <= act.lipschitz * abs(x - y) + 1e-12

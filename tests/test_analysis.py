@@ -12,6 +12,8 @@ from numpy.testing import assert_allclose
 from dnclab import analysis
 from dnclab.activations import relu, sigmoid
 from dnclab.analysis import (
+    CONSTANT_PAD,
+    ZERO_PAD,
     BoundContext,
     Domain,
     SamplerSpec,
@@ -31,9 +33,7 @@ from dnclab.analysis import (
 from dnclab.generators import GenSpec, MaskSpec, build, build_masks
 from dnclab.linalg import INF, ONE, TWO, induced_norm, vector_norm
 from dnclab.network import (
-    CONSTANT_PAD,
     PLAIN,
-    ZERO_PAD,
     Conv,
     LayerSeq,
     MaskSeq,
@@ -348,8 +348,8 @@ class TestConditionChecks:
 
     def test_tail_scan_label_without_limits(self):
         ctx = BoundContext(scalar_net(0.9, limits=False), PLAIN, relu(), ONE)
-        v = check_condition(ctx, (4, 16))
-        assert v.method == "tail-scan[4,16]"
+        v = check_condition(ctx)
+        assert v.method == "tail-scan[8,64]"
         assert v.passed and v.estimate == pytest.approx(0.9)
 
     def test_pooling_multiplies_estimate(self):
@@ -389,7 +389,7 @@ def _tail_scan_cases():
     rng = np.random.default_rng(3)
     # widths cycle through 3, 4, 5 so the window holds three shapes
     shape = lambda n: (3 + n % 3, 3 + (n - 1) % 3)
-    mats = {n: rng.uniform(-0.5, 0.5, shape(n)) for n in range(1, 40)}
+    mats = {n: rng.uniform(-0.5, 0.5, shape(n)) for n in range(1, 65)}
     plain = LayerSeq(3, lambda n: 3 + n % 3, lambda n: (mats[n], np.zeros(3 + n % 3)))
     yield plain, PLAIN, sigmoid(), TWO, ZERO_PAD
 
@@ -402,11 +402,10 @@ def test_tail_scan_takes_the_finite_matrix_norms(case):
     maximum of the finite weight matrices' induced norms, whatever the
     extension (a constant-padded operator's mask sum does not enter)."""
     seq, kind, act, p, ext = case
-    window = (5, 31)
-    v = check_condition(BoundContext(seq, kind, act, p, ext), window)
+    v = check_condition(BoundContext(seq, kind, act, p, ext))
     lp = act.lipschitz * pool_of(kind).lipschitz(p)
-    want = max(lp * induced_norm(seq.layer(n)[0], p) for n in range(5, 32))
-    assert v.method == "tail-scan[5,31]"
+    want = max(lp * induced_norm(seq.layer(n)[0], p) for n in range(8, 65))
+    assert v.method == "tail-scan[8,64]"
     assert v.estimate == want
 
 
@@ -448,11 +447,6 @@ class TestMaskConditions:
         # exactly constant masks decay trivially (at rate 0)
         assert out["exponential"].passed
         assert "constant" in out["exponential"].detail
-
-    def test_window_validation(self):
-        masks = build_masks(MaskSpec("diverging", (0.8,)))
-        with pytest.raises(ValueError, match="window"):
-            check_mask_conditions(masks, relu(), window=(9, 3))
 
 
 class TestTrajectory:

@@ -11,10 +11,13 @@ import pytest
 from click.testing import CliRunner
 
 from dnclab import analysis, linalg
+from dnclab.analysis import CONSTANT_PAD, ZERO_PAD
 from dnclab.cli import main
 from dnclab.config import CONFIG_SCHEMA, ConfigError, load_config, parse_config
-from dnclab.network import CONSTANT_PAD, ZERO_PAD, network_lipschitz_bound, pool_of
+from dnclab.network import pool_of
 from dnclab.report import format_float, strip_generated_at
+
+import oracles
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "sample_configs"
 
@@ -253,7 +256,7 @@ class TestOtherCommands:
         """The Lipschitz column is one running product over |W_1| .. |W_ref|:
         no matrix is normed twice (the a-priori and limit columns share the
         context's cache), every layer up to the reference depth is normed,
-        and each entry is network_lipschitz_bound's value at its depth."""
+        and each entry is oracles.network_lipschitz_bound's value at its depth."""
         if case == "conv-constant-pad":
             cfg = write_config(tmp_path, CONV_DOC)
         else:
@@ -284,7 +287,7 @@ class TestOtherCommands:
         pool = pool_of(exp.kind)
         for row in rows:
             n, lip = row.split(",")[:2]
-            want = network_lipschitz_bound(exp.seq, exp.act, pool, int(n), exp.p)
+            want = oracles.network_lipschitz_bound(exp.seq, exp.act, pool, int(n), exp.p)
             assert lip == format_float(want), n
 
     def test_rates_output(self, tmp_path):
@@ -375,6 +378,10 @@ class TestOtherCommands:
             ),
             (section("domain", bound="1"), "domain.bound must be a number, got '1'"),
             (
+                section("domain", sampler={"seed": -1}),
+                "domain.sampler: sampler seed must be >= 0, got -1",
+            ),
+            (
                 {"activation": {"name": "leaky_relu", "alpha": "0.1"}},
                 "activation.alpha must be a number, got '0.1'",
             ),
@@ -412,7 +419,7 @@ class TestOtherCommands:
             "table-number", "tolerances", "n_list-string", "m_list-real",
             "reference-real", "widths-string", "input_dim-real", "rate-string",
             "mask-base-string", "seed-bool", "p-bool", "count-real", "count-string",
-            "bound-string", "alpha-string", "alpha-bool", "report-empty", "table-empty",
+            "bound-string", "sampler-seed-negative", "alpha-string", "alpha-bool", "report-empty", "table-empty",
             "bound-huge-int", "rate-huge-int", "norm_target-huge-int", "alpha-huge-int",
             "mask-base-huge-int",
         ],
@@ -443,6 +450,28 @@ class TestOtherCommands:
         assert result.exit_code == 1, result.output
         assert isinstance(result.exception, SystemExit)
         assert f"Error: config {cfg} cannot be parsed" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize(
+        "command, over",
+        [
+            ("run", section("domain", sampler={"count": 10**15})),
+            ("check", section("generator", widths=10**9)),
+            ("check", section("generator", input_dim=10**15)),
+        ],
+        ids=["sampler-count", "widths", "input_dim"],
+    )
+    def test_unallocatable_size_is_exit_1(self, tmp_path, command, over):
+        """A size whose first array needs tens of PiB or more (numpy refuses
+        it before allocating anything) ends in ``Error: ...`` and exit code
+        1, not in a MemoryError traceback."""
+        cfg = write_config(tmp_path, base_doc(**over))
+        result = CliRunner().invoke(
+            main, [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+        )
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Error: Unable to allocate" in result.stderr
         assert "Traceback" not in result.stderr
 
     @pytest.mark.parametrize("key", ["report", "table"])

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from dnclab.analysis import CONSTANT_PAD, ZERO_PAD
 from dnclab.corpus import Instance, control_instances, corpus_instances
 from dnclab.linalg import INF, ONE
-from dnclab.network import CONSTANT_PAD, ZERO_PAD, Conv, Plain, Pooled
+from dnclab.network import Conv, Plain, Pooled
 
 
 class TestCorpusShape:

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dnclab.activations import relu, sigmoid
-from dnclab.analysis import BoundContext, check_condition
+from dnclab.analysis import CONSTANT_PAD, BoundContext, check_condition
 from dnclab import generators
 from dnclab.generators import (
     MASK_FAMILIES,
@@ -17,7 +17,7 @@ from dnclab.generators import (
     rescale_to_norm,
 )
 from dnclab.linalg import INF, ONE, TWO, induced_norm, vector_norm
-from dnclab.network import CONSTANT_PAD, PLAIN, Conv
+from dnclab.network import PLAIN, Conv
 
 import oracles
 

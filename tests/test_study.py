@@ -11,6 +11,7 @@ from click.testing import CliRunner
 from dnclab import analysis, linalg, study
 from dnclab.activations import relu
 from dnclab.analysis import (
+    CONSTANT_PAD,
     BoundContext,
     Domain,
     SamplerSpec,
@@ -27,7 +28,7 @@ from dnclab.linalg import (
     apply_banded,
     matvec,
 )
-from dnclab.network import CONSTANT_PAD, PLAIN, Conv, LayerSeq
+from dnclab.network import PLAIN, Conv, LayerSeq
 from dnclab.study import DepthPlan, convergence_study
 
 
