@@ -595,11 +595,11 @@ def _spectral_norms(ms: np.ndarray) -> np.ndarray:
     The routine is fully deterministic and positive whenever A != 0; a
     zero matrix gives 0.0.  A non-zero matrix whose Gram matrix or
     Lanczos run or Cholesky rung leaves the double range (a Gram entry
-    overflows, the whole Gram matrix underflows to zero, or a Lanczos or
+    overflows, the whole Gram matrix underflows to zero, a Lanczos or
     Cholesky value is not finite, or the squared norm itself overflows) is
-    refused with a ValueError rather than given a norm.  The stack is processed in chunks of at most 2^20
-    Gram entries (or of one matrix, if its Gram is larger); no member's
-    bits depend on the stack around it.
+    refused with a ValueError rather than given a norm.  The stack is
+    processed in chunks of at most 2^20 Gram entries (or of one matrix, if
+    its Gram is larger); no member's bits depend on the stack around it.
     """
     k, _, cols = ms.shape
     out = np.empty(k)

@@ -76,7 +76,8 @@ class TestApplication:
     def test_elu_and_selu_negative_branch(self):
         assert float(elu(1.0).apply(-1.0)) == pytest.approx(np.expm1(-1.0))
         act = selu()
-        assert float(act.apply(-1.0)) == pytest.approx(1.0507 * 1.67326 * np.expm1(-1.0))
+        want = 1.0507 * 1.67326 * np.expm1(-1.0)
+        assert float(act.apply(-1.0)) == pytest.approx(want)
 
     def test_apply_preserves_shape_and_dtype(self):
         for factory in ALL_FACTORIES:

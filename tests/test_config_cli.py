@@ -287,7 +287,9 @@ class TestOtherCommands:
         pool = pool_of(exp.kind)
         for row in rows:
             n, lip = row.split(",")[:2]
-            want = oracles.network_lipschitz_bound(exp.seq, exp.act, pool, int(n), exp.p)
+            want = oracles.network_lipschitz_bound(
+                exp.seq, exp.act, pool, int(n), exp.p
+            )
             assert lip == format_float(want), n
 
     def test_rates_output(self, tmp_path):
@@ -419,7 +421,8 @@ class TestOtherCommands:
             "table-number", "tolerances", "n_list-string", "m_list-real",
             "reference-real", "widths-string", "input_dim-real", "rate-string",
             "mask-base-string", "seed-bool", "p-bool", "count-real", "count-string",
-            "bound-string", "sampler-seed-negative", "alpha-string", "alpha-bool", "report-empty", "table-empty",
+            "bound-string", "sampler-seed-negative", "alpha-string", "alpha-bool",
+            "report-empty", "table-empty",
             "bound-huge-int", "rate-huge-int", "norm_target-huge-int", "alpha-huge-int",
             "mask-base-huge-int",
         ],

@@ -30,8 +30,12 @@ from dnclab.network import MaskSeq
 
 import oracles
 
-_PINNED_SHAPES = ((1, 1), (4, 1), (1, 5), (2, 2), (4, 4), (6, 3), (3, 7), (9, 9), (16, 12))
-_PINNED_EXPONENTS = (-160, -150, -120, -80, -40, -8, 0, 8, 40, 80, 120, 150, 160, 75, 76)
+_PINNED_SHAPES = (
+    (1, 1), (4, 1), (1, 5), (2, 2), (4, 4), (6, 3), (3, 7), (9, 9), (16, 12)
+)
+_PINNED_EXPONENTS = (
+    -160, -150, -120, -80, -40, -8, 0, 8, 40, 80, 120, 150, 160, 75, 76
+)
 
 
 def _pinned_operands():
@@ -46,7 +50,8 @@ def _pinned_operands():
             for _ in range(rows * cols):
                 state = (state * 6364136223846793005 + 1442695040888963407) % 2**64
                 entries.append(((state >> 40) % 201 - 100) / 64)
-            yield (rows, cols), e, np.array(entries).reshape(rows, cols) * float(f"1e{e}")
+            a = np.array(entries).reshape(rows, cols) * float(f"1e{e}")
+            yield (rows, cols), e, a
 
 
 class TestSeqSum:
