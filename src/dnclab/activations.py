@@ -128,9 +128,11 @@ def selu(scale: float = 1.0507, alpha: float = 1.67326) -> Activation:
 
 def sigmoid() -> Activation:
     def fn(x):
-        # Stable in both directions: exp is only taken of -|x|.
+        # Stable in both directions: exp is only taken of -|x|.  The
+        # numerator is 1 for x >= 0 (z <= 1 there) and z for x < 0; a NaN
+        # stays NaN through both the maximum and the division.
         z = np.exp(-np.abs(x))
-        return np.where(x >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
+        return np.maximum(z, x >= 0.0) / (1.0 + z)
 
     return Activation("sigmoid", 0.25, 0.5, fn)
 

@@ -365,6 +365,8 @@ class ZeroPad:
         self.kind = kind
         self.act = act
         self.p = p
+        # |(act o pool)(0)| by pre-pooling dimension, the only input it has
+        self._zero_images: dict[int, float] = {}
 
     def weight_limit_norm(self) -> float | None:
         """|W*|, or None when the extension has no declared limit operator."""
@@ -400,8 +402,11 @@ class ZeroPad:
 
     def zero_image_norm(self, n: int) -> float:
         dim = self.seq.width(n) + self.seq.extra_rows
-        zero = pool_of(self.kind).pool(np.zeros(dim))
-        return vector_norm(self.act.apply(zero), self.p)
+        got = self._zero_images.get(dim)
+        if got is None:
+            zero = pool_of(self.kind).pool(np.zeros(dim))
+            got = self._zero_images[dim] = vector_norm(self.act.apply(zero), self.p)
+        return got
 
     def tail_cap_refusal(self) -> str | None:
         """Why the state norms admit no certified sup, or None: padded
@@ -530,14 +535,13 @@ class BoundContext:
         # |W_k - W*| is |W_k| and the two keys share one entry
         self._zero_limit = isinstance(kind, Conv) and self.weight_limit_norm == 0.0
         self._norm = _Lazy(lambda key: geo.norms([key])[0])
-        self._znorm = _Lazy(geo.zero_image_norm)
 
         def bias_gap(jk):  # layer None stands for the declared limit b*
-            a, b = (seq.bias_limit if k is None else seq.layer(k)[1] for k in jk)
+            a, b = (seq.bias_limit if k is None else seq.bias(k) for k in jk)
             return state_deviation(a, b, p, 0.0)
 
         self._bdiff = _Lazy(bias_gap)
-        self._bnorm = _Lazy(lambda n: vector_norm(seq.layer(n)[1], p))
+        self._bnorm = _Lazy(lambda n: vector_norm(seq.bias(n), p))
 
     def _key(self, key: tuple) -> tuple:
         return ("W", key[1]) if key[0] == "E" and self._zero_limit else key
@@ -579,7 +583,7 @@ class BoundContext:
     def zero_image_norm(self, n: int) -> float:
         """|(act o pool)(0)| at layer n — the additive constant of the
         a-priori recursion."""
-        return self._znorm[n]
+        return self.geometry.zero_image_norm(n)
 
     def bias_diff(self, j: int, k: int) -> float:
         """|b_j - b_k| with zero padding across widths."""
@@ -605,67 +609,89 @@ class BoundContext:
 
 
 class Trajectory:
-    """Evaluation data of all samples at the depths a caller reads.
+    """The reads a caller declares, taken from one recursion sweep.
 
     ``x`` is one input vector or a ``(dim, S)`` batch holding one sample per
-    column.  One recursion sweep to ``depth`` (one step per layer for the
-    whole batch) keeps the states at the depths in ``keep`` (every depth
-    1..depth by default) and, at each m in ``gaps`` below ``depth``, the
-    restart gap |W_{m+1} N_m(x) - W_1 x|, taken from the products the sweep
-    computed anyway; all other states are dropped as the sweep moves on,
-    so memory is O(len(keep) * width * S), not O(depth * width * S).  State
-    norms and deviations between kept depths are served on demand, one
-    value per sample (an array of S, or a float for a vector), with the
-    same bits in any batch and whatever is kept.  Reading a depth outside
-    ``keep`` raises a ValueError.
+    column.  The caller names every read before the sweep starts: the state
+    norms |N_n(x)| at the depths in ``norms``, the deviation
+    |N_b(x) - N_a(x)| of each pair (a, b) in ``pairs`` and, at each m in
+    ``gaps``, the restart gap |W_{m+1} N_m(x) - W_1 x|.  One sweep to
+    ``depth`` (one step per layer for the whole batch) takes each read as
+    soon as its depth is reached: a norm at n, a deviation at b, a gap at
+    m + 1 from the products the sweep computes anyway.  A state is held
+    only from a to the last b it is paired with (and W_1 x until the last
+    gap), so memory is O(distinct a * width * S), not O(depth * width * S),
+    and nothing is held after the sweep.  Each read is one value per sample
+    (an array of S, or a float for a vector), with the same bits in any
+    batch.  Reading anything that was not declared raises a ValueError.
     """
 
-    def __init__(self, ctx: BoundContext, x, depth: int, keep=None, *, gaps):
-        geo = self._geo = ctx.geometry
+    def __init__(
+        self, ctx: BoundContext, x, depth: int, *, norms=(), pairs=(), gaps=()
+    ):
+        geo = ctx.geometry
         depth = int(depth)
-        self.kept = frozenset(range(1, depth + 1) if keep is None else map(int, keep))
-        outside = sorted(n for n in self.kept if not 1 <= n <= depth)
+        norm_at = frozenset(map(int, norms))
+        pairs = sorted({(int(a), int(b)) for a, b in pairs})
+        gap_at = frozenset(map(int, gaps))
+        reached = {*norm_at, *(n for pair in pairs for n in pair)}
+        reached.update(m + 1 for m in gap_at)
+        outside = sorted(n for n in reached if not 1 <= n <= depth)
         if outside:
-            raise ValueError(f"kept depths {outside} lie outside 1..{depth}")
-        kept = self.kept
-        gap_depths = frozenset(map(int, gaps))
-        taken = self._gaps = {}
+            raise ValueError(
+                f"declared reads at depths {outside} lie outside 1..{depth}"
+            )
+        backward = [pair for pair in pairs if pair[0] >= pair[1]]
+        if backward:
+            raise ValueError(f"deviation pairs {backward} need a < b")
+        partners: dict[int, list[int]] = {}  # b -> the a it is compared with
+        until: dict[int, int] = {}  # a -> the last b it is compared with
+        for a, b in pairs:
+            partners.setdefault(b, []).append(a)
+            until[a] = b
+        norms_at, devs, gaps_at, held = {}, {}, {}, {}
         first = None
+        last_gap = max(gap_at, default=0)
 
         def select(n, product, state):
             nonlocal first
             if n == 1:
                 first = product
-            elif n - 1 in gap_depths:
-                taken[n - 1] = geo.restart_gap(product, first)
-            return state if n in kept else None
+            elif n - 1 in gap_at:
+                gaps_at[n - 1] = geo.restart_gap(product, first)
+            if n > last_gap:
+                first = None  # W_1 x: no later gap reads it
+            if n in norm_at:
+                norms_at[n] = geo.state_norm(state)
+            for a in partners.get(n, ()):
+                devs[a, n] = geo.distance(state, held[a])
+                if until[a] == n:
+                    del held[a]
+            if n in until:
+                held[n] = state
 
-        states = self._states = geo.states(x, depth, select)  # validates x, depth
-        self._norms = _Lazy(lambda n: geo.state_norm(states[n - 1]))
+        geo.states(x, depth, select)  # validates x and depth
+        self._norms, self._deviations, self._gaps = norms_at, devs, gaps_at
 
-    def _read(self, n: int) -> int:
-        if n not in self.kept:
-            raise ValueError(f"depth {n} is not kept by this trajectory")
-        return n
-
-    def state(self, n: int):
-        return self._states[self._read(n) - 1]
+    def _read(self, taken: dict, key, what: str):
+        try:
+            return taken[key]
+        except KeyError:
+            raise ValueError(f"{what} was not declared") from None
 
     def state_norm(self, n: int):
-        return self._norms[self._read(n)]
+        """|N_n(x)| in the extension's norm."""
+        return self._read(self._norms, n, f"state norm at depth {n}")
 
     def deviation(self, n_small: int, n_large: int):
         """|N_{n_large}(x) - N_{n_small}(x)| in the extension metric."""
-        return self._geo.distance(self.state(n_large), self.state(n_small))
+        key = (n_small, n_large)
+        return self._read(self._deviations, key, f"deviation of depths {key}")
 
     def product_gap(self, m: int):
         """|W_{m+1} N_m(x) - W_1 x| — the pre-activation mismatch between
         restarting the recursion at depth m and at the input."""
-        if self._read(m) not in self._gaps:
-            raise ValueError(
-                f"no restart gap at depth {m}: not requested, or the sweep ends there"
-            )
-        return self._gaps[m]
+        return self._read(self._gaps, m, f"restart gap at depth {m}")
 
 
 # ---------------------------------------------------------------------------
@@ -705,8 +731,9 @@ def deviation_bound_ctx(ctx: BoundContext, traj: Trajectory, n: int, m: int):
     the depth-m head start |W_{m+1} N_m(x) - W_1 x|; each is discounted by
     the contraction products Lam of the layers still to come.  The bound is
     tight: a scalar constant-weight network achieves equality.  ``traj``
-    must reach depth max(n + m - 1, m).  Lam and term 1 do not depend on x
-    and are built once for the whole batch.
+    must declare the state norms at depths 1 .. n - 1 and the restart gap
+    at m.  Lam and term 1 do not depend on x and are built once for the
+    whole batch.
     """
     if n < 1 or m < 1:
         raise ValueError("deviation bound needs n >= 1 and m >= 1")

@@ -287,6 +287,7 @@ def rates(ctx, config_path, out_dir, threads):
 @_threads_opt
 @click.option("--samples", default=20, show_default=True, help="Inputs per instance.")
 @click.pass_context
+@_refusal_exits_1
 def selftest(ctx, threads, samples):
     """Re-verify the shipped corpus at reduced depth.
 

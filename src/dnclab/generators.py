@@ -337,7 +337,7 @@ def _build_matrix_family(spec: GenSpec) -> BuiltNetwork:
     # One fixed unit drift direction per width phase (layers n >= 2); the
     # random_convergent family redraws the direction at every layer instead,
     # a block of layers at a time (see _DRIFT_BLOCK).  A direction is dropped
-    # once handed out: LayerSeq keeps the built layer, and asking again
+    # once handed out: LayerSeq keeps the built weight, and asking again
     # redraws the block with the same bits.
     if spec.family == "random_convergent":
         layer_dirs: dict[int, np.ndarray] = {}
@@ -365,25 +365,28 @@ def _build_matrix_family(spec: GenSpec) -> BuiltNetwork:
 
     drifting = spec.family in _DRIFT_FAMILIES
 
-    def layers(n: int):
+    def weight(n: int) -> np.ndarray:
         if n == 1:
             w1 = _rng(seed, "weight-first").uniform(-1.0, 1.0, (width(1) + mu, s))
-            w = np.asarray(rescale_to_norm(w1, core_norm, p))
-        else:
-            w = _embed(core, width(n) + mu, width(n - 1))
-            if drifting:
-                w = w + decay(n) * drift_direction(n)
+            return np.asarray(rescale_to_norm(w1, core_norm, p))
+        w = _embed(core, width(n) + mu, width(n - 1))
+        if drifting:
+            w = w + decay(n) * drift_direction(n)
+        return w
+
+    def bias(n: int) -> np.ndarray:
         b = np.zeros(width(n))
         b[:min_w] = bias_core
         if drifting:
             d = _unit_vector(_rng(seed, "bias-drift", n), width(n), p)
             b = b + bias_decay(n) * d
-        return w, b
+        return b
 
     seq = LayerSeq(
         s,
         width,
-        layers,
+        weight,
+        bias,
         extra_rows=mu,
         weight_limit=_embed(core, max_w + mu, max_w),
         bias_limit=bias_core,

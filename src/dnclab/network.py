@@ -24,8 +24,9 @@ There is one copy of the recursion, a sweep that steps every layer once;
 :func:`eval_trajectory` and :func:`eval_extended_trajectory` are list
 wrappers over it.  By default they keep every state.  Given ``select``,
 they hand each layer's product W_j N_{j-1}(x) (before pooling and bias) and
-its state to the caller, which keeps only what it reads: a deep sweep then
-holds one state at a time, not all of them.
+its state to the caller, which takes what it reads and holds only the
+states it still needs: a deep sweep then holds a few states, not all of
+them.
 
 States of different widths are compared through one of two extensions,
 named ``zero_pad`` and ``constant_pad`` (``dnclab.analysis`` holds the
@@ -41,7 +42,9 @@ geometry of each and refuses any other name):
   operator (``linalg.apply_banded``), so the constant tail evolves by
   ``t -> act(sum(mask) * t)`` while the head lengthens by tau per layer.
   Convolutional weights are the finite windows
-  ``linalg.toeplitz_matrix(mask(n), width(n), width(n - 1))``.
+  ``linalg.toeplitz_matrix(mask(n), width(n), width(n - 1))``; this sweep
+  reads layer 1's window and the biases of layers 2, 3, ... only, so it
+  builds no other window.
 """
 
 from __future__ import annotations
@@ -155,10 +158,13 @@ def pool_of(kind: NetworkKind) -> PoolingOp:
 class LayerSeq:
     """Lazily generated, cached sequence of layer parameters (W_n, b_n).
 
-    ``layer_fn(n)`` is called at most once per index, and its output is
-    validated against the width schedule (a mismatch raises a ValueError
-    naming the offending layer), frozen, and cached — so evaluations at any
-    depths see bitwise-identical parameters.
+    ``weight_fn(n)`` and ``bias_fn(n)`` are each called at most once per
+    index, and apart: :meth:`bias` generates b_n without W_n, so a reader of
+    the biases alone (the bias norms and gaps, the constant-padded sweep
+    past layer 1) builds no weight.  Each output is validated against the
+    width schedule (a mismatch raises a ValueError naming the offending
+    layer), frozen, and cached — so evaluations at any depths see
+    bitwise-identical parameters.  :meth:`layer` returns the pair.
 
     ``weight_limit`` / ``bias_limit`` optionally declare limits W*, b* that
     the layers converge to (for growing-width sequences the bias limit is a
@@ -171,7 +177,8 @@ class LayerSeq:
         self,
         input_dim: int,
         width_fn: Callable[[int], int],
-        layer_fn: Callable[[int], tuple],
+        weight_fn: Callable[[int], object],
+        bias_fn: Callable[[int], object],
         *,
         extra_rows: int = 0,
         weight_limit=None,
@@ -186,7 +193,8 @@ class LayerSeq:
         self.input_dim = input_dim
         self.extra_rows = extra_rows
         self._width_fn = width_fn
-        self._layer_fn = layer_fn
+        self._weight_fn = weight_fn
+        self._bias_fn = bias_fn
         self.weight_limit = (
             None if weight_limit is None else as_matrix(weight_limit, name="W* limit")
         )
@@ -194,7 +202,8 @@ class LayerSeq:
             None if bias_limit is None else as_vector(bias_limit, name="b* limit")
         )
         self._widths: dict[int, int] = {}
-        self._layers: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._weights: dict[int, np.ndarray] = {}
+        self._biases: dict[int, np.ndarray] = {}
 
     def width(self, n: int) -> int:
         """State dimension after layer n; width(0) is the input dimension."""
@@ -211,26 +220,33 @@ class LayerSeq:
         return got
 
     def layer(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        if n < 1:
-            raise ValueError(f"layer index must be >= 1, got {n}")
-        got = self._layers.get(n)
-        if got is None:
-            w_raw, b_raw = self._layer_fn(n)
-            w = as_matrix(w_raw, name=f"layer {n} weight")
-            b = as_vector(b_raw, name=f"layer {n} bias")
+        """(W_n, b_n)."""
+        b = self.bias(n)  # validates n
+        w = self._weights.get(n)
+        if w is None:
+            w = as_matrix(self._weight_fn(n), name=f"layer {n} weight")
             expected = (self.width(n) + self.extra_rows, self.width(n - 1))
             if w.shape != expected:
                 raise ValueError(
                     f"layer {n}: weight shape {w.shape} does not chain, "
                     f"expected {expected}"
                 )
+            self._weights[n] = w
+        return w, b
+
+    def bias(self, n: int) -> np.ndarray:
+        """b_n, generated without W_n."""
+        if n < 1:
+            raise ValueError(f"layer index must be >= 1, got {n}")
+        b = self._biases.get(n)
+        if b is None:
+            b = as_vector(self._bias_fn(n), name=f"layer {n} bias")
             if b.size != self.width(n):
                 raise ValueError(
                     f"layer {n}: bias length {b.size}, expected {self.width(n)}"
                 )
-            got = (w, b)
-            self._layers[n] = got
-        return got
+            self._biases[n] = b
+        return b
 
 
 def _column(b: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -276,8 +292,8 @@ def _sweep(
         raise ValueError("constant padding is defined for convolutional networks only")
     v = _input(seq, kind, x, n_max)
     for j in range(1, n_max + 1):
-        w, b = seq.layer(j)
         if j > 1 and padded:
+            b = seq.bias(j)
             prod = apply_banded(kind.masks.mask(j), v)
             if prod.head_len != seq.width(j):
                 raise ValueError(
@@ -288,6 +304,7 @@ def _sweep(
                 act.apply(prod.head + _column(b, prod.head)), act.apply(prod.tail)
             )
         else:
+            w, b = seq.layer(j)
             prod = matvec(w, v)
             z = kind.op.pool(prod) if isinstance(kind, Pooled) else prod
             v = act.apply(z + _column(b, z))
@@ -342,7 +359,7 @@ def cnn_layer_seq(
     def width(n: int) -> int:
         return input_dim + n * tau
 
-    def layers(n: int):
-        return toeplitz_matrix(masks.mask(n), width(n), width(n - 1)), bias_source(n)
+    def weight(n: int) -> np.ndarray:
+        return toeplitz_matrix(masks.mask(n), width(n), width(n - 1))
 
-    return LayerSeq(input_dim, width, layers, bias_limit=bias_limit)
+    return LayerSeq(input_dim, width, weight, bias_source, bias_limit=bias_limit)

@@ -2,8 +2,9 @@
 
 A study takes one network family, draws inputs from the domain, evaluates
 the state trajectories of all samples in one batch (one recursion sweep per
-layer, keeping the states only at the depths the grid reads), and then
-audits the full grid of depth pairs:
+layer, taking the norms and deviations the grid reads as it goes and
+holding only the states at n_list), and then audits the full grid of depth
+pairs:
 
 * per (n, m): the empirical deviation |N_{n+m}(x) - N_n(x)| against the
   three-term deviation bound (per sample — dominance is checked pointwise,
@@ -219,15 +220,16 @@ def _grid_norm_keys(depths: DepthPlan, limits: bool) -> list[tuple]:
     return sorted(keys)
 
 
-def _trajectory_depths(depths: DepthPlan) -> set[int]:
-    """The depths at which the audit grid reads the trajectory: states at
-    n, n + m and the reference depth (deviations, and the state norms of
-    the a-priori rows), the restart gap at m, and the state norms at
-    1 .. max(n_list) - 1 that the deviation bound's second term weighs."""
-    ns, ms = depths.n_list, depths.m_list
-    keep = {*ns, *ms, depths.reference, *range(1, max(ns))}
-    keep.update(n + m for n in ns for m in ms)
-    return keep
+def _trajectory_reads(depths: DepthPlan) -> dict:
+    """What the audit grid reads from the trajectory, as the keywords of
+    :class:`Trajectory`: the state norms at n and the reference depth (the
+    a-priori rows) and at 1 .. max(n_list) - 1 (the deviation bound's
+    second term), the deviations of the pairs (n, n + m) and (n, reference)
+    and the restart gaps at m.  Only the states at n are held, each until
+    the reference depth."""
+    ns, ms, ref = depths.n_list, depths.m_list, depths.reference
+    pairs = [(n, n + m) for n in ns for m in ms] + [(n, ref) for n in ns]
+    return {"norms": {*ns, ref, *range(1, max(ns))}, "pairs": pairs, "gaps": ms}
 
 
 def convergence_study(
@@ -263,10 +265,8 @@ def convergence_study(
         ctx, domain.norm_bound(p)
     )
     ctx.prefetch(_grid_norm_keys(depths, constants is not None))
-    # one sample per column; only the states and gaps the grid reads are kept
-    traj = Trajectory(
-        ctx, samples.T, depths.max_depth, _trajectory_depths(depths), gaps=depths.m_list
-    )
+    # one sample per column; the sweep takes the grid's reads as it goes
+    traj = Trajectory(ctx, samples.T, depths.max_depth, **_trajectory_reads(depths))
 
     lb = _Lazy(lambda n: limit_bound_ctx(ctx, n, constants))
     slack = 1.0 + _DOMINANCE_RTOL

@@ -225,6 +225,48 @@ def per_sample_constant_pad(seq, masks, act, x, n_max: int) -> list:
     return out
 
 
+def masked_sigmoid(x):
+    """The logistic function in its two-branch masked form, z = exp(-|x|):
+    1 / (1 + z) where x >= 0 and z / (1 + z) elsewhere."""
+    z = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
+
+
+class KeptTrajectory:
+    """Every state of one sweep kept, and each read computed from them on
+    demand: the reference for the reads a streamed
+    :class:`dnclab.analysis.Trajectory` takes as it goes.  The restart gap
+    computes both products again, from the kept state and the input."""
+
+    def __init__(self, ctx, x, depth: int):
+        from dnclab.analysis import ConstantPad
+        from dnclab.network import eval_extended_trajectory, eval_trajectory
+
+        self.ctx, self.x = ctx, np.asarray(x, dtype=np.float64)
+        self.padded = isinstance(ctx.geometry, ConstantPad)
+        sweep = eval_extended_trajectory if self.padded else eval_trajectory
+        self.states = sweep(ctx.seq, ctx.kind, ctx.act, x, depth)
+
+    def state_norm(self, n: int):
+        return self.ctx.geometry.state_norm(self.states[n - 1])
+
+    def deviation(self, n_small: int, n_large: int):
+        geo = self.ctx.geometry
+        return geo.distance(self.states[n_large - 1], self.states[n_small - 1])
+
+    def product_gap(self, m: int):
+        from dnclab.linalg import EventuallyConstSeq, apply_banded, matvec
+
+        seq, state = self.ctx.seq, self.states[m - 1]
+        first = matvec(seq.layer(1)[0], self.x)
+        if self.padded:
+            product = apply_banded(self.ctx.kind.masks.mask(m + 1), state)
+            first = EventuallyConstSeq(first, 0.0)
+        else:
+            product = matvec(seq.layer(m + 1)[0], state)
+        return self.ctx.geometry.restart_gap(product, first)
+
+
 def empirical_lipschitz(act) -> float:
     """Largest secant slope of the scalar map over 4001 points of [-5, 5].
 

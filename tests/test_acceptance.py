@@ -57,6 +57,15 @@ from dnclab.report import strip_generated_at
 REFERENCE_DEPTH = 48
 SAMPLE_COUNT = 100
 SAMPLE_SEED = 987
+# what criteria 3-6 read from the corpus trajectories: state norms at
+# n <= 15, deviations of (n, n + m) and (n, reference) for n <= 40, m <= 8,
+# and the restart gaps at m <= 8
+CORPUS_READS = {
+    "norms": range(1, 16),
+    "pairs": [(n, n + m) for n in range(1, 41) for m in range(1, 9)]
+    + [(n, REFERENCE_DEPTH) for n in range(1, 41)],
+    "gaps": range(1, 9),
+}
 REL_TOL = 1e-9  # float-accumulation allowance on dominance comparisons
 
 
@@ -81,8 +90,7 @@ def prepared():
         seq, kind = inst.build()
         ctx = BoundContext(seq, kind, inst.activation(), inst.p, inst.extension)
         samples = inst.domain().uniform_samples(SAMPLE_COUNT, SAMPLE_SEED)
-        gaps = range(1, REFERENCE_DEPTH)
-        traj = Trajectory(ctx, samples.T, REFERENCE_DEPTH, gaps=gaps)
+        traj = Trajectory(ctx, samples.T, REFERENCE_DEPTH, **CORPUS_READS)
         out.append(PreparedInstance(inst, ctx, traj))
     return out, time.perf_counter() - t0
 
@@ -217,14 +225,15 @@ def test_criterion_4_deviation_dominance(prepared, capsys):
     seq = LayerSeq(
         1,
         lambda n: 1,
-        lambda n: (np.array([[0.4]]), np.zeros(1)),
+        lambda n: np.array([[0.4]]),
+        lambda n: np.zeros(1),
         weight_limit=np.array([[0.4]]),
         bias_limit=np.zeros(1),
     )
     worst_gap = 0.0
     scalar_ctx = BoundContext(seq, PLAIN, relu(), ONE)
     for n, m in ((1, 1), (2, 3), (3, 2), (5, 4)):
-        traj = Trajectory(scalar_ctx, [1.0], n + m, gaps=(m,))
+        traj = Trajectory(scalar_ctx, [1.0], n + m, norms=range(1, n), gaps=(m,))
         bound = deviation_bound_ctx(scalar_ctx, traj, n, m)
         closed_form = 0.4**n - 0.4 ** (n + m)
         emp = abs(

@@ -55,8 +55,23 @@ def scalar_net(weight: float, *, bias: float = 0.0, limits: bool = True) -> Laye
     return LayerSeq(
         1,
         lambda n: 1,
-        lambda n: (np.array([[weight]]), np.array([bias])),
+        lambda n: np.array([[weight]]),
+        lambda n: np.array([bias]),
         **extra,
+    )
+
+
+def cell_trajectory(ctx, x, cells) -> Trajectory:
+    """A trajectory declaring what each (n, m) cell reads: the deviation
+    |N_{n+m}(x) - N_n(x)| and its bound's state norms and restart gap."""
+    depth = max(n + m for n, m in cells)
+    return Trajectory(
+        ctx,
+        x,
+        depth,
+        norms=range(1, max(n for n, _ in cells)),
+        pairs=[(n, n + m) for n, m in cells],
+        gaps=[m for _, m in cells],
     )
 
 
@@ -132,7 +147,7 @@ class TestLambdaProducts:
     def test_pooling_factor_included(self):
         # max pooling with mu=1 doubles the ell-1 operator constant
         w = np.ones((2, 1)) * 0.3
-        seq = LayerSeq(1, lambda n: 1, lambda n: (w, np.zeros(1)), extra_rows=1)
+        seq = LayerSeq(1, lambda n: 1, lambda n: w, lambda n: np.zeros(1), extra_rows=1)
         ctx = BoundContext(seq, Pooled(max_pooling(1)), relu(), ONE)
         vals = ctx.lambda_products(5, 2)
         assert_allclose(vals, [1.0, 2 * 0.6, (2 * 0.6) ** 2], rtol=1e-14)
@@ -142,7 +157,7 @@ class TestAprioriBound:
     def test_zero_weight_sigmoid_is_exact(self):
         # with W = 0, b = 0 every state equals sigmoid(0) = 1/2 in each of
         # the 3 coordinates, and the bound collapses to that exact norm
-        seq = LayerSeq(3, lambda n: 3, lambda n: (np.zeros((3, 3)), np.zeros(3)))
+        seq = LayerSeq(3, lambda n: 3, lambda n: np.zeros((3, 3)), lambda n: np.zeros(3))
         for p, expect in ((ONE, 1.5), (INF, 0.5), (TWO, 0.5 * math.sqrt(3.0))):
             got = apriori_bound_ctx(BoundContext(seq, PLAIN, sigmoid(), p), 4, 2.0)
             assert got == pytest.approx(expect, rel=1e-15)
@@ -161,7 +176,7 @@ class TestAprioriBound:
         dom = Domain(3, 1.0)
         bound_cache = {n: apriori_bound_ctx(ctx, n, dom.norm_bound(ONE)) for n in (1, 3, 6)}
         for x in dom.uniform_samples(30, seed=2):
-            traj = Trajectory(ctx, x, 6, gaps=())
+            traj = Trajectory(ctx, x, 6, norms=bound_cache)
             for n, bound in bound_cache.items():
                 assert traj.state_norm(n) <= bound * (1 + 1e-9)
 
@@ -178,7 +193,7 @@ class TestDeviationBound:
     def test_scalar_net_achieves_equality(self):
         ctx = BoundContext(scalar_net(0.4), PLAIN, relu(), ONE)
         for n, m in ((1, 1), (3, 2), (5, 4)):
-            traj = Trajectory(ctx, [1.0], n + m, gaps=(m,))
+            traj = cell_trajectory(ctx, [1.0], [(n, m)])
             bound = deviation_bound_ctx(ctx, traj, n, m)
             emp = traj.deviation(n, n + m)
             exact = 0.4**n - 0.4 ** (n + m)
@@ -189,15 +204,16 @@ class TestDeviationBound:
     def test_head_start_term_alone_at_depth_one(self):
         # n = 1 keeps only the third term: |W_{m+1} N_m(x) - W_1 x|
         ctx = BoundContext(scalar_net(0.4), PLAIN, relu(), ONE)
-        got = deviation_bound_ctx(ctx, Trajectory(ctx, [1.0], 4, gaps=(3,)), 1, 3)
+        got = deviation_bound_ctx(ctx, cell_trajectory(ctx, [1.0], [(1, 3)]), 1, 3)
         assert got == pytest.approx(0.4 - 0.4**4, rel=1e-14)
 
     def test_dominates_drifting_network(self):
         seq = drifting_net()
         ctx = BoundContext(seq, PLAIN, relu(), ONE)
+        cells = ((1, 2), (2, 3), (4, 5), (6, 3))
         for x in Domain(3, 1.0).uniform_samples(15, seed=4):
-            traj = Trajectory(ctx, x, 9, gaps=(2, 3, 5))
-            for n, m in ((1, 2), (2, 3), (4, 5), (6, 3)):
+            traj = cell_trajectory(ctx, x, cells)
+            for n, m in cells:
                 bound = deviation_bound_ctx(ctx, traj, n, m)
                 emp = traj.deviation(n, n + m)
                 assert emp <= bound * (1 + 1e-9) + 1e-300
@@ -211,16 +227,17 @@ class TestDeviationBound:
         ))
         net = build(spec)
         ctx = BoundContext(net.seq, Conv(net.masks), sigmoid(), INF, CONSTANT_PAD)
+        cells = ((1, 2), (3, 2), (4, 3))
         for x in Domain(2, 1.0).uniform_samples(8, seed=1):
-            traj = Trajectory(ctx, x, 7, gaps=(2, 3))
-            for n, m in ((1, 2), (3, 2), (4, 3)):
+            traj = cell_trajectory(ctx, x, cells)
+            for n, m in cells:
                 bound = deviation_bound_ctx(ctx, traj, n, m)
                 assert traj.deviation(n, n + m) <= bound * (1 + 1e-9)
 
     def test_rejects_bad_depths(self):
         with pytest.raises(ValueError, match="n >= 1"):
             ctx = BoundContext(scalar_net(0.4), PLAIN, relu(), ONE)
-            deviation_bound_ctx(ctx, Trajectory(ctx, [1.0], 1, gaps=()), 0, 1)
+            deviation_bound_ctx(ctx, Trajectory(ctx, [1.0], 1), 0, 1)
 
 
 class TestLimitConstants:
@@ -236,14 +253,11 @@ class TestLimitConstants:
     def test_omega0_covers_early_layers(self):
         # the limit bound discounts every peeled layer k >= 2 by omega0, so
         # a large early layer must lift omega0 even when the tail is small
-        def layer(n):
-            w = 0.5 + 0.4 * 0.5**n
-            return np.array([[w]]), np.zeros(1)
-
         seq = LayerSeq(
             1,
             lambda n: 1,
-            layer,
+            lambda n: np.array([[0.5 + 0.4 * 0.5**n]]),
+            lambda n: np.zeros(1),
             weight_limit=np.array([[0.5]]),
             bias_limit=np.zeros(1),
         )
@@ -326,7 +340,7 @@ class TestLimitBound:
             for n in (2, 4, 8)
         }
         for x in Domain(3, 1.0).uniform_samples(10, seed=6):
-            traj = Trajectory(ctx, x, ref, gaps=())
+            traj = Trajectory(ctx, x, ref, pairs=[(n, ref) for n in pair])
             for n, budget in pair.items():
                 assert traj.deviation(n, ref) <= budget * (1 + 1e-9)
 
@@ -357,7 +371,8 @@ class TestConditionChecks:
         seq = LayerSeq(
             1,
             lambda n: 1,
-            lambda n: (w, np.zeros(1)),
+            lambda n: w,
+            lambda n: np.zeros(1),
             extra_rows=1,
             weight_limit=w,
             bias_limit=np.zeros(1),
@@ -390,7 +405,7 @@ def _tail_scan_cases():
     # widths cycle through 3, 4, 5 so the window holds three shapes
     shape = lambda n: (3 + n % 3, 3 + (n - 1) % 3)
     mats = {n: rng.uniform(-0.5, 0.5, shape(n)) for n in range(1, 65)}
-    plain = LayerSeq(3, lambda n: 3 + n % 3, lambda n: (mats[n], np.zeros(3 + n % 3)))
+    plain = LayerSeq(3, lambda n: 3 + n % 3, mats.get, lambda n: np.zeros(3 + n % 3))
     yield plain, PLAIN, sigmoid(), TWO, ZERO_PAD
 
 
@@ -453,6 +468,8 @@ class TestTrajectory:
     def test_product_gap_hand_computed(self):
         ctx = BoundContext(scalar_net(0.4), PLAIN, relu(), ONE)
         traj = Trajectory(ctx, [1.0], 4, gaps=(2,))
+        with pytest.raises(ValueError, match="restart gap at depth 1 was not declared"):
+            traj.product_gap(1)
         # |W_3 N_2(x) - W_1 x| = |0.4 * 0.16 - 0.4|
         assert traj.product_gap(2) == pytest.approx(0.4 - 0.4**3, rel=1e-14)
 
@@ -460,7 +477,7 @@ class TestTrajectory:
         seq = drifting_net()
         ctx = BoundContext(seq, PLAIN, relu(), ONE)
         x = np.array([0.3, -0.8, 0.5])
-        traj = Trajectory(ctx, x, 5, gaps=())
+        traj = Trajectory(ctx, x, 5, norms=(1, 3, 5))
         from dnclab.network import eval_trajectory
 
         for n in (1, 3, 5):
@@ -470,7 +487,7 @@ class TestTrajectory:
     def test_empirical_sup_is_max_over_samples(self):
         ctx = BoundContext(scalar_net(0.4), PLAIN, relu(), ONE)
         samples = [[0.2], [1.0], [-0.6]]
-        got = max(Trajectory(ctx, x, 4, gaps=()).deviation(2, 4) for x in samples)
+        got = max(Trajectory(ctx, x, 4, pairs=[(2, 4)]).deviation(2, 4) for x in samples)
         assert got == pytest.approx((0.4**2 - 0.4**4) * 1.0, rel=1e-12)
 
 

@@ -137,11 +137,17 @@ def _span_calls(trace: dict) -> dict[str, int]:
 
 def test_traced_run_sees_the_batched_layers(tmp_path):
     """The per-layer run still finds every target and records spans for the
-    recursion and both kernels it drives on a constant-padded convolution."""
+    recursion, both kernels it drives and the restart gaps it streams on a
+    constant-padded convolution."""
     trace = _traced_run(tmp_path, CONV_CONFIG)
     assert trace["missing"] == []
     calls = _span_calls(trace)
-    for name in ("network.trajectory", "linalg.matvec", "linalg.apply_banded"):
+    for name in (
+        "network.trajectory",
+        "linalg.matvec",
+        "linalg.apply_banded",
+        "analysis.product_gap",
+    ):
         assert calls.get(name, 0) > 0, name
 
 

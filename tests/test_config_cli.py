@@ -461,17 +461,21 @@ class TestOtherCommands:
             ("run", section("domain", sampler={"count": 10**15})),
             ("check", section("generator", widths=10**9)),
             ("check", section("generator", input_dim=10**15)),
+            ("selftest", None),
         ],
-        ids=["sampler-count", "widths", "input_dim"],
+        ids=["sampler-count", "widths", "input_dim", "selftest-samples"],
     )
     def test_unallocatable_size_is_exit_1(self, tmp_path, command, over):
         """A size whose first array needs tens of PiB or more (numpy refuses
         it before allocating anything) ends in ``Error: ...`` and exit code
-        1, not in a MemoryError traceback."""
-        cfg = write_config(tmp_path, base_doc(**over))
-        result = CliRunner().invoke(
-            main, [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
-        )
+        1, not in a MemoryError traceback.  ``selftest`` takes its size from
+        ``--samples``."""
+        if over is None:
+            args = [command, "--samples", str(10**15)]
+        else:
+            cfg = write_config(tmp_path, base_doc(**over))
+            args = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+        result = CliRunner().invoke(main, args)
         assert result.exit_code == 1, result.output
         assert isinstance(result.exception, SystemExit)
         assert "Error: Unable to allocate" in result.stderr

@@ -18,11 +18,13 @@ prints the current digests in the layout of ``GOLDEN`` and ``STUDY_GOLDEN``.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from dnclab import network
 from dnclab.analysis import SamplerSpec
 from dnclab.cli import main
 from dnclab.config import parse_config
@@ -250,6 +252,30 @@ def test_run_bytes_ignore_seed_environment(tmp_path, cfg):
     assert res.exit_code == 0, res.output
     for f in ("report.json", "table.csv"):
         assert _digest(f, (tmp_path / f).read_bytes()) == GOLDEN[f"{cfg}/run/{f}"], f
+
+
+def test_constant_padded_run_builds_one_window(tmp_path, monkeypatch):
+    """A constant-padded ``run`` reads layer 1's finite Toeplitz window and
+    only the biases past it, so it builds one window in all; ``bounds``,
+    whose Lipschitz column norms the finite windows, keeps its bytes."""
+    calls = []
+    window = network.toeplitz_matrix
+    monkeypatch.setattr(
+        network, "toeplitz_matrix", lambda *args: calls.append(args) or window(*args)
+    )
+    sample = CONFIG_DIR / "conv_constant_limit.json"
+    doc = json.loads(sample.read_text(encoding="utf-8"))
+    doc["comparison"] = {"extension": "constant_pad"}
+    cfg = tmp_path / "constant_pad.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    runner = CliRunner()
+    res = runner.invoke(main, ["run", "--config", str(cfg), "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    assert len(calls) == 1
+    res = runner.invoke(main, ["bounds", "--config", str(sample), "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    got = _digest("bounds.csv", (tmp_path / "bounds.csv").read_bytes())
+    assert got == GOLDEN["conv_constant_limit/bounds/bounds.csv"]
 
 
 @pytest.fixture(scope="module")

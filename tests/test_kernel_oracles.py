@@ -429,6 +429,29 @@ def test_activation_on_batch_matches_columns(name, z):
             assert bits(batch[i, s]) == bits(float(act.apply(z[i, s])))
 
 
+# the values where the two sigmoid forms could part: signed zeros, the
+# infinities, NaN, subnormals, the overflow edge of exp and the points
+# where exp(-|x|) reaches 1 or underflows
+SIGMOID_SPECIALS = st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2e-308,
+     -2.2e-308, 1e-17, -1e-17, 709.8, -709.8, 745.2, -745.2, 1e308, -1e308]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    arrays(
+        np.float64,
+        st.tuples(st.integers(1, 6), st.integers(1, 4)),
+        elements=st.one_of(SIGMOID_SPECIALS, st.floats(width=64)),
+    )
+)
+def test_sigmoid_matches_the_masked_form(z):
+    """The branch-free sigmoid has the bits of the two-branch masked form
+    everywhere, special values included."""
+    assert_same_bits(make_activation("sigmoid").apply(z), oracles.masked_sigmoid(z))
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.sampled_from(["average", "max"]),
@@ -485,6 +508,6 @@ def test_batched_recursion_matches_per_sample_loop(label):
                 assert_same_bits(got[:, s], v)
     # a trajectory over the batch agrees with the one over a single column
     ctx = BoundContext(seq, kind, act, inst.p, inst.extension)
-    full = Trajectory(ctx, xs, depth, gaps=())
-    one = Trajectory(ctx, xs[:, 2], depth, gaps=())
+    full = Trajectory(ctx, xs, depth, norms=(depth,))
+    one = Trajectory(ctx, xs[:, 2], depth, norms=(depth,))
     assert bits(full.state_norm(depth)[2]) == bits(one.state_norm(depth))

@@ -28,7 +28,8 @@ def scalar_net(weight: float, bias: float = 0.0) -> LayerSeq:
     return LayerSeq(
         1,
         lambda n: 1,
-        lambda n: (np.array([[weight]]), np.array([bias])),
+        lambda n: np.array([[weight]]),
+        lambda n: np.array([bias]),
         weight_limit=np.array([[weight]]),
         bias_limit=np.array([bias]),
     )
@@ -43,25 +44,32 @@ class TestLayerSeq:
     def test_layer_caching_returns_identical_objects(self):
         calls = []
 
-        def layer(n):
-            calls.append(n)
-            return np.eye(2), np.zeros(2)
+        def weight(n):
+            calls.append(("W", n))
+            return np.eye(2)
 
-        seq = LayerSeq(2, lambda n: 2, layer)
+        def bias(n):
+            calls.append(("b", n))
+            return np.zeros(2)
+
+        seq = LayerSeq(2, lambda n: 2, weight, bias)
+        alone = seq.bias(3)
+        assert calls == [("b", 3)]  # a bias is generated without its weight
         a = seq.layer(3)
         b = seq.layer(3)
-        assert a[0] is b[0]
-        assert calls == [3]
+        assert a[0] is b[0] and a[1] is b[1] is alone
+        assert calls == [("b", 3), ("W", 3)]
 
     def test_width_and_shape_validation(self):
-        seq = LayerSeq(2, lambda n: 3, lambda n: (np.ones((2, 2)), np.zeros(3)))
+        seq = LayerSeq(2, lambda n: 3, lambda n: np.ones((2, 2)), lambda n: np.zeros(3))
         with pytest.raises(ValueError, match="layer 1"):
             seq.layer(1)  # weight rows disagree with declared width
-        bad_bias = LayerSeq(2, lambda n: 2, lambda n: (np.ones((2, 2)), np.zeros(5)))
-        with pytest.raises(ValueError, match="bias"):
-            bad_bias.layer(1)
+        bad_bias = LayerSeq(2, lambda n: 2, lambda n: np.ones((2, 2)), lambda n: np.zeros(5))
+        for read in (bad_bias.layer, bad_bias.bias):
+            with pytest.raises(ValueError, match="bias"):
+                read(1)
         with pytest.raises(ValueError):
-            LayerSeq(0, lambda n: 1, lambda n: None)
+            LayerSeq(0, lambda n: 1, lambda n: None, lambda n: None)
 
     def test_weight_norm_cached_per_exponent(self):
         # the norms of a sequence's weights live in one bound context per p
@@ -83,7 +91,7 @@ class TestPooledRecursion:
         # plus bias (-4, 1) -> (-1, 6); relu -> (0, 6)
         w = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         b = np.array([-4.0, 1.0])
-        seq = LayerSeq(2, lambda n: 2, lambda n: (w, b), extra_rows=1)
+        seq = LayerSeq(2, lambda n: 2, lambda n: w, lambda n: b, extra_rows=1)
         kind = Pooled(average_pooling(1))
         out = eval_trajectory(seq, kind, relu(), [2.0, 4.0], 1)[-1]
         assert_array_equal(out, [0.0, 6.0])
@@ -93,7 +101,9 @@ class TestPooledRecursion:
         with pytest.raises(ValueError, match="mu"):
             eval_trajectory(seq, Pooled(average_pooling(1)), relu(), [1.0], 2)[-1]
         w = np.ones((2, 1))
-        reserved = LayerSeq(1, lambda n: 1, lambda n: (w, np.zeros(1)), extra_rows=1)
+        reserved = LayerSeq(
+            1, lambda n: 1, lambda n: w, lambda n: np.zeros(1), extra_rows=1
+        )
         with pytest.raises(ValueError, match="pooling"):
             eval_trajectory(reserved, PLAIN, relu(), [1.0], 2)[-1]
 

@@ -1,6 +1,8 @@
 """Tests for the orchestrated convergence studies."""
 
+import gc
 import tracemalloc
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -21,22 +23,19 @@ from dnclab.analysis import (
 from dnclab.cli import main
 from dnclab.config import load_config, parse_config
 from dnclab.corpus import control_instances, corpus_instances
-from dnclab.linalg import (
-    ONE,
-    TWO,
-    EventuallyConstSeq,
-    apply_banded,
-    matvec,
-)
+from dnclab.linalg import ONE, TWO
 from dnclab.network import PLAIN, Conv, LayerSeq
 from dnclab.study import DepthPlan, convergence_study
+
+import oracles
 
 
 def scalar_net(weight: float) -> LayerSeq:
     return LayerSeq(
         1,
         lambda n: 1,
-        lambda n: (np.array([[weight]]), np.zeros(1)),
+        lambda n: np.array([[weight]]),
+        lambda n: np.zeros(1),
         weight_limit=np.array([[weight]]),
         bias_limit=np.zeros(1),
     )
@@ -198,18 +197,8 @@ def _bits(values) -> np.ndarray:
     return np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
 
 
-def _state_columns(state, i: int | None) -> tuple:
-    """Sample i's part of a batched state (finite array or sequence batch);
-    the whole state when ``i`` is None (a single sample's state)."""
-    if isinstance(state, EventuallyConstSeq):
-        if i is None:
-            return _bits(state.head), _bits(state.tail)
-        return _bits(state.head[:, i]), _bits(state.tail[i])
-    return (_bits(state if i is None else state[:, i]),)
-
-
 class TestBatchComposition:
-    """A sample's states, norms, deviations, product gaps and deviation
+    """A sample's state norms, deviations, product gaps and deviation
     bounds are the same bits whether it is evaluated in the full batch,
     alone (as a batch of one or as a plain vector) or in a reversed batch."""
 
@@ -223,6 +212,12 @@ class TestBatchComposition:
     )
     DEPTH = 12
     PAIRS = ((1, 1), (2, 3), (4, 2), (6, 5), (3, 8))
+    # every state norm, every restart gap and the pairs' deviations
+    EVERY = {
+        "norms": range(1, DEPTH + 1),
+        "pairs": [(n, n + m) for n, m in PAIRS],
+        "gaps": range(1, DEPTH),
+    }
 
     def _per_sample(self, ctx, traj, i: int) -> list:
         """Every per-sample figure of column i (all of them for a vector)."""
@@ -246,94 +241,83 @@ class TestBatchComposition:
         ctx = BoundContext(seq, kind, inst.activation(), inst.p, inst.extension)
         xs = inst.domain().uniform_samples(7, seed=41).T
         count = xs.shape[1]
-        every = range(1, self.DEPTH)
-        full = Trajectory(ctx, xs, self.DEPTH, gaps=every)
-        rev = Trajectory(ctx, xs[:, ::-1], self.DEPTH, gaps=every)
+        full = Trajectory(ctx, xs, self.DEPTH, **self.EVERY)
+        rev = Trajectory(ctx, xs[:, ::-1], self.DEPTH, **self.EVERY)
         for i in range(count):
             want = self._per_sample(ctx, full, i)
-            alone = Trajectory(ctx, xs[:, [i]], self.DEPTH, gaps=every)
-            vector = Trajectory(ctx, xs[:, i], self.DEPTH, gaps=every)
+            alone = Trajectory(ctx, xs[:, [i]], self.DEPTH, **self.EVERY)
+            vector = Trajectory(ctx, xs[:, i], self.DEPTH, **self.EVERY)
             for other, j in ((alone, 0), (vector, 0), (rev, count - 1 - i)):
                 got = self._per_sample(ctx, other, j)
                 for a, b in zip(want, got):
                     if a is not None:
                         np.testing.assert_array_equal(a, b)
-            for n in (1, 5, self.DEPTH):
-                want_state = _state_columns(full.state(n), i)
-                for got_state in (
-                    _state_columns(alone.state(n), 0),
-                    _state_columns(vector.state(n), None),
-                    _state_columns(rev.state(n), count - 1 - i),
-                ):
-                    for a, b in zip(want_state, got_state):
-                        np.testing.assert_array_equal(a, b)
 
-    # keeps 1..8, 11 and 12 of the 12 depths: 9 and 10 are swept, not kept
+    # holds 1, 2, 3 and 6 of the 12 depths; reads nothing at 9 and 10
     LEAN_PLAN = DepthPlan(n_list=(1, 2, 3, 6), m_list=(1, 2, 5), reference_depth=12)
-
-    @staticmethod
-    def _recomputed_gap(ctx, xs, state, m: int):
-        """|W_{m+1} N_m(x) - W_1 x| with both products computed again from
-        a state and the input: the reference for the gaps a trajectory takes
-        from its sweep."""
-        seq = ctx.seq
-        first = matvec(seq.layer(1)[0], xs)
-        if isinstance(ctx.geometry, analysis.ConstantPad):
-            mask = ctx.kind.masks.mask(m + 1)
-            return ctx.geometry.restart_gap(
-                apply_banded(mask, state), EventuallyConstSeq(first, 0.0)
-            )
-        return ctx.geometry.restart_gap(matvec(seq.layer(m + 1)[0], state), first)
 
     @pytest.mark.parametrize("label", PICKS)
     def test_lean_trajectory_bits_match_keeping_every_depth(self, label):
+        """Every read a study's trajectory streams equals, bit for bit, the
+        read taken from a sweep that keeps every state (restart gaps
+        computed again from the kept state and the input), for a batch and
+        for one vector; so do the deviation bounds built on them.  A read
+        that was not declared raises."""
         inst = {i.label: i for i in corpus_instances()}[label]
         seq, kind = inst.build()
         ctx = BoundContext(seq, kind, inst.activation(), inst.p, inst.extension)
-        xs = inst.domain().uniform_samples(7, seed=41).T
         plan = self.LEAN_PLAN
-        keep = study._trajectory_depths(plan)
-        assert keep == {1, 2, 3, 4, 5, 6, 7, 8, 11, 12}
-        full = Trajectory(ctx, xs, plan.max_depth, gaps=range(1, plan.max_depth))
-        lean = Trajectory(ctx, xs, plan.max_depth, keep, gaps=plan.m_list)
-        assert lean.kept == keep and full.kept == set(range(1, 13))
-        for n in sorted(keep):
-            got, want = lean.state(n), full.state(n)
-            for a, b in zip(_state_columns(got, None), _state_columns(want, None)):
-                np.testing.assert_array_equal(a, b)
-            np.testing.assert_array_equal(
-                _bits(lean.state_norm(n)), _bits(full.state_norm(n))
-            )
-        for m in plan.m_list:
-            want = _bits(self._recomputed_gap(ctx, xs, full.state(m), m))
-            np.testing.assert_array_equal(_bits(full.product_gap(m)), want)
-            np.testing.assert_array_equal(_bits(lean.product_gap(m)), want)
-        for n in plan.n_list:
-            for n_large in (*(n + m for m in plan.m_list), plan.reference):
+        reads = study._trajectory_reads(plan)
+        batch = inst.domain().uniform_samples(7, seed=41).T
+        for x in (batch, batch[:, 3]):
+            lean = Trajectory(ctx, x, plan.max_depth, **reads)
+            kept = oracles.KeptTrajectory(ctx, x, plan.max_depth)
+            for n in sorted(reads["norms"]):
                 np.testing.assert_array_equal(
-                    _bits(lean.deviation(n, n_large)), _bits(full.deviation(n, n_large))
+                    _bits(lean.state_norm(n)), _bits(kept.state_norm(n))
                 )
-            for m in plan.m_list:
+            for a, b in reads["pairs"]:
                 np.testing.assert_array_equal(
-                    _bits(deviation_bound_ctx(ctx, lean, n, m)),
-                    _bits(deviation_bound_ctx(ctx, full, n, m)),
+                    _bits(lean.deviation(a, b)), _bits(kept.deviation(a, b))
                 )
+            for m in reads["gaps"]:
+                np.testing.assert_array_equal(
+                    _bits(lean.product_gap(m)), _bits(kept.product_gap(m))
+                )
+            for n in plan.n_list:
+                for m in plan.m_list:
+                    np.testing.assert_array_equal(
+                        _bits(deviation_bound_ctx(ctx, lean, n, m)),
+                        _bits(deviation_bound_ctx(ctx, kept, n, m)),
+                    )
+            for read in (
+                lambda: lean.state_norm(9),
+                lambda: lean.deviation(2, 9),
+                lambda: lean.deviation(3, 6),
+                lambda: lean.product_gap(3),
+            ):
+                with pytest.raises(ValueError, match="not declared"):
+                    read()
 
     def test_reading_an_unkept_depth_names_it(self):
         ctx = BoundContext(scalar_net(0.4), PLAIN, relu(), ONE)
-        lean = Trajectory(ctx, [[0.5, -0.25]], 12, {1, 2, 11, 12}, gaps=(1, 2, 11, 12))
-        for read in (
-            lambda: lean.state(9),
-            lambda: lean.state_norm(9),
-            lambda: lean.deviation(2, 9),
-            lambda: lean.product_gap(9),
+        lean = Trajectory(
+            ctx, [[0.5, -0.25]], 12, norms=(1, 2, 11), pairs=[(2, 11)], gaps=(1, 11)
+        )
+        for read, what in (
+            (lambda: lean.state_norm(9), "state norm at depth 9"),
+            (lambda: lean.deviation(2, 9), r"deviation of depths \(2, 9\)"),
+            (lambda: lean.deviation(11, 2), r"deviation of depths \(11, 2\)"),
+            (lambda: lean.product_gap(9), "restart gap at depth 9"),
         ):
-            with pytest.raises(ValueError, match="depth 9 "):
+            with pytest.raises(ValueError, match=what + " was not declared"):
                 read()
-        with pytest.raises(ValueError, match="restart gap at depth 12"):
-            lean.product_gap(12)  # kept, but the sweep has no layer 13
-        with pytest.raises(ValueError, match=r"\[0, 13\]"):
-            Trajectory(ctx, [[0.5]], 12, {0, 5, 13}, gaps=())
+        with pytest.raises(ValueError, match=r"\[0, 13\] lie outside 1..12"):
+            Trajectory(ctx, [[0.5]], 12, norms=(0, 5, 13))
+        with pytest.raises(ValueError, match=r"\[13\] lie outside"):
+            Trajectory(ctx, [[0.5]], 12, gaps=(12,))  # the sweep has no layer 13
+        with pytest.raises(ValueError, match=r"\[\(5, 5\), \(6, 2\)\] need a < b"):
+            Trajectory(ctx, [[0.5]], 12, pairs=[(6, 2), (5, 5), (1, 2)])
 
 
 class NormAudit:
@@ -422,12 +406,14 @@ def _plain_net_without_limits(width: int = 4) -> LayerSeq:
     """A fixed-width net that declares no limits, so its condition verdict
     is a tail scan over finite weight norms."""
 
-    def layer(n: int):
-        rng = np.random.default_rng(1000 + n)
-        w = rng.uniform(-1.0, 1.0, (width, width))
-        return 0.5 * w / np.abs(w).sum(axis=1).max(), rng.uniform(-0.1, 0.1, width)
+    def weight(n: int) -> np.ndarray:
+        w = np.random.default_rng(1000 + n).uniform(-1.0, 1.0, (width, width))
+        return 0.5 * w / np.abs(w).sum(axis=1).max()
 
-    return LayerSeq(width, lambda n: width, layer)
+    def bias(n: int) -> np.ndarray:
+        return np.random.default_rng(2000 + n).uniform(-0.1, 0.1, width)
+
+    return LayerSeq(width, lambda n: width, weight, bias)
 
 
 def _audit_cases():
@@ -477,39 +463,103 @@ def test_prefetch_covers_exactly_the_norms_a_study_reads():
 
 
 def _watched_trajectories(mp: pytest.MonkeyPatch) -> list:
-    """Every Trajectory the study module builds from now on, each with a
-    ``read`` set of the depths its readers asked for."""
+    """Every Trajectory the study module builds from now on, each with the
+    ``read`` sets of the norms, pairs and gaps its readers asked for."""
     made = []
 
     class Watched(Trajectory):
         def __init__(self, *args, **kwargs):
-            self.read = set()
+            self.read = {"norms": set(), "pairs": set(), "gaps": set()}
             super().__init__(*args, **kwargs)
             made.append(self)
 
-        def _read(self, n):
-            self.read.add(n)
-            return super()._read(n)
+        def state_norm(self, n):
+            self.read["norms"].add(n)
+            return super().state_norm(n)
+
+        def deviation(self, n_small, n_large):
+            self.read["pairs"].add((n_small, n_large))
+            return super().deviation(n_small, n_large)
+
+        def product_gap(self, m):
+            self.read["gaps"].add(m)
+            return super().product_gap(m)
 
     mp.setattr(study, "Trajectory", Watched)
     return made
 
 
+def _watched_sweeps(mp: pytest.MonkeyPatch) -> list:
+    """One entry per recursion sweep run from now on: the weak references
+    to its states, and the most of them alive at once after a step."""
+    sweeps = []
+    for cls in (analysis.ZeroPad, analysis.ConstantPad):
+
+        def watched(geo, x, depth, select, states=cls.__dict__["states"]):
+            sweep = {"refs": [], "peak": 0}
+            sweeps.append(sweep)
+
+            def spy(n, product, state):
+                got = select(n, product, state)
+                sweep["refs"].append(weakref.ref(state))
+                alive = sum(ref() is not None for ref in sweep["refs"])
+                sweep["peak"] = max(sweep["peak"], alive)
+                return got
+
+            return states(geo, x, depth, spy)
+
+        mp.setattr(cls, "states", watched)
+    return sweeps
+
+
 def test_trajectory_keeps_exactly_the_depths_a_study_reads():
-    """The working set matches the grid: a study's trajectory keeps a depth
-    only if the grid reads it, and the grid reads no other (that read
-    would raise), on both shipped configs, their deep variants, all 52
-    selftest studies and a net without limits."""
+    """The working set matches the grid: a study's trajectory declares a
+    read only if the grid reads it, and the grid reads nothing else (that
+    read would raise).  The sweep runs to the deepest read and holds the
+    n_list states alone: at most len(n_list) states besides the current
+    one are alive after any step, and none once the study has returned.
+    Checked on both shipped configs, their deep variants, all 52 selftest
+    studies and a net without limits."""
     studies = 0
     for label, (seq, kind, act, p, domain, sampler, depths, ext) in _audit_cases():
         with pytest.MonkeyPatch.context() as mp:
             made = _watched_trajectories(mp)
+            sweeps = _watched_sweeps(mp)
             convergence_study(seq, kind, act, p, domain, sampler, depths, extension=ext)
-        (traj,) = made
-        assert traj.read == traj.kept, (label, sorted(traj.kept ^ traj.read))
-        assert max(traj.kept) == depths.max_depth, label
+        (traj,), (sweep,) = made, sweeps
+        reads = study._trajectory_reads(depths)
+        declared = {key: set(values) for key, values in reads.items()}
+        assert traj.read == declared, label
+        deepest = max(
+            *reads["norms"], *(b for _, b in reads["pairs"]), max(reads["gaps"]) + 1
+        )
+        assert len(sweep["refs"]) == deepest == depths.max_depth, label
+        assert sweep["peak"] == len(depths.n_list) + 1, label
+        assert all(ref() is None for ref in sweep["refs"]), label
         studies += 1
     assert studies == 2 * 2 + 50 + 2 + 1
+
+
+@pytest.mark.parametrize("prefix", ["fixed4-exp_decay", "avg2-exp_decay", "convc-t2"])
+def test_a_study_frees_its_network_without_the_cycle_collector(prefix):
+    """No cache a study builds (the geometry's zero-image memo, the norm
+    cache, the trajectory's reads) refers back to its owner, so the
+    network is freed as soon as the caller drops it, not at a later
+    garbage collection: the selftest corpus never holds two networks."""
+    inst = next(i for i in corpus_instances() if i.label.startswith(prefix))
+    gc.disable()
+    try:
+        seq, kind = inst.build()
+        freed = weakref.ref(seq)
+        result = convergence_study(
+            seq, kind, inst.activation(), inst.p, inst.domain(),
+            SamplerSpec(count=3, seed=1), SMALL_PLAN, extension=inst.extension,
+        )
+        del seq, kind
+        assert result.bounds_ok
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 # a state of the guard study is GUARD_WIDTH x GUARD_SAMPLES doubles (128 KB)
@@ -534,7 +584,7 @@ GUARD_DOC = {
         "reference_depth": 64,
     },
 }
-# states besides the kept ones: the sweep's current state and product, the
+# states besides the held ones: the sweep's current state and product, the
 # first product, the input batch and the kernels' temporaries
 GUARD_SPARE_STATES = 8
 # a p = 2 batch holds its operand stack, their Gram matrices and one
@@ -542,19 +592,21 @@ GUARD_SPARE_STATES = 8
 GUARD_P2_COPIES = 3
 
 
-def test_study_memory_scales_with_the_depths_it_reads():
-    """Deterministic memory guard: the traced allocation peak of a dense
-    p = 2 study at reference depth 64 is bounded by the states its grid
-    reads (18 depths), not by the 64 it sweeps, plus one batch of p = 2
-    operands.  Keeping every state needs about 8 MB here, over the bound."""
-    exp = parse_config(GUARD_DOC)
-    state = GUARD_WIDTH * GUARD_SAMPLES * 8
-    kept = len(study._trajectory_depths(exp.depths))
-    operators = len(study._grid_norm_keys(exp.depths, limits=True))
-    p2 = GUARD_P2_COPIES * operators * GUARD_WIDTH * GUARD_WIDTH * 8
-    bound = (kept + GUARD_SPARE_STATES) * state + p2
-    assert kept == 18 and exp.depths.max_depth == 64
-    assert bound < exp.depths.max_depth * state  # the guard tells the two apart
+def _traced_peak(exp, mp: pytest.MonkeyPatch) -> tuple:
+    """(result, peak, sweep peak) of the study of ``exp``: the traced
+    allocation peak of the whole study, and that of its trajectory sweep
+    above what was allocated when the sweep started."""
+    peaks = {}
+
+    def measured(*args, **kwargs):
+        start, peaks["before sweep"] = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        traj = Trajectory(*args, **kwargs)
+        peaks["sweep"] = tracemalloc.get_traced_memory()[1]
+        peaks["sweep above start"] = peaks["sweep"] - start
+        return traj
+
+    mp.setattr(study, "Trajectory", measured)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -563,16 +615,94 @@ def test_study_memory_scales_with_the_depths_it_reads():
             exp.seq, exp.kind, exp.act, exp.p, exp.domain, exp.sampler, exp.depths,
             extension=exp.extension,
         )
-        peak = tracemalloc.get_traced_memory()[1] - before
+        peak = max(peaks["before sweep"], tracemalloc.get_traced_memory()[1]) - before
     finally:
         tracemalloc.stop()
+    return result, peak, peaks["sweep above start"]
+
+
+def test_study_memory_scales_with_the_depths_it_reads(monkeypatch):
+    """Deterministic memory guard: the traced allocation peak of a dense
+    p = 2 study at reference depth 64 is bounded by the states it holds
+    (the 8 of n_list), not by the 64 it sweeps, plus one batch of p = 2
+    operands; its sweep alone by the held and spare states.  Keeping
+    every state needs about 8 MB here, over the bound, and keeping the
+    18 depths the grid reads oversteps the sweep's bound."""
+    exp = parse_config(GUARD_DOC)
+    state = GUARD_WIDTH * GUARD_SAMPLES * 8
+    held = len(exp.depths.n_list)
+    operators = len(study._grid_norm_keys(exp.depths, limits=True))
+    p2 = GUARD_P2_COPIES * operators * GUARD_WIDTH * GUARD_WIDTH * 8
+    bound = (held + GUARD_SPARE_STATES) * state + p2
+    assert held == 8 and exp.depths.max_depth == 64
+    assert bound < exp.depths.max_depth * state  # the guard tells the two apart
+    result, peak, sweep = _traced_peak(exp, monkeypatch)
+    assert result.passed
+    assert peak < bound, (peak, bound)
+    assert sweep < (held + GUARD_SPARE_STATES) * state, (sweep, held)
+
+
+# the constant-padded convolution of the conv-deep benchmark at 200 samples:
+# heads grow by tau = 2 rows per layer, to 136 rows at depth 64
+CONV_GUARD_SAMPLES = 200
+CONV_GUARD_DOC = {
+    "schema": "dnc-lab/config/v1",
+    "label": "memory-guard-conv",
+    "seed": 11,
+    "generator": {
+        "family": "conv",
+        "input_dim": 8,
+        "mask": {
+            "family": "constant_limit",
+            "base": [0.2, -0.1, 0.1],
+            "rate": 0.5,
+            "limit": [0.2, -0.1, 0.1],
+        },
+    },
+    "activation": {"name": "sigmoid"},
+    "norm": {"p": "inf"},
+    "comparison": {"extension": "constant_pad"},
+    "domain": {
+        "bound": 1.0,
+        "sampler": {"kind": "uniform", "count": CONV_GUARD_SAMPLES},
+    },
+    "depths": {
+        "n_list": [1, 2, 3, 4, 6, 8, 10, 12],
+        "m_list": [1, 2, 4, 8],
+        "reference_depth": 64,
+    },
+}
+# heads of the deepest width besides the held ones: the sweep's previous
+# and current state and its product, the activation's temporaries, and the
+# distance's two read-out heads, their difference and its frozen copy
+CONV_GUARD_SPARE_HEADS = 10
+
+
+def test_constant_pad_memory_scales_with_the_states_it_holds(monkeypatch):
+    """Deterministic memory guard for a constant-padded convolution, whose
+    states widen with depth: the traced allocation peak is bounded by the
+    n_list heads it holds plus spare heads of the deepest width.  Keeping
+    every head needs about 7.5 MB, and the finite Toeplitz windows of all
+    64 layers alone about 3.4 MB, both over the bound."""
+    exp = parse_config(CONV_GUARD_DOC)
+    head = lambda n: exp.seq.width(n) * CONV_GUARD_SAMPLES * 8
+    depth = exp.depths.max_depth
+    spare = CONV_GUARD_SPARE_HEADS * head(depth)
+    bound = sum(head(n) for n in exp.depths.n_list) + spare
+    windows = sum(
+        exp.seq.width(n) * exp.seq.width(n - 1) * 8 for n in range(1, depth + 1)
+    )
+    assert depth == 64 and exp.seq.width(depth) == 136
+    assert bound < min(windows, sum(head(n) for n in range(1, depth + 1)))
+    result, peak, _ = _traced_peak(exp, monkeypatch)
     assert result.passed
     assert peak < bound, (peak, bound)
 
 
 def test_study_takes_restart_gaps_only_where_the_grid_reads_them(monkeypatch):
     """The sweep takes the restart gap |W_{m+1} N_m(x) - W_1 x| at the grid's
-    m only, not at every kept depth, and refuses a gap it did not take."""
+    m only, not at every depth it reads a norm at, and refuses a gap it did
+    not take."""
     exp = parse_config(GUARD_DOC)
     taken = []
     gap = analysis.ZeroPad.restart_gap
@@ -587,6 +717,7 @@ def test_study_takes_restart_gaps_only_where_the_grid_reads_them(monkeypatch):
     )
     (traj,) = made
     assert len(taken) == len(exp.depths.m_list) == 4
-    assert 3 in traj.kept and 3 not in exp.depths.m_list
-    with pytest.raises(ValueError, match="no restart gap at depth 3: not requested"):
+    assert 3 in study._trajectory_reads(exp.depths)["norms"]
+    assert 3 not in exp.depths.m_list
+    with pytest.raises(ValueError, match="restart gap at depth 3 was not declared"):
         traj.product_gap(3)
