@@ -144,6 +144,8 @@ def _parse_p(doc: dict) -> PNorm:
 
 def _parse_mask(section: dict) -> MaskSpec:
     where = "generator.mask"
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be an object")
     _require_keys(section, {"family", "base", "rate", "limit"}, where)
     family = _get(section, "family", where)
     base = _list_of(_real, _get(section, "base", where), f"{where}.base")

@@ -295,3 +295,109 @@ def network_lipschitz_bound(seq, act, pool, n: int, p) -> float:
     for j in range(1, n + 1):
         acc *= factor * induced_norm(seq.layer(j)[0], p)
     return acc
+
+
+# ---------------------------------------------------------------------------
+# the deviation and limit bounds, written out from their formulas in mpmath
+# at p = 1 and p = inf, from the loop norms and the per-sample recursion above
+# ---------------------------------------------------------------------------
+
+
+def _loop_norm(a, b, p) -> float:
+    """|A - B| at p = 1 or p = inf, both zero-padded to a common shape (A
+    alone if ``b`` is None), by the loop column or row sums."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.zeros((0, 0)) if b is None else np.asarray(b, dtype=np.float64)
+    diff = np.zeros((max(a.shape[0], b.shape[0]), max(a.shape[1], b.shape[1])))
+    diff[: a.shape[0], : a.shape[1]] = a
+    diff[: b.shape[0], : b.shape[1]] -= b
+    if p.is_inf:
+        return abs_row_sum_norm(diff)
+    if p.p == 1.0:
+        return abs_col_sum_norm(diff)
+    raise ValueError("the formula oracles cover p = 1 and p = inf only")
+
+
+def _mp_diff_norm(u, v, p) -> mpmath.mpf:
+    """|u - v| at p = 1 or p = inf in mpmath, the shorter vector padded
+    with zeros (|u| itself for an empty ``v``)."""
+
+    def entry(vec, i):
+        return mpmath.mpf(float(vec[i]) if i < len(vec) else 0.0)
+
+    diffs = [abs(entry(u, i) - entry(v, i)) for i in range(max(len(u), len(v)))]
+    return max(diffs) if p.is_inf else mpmath.fsum(diffs)
+
+
+def _mp_constants(kind, act, p) -> tuple:
+    """(L, P): the activation's declared Lipschitz constant and the pooling
+    constant at p = 1 or inf, which only max pooling at p = 1 lifts above 1
+    (to its window)."""
+    op = getattr(kind, "op", None)
+    lift = op is not None and op.kind == "max" and not p.is_inf
+    return mpmath.mpf(act.lipschitz), mpmath.mpf(op.window if lift else 1)
+
+
+def mp_deviation_bound(seq, kind, act, p, x, n: int, m: int, dps: int = 50):
+    """The deviation bound on |N_{n+m}(x) - N_n(x)| of one sample, in full:
+
+        L sum_{i=0}^{n-1} Lam_i |b_{m+n-i} - b_{n-i}|
+          + L P sum_{i=0}^{n-2} Lam_i |N_{n-1-i}(x)| |W_{m+n-i} - W_{n-i}|
+          + L P Lam_{n-1} |W_{m+1} N_m(x) - W_1 x|
+
+    with Lam_i = prod_{j=0}^{i-1} L P |W_{n+m-j}|, every product and sum
+    at ``dps`` digits, the operator norms by the loop sums of the
+    zero-padded matrices and the states by :func:`per_sample_trajectory`.
+    """
+    def weight(k):
+        return seq.layer(k)[0]
+
+    states = per_sample_trajectory(seq, kind, act, x, max(n - 1, m))
+    with mpmath.workdps(dps):
+        L, P = _mp_constants(kind, act, p)
+
+        def lam(i):
+            out = mpmath.mpf(1)
+            for j in range(i):
+                out *= L * P * _loop_norm(weight(n + m - j), None, p)
+            return out
+
+        term1 = mpmath.fsum(
+            lam(i) * _mp_diff_norm(seq.bias(m + n - i), seq.bias(n - i), p)
+            for i in range(n)
+        )
+        term2 = mpmath.fsum(
+            lam(i)
+            * _mp_diff_norm(states[n - 2 - i], (), p)
+            * _loop_norm(weight(m + n - i), weight(n - i), p)
+            for i in range(n - 1)
+        )
+        gap = _mp_diff_norm(
+            rowwise_matvec(weight(m + 1), states[m - 1]), rowwise_matvec(weight(1), x), p
+        )
+        return L * term1 + L * P * term2 + L * P * lam(n - 1) * gap
+
+
+def mp_limit_bound(seq, kind, act, p, n: int, constants, dps: int = 50):
+    """The limit bound J(n) in full, from the certified ``constants``
+    (omega0, w = weight_sup, rho, D = x_bound):
+
+        L sum_{i=0}^{n-1} omega0^i |b_{n-i} - b*|
+          + L P rho sum_{i=0}^{n-2} omega0^i |W_{n-i} - W*|
+          + L P w (rho + D) omega0^{n-1}
+
+    at ``dps`` digits, with the differences zero-padded."""
+    with mpmath.workdps(dps):
+        L, P = _mp_constants(kind, act, p)
+        w0 = mpmath.mpf(constants.omega0)
+        rho = mpmath.mpf(constants.rho)
+        term1 = mpmath.fsum(
+            w0**i * _mp_diff_norm(seq.bias(n - i), seq.bias_limit, p)
+            for i in range(n)
+        )
+        term2 = mpmath.fsum(
+            w0**i * _loop_norm(seq.layer(n - i)[0], seq.weight_limit, p)
+            for i in range(n - 1)
+        )
+        tail = mpmath.mpf(constants.weight_sup) * (rho + mpmath.mpf(constants.x_bound))
+        return L * term1 + L * P * rho * term2 + L * P * tail * w0 ** (n - 1)

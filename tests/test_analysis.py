@@ -30,6 +30,7 @@ from dnclab.analysis import (
     tail_product_sums,
     weighted_tail_sums,
 )
+from dnclab.corpus import corpus_instances
 from dnclab.generators import GenSpec, MaskSpec, build, build_masks
 from dnclab.linalg import INF, ONE, TWO, induced_norm, vector_norm
 from dnclab.network import (
@@ -351,6 +352,55 @@ class TestLimitBound:
         )
         with pytest.raises(ValueError, match="limits"):
             limit_bound_ctx(BoundContext(seq, PLAIN, relu(), ONE), 3, constants)
+
+
+def corpus_case(label: str) -> tuple:
+    """(seq, kind, act, p, input_dim) of the corpus instance ``label``."""
+    (inst,) = [i for i in corpus_instances() if i.label == label]
+    seq, kind = inst.build()
+    return seq, kind, inst.activation(), inst.p, inst.gen.input_dim
+
+
+FORMULA_CASES = {
+    "scalar-p1": lambda: (scalar_net(0.4), PLAIN, relu(), ONE, 1),
+    "scalar-pinf": lambda: (scalar_net(0.4), PLAIN, relu(), INF, 1),
+    "drifting-p1": lambda: (drifting_net(), PLAIN, relu(), ONE, 3),
+    "drifting-pinf": lambda: (drifting_net(), PLAIN, relu(), INF, 3),
+    "max-pooled-p1": lambda: corpus_case("max1-exp_decay-prelu-p1"),
+    "max-pooled-pinf": lambda: corpus_case("max1-exp_decay-sigmoid-pinf"),
+    "cyclic-p1": lambda: corpus_case("cyc534-exp_decay-relu-p1"),
+    "cyclic-pinf": lambda: corpus_case("cyc534-exp_decay-selu-pinf"),
+}
+
+
+class TestFormulaOracles:
+    """Both three-term bounds against their formulas written out in mpmath
+    at 50 digits: an index slip shows here even where the bound is too
+    loose for any sampled deviation to notice."""
+
+    @pytest.mark.parametrize("case", sorted(FORMULA_CASES))
+    def test_deviation_bound_matches_formula(self, case):
+        seq, kind, act, p, dim = FORMULA_CASES[case]()
+        ctx = BoundContext(seq, kind, act, p)
+        cells = ((1, 1), (2, 3), (4, 2), (6, 5))
+        xs = Domain(dim, 1.0).uniform_samples(3, seed=2)
+        traj = cell_trajectory(ctx, np.column_stack(xs), cells)
+        for n, m in cells:
+            got = deviation_bound_ctx(ctx, traj, n, m)
+            for x, value in zip(xs, got):
+                want = oracles.mp_deviation_bound(seq, kind, act, p, x, n, m)
+                assert abs(value - want) <= 1e-12 * want, (n, m)
+
+    @pytest.mark.parametrize("case", sorted(FORMULA_CASES))
+    def test_limit_bound_matches_formula(self, case):
+        seq, kind, act, p, _ = FORMULA_CASES[case]()
+        ctx = BoundContext(seq, kind, act, p)
+        constants, why = derive_limit_constants(ctx, 1.0)
+        assert why == "ok"
+        for n in (1, 2, 5, 12, 30):
+            got = limit_bound_ctx(ctx, n, constants)
+            want = oracles.mp_limit_bound(seq, kind, act, p, n, constants)
+            assert abs(got - want) <= 1e-12 * want, n
 
 
 class TestConditionChecks:

@@ -9,20 +9,14 @@ them, so both are exercised here in fresh interpreters.  Nothing under
 """
 
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
+from child_env import src_env
+
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
-
-
-def _env() -> dict:
-    env = dict(os.environ)
-    parts = [str(ROOT / "src"), env.get("PYTHONPATH", "")]
-    env["PYTHONPATH"] = os.pathsep.join(p for p in parts if p)
-    return env
 
 
 def test_tracer_finds_every_target():
@@ -39,7 +33,7 @@ def test_tracer_finds_every_target():
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
-        env=_env(),
+        env=src_env(),
         timeout=120,
     )
     assert res.returncode == 0, res.stderr
@@ -65,7 +59,7 @@ def test_setup_probe_reaches_the_study(tmp_path):
         ],
         capture_output=True,
         text=True,
-        env=_env(),
+        env=src_env(),
         timeout=120,
     )
     assert res.returncode == 0, res.stderr
@@ -119,7 +113,7 @@ def _traced_run(tmp_path, config: dict) -> dict:
         ],
         capture_output=True,
         text=True,
-        env=_env(),
+        env=src_env(),
         timeout=120,
     )
     assert res.returncode == 0, res.stderr

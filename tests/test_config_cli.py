@@ -18,6 +18,7 @@ from dnclab.network import pool_of
 from dnclab.report import format_float, strip_generated_at
 
 import oracles
+from child_env import src_env
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "sample_configs"
 
@@ -414,6 +415,13 @@ class TestOtherCommands:
                 },
                 "generator.mask.base[1] must be a number within",
             ),
+            *(
+                (
+                    {"generator": {**CONV_DOC["generator"], "mask": mask}},
+                    "generator.mask must be an object",
+                )
+                for mask in (0, True, 1.5)
+            ),
         ],
         ids=[
             "name-list", "name-object", "comparison-null", "comparison-empty",
@@ -424,7 +432,7 @@ class TestOtherCommands:
             "bound-string", "sampler-seed-negative", "alpha-string", "alpha-bool",
             "report-empty", "table-empty",
             "bound-huge-int", "rate-huge-int", "norm_target-huge-int", "alpha-huge-int",
-            "mask-base-huge-int",
+            "mask-base-huge-int", "mask-zero", "mask-bool", "mask-real",
         ],
     )
     def test_malformed_config_is_exit_1(self, tmp_path, command, over, message):
@@ -517,6 +525,7 @@ class TestOtherCommands:
             ],
             capture_output=True,
             text=True,
+            env=src_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "report.json").exists()
