@@ -51,17 +51,45 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Activation:
-    """A componentwise scalar nonlinearity with declared constants."""
+    """A componentwise scalar nonlinearity with declared constants.
+
+    ``fn(x, out, scratch)`` writes the map of the float64 array ``x`` into
+    ``out``, an array of x's shape that may be ``x`` itself; a map with a
+    second intermediate keeps it in ``scratch`` (or in a fresh array when
+    that is None).
+    """
 
     name: str
     lipschitz: float
     value_at_zero: float
-    fn: Callable[[np.ndarray], np.ndarray] = field(repr=False, compare=False)
+    fn: Callable[[np.ndarray, np.ndarray, np.ndarray | None], None] = field(
+        repr=False, compare=False
+    )
 
-    def apply(self, x) -> np.ndarray:
-        """Apply componentwise to a vector (returns a fresh array)."""
+    def apply(self, x, out=None, *, scratch=None) -> np.ndarray:
+        """Apply componentwise to a batch, a vector, a 0-d array or a float.
+
+        Without ``out`` the result is a fresh array.  With it, the result is
+        written into ``out`` (a float64 array of x's shape, possibly ``x``
+        itself) and ``out`` is returned.  ``scratch``, a float64 array of
+        x's shape that is neither ``x`` nor ``out``, is the working space of
+        the maps that need one (the ramps, elu, selu and sigmoid), which
+        otherwise allocate it.  Each way gives the same bits: the same
+        ufuncs run in the same order.
+        """
         arr = np.asarray(x, dtype=np.float64)
-        return np.asarray(self.fn(arr), dtype=np.float64)
+        if out is None:
+            out = np.empty_like(arr)
+        elif out.shape != arr.shape:
+            raise ValueError(
+                f"activation output has shape {out.shape}, input {arr.shape}"
+            )
+        self.fn(arr, out, scratch)
+        return out
+
+
+def _work(x: np.ndarray, scratch: np.ndarray | None) -> np.ndarray:
+    return np.empty_like(x) if scratch is None else scratch
 
 
 def _positive(value: float, what: str) -> float:
@@ -79,16 +107,20 @@ def _nonnegative(value: float, what: str) -> float:
 
 
 def identity() -> Activation:
-    return Activation("identity", 1.0, 0.0, lambda x: np.array(x, dtype=np.float64))
+    return Activation("identity", 1.0, 0.0, lambda x, out, _: np.copyto(out, x))
 
 
 def relu() -> Activation:
-    return Activation("relu", 1.0, 0.0, lambda x: np.maximum(x, 0.0))
+    return Activation("relu", 1.0, 0.0, lambda x, out, _: np.maximum(x, 0.0, out=out))
 
 
-def _ramp(alpha: float) -> Callable[[np.ndarray], np.ndarray]:
-    def fn(x):
-        return np.where(x >= 0.0, x, alpha * x)
+def _ramp(alpha: float):
+    def fn(x, out, scratch):
+        # alpha * x, then x wherever x >= 0: np.where's choice, made in place
+        s = _work(x, scratch)
+        np.multiply(alpha, x, out=s)
+        np.copyto(s, x, where=x >= 0.0)
+        np.copyto(out, s)
 
     return fn
 
@@ -108,10 +140,15 @@ def prelu(alpha: float) -> Activation:
 def elu(alpha: float = 1.0) -> Activation:
     alpha = _positive(alpha, "elu alpha")
 
-    def fn(x):
-        # np.where evaluates both branches: clamp the exp argument so large
-        # positive inputs cannot overflow in the branch that gets discarded.
-        return np.where(x > 0.0, x, alpha * np.expm1(np.minimum(x, 0.0)))
+    def fn(x, out, scratch):
+        # the exp argument is clamped, so large positive inputs cannot
+        # overflow in the branch that x > 0 then replaces
+        s = _work(x, scratch)
+        np.minimum(x, 0.0, out=s)
+        np.expm1(s, out=s)
+        np.multiply(alpha, s, out=s)
+        np.copyto(s, x, where=x > 0.0)
+        np.copyto(out, s)
 
     return Activation("elu", max(1.0, alpha), 0.0, fn)
 
@@ -120,25 +157,37 @@ def selu(scale: float = 1.0507, alpha: float = 1.67326) -> Activation:
     scale = _positive(scale, "selu scale")
     alpha = _positive(alpha, "selu alpha")
 
-    def fn(x):
-        return scale * np.where(x >= 0.0, x, alpha * np.expm1(np.minimum(x, 0.0)))
+    def fn(x, out, scratch):
+        s = _work(x, scratch)
+        np.minimum(x, 0.0, out=s)
+        np.expm1(s, out=s)
+        np.multiply(alpha, s, out=s)
+        np.copyto(s, x, where=x >= 0.0)
+        np.multiply(scale, s, out=out)
 
     return Activation("selu", scale * max(1.0, alpha), 0.0, fn)
 
 
 def sigmoid() -> Activation:
-    def fn(x):
+    def fn(x, out, scratch):
         # Stable in both directions: exp is only taken of -|x|.  The
-        # numerator is 1 for x >= 0 (z <= 1 there) and z for x < 0; a NaN
-        # stays NaN through both the maximum and the division.
-        z = np.exp(-np.abs(x))
-        return np.maximum(z, x >= 0.0) / (1.0 + z)
+        # numerator max(z, x >= 0) is 1 for x >= 0 (z <= 1 there) and z for
+        # x < 0; a NaN stays NaN through both the maximum and the division.
+        # x is read for the last time when out receives x >= 0 (1.0 or 0.0).
+        z = _work(x, scratch)
+        np.abs(x, out=z)
+        np.negative(z, out=z)
+        np.exp(z, out=z)
+        np.greater_equal(x, 0.0, out=out)
+        np.maximum(z, out, out=out)
+        np.add(1.0, z, out=z)
+        np.divide(out, z, out=out)
 
     return Activation("sigmoid", 0.25, 0.5, fn)
 
 
 def tanh() -> Activation:
-    return Activation("tanh", 1.0, 0.0, np.tanh)
+    return Activation("tanh", 1.0, 0.0, lambda x, out, _: np.tanh(x, out=out))
 
 
 _REGISTRY: dict[str, Callable[..., Activation]] = {

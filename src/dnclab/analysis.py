@@ -48,6 +48,7 @@ import numpy as np
 from .activations import Activation
 from .linalg import (
     INF,
+    EventuallyConstSeq,
     PNorm,
     extend_vector,
     induced_norm,
@@ -425,6 +426,11 @@ class ZeroPad:
     def states(self, x, depth: int, select) -> list:
         return eval_trajectory(self.seq, self.kind, self.act, x, depth, select)
 
+    def keep(self, value):
+        """A product or state of the sweep held past its step: a copy, as
+        the sweep may write the next layer into the same memory."""
+        return value.copy()
+
     def restart_gap(self, product, first) -> float:
         """|W_{m+1} N_m(x) - W_1 x| from the sweep's products ``product`` =
         W_{m+1} N_m(x) and ``first`` = W_1 x, the shorter one padded with 0
@@ -483,7 +489,28 @@ class ConstantPad(ZeroPad):
         return state.norm(INF)
 
     def distance(self, a, b) -> float:
-        return (a - b).norm(INF)
+        return _sup_distance(a, b)
+
+
+def _sup_distance(a: EventuallyConstSeq, b: EventuallyConstSeq):
+    """Per-column l_inf norm of ``a - b``, taken one segment at a time
+    without building the difference sequence: the shared head, the longer
+    head against the shorter tail, then the two tails.  The maximum of the
+    segment maxima has the bits of ``(a - b).norm(INF)``, and a difference
+    that overflows is refused with the message that sequence would give."""
+    k = min(a.head_len, b.head_len)
+    longer, shorter = (a, b) if a.head_len > b.head_len else (b, a)
+    tail = np.abs(a.tail - b.tail)
+    out = tail
+    for d in (a.head[:k] - b.head[:k], longer.head[k:] - shorter.tail):
+        if d.shape[0]:
+            top = np.abs(d, out=d).max(axis=0)
+            if not np.isfinite(top).all():
+                raise ValueError("sequence head entries must be finite")
+            out = np.maximum(top, out)
+    if not np.isfinite(tail).all():
+        raise ValueError("sequence tail must be finite")
+    return float(out) if a.head.ndim == 1 else out
 
 
 def padding_geometry(
@@ -623,8 +650,9 @@ class Trajectory:
     soon as its depth is reached: a norm at n, a deviation at b, a gap at
     m + 1 from the products the sweep computes anyway.  A state is held
     only from a to the last b it is paired with (and W_1 x until the last
-    gap), so memory is O(distinct a * width * S), not O(depth * width * S),
-    and nothing is held after the sweep.  Each read is one value per sample
+    gap), as a copy, since the sweep's values are valid for one step; so
+    memory is O(distinct a * width * S), not O(depth * width * S), and
+    nothing is held after the sweep.  Each read is one value per sample
     (an array of S, or a float for a vector), with the same bits in any
     batch.  Reading anything that was not declared raises a ValueError.
     """
@@ -659,7 +687,7 @@ class Trajectory:
         def select(n, product, state):
             nonlocal first
             if n == 1:
-                first = product
+                first = geo.keep(product) if gap_at else None
             elif n - 1 in gap_at:
                 gaps_at[n - 1] = geo.restart_gap(product, first)
             if n > last_gap:
@@ -671,7 +699,7 @@ class Trajectory:
                 if until[a] == n:
                     del held[a]
             if n in until:
-                held[n] = state
+                held[n] = geo.keep(state)
 
         geo.states(x, depth, select)  # validates x and depth
         self._norms, self._deviations, self._gaps = norms_at, devs, gaps_at

@@ -741,15 +741,27 @@ class EventuallyConstSeq:
     tail: float | np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.head, dtype=np.float64, copy=True)
+        self._adopt(np.array(self.head, dtype=np.float64, copy=True), self.tail)
+
+    @classmethod
+    def _of_filled(cls, head: np.ndarray, tail) -> "EventuallyConstSeq":
+        """The sequence over ``head``, a float64 array its caller has just
+        filled: the head is not copied but read through a read-only view, so
+        it stays valid only while the caller leaves that memory alone.  It
+        is refused as the constructor refuses it (non-finite entries)."""
+        seq = object.__new__(cls)
+        seq._adopt(head.view(), tail)
+        return seq
+
+    def _adopt(self, arr: np.ndarray, tail) -> None:
         if arr.ndim not in (1, 2):
             raise ValueError(f"sequence head must be 1-d or 2-d, got shape {arr.shape}")
-        if arr.size and not np.all(np.isfinite(arr)):
+        if arr.size and not np.isfinite(arr).all():
             raise ValueError("sequence head entries must be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "head", arr)
-        t = np.array(np.broadcast_to(self.tail, arr.shape[1:]), dtype=np.float64)
-        if not np.all(np.isfinite(t)):
+        t = np.array(np.broadcast_to(tail, arr.shape[1:]), dtype=np.float64)
+        if not np.isfinite(t).all():
             raise ValueError("sequence tail must be finite")
         t.flags.writeable = False
         object.__setattr__(self, "tail", float(t) if arr.ndim == 1 else t)
@@ -776,10 +788,14 @@ class EventuallyConstSeq:
             out = np.where(self.tail != 0.0, math.inf, vector_norm(self.head, p))
         return float(out) if self.head.ndim == 1 else out
 
+    def copy(self) -> "EventuallyConstSeq":
+        """The same sequence over a head of its own."""
+        return EventuallyConstSeq(self.head, self.tail)
+
     def __sub__(self, other: "EventuallyConstSeq") -> "EventuallyConstSeq":
         """The entrywise difference, both heads read to the longer one."""
         n = max(self.head_len, other.head_len)
-        return EventuallyConstSeq(
+        return EventuallyConstSeq._of_filled(
             self.truncated(n) - other.truncated(n), self.tail - other.tail
         )
 
@@ -811,24 +827,35 @@ def toeplitz_matrix(mask, rows: int, cols: int) -> np.ndarray:
     return t
 
 
-def apply_banded(mask, x: EventuallyConstSeq) -> EventuallyConstSeq:
+def apply_banded(mask, x: EventuallyConstSeq, *, out=None) -> EventuallyConstSeq:
     """Apply the semi-infinite constant-padded Toeplitz operator of ``mask``
     to a sequence or a batch of sequences.
 
     The head grows by tau entries; every row past the new head sees only the
     constant tail, so the output tail is ``sum(mask) * x.tail``.  Row i sums
-    ``mask[k] * x[i - k]`` for k descending to 0 (column order), adding one
-    shifted slice of the padded input per k, which matches the
+    ``mask[k] * x[i - k]`` for k descending to 0 (column order) from 0.0,
+    adding one shifted slice of the padded input per k, which matches the
     sequential-summation convention entry by entry.  The operator's induced
     l_1 and l_inf norms both equal the absolute mask sum
     (``dnclab.network.MaskSeq.abs_sum``), which also bounds every
     intermediate p.
+
+    ``out`` is a float64 workspace of shape ``(3, rows, ...)``: the padded
+    input, the sum and the shifted products, each written in its top
+    ``x.head_len + tau`` rows only.  The result's head is then a view of
+    the sum's top rows, valid until the workspace is written again;
+    without ``out`` the workspace is fresh.
     """
     mask = as_vector(mask, name="Toeplitz mask")
     tau = mask.size - 1
-    xe = x.truncated(x.head_len + tau)  # the head, then tau copies of the tail
-    out = np.zeros_like(xe)
-    size = xe.shape[0]
+    size = x.head_len + tau
+    if out is None:
+        out = np.empty((3, size, *x.head.shape[1:]))
+    padded, total, shifted = (a[:size] for a in out)
+    padded[: x.head_len] = x.head
+    padded[x.head_len :] = x.tail  # the head, then tau copies of the tail
+    total.fill(0.0)
     for k in range(tau, -1, -1):
-        out[k:] += mask[k] * xe[: size - k]
-    return EventuallyConstSeq(out, seq_sum(mask) * x.tail)
+        np.multiply(mask[k], padded[: size - k], out=shifted[: size - k])
+        total[k:] += shifted[: size - k]
+    return EventuallyConstSeq._of_filled(total, seq_sum(mask) * x.tail)

@@ -26,7 +26,9 @@ wrappers over it.  By default they keep every state.  Given ``select``,
 they hand each layer's product W_j N_{j-1}(x) (before pooling and bias) and
 its state to the caller, which takes what it reads and holds only the
 states it still needs: a deep sweep then holds a few states, not all of
-them.
+them.  A product or state the sweep hands out is valid until its next
+step, as the sweep may write the next layer into the same memory; a
+caller that keeps one copies it (the list wrappers copy what they list).
 
 States of different widths are compared through one of two extensions,
 named ``zero_pad`` and ``constant_pad`` (``dnclab.analysis`` holds the
@@ -41,6 +43,9 @@ geometry of each and refuses any other name):
   matrix; layers 2, 3, ... apply their mask's constant-padded Toeplitz
   operator (``linalg.apply_banded``), so the constant tail evolves by
   ``t -> act(sum(mask) * t)`` while the head lengthens by tau per layer.
+  Those layers run in workspaces allocated once per sweep at the last
+  head length, layer j in their top width(j) rows, with the activation
+  computed in place: the loop allocates no array whose size grows.
   Convolutional weights are the finite windows
   ``linalg.toeplitz_matrix(mask(n), width(n), width(n - 1))``; this sweep
   reads layer 1's window and the biases of layers 2, 3, ... only, so it
@@ -287,36 +292,49 @@ def _sweep(
     bias, and its state.  Both are finite arrays, or, if ``padded``, both
     are constant-padded :class:`EventuallyConstSeq` (layer 1 keeps its
     zero-padded finite form: product tail 0, state tail act(0); later layers
-    apply their constant-padded Toeplitz operator)."""
+    apply their constant-padded Toeplitz operator).
+
+    A yielded pair is valid until the next step: a caller that keeps one
+    copies it.  The constant-padded layers past the first write into
+    workspaces allocated once, at the final head length: layer j fills the
+    top width(j) rows, and its product and state are views of them.
+    """
     if padded and not isinstance(kind, Conv):
         raise ValueError("constant padding is defined for convolutional networks only")
     v = _input(seq, kind, x, n_max)
+    if padded:
+        # the padded input, the product, the shifted products (then the
+        # activation's scratch) and the state
+        rows = seq.width(1) + (n_max - 1) * kind.masks.tau
+        work = np.empty((4, rows, *v.shape[1:]))
+        banded, state = work[:3], work[3]
     for j in range(1, n_max + 1):
         if j > 1 and padded:
-            b = seq.bias(j)
-            prod = apply_banded(kind.masks.mask(j), v)
+            prod = apply_banded(kind.masks.mask(j), v, out=banded)
             if prod.head_len != seq.width(j):
                 raise ValueError(
                     f"layer {j}: extended head length {prod.head_len} does not "
                     f"match width {seq.width(j)}"
                 )
-            v = EventuallyConstSeq(
-                act.apply(prod.head + _column(b, prod.head)), act.apply(prod.tail)
-            )
+            head = state[: prod.head_len]
+            np.add(prod.head, _column(seq.bias(j), head), out=head)
+            act.apply(head, out=head, scratch=banded[2, : prod.head_len])
+            v = EventuallyConstSeq._of_filled(head, act.apply(prod.tail))
         else:
             w, b = seq.layer(j)
             prod = matvec(w, v)
             z = kind.op.pool(prod) if isinstance(kind, Pooled) else prod
-            v = act.apply(z + _column(b, z))
+            v = z + _column(b, z)
+            act.apply(v, out=v)
             if padded:
-                prod = EventuallyConstSeq(prod, 0.0)
-                v = EventuallyConstSeq(v, act.value_at_zero)
+                prod = EventuallyConstSeq._of_filled(prod, 0.0)
+                v = EventuallyConstSeq._of_filled(v, act.value_at_zero)
         yield prod, v
 
 
 def _listed(steps: Iterator[tuple], select) -> list:
     if select is None:
-        return [state for _, state in steps]
+        return [state.copy() for _, state in steps]
     return [select(j, prod, state) for j, (prod, state) in enumerate(steps, 1)]
 
 
@@ -329,7 +347,8 @@ def eval_trajectory(
     With ``select``, entry j is ``select(j, W_j N_{j-1}(x), N_j(x))``
     instead: the sweep hands each layer's product (before pooling and
     bias) and state to the caller, and drops both unless the selected
-    value holds them.
+    value holds them.  Both are valid only until the sweep's next step, so
+    a ``select`` that keeps one returns a copy.
     """
     return _listed(_sweep(seq, kind, act, x, n_max, False), select)
 
@@ -340,7 +359,9 @@ def eval_extended_trajectory(
     """Constant-padded states at depths 1..n_max of a convolutional network
     (sequence batches with one column per sample for a batched ``x``);
     ``select`` as in :func:`eval_trajectory`, on extended products and
-    states."""
+    states.  The sweep reuses its workspaces from layer to layer, so
+    without ``select`` each listed state is a copy; with it, what the
+    caller keeps it copies."""
     return _listed(_sweep(seq, kind, act, x, n_max, True), select)
 
 

@@ -131,7 +131,8 @@ def _span_calls(trace: dict) -> dict[str, int]:
 
 def test_traced_run_sees_the_batched_layers(tmp_path):
     """The per-layer run still finds every target and records spans for the
-    recursion, both kernels it drives and the restart gaps it streams on a
+    recursion, both kernels and the activation it drives (in place on the
+    sweep's workspaces) and the restart gaps it streams on a
     constant-padded convolution."""
     trace = _traced_run(tmp_path, CONV_CONFIG)
     assert trace["missing"] == []
@@ -140,6 +141,7 @@ def test_traced_run_sees_the_batched_layers(tmp_path):
         "network.trajectory",
         "linalg.matvec",
         "linalg.apply_banded",
+        "activations.apply",
         "analysis.product_gap",
     ):
         assert calls.get(name, 0) > 0, name

@@ -489,6 +489,35 @@ class TestOtherCommands:
         assert "Error: Unable to allocate" in result.stderr
         assert "Traceback" not in result.stderr
 
+    def test_overflowing_constant_padded_states_are_exit_1(self, tmp_path):
+        """A relu convolution whose mask sums to 3.5 (|mask| to 7.5) drives
+        its constant-padded states past the double range long before depth
+        700: the sweep refuses the non-finite sequence, and ``run`` ends in
+        ``Error: ...`` and exit code 1, not a traceback or a verdict."""
+        doc = {
+            **CONV_DOC,
+            "label": "cli-conv-overflow",
+            "generator": {
+                "family": "conv",
+                "input_dim": 2,
+                "mask": {"family": "diverging", "base": [3.0, -2.0, 2.5]},
+            },
+            "activation": {"name": "relu"},
+            "comparison": {"extension": "constant_pad"},
+            "domain": {"bound": 1.0, "sampler": {"count": 5}},
+            "depths": {"n_list": [1, 2, 3, 4], "m_list": [1, 2], "reference_depth": 700},
+        }
+        cfg = write_config(tmp_path, doc)
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = CliRunner().invoke(
+                main, ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
+            )
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Error: sequence head entries must be finite" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not (tmp_path / "out" / "report.json").exists()
+
     @pytest.mark.parametrize("key", ["report", "table"])
     def test_unwritable_output_is_exit_1(self, tmp_path, key):
         """An output file in a missing directory ends in ``Error: ...`` and

@@ -38,7 +38,7 @@ from dnclab.linalg import (
 )
 from dnclab.linalg import _grams
 from dnclab.analysis import CONSTANT_PAD
-from dnclab.network import eval_extended_trajectory, eval_trajectory
+from dnclab.network import Conv, eval_extended_trajectory, eval_trajectory
 from dnclab.pooling import average_pooling, max_pooling
 
 # signed zeros, cancelling magnitudes and ordinary values
@@ -452,6 +452,62 @@ def test_sigmoid_matches_the_masked_form(z):
     assert_same_bits(make_activation("sigmoid").apply(z), oracles.masked_sigmoid(z))
 
 
+# the textbook forms of the eight maps, each branch computed in full and
+# chosen by np.where (the sigmoid's is its masked form)
+WHERE_FORMS = {
+    "identity": lambda x: np.array(x, dtype=np.float64),
+    "relu": lambda x: np.maximum(x, 0.0),
+    "leaky_relu": lambda x: np.where(x >= 0.0, x, 0.01 * x),
+    "prelu": lambda x: np.where(x >= 0.0, x, 2.0 * x),
+    "elu": lambda x: np.where(x > 0.0, x, 1.0 * np.expm1(np.minimum(x, 0.0))),
+    "selu": lambda x: 1.0507 * np.where(
+        x >= 0.0, x, 1.67326 * np.expm1(np.minimum(x, 0.0))
+    ),
+    "sigmoid": oracles.masked_sigmoid,
+    "tanh": np.tanh,
+}
+ANY_FLOAT = st.one_of(SIGMOID_SPECIALS, st.floats(width=64))
+
+
+@pytest.mark.parametrize("name", ACTIVATION_NAMES)
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        arrays(
+            np.float64, st.tuples(st.integers(1, 6), st.integers(1, 4)), elements=ANY_FLOAT
+        ),
+        arrays(np.float64, st.integers(1, 8), elements=ANY_FLOAT),
+        arrays(np.float64, (), elements=ANY_FLOAT),
+        ANY_FLOAT,
+    )
+)
+def test_activation_into_out_matches_a_fresh_result(name, z):
+    """Written into ``out`` (a separate array, or the input itself), with
+    or without a caller's scratch, each map has the bits of its fresh
+    result, and those are the bits of its np.where form: on batches,
+    vectors, 0-d arrays and Python floats, special values included.  A
+    separate ``out`` leaves the input alone."""
+    act = make_activation(name, **({"alpha": 2.0} if name == "prelu" else {}))
+    arr = np.array(z, dtype=np.float64)
+    with np.errstate(over="ignore"):  # 2.0 * 1e308 and the like
+        want = act.apply(z)
+        assert want.shape == arr.shape
+        assert_same_bits(want, WHERE_FORMS[name](arr))
+        for scratch in (None, np.full_like(arr, 3.0)):
+            out = np.full_like(arr, -7.0)
+            assert act.apply(z, out=out, scratch=scratch) is out
+            assert_same_bits(out, want)
+            inplace = arr.copy()
+            assert act.apply(inplace, out=inplace, scratch=scratch) is inplace
+            assert_same_bits(inplace, want)
+    assert_same_bits(np.array(z, dtype=np.float64), arr)
+
+
+def test_activation_refuses_an_out_of_another_shape():
+    with pytest.raises(ValueError, match="shape"):
+        make_activation("relu").apply(np.zeros(3), out=np.zeros(4))
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.sampled_from(["average", "max"]),
@@ -488,19 +544,23 @@ RECURSION_PICKS = (
 
 @pytest.mark.parametrize("label", RECURSION_PICKS)
 def test_batched_recursion_matches_per_sample_loop(label):
+    """Every state of a batched sweep has the bits of the per-sample loop.
+    The constant-padded sweep writes each layer into workspaces sized for
+    its last one, so both convolutional picks also run it to depth 40:
+    their heads then span 40 sizes, from 5 to 83 rows."""
     inst = {i.label: i for i in corpus_instances()}[label]
     seq, kind = inst.build()
     act = inst.activation()
     xs = inst.domain().uniform_samples(5, seed=17).T
     depth = 10
-    if inst.extension == CONSTANT_PAD:
-        states = eval_extended_trajectory(seq, kind, act, xs, depth)
+    if isinstance(kind, Conv):
+        states = eval_extended_trajectory(seq, kind, act, xs, 40)
         for s in range(xs.shape[1]):
-            want = oracles.per_sample_constant_pad(seq, kind.masks, act, xs[:, s], depth)
-            for got, (head, tail) in zip(states, want):
+            want = oracles.per_sample_constant_pad(seq, kind.masks, act, xs[:, s], 40)
+            for got, (head, tail) in zip(states, want, strict=True):
                 assert_same_bits(got.head[:, s], head)
                 assert bits(got.tail[s]) == bits(tail)
-    else:
+    if inst.extension != CONSTANT_PAD:
         states = eval_trajectory(seq, kind, act, xs, depth)
         for s in range(xs.shape[1]):
             want = oracles.per_sample_trajectory(seq, kind, act, xs[:, s], depth)

@@ -432,6 +432,31 @@ class TestApplyBanded:
         assert_allclose(out.head, oracles.conv_full(mask, x), rtol=1e-14, atol=1e-14)
         assert out.tail == 0.0
 
+    def test_workspace_result_is_a_read_only_view_of_the_sum(self):
+        """Given a workspace, the head is the sum's top rows, read only
+        through the result, with the bits of a fresh call; the rows past
+        the head are left as they were."""
+        mask = [0.5, -0.25, 2.0]
+        x = EventuallyConstSeq([[1.0, -3.0], [0.1, 7.0], [-0.0, 2.5]], [0.3, -1.0])
+        work = np.full((3, 7, 2), 9.0)
+        out = apply_banded(mask, x, out=work)
+        fresh = apply_banded(mask, x)
+        assert np.shares_memory(out.head, work[1])
+        assert not out.head.flags.writeable
+        assert_array_equal(out.head.view(np.uint64), fresh.head.view(np.uint64))
+        assert_array_equal(out.tail, fresh.tail)
+        assert_array_equal(work[:, 5:], 9.0)
+
+    @pytest.mark.parametrize("workspace", [False, True])
+    def test_overflowing_product_is_refused(self, workspace):
+        """A finite sequence whose product overflows is refused, whether
+        the head is fresh or a view of the caller's workspace."""
+        x = EventuallyConstSeq([1e308, 1e308], 0.0)
+        out = np.zeros((3, 3)) if workspace else None
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="head entries must be finite"):
+                apply_banded([4.0, 4.0], x, out=out)
+
 
 @settings(max_examples=60, deadline=None)
 @given(

@@ -23,8 +23,8 @@ from dnclab.analysis import (
 from dnclab.cli import main
 from dnclab.config import load_config, parse_config
 from dnclab.corpus import control_instances, corpus_instances
-from dnclab.linalg import ONE, TWO
-from dnclab.network import PLAIN, Conv, LayerSeq
+from dnclab.linalg import INF, ONE, TWO, EventuallyConstSeq, apply_banded, matvec
+from dnclab.network import PLAIN, Conv, LayerSeq, eval_extended_trajectory
 from dnclab.study import DepthPlan, convergence_study
 
 import oracles
@@ -462,6 +462,35 @@ def test_prefetch_covers_exactly_the_norms_a_study_reads():
     assert studies == 2 * 2 + 50 + 2 + 1
 
 
+def test_reused_workspaces_never_reach_a_kept_state():
+    """The constant-padded sweep writes every layer into the same
+    workspaces, so what a trajectory holds past a step must be a copy.
+    With states held from depths 1 and 3 to 40, and W_1 x held for the
+    gaps at 1, 2 and 4, every read has the bits of the one computed from
+    the states ``eval_extended_trajectory`` lists, each difference built
+    in full as a sequence."""
+    inst = {i.label: i for i in corpus_instances()}["convc-t2-sigmoid-pinf"]
+    seq, kind = inst.build()
+    act = inst.activation()
+    ctx = BoundContext(seq, kind, act, inst.p, inst.extension)
+    x = inst.domain().uniform_samples(6, seed=23).T
+    norms, pairs, gaps = (1, 3, 5, 40), ((1, 40), (3, 40), (3, 5)), (1, 2, 4)
+    traj = Trajectory(ctx, x, 40, norms=norms, pairs=pairs, gaps=gaps)
+    states = eval_extended_trajectory(seq, kind, act, x, 40)
+    first = EventuallyConstSeq(matvec(seq.layer(1)[0], x), 0.0)
+    for n in norms:
+        np.testing.assert_array_equal(
+            _bits(traj.state_norm(n)), _bits(states[n - 1].norm(INF))
+        )
+    for a, b in pairs:
+        want = (states[b - 1] - states[a - 1]).norm(INF)
+        np.testing.assert_array_equal(_bits(traj.deviation(a, b)), _bits(want))
+    for m in gaps:
+        product = apply_banded(kind.masks.mask(m + 1), states[m - 1])
+        want = (product - first).norm(INF)
+        np.testing.assert_array_equal(_bits(traj.product_gap(m)), _bits(want))
+
+
 def _watched_trajectories(mp: pytest.MonkeyPatch) -> list:
     """Every Trajectory the study module builds from now on, each with the
     ``read`` sets of the norms, pairs and gaps its readers asked for."""
@@ -491,18 +520,30 @@ def _watched_trajectories(mp: pytest.MonkeyPatch) -> list:
 
 def _watched_sweeps(mp: pytest.MonkeyPatch) -> list:
     """One entry per recursion sweep run from now on: the weak references
-    to its states, and the most of them alive at once after a step."""
+    to its states and to the copies of them the geometry keeps, and the
+    most of both alive at once after a step."""
     sweeps = []
+    keep = analysis.ZeroPad.keep
+
+    def watched_keep(geo, value):
+        got = keep(geo, value)
+        if value is sweeps[-1]["state"]:
+            sweeps[-1]["kept"].append(weakref.ref(got))
+        return got
+
+    mp.setattr(analysis.ZeroPad, "keep", watched_keep)
     for cls in (analysis.ZeroPad, analysis.ConstantPad):
 
         def watched(geo, x, depth, select, states=cls.__dict__["states"]):
-            sweep = {"refs": [], "peak": 0}
+            sweep = {"refs": [], "kept": [], "state": None, "peak": 0}
             sweeps.append(sweep)
 
             def spy(n, product, state):
+                sweep["state"] = state
                 got = select(n, product, state)
+                sweep["state"] = None
                 sweep["refs"].append(weakref.ref(state))
-                alive = sum(ref() is not None for ref in sweep["refs"])
+                alive = sum(ref() is not None for ref in sweep["refs"] + sweep["kept"])
                 sweep["peak"] = max(sweep["peak"], alive)
                 return got
 
@@ -515,9 +556,10 @@ def _watched_sweeps(mp: pytest.MonkeyPatch) -> list:
 def test_trajectory_keeps_exactly_the_depths_a_study_reads():
     """The working set matches the grid: a study's trajectory declares a
     read only if the grid reads it, and the grid reads nothing else (that
-    read would raise).  The sweep runs to the deepest read and holds the
-    n_list states alone: at most len(n_list) states besides the current
-    one are alive after any step, and none once the study has returned.
+    read would raise).  The sweep runs to the deepest read and the
+    trajectory keeps copies of the n_list states alone: at most len(n_list)
+    states besides the current one are alive after any step, and none once
+    the study has returned.
     Checked on both shipped configs, their deep variants, all 52 selftest
     studies and a net without limits."""
     studies = 0
@@ -535,7 +577,7 @@ def test_trajectory_keeps_exactly_the_depths_a_study_reads():
         )
         assert len(sweep["refs"]) == deepest == depths.max_depth, label
         assert sweep["peak"] == len(depths.n_list) + 1, label
-        assert all(ref() is None for ref in sweep["refs"]), label
+        assert all(ref() is None for ref in sweep["refs"] + sweep["kept"]), label
         studies += 1
     assert studies == 2 * 2 + 50 + 2 + 1
 
