@@ -327,19 +327,17 @@ def state_deviation(a: np.ndarray, b: np.ndarray, p: PNorm, fill: float):
     )
 
 
-def _padded_shape(a: np.ndarray, b: np.ndarray | None) -> tuple[int, int]:
+def _padded_shape(a: np.ndarray, b: np.ndarray | None) -> tuple[int, ...]:
     """The common shape of ``a`` and ``b`` zero-padded (``a``'s, if b is None)."""
-    if b is None:
-        return a.shape
-    return max(a.shape[0], b.shape[0]), max(a.shape[1], b.shape[1])
+    return a.shape if b is None else tuple(map(max, a.shape, b.shape))
 
 
 def _write_padded_diff(out: np.ndarray, a: np.ndarray, b: np.ndarray | None) -> None:
     """Write a - b, both zero-padded to ``out``'s shape, into the zeroed
-    ``out`` (``a`` alone if b is None)."""
-    out[: a.shape[0], : a.shape[1]] = a
+    ``out`` (``a`` alone if b is None); vectors or matrices."""
+    out[tuple(map(slice, a.shape))] = a
     if b is not None:
-        out[: b.shape[0], : b.shape[1]] -= b
+        out[tuple(map(slice, b.shape))] -= b
 
 
 class _Lazy(dict):
@@ -567,8 +565,12 @@ class BoundContext:
         self._norm = _Lazy(lambda key: geo.norms([key])[0])
 
         def bias_gap(jk):  # layer None stands for the declared limit b*
+            # the biases are frozen and finite, so their zero-padded
+            # difference is written straight into one fresh vector
             a, b = (seq.bias_limit if k is None else seq.bias(k) for k in jk)
-            return state_deviation(a, b, p, 0.0)
+            gap = np.zeros(_padded_shape(a, b))
+            _write_padded_diff(gap, a, b)
+            return vector_norm(gap, p)
 
         self._bdiff = _Lazy(bias_gap)
         self._bnorm = _Lazy(lambda n: vector_norm(seq.bias(n), p))
@@ -738,19 +740,38 @@ def apriori_bound_ctx(ctx: BoundContext, n: int, x_bound: float) -> float:
 
     where 0_j is the zero vector of the layer's pre-pooling dimension.
     """
-    if n < 1:
-        raise ValueError(f"depth must be >= 1, got {n}")
-    factors = [ctx.L * ctx.P * ctx.weight_norm(j) for j in range(1, n + 1)]
-    # suffix[j-1] = prod_{i=j+1..n} factors
-    suffix = [1.0] * (n + 1)
-    for j in range(n - 1, 0, -1):
-        suffix[j] = suffix[j + 1] * factors[j]  # factors[j] is layer j+1
-    full = suffix[1] * factors[0]
-    terms = [
-        suffix[j] * (ctx.L * ctx.bias_norm(j) + ctx.zero_image_norm(j))
-        for j in range(1, n + 1)
+    return _apriori_bounds(ctx, (n,), x_bound)[0]
+
+
+def _apriori_bounds(ctx: BoundContext, depths, x_bound: float) -> list[float]:
+    """:func:`apriori_bound_ctx` at each depth of ``depths``, in order.
+
+    The factors L*P*|W_j| and the constants L*|b_j| + |(act o pool)(0_j)|
+    are formed once per layer up to the deepest depth.  Each depth n then
+    takes its own suffix products prod_{i=j+1..n}, multiplied right to left
+    from layer n, and its own ascending :func:`seq_sum` of the terms, so
+    every bound has the bits of a separate evaluation at n.
+    """
+    depths = list(depths)
+    if min(depths) < 1:
+        raise ValueError(f"depth must be >= 1, got {min(depths)}")
+    top = max(depths)
+    lp = ctx.L * ctx.P
+    factors = [lp * ctx.weight_norm(j) for j in range(1, top + 1)]
+    consts = [
+        ctx.L * ctx.bias_norm(j) + ctx.zero_image_norm(j) for j in range(1, top + 1)
     ]
-    return full * x_bound + seq_sum(terms)
+    out = []
+    for n in depths:
+        # layer j's term, written in descending j, takes suffix =
+        # prod_{i=j+1..n} factors; the loop ends with the full product
+        suffix = 1.0
+        terms = [0.0] * n
+        for j in range(n, 0, -1):
+            terms[j - 1] = suffix * consts[j - 1]
+            suffix *= factors[j - 1]
+        out.append(suffix * x_bound + seq_sum(terms))
+    return out
 
 
 def _three_term_bound(
@@ -873,9 +894,7 @@ def derive_limit_constants(
     blim_norm = vector_norm(ctx.seq.bias_limit, ctx.p)
     zmax = max(ctx.zero_image_norm(n) for n in range(1, n1 + 1))
     tail_cap = (ctx.L * (blim_norm + e_end) + zmax) / (1.0 - omega0)
-    rho = max(
-        max(apriori_bound_ctx(ctx, n, x_bound) for n in range(1, n1 + 1)), tail_cap
-    )
+    rho = max(max(_apriori_bounds(ctx, range(1, n1 + 1), x_bound)), tail_cap)
     note = (
         f"coverage [2,{n1}]; omega0={omega0:.12g}; e_end={e_end:.6g}; "
         f"E_end={E_end:.6g}"

@@ -20,7 +20,9 @@ condition did not hold.
 
 from __future__ import annotations
 
+import atexit
 import functools
+import gc
 import os
 
 import click
@@ -28,7 +30,7 @@ import click
 from .analysis import (
     BoundContext,
     SamplerSpec,
-    apriori_bound_ctx,
+    _apriori_bounds,
     derive_limit_constants,
     limit_bound_ctx,
     network_verdicts,
@@ -113,6 +115,14 @@ _require_pass_opt = click.option(
 @click.version_option(package_name="dnc-lab")
 def main():
     """Numerical laboratory for deep-network layer recursions."""
+    # At interpreter exit, move every tracked object to the permanent
+    # generation: the final collections then skip the module graph that
+    # numpy and dnclab built, and the OS reclaims its memory.  Every output
+    # file is closed before then, and a caller that keeps running (a test's
+    # CliRunner) freezes nothing until its own exit; unregistering first
+    # keeps one hook per process however often the group runs.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
 
 
 @main.command()
@@ -229,9 +239,8 @@ def bounds(ctx, config_path, out_dir):
     lips = [1.0]
     for w in bctx.finite_weight_norms(1, depths[-1]):
         lips.append(lips[-1] * (factor * w))
-    for n in depths:
+    for n, apri in zip(depths, _apriori_bounds(bctx, depths, xb)):
         lip = lips[n]
-        apri = apriori_bound_ctx(bctx, n, xb)
         lim = None if constants is None else limit_bound_ctx(bctx, n, constants)
         lines.append(
             f"{n},{format_float(lip)},{format_float(apri)},{format_float(lim)}"

@@ -37,8 +37,8 @@ from .analysis import (
     RateFit,
     SamplerSpec,
     Trajectory,
+    _apriori_bounds,
     _Lazy,
-    apriori_bound_ctx,
     deviation_bound_ctx,
     fit_exponential_rate,
     limit_bound_ctx,
@@ -293,8 +293,8 @@ def convergence_study(
     x_bound = domain.norm_bound(p)
     state_rows: list[StateRow] = []
     apriori_violations: list[tuple[int, int]] = []
-    for n in (*depths.n_list, ref):
-        apri = apriori_bound_ctx(ctx, n, x_bound)
+    state_ns = (*depths.n_list, ref)
+    for n, apri in zip(state_ns, _apriori_bounds(ctx, state_ns, x_bound)):
         norms = traj.state_norm(n)
         bad = np.flatnonzero(norms > apri * slack)
         apriori_violations.extend((n, int(i)) for i in bad)

@@ -297,6 +297,22 @@ def network_lipschitz_bound(seq, act, pool, n: int, p) -> float:
     return acc
 
 
+def apriori_bound_at(ctx, n: int, x_bound: float) -> float:
+    """The a-priori bound at depth n on its own, read through the context:
+    the suffix products prod_{i=j+1..n} L*P*|W_i| multiplied from layer n
+    down, then the terms added left to right from 0.0 in ascending j — the
+    order the library is specified to use, so agreement is bit for bit."""
+    factors = [ctx.L * ctx.P * ctx.weight_norm(j) for j in range(1, n + 1)]
+    suffix = [1.0] * (n + 1)  # suffix[j] = prod_{i=j+1..n} factors
+    for j in range(n - 1, 0, -1):
+        suffix[j] = suffix[j + 1] * factors[j]  # factors[j] is layer j + 1
+    terms = [
+        suffix[j] * (ctx.L * ctx.bias_norm(j) + ctx.zero_image_norm(j))
+        for j in range(1, n + 1)
+    ]
+    return suffix[1] * factors[0] * x_bound + left_to_right_sum(terms)
+
+
 # ---------------------------------------------------------------------------
 # the deviation and limit bounds, written out from their formulas in mpmath
 # at p = 1 and p = inf, from the loop norms and the per-sample recursion above

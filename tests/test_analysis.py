@@ -190,6 +190,66 @@ class TestAprioriBound:
             apriori_bound_ctx(BoundContext(scalar_net(0.4), PLAIN, relu(), ONE), 0, 1.0)
 
 
+def apriori_case(case: str):
+    """(seq, kind, extension) of a net the a-priori table is pinned on."""
+    if case == "scalar":
+        return scalar_net(0.4), PLAIN, ZERO_PAD
+    if case in ("pooled", "cyclic"):
+        label = {"pooled": "max1-exp_decay-prelu-p1", "cyclic": "cyc534-exp_decay-relu-p1"}
+        return (*corpus_case(label[case])[:2], ZERO_PAD)
+    net = build(GenSpec("conv", input_dim=3, seed=4, mask=MaskSpec(
+        "constant_limit", (0.2, -0.1, 0.1), rate=0.5, limit=(0.2, -0.1, 0.1)
+    )))
+    return net.seq, Conv(net.masks), case
+
+
+APRIORI_CASES = [
+    (case, p)
+    for case in ("scalar", "pooled", "cyclic", ZERO_PAD)
+    for p in (ONE, TWO, INF)
+] + [(CONSTANT_PAD, INF)]
+
+
+class TestAprioriTable:
+    @pytest.mark.parametrize(
+        "case, p", APRIORI_CASES, ids=[f"{c}-p{p.p:g}" for c, p in APRIORI_CASES]
+    )
+    def test_every_depth_has_the_bits_of_a_lone_evaluation(self, case, p):
+        seq, kind, extension = apriori_case(case)
+        ctx = BoundContext(seq, kind, sigmoid(), p, extension)
+        depths = range(1, 65)
+        want = [oracles.apriori_bound_at(ctx, n, 1.5) for n in depths]
+        assert analysis._apriori_bounds(ctx, depths, 1.5) == want
+        assert [apriori_bound_ctx(ctx, n, 1.5) for n in depths] == want
+        # any order and any subset: each depth is its own evaluation
+        got = analysis._apriori_bounds(ctx, (64, 3, 17, 3), 1.5)
+        assert got == [want[63], want[2], want[16], want[2]]
+
+    def test_rejects_bad_depth(self):
+        ctx = BoundContext(scalar_net(0.4), PLAIN, relu(), ONE)
+        with pytest.raises(ValueError, match="depth must be >= 1, got 0"):
+            analysis._apriori_bounds(ctx, (3, 0), 1.0)
+
+
+class TestBiasGaps:
+    @pytest.mark.parametrize(
+        "extension, p",
+        [(ZERO_PAD, ONE), (ZERO_PAD, TWO), (ZERO_PAD, INF), (CONSTANT_PAD, INF)],
+    )
+    def test_gaps_have_the_bits_of_the_state_deviation(self, extension, p):
+        # every conv layer has its own width, so each gap pads one bias;
+        # layer 1 has the width of the declared limit b*
+        seq, kind, _ = apriori_case(extension)
+        ctx = BoundContext(seq, kind, sigmoid(), p, extension)
+        for j, k in ((2, 1), (1, 2), (9, 4), (5, 5), (30, 6)):
+            want = state_deviation(seq.bias(j), seq.bias(k), p, 0.0)
+            assert ctx.bias_diff(j, k) == want, (j, k)
+        for k in (1, 2, 7, 48):
+            want = state_deviation(seq.bias(k), seq.bias_limit, p, 0.0)
+            assert ctx.bias_limit_diff(k) == want, k
+            assert want > 0.0
+
+
 class TestDeviationBound:
     def test_scalar_net_achieves_equality(self):
         ctx = BoundContext(scalar_net(0.4), PLAIN, relu(), ONE)

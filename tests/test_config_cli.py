@@ -1,5 +1,6 @@
 """Tests for the JSON config loader and the command-line interface."""
 
+import gc
 import json
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from dnclab import analysis, linalg
+from dnclab import analysis, cli, linalg
 from dnclab.analysis import CONSTANT_PAD, ZERO_PAD
 from dnclab.cli import main
 from dnclab.config import CONFIG_SCHEMA, ConfigError, load_config, parse_config
@@ -558,3 +559,51 @@ class TestOtherCommands:
         )
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "report.json").exists()
+
+
+class TestExitFreeze:
+    """``main`` has the interpreter freeze every tracked object at exit, so
+    the final collections skip the module graph; until then nothing is
+    frozen."""
+
+    PROBE = (
+        "import atexit, gc, sys\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr))\n"
+        "import dnclab.cli\n"
+        "dnclab.cli.main(sys.argv[1:])\n"
+    )
+
+    def test_command_exits_through_the_freeze_with_unchanged_stdout(self):
+        # atexit runs last-registered first, so the probe, registered
+        # before the command's hook, sees the interpreter after the freeze
+        args = ["check", "--config", str(CONFIG_DIR / "dense_exp_decay.json")]
+        proc = subprocess.run(
+            [sys.executable, "-c", self.PROBE, *args],
+            capture_output=True,
+            text=True,
+            env=src_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        (line,) = [s for s in proc.stderr.splitlines() if s.startswith("frozen ")]
+        assert int(line.split()[1]) > 0
+        in_process = CliRunner().invoke(main, args)
+        assert in_process.exit_code == 0
+        assert proc.stdout == in_process.output
+
+    def test_in_process_commands_freeze_nothing_and_hook_once(self, monkeypatch):
+        hooks = []
+
+        class Registry:  # the atexit calls the group makes, on a plain list
+            register = hooks.append
+
+            def unregister(fn):
+                hooks[:] = [h for h in hooks if h != fn]
+
+        monkeypatch.setattr(cli, "atexit", Registry)
+        for _ in range(2):
+            result = CliRunner().invoke(
+                main, ["check", "--config", str(CONFIG_DIR / "dense_exp_decay.json")]
+            )
+            assert result.exit_code == 0, result.output
+        assert hooks == [gc.freeze]
+        assert gc.get_freeze_count() == 0
