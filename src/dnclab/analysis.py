@@ -29,16 +29,18 @@ inequality the laboratory verifies:
   for the two scalar sequence lemmas behind the convergence proofs.
 
 Every bound takes a :class:`BoundContext`, which caches the x-independent
-data of one network and norm.  Networks of different widths are compared
-through an extension, one geometry object each (:func:`padding_geometry`):
-:class:`ZeroPad` pads weights and biases with zeros and states with the
-activation's value at zero (which literal zero padding matches exactly
-whenever act(0) = 0); :class:`ConstantPad` compares constant-padded
-convolutional sequences in l_inf with the exact mask-sum operator norms.
+data of one network and norm and measures in its extension, the scheme
+that compares networks of different widths.  The context class is the
+extension: :class:`BoundContext` itself pads weights and biases with zeros
+and states with the activation's value at zero (which literal zero
+padding matches exactly whenever act(0) = 0); its subclass
+:class:`ConstantPad` compares constant-padded convolutional sequences in
+l_inf with the exact mask-sum operator norms.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 from typing import Sequence
@@ -52,7 +54,6 @@ from .linalg import (
     PNorm,
     extend_vector,
     induced_norm,
-    induced_norms,
     seq_sum,
     stacked_norms,
     vector_norm,
@@ -75,9 +76,7 @@ __all__ = [
     "network_verdicts",
     "ZERO_PAD",
     "CONSTANT_PAD",
-    "ZeroPad",
     "ConstantPad",
-    "padding_geometry",
     "BoundContext",
     "Trajectory",
     "state_deviation",
@@ -126,7 +125,8 @@ class Domain:
     Formulas that consume "the bound on |x|" must use :meth:`norm_bound`,
     not ``bound``: samples from the cube reach l_p norm bound * dim^(1/p)
     for finite p, and the a-priori/limit bounds are only dominating if they
-    are evaluated at that value.
+    are evaluated at that value.  The diameter 2 * bound must be finite,
+    as the uniform sampler draws from an interval of that length.
     """
 
     dim: int
@@ -139,6 +139,8 @@ class Domain:
         b = float(self.bound)
         if not (b > 0.0 and math.isfinite(b)):
             raise ValueError(f"domain bound must be positive and finite, got {self.bound}")
+        if not math.isfinite(2.0 * b):
+            raise ValueError(f"domain diameter 2 * bound must be finite, got bound {self.bound}")
         object.__setattr__(self, "bound", b)
 
     def norm_bound(self, p: PNorm) -> float:
@@ -307,10 +309,10 @@ def check_mask_conditions(masks, act: Activation) -> dict[str, ConditionVerdict]
 
 
 # ---------------------------------------------------------------------------
-# bound context: one formula, two geometries (finite / constant-padded)
+# bound context: one formula, two extensions (zero-padded / constant-padded)
 # ---------------------------------------------------------------------------
 
-# the names of the two extensions (:func:`padding_geometry`)
+# the names of the two extensions (:meth:`BoundContext.scheme`)
 ZERO_PAD = "zero_pad"
 CONSTANT_PAD = "constant_pad"
 
@@ -340,36 +342,86 @@ def _write_padded_diff(out: np.ndarray, a: np.ndarray, b: np.ndarray | None) -> 
         out[tuple(map(slice, b.shape))] -= b
 
 
-class _Lazy(dict):
-    """A dict that fills a missing entry with ``compute(key)``."""
+class BoundContext:
+    """Caches the x-independent norm and difference data the bounds consume,
+    and measures in the network's extension.
 
-    __slots__ = ("compute",)
+    One instance per (layer sequence, kind, activation, p, extension); the
+    caches matter because the study grid revisits the same weight-difference
+    norms for every (n, m) pair and sample.  ``BoundContext(seq, kind, act,
+    p, extension)`` returns the class of the extension (:meth:`scheme`):
+    this class for ``zero_pad``, :class:`ConstantPad` for ``constant_pad``.
 
-    def __init__(self, compute):
-        super().__init__()
-        self.compute = compute
+    Under zero padding states are finite in l_p: weights, biases and
+    pre-activations are padded with zeros, states with act(0).  Every
+    weight-operator norm, in the extension, lives in one cache keyed by its
+    operator: ``("W", n)`` for W_n, ``("dW", j, k)`` for W_j - W_k and
+    ``("E", k)`` for W_k - W*.  Only :meth:`prefetch` fills it, in one batch
+    (:meth:`norms`); a read that misses prefetches its own key.  Biases are
+    zero-padded under both schemes.  The state methods take a whole batch
+    of samples (one per column) and return one value per sample.
+    """
 
-    def __missing__(self, key):
-        got = self[key] = self.compute(key)
-        return got
+    def __new__(cls, seq, kind, act, p, extension: str = ZERO_PAD):
+        chosen = BoundContext.scheme(extension, kind, p)
+        if not issubclass(chosen, cls):
+            raise ValueError(f"the {extension!r} extension is not a {cls.__name__}")
+        return super().__new__(chosen)
 
-
-class ZeroPad:
-    """Finite states in l_p: weights, biases and pre-activations are padded
-    with zeros, states with act(0).  A geometry computes every quantity in
-    which the two extensions differ; :class:`BoundContext` caches them.
-    The weight-operator norms come as a batch (:meth:`norms`); the state
-    methods take a whole batch of samples (one per column) and return one
-    value per sample."""
-
-    def __init__(self, seq: LayerSeq, kind: NetworkKind, act: Activation, p: PNorm):
+    def __init__(
+        self,
+        seq: LayerSeq,
+        kind: NetworkKind,
+        act: Activation,
+        p: PNorm,
+        extension: str = ZERO_PAD,
+    ):
         self.seq = seq
         self.kind = kind
         self.act = act
         self.p = p
-        # |(act o pool)(0)| by pre-pooling dimension, the only input it has
-        self._zero_images: dict[int, float] = {}
+        self.L = act.lipschitz
+        self.P = pool_of(kind).lipschitz(p)
+        # a vanishing conv mask has the zero operator as its limit, so there
+        # |W_k - W*| is |W_k| and the two keys share one entry
+        self._zero_limit = isinstance(kind, Conv) and self.weight_limit_norm == 0.0
+        self._norms: dict[tuple, float] = {}
 
+        # the caches below close over the layer data, not over the context,
+        # so a dropped context is freed without the cycle collector
+        @functools.cache
+        def bias_gap(j, k):  # layer None stands for the declared limit b*
+            # the biases are frozen and finite, so their zero-padded
+            # difference is written straight into one fresh vector
+            a, b = (seq.bias_limit if n is None else seq.bias(n) for n in (j, k))
+            gap = np.zeros(_padded_shape(a, b))
+            _write_padded_diff(gap, a, b)
+            return vector_norm(gap, p)
+
+        self._bias_gap = bias_gap
+        self._bias_norm = functools.cache(lambda n: vector_norm(seq.bias(n), p))
+        # |(act o pool)(0)| by pre-pooling dimension, the only input it has
+        self._zero_image = functools.cache(
+            lambda dim: vector_norm(act.apply(pool_of(kind).pool(np.zeros(dim))), p)
+        )
+
+    @staticmethod
+    def scheme(extension: str, kind: NetworkKind, p: PNorm) -> type:
+        """The context class of the ``extension`` scheme, after checking
+        that the scheme applies to the network and the norm."""
+        if extension == ZERO_PAD:
+            return BoundContext
+        if extension != CONSTANT_PAD:
+            raise ValueError(f"unknown extension scheme {extension!r}")
+        if not isinstance(kind, Conv):
+            raise ValueError("constant padding applies to convolutional networks")
+        if not p.is_inf:
+            raise ValueError("constant-padded comparisons use the l_inf sequence metric")
+        return ConstantPad
+
+    # -- what the extension decides ----------------------------------------
+
+    @functools.cached_property
     def weight_limit_norm(self) -> float | None:
         """|W*|, or None when the extension has no declared limit operator."""
         if isinstance(self.kind, Conv):
@@ -379,10 +431,25 @@ class ZeroPad:
         lim = self.seq.weight_limit
         return None if lim is None else induced_norm(lim, self.p)
 
+    @property
+    def has_limits(self) -> bool:
+        return self.weight_limit_norm is not None and self.seq.bias_limit is not None
+
+    def tail_cap_refusal(self) -> str | None:
+        """Why the state norms admit no certified sup, or None: padded
+        coordinates carry act(0), so on the unbounded widths of a convolution
+        their finite-p norm grows without limit."""
+        if isinstance(self.kind, Conv) and self.act.value_at_zero and not self.p.is_inf:
+            return (
+                "act(0) != 0 on unbounded widths admits no finite-p tail cap; "
+                "use p = inf"
+            )
+        return None
+
     def norms(self, keys) -> list[float]:
-        """The norms of the operators named by ``keys`` (see
-        :class:`BoundContext`): each operator is written straight into one
-        stack per shape, and each stack takes one ``induced_norm`` call."""
+        """The norms of the operators named by ``keys``, computed afresh:
+        each operator is written straight into one stack per shape, and
+        each stack takes one ``induced_norm`` call."""
         pairs = [self._operator(*key) for key in keys]
         return stacked_norms(
             [_padded_shape(*pair) for pair in pairs],
@@ -402,24 +469,18 @@ class ZeroPad:
             raise ValueError("no declared weight limit")
         return w, self.seq.weight_limit
 
-    def zero_image_norm(self, n: int) -> float:
-        dim = self.seq.width(n) + self.seq.extra_rows
-        got = self._zero_images.get(dim)
-        if got is None:
-            zero = pool_of(self.kind).pool(np.zeros(dim))
-            got = self._zero_images[dim] = vector_norm(self.act.apply(zero), self.p)
-        return got
+    def finite_weight_norms(self, lo: int, hi: int) -> list[float]:
+        """|W_lo| .. |W_hi| of the finite weight matrices, whatever the
+        extension.  Under zero padding these are the cache's ``("W", n)``
+        entries, prefetched in one batch."""
+        ns = range(lo, hi + 1)
+        self.prefetch(("W", n) for n in ns)
+        return [self.weight_norm(n) for n in ns]
 
-    def tail_cap_refusal(self) -> str | None:
-        """Why the state norms admit no certified sup, or None: padded
-        coordinates carry act(0), so on the unbounded widths of a convolution
-        their finite-p norm grows without limit."""
-        if isinstance(self.kind, Conv) and self.act.value_at_zero and not self.p.is_inf:
-            return (
-                "act(0) != 0 on unbounded widths admits no finite-p tail cap; "
-                "use p = inf"
-            )
-        return None
+    def zero_image_norm(self, n: int) -> float:
+        """|(act o pool)(0)| at layer n — the additive constant of the
+        a-priori recursion."""
+        return self._zero_image(self.seq.width(n) + self.seq.extra_rows)
 
     def states(self, x, depth: int, select) -> list:
         return eval_trajectory(self.seq, self.kind, self.act, x, depth, select)
@@ -441,12 +502,67 @@ class ZeroPad:
     def distance(self, a, b) -> float:
         return state_deviation(a, b, self.p, self.act.value_at_zero)
 
+    # -- the caches ---------------------------------------------------------
 
-class ConstantPad(ZeroPad):
+    def _key(self, key: tuple) -> tuple:
+        return ("W", key[1]) if key[0] == "E" and self._zero_limit else key
+
+    def prefetch(self, keys) -> None:
+        """Fill the norm cache for the operator ``keys`` in one batch (one
+        stacked norm call per shape); entries already cached are not
+        computed again."""
+        missing = [
+            key for key in dict.fromkeys(map(self._key, keys)) if key not in self._norms
+        ]
+        self._norms.update(zip(missing, self.norms(missing)))
+
+    def _norm(self, key: tuple) -> float:
+        got = self._norms.get(key)
+        if got is None:
+            self.prefetch([key])
+            got = self._norms[key]
+        return got
+
+    def weight_norm(self, n: int) -> float:
+        return self._norm(("W", n))
+
+    def weight_diff(self, j: int, k: int) -> float:
+        """|W_j - W_k| in the extension."""
+        return self._norm(("dW", j, k))
+
+    def weight_limit_diff(self, k: int) -> float:
+        """E_k = |W_k - W*| in the extension."""
+        return self._norm(self._key(("E", k)))
+
+    def bias_diff(self, j: int, k: int) -> float:
+        """|b_j - b_k| with zero padding across widths."""
+        return self._bias_gap(j, k)
+
+    def bias_limit_diff(self, k: int) -> float:
+        """e_k = |b_k - b*| (zero-padded across widths)."""
+        if self.seq.bias_limit is None:
+            raise ValueError("no declared bias limit")
+        return self._bias_gap(k, None)
+
+    def bias_norm(self, n: int) -> float:
+        return self._bias_norm(n)
+
+    def lambda_products(self, top: int, count: int) -> list[float]:
+        """vals[i] = Lam^{i-1} = prod_{j=0..i-1} L*P*|W_{top-j}|, vals[0]=1."""
+        vals = [1.0]
+        acc = 1.0
+        for j in range(count):
+            acc *= self.L * self.P * self.weight_norm(top - j)
+            vals.append(acc)
+        return vals
+
+
+class ConstantPad(BoundContext):
     """Constant-padded convolutional sequences in l_inf: layer 1 keeps its
     zero-padded matrix, later layers act by their constant-padded Toeplitz
     operators, whose induced norms are the exact absolute mask sums."""
 
+    @functools.cached_property
     def weight_limit_norm(self) -> float | None:
         lim = self.kind.masks.limit
         return None if lim is None else seq_sum(np.abs(lim))
@@ -473,6 +589,14 @@ class ConstantPad(ZeroPad):
                 "constant-padded weight differences are defined for layers >= 2"
             )
         return self.kind.masks.mask(n)
+
+    def finite_weight_norms(self, lo: int, hi: int) -> list[float]:
+        """The cache holds the mask sums from layer 2 on, so those layers'
+        finite matrices are normed afresh through the zero-pad operator
+        path; layer 1 is its finite matrix in both and comes from the
+        cache."""
+        later = super().norms([("W", n) for n in range(max(lo, 2), hi + 1)])
+        return [self.weight_norm(1), *later] if lo == 1 else later
 
     def zero_image_norm(self, n: int) -> float:
         return abs(self.act.value_at_zero)
@@ -511,135 +635,6 @@ def _sup_distance(a: EventuallyConstSeq, b: EventuallyConstSeq):
     return float(out) if a.head.ndim == 1 else out
 
 
-def padding_geometry(
-    extension: str, seq: LayerSeq, kind: NetworkKind, act: Activation, p: PNorm
-) -> ZeroPad:
-    """The geometry of the ``extension`` scheme, after checking that the
-    scheme applies to the network and the norm."""
-    if extension == ZERO_PAD:
-        return ZeroPad(seq, kind, act, p)
-    if extension != CONSTANT_PAD:
-        raise ValueError(f"unknown extension scheme {extension!r}")
-    if not isinstance(kind, Conv):
-        raise ValueError("constant padding applies to convolutional networks")
-    if not p.is_inf:
-        raise ValueError("constant-padded comparisons use the l_inf sequence metric")
-    return ConstantPad(seq, kind, act, p)
-
-
-class BoundContext:
-    """Caches the x-independent norm and difference data the bounds consume.
-
-    One instance per (layer sequence, kind, activation, p, extension); the
-    caches matter because the study grid revisits the same weight-difference
-    norms for every (n, m) pair and sample.  Every weight-operator norm, in
-    the extension, lives in one cache keyed by its operator: ``("W", n)``
-    for W_n, ``("dW", j, k)`` for W_j - W_k and ``("E", k)`` for W_k - W*.
-    A missing entry is computed on its own; :meth:`prefetch` fills many in
-    one batch instead.  ``geometry`` computes what the extension decides;
-    biases are zero-padded under both schemes.
-    """
-
-    def __init__(
-        self,
-        seq: LayerSeq,
-        kind: NetworkKind,
-        act: Activation,
-        p: PNorm,
-        extension: str = ZERO_PAD,
-    ):
-        self.geometry = geo = padding_geometry(extension, seq, kind, act, p)
-        self.seq = seq
-        self.kind = kind
-        self.act = act
-        self.p = p
-        self.L = act.lipschitz
-        self.P = pool_of(kind).lipschitz(p)
-        self.weight_limit_norm = geo.weight_limit_norm()
-        self.has_limits = (
-            self.weight_limit_norm is not None and seq.bias_limit is not None
-        )
-        # a vanishing conv mask has the zero operator as its limit, so there
-        # |W_k - W*| is |W_k| and the two keys share one entry
-        self._zero_limit = isinstance(kind, Conv) and self.weight_limit_norm == 0.0
-        self._norm = _Lazy(lambda key: geo.norms([key])[0])
-
-        def bias_gap(jk):  # layer None stands for the declared limit b*
-            # the biases are frozen and finite, so their zero-padded
-            # difference is written straight into one fresh vector
-            a, b = (seq.bias_limit if k is None else seq.bias(k) for k in jk)
-            gap = np.zeros(_padded_shape(a, b))
-            _write_padded_diff(gap, a, b)
-            return vector_norm(gap, p)
-
-        self._bdiff = _Lazy(bias_gap)
-        self._bnorm = _Lazy(lambda n: vector_norm(seq.bias(n), p))
-
-    def _key(self, key: tuple) -> tuple:
-        return ("W", key[1]) if key[0] == "E" and self._zero_limit else key
-
-    def prefetch(self, keys) -> None:
-        """Fill the norm cache for the operator ``keys`` in one geometry
-        batch (one stacked norm call per shape); entries already cached are
-        not computed again."""
-        missing = [
-            key for key in dict.fromkeys(map(self._key, keys)) if key not in self._norm
-        ]
-        self._norm.update(zip(missing, self.geometry.norms(missing)))
-
-    def weight_norm(self, n: int) -> float:
-        return self._norm["W", n]
-
-    def weight_diff(self, j: int, k: int) -> float:
-        """|W_j - W_k| in the extension."""
-        return self._norm["dW", j, k]
-
-    def weight_limit_diff(self, k: int) -> float:
-        """E_k = |W_k - W*| in the extension."""
-        return self._norm[self._key(("E", k))]
-
-    def finite_weight_norms(self, lo: int, hi: int) -> list[float]:
-        """|W_lo| .. |W_hi| of the finite weight matrices, whatever the
-        extension.  Under zero padding these are the cache's ``("W", n)``
-        entries, prefetched in one batch.  Constant padding caches the mask
-        sums from layer 2 on, so there those layers' matrices are normed
-        directly; layer 1 is its finite matrix in both and comes from the
-        cache."""
-        ns = range(lo, hi + 1)
-        if not isinstance(self.geometry, ConstantPad):
-            self.prefetch(("W", n) for n in ns)
-            return [self.weight_norm(n) for n in ns]
-        later = induced_norms([self.seq.layer(n)[0] for n in ns if n > 1], self.p)
-        return [self.weight_norm(1), *later] if lo == 1 else later
-
-    def zero_image_norm(self, n: int) -> float:
-        """|(act o pool)(0)| at layer n — the additive constant of the
-        a-priori recursion."""
-        return self.geometry.zero_image_norm(n)
-
-    def bias_diff(self, j: int, k: int) -> float:
-        """|b_j - b_k| with zero padding across widths."""
-        return self._bdiff[j, k]
-
-    def bias_limit_diff(self, k: int) -> float:
-        """e_k = |b_k - b*| (zero-padded across widths)."""
-        if self.seq.bias_limit is None:
-            raise ValueError("no declared bias limit")
-        return self._bdiff[k, None]
-
-    def bias_norm(self, n: int) -> float:
-        return self._bnorm[n]
-
-    def lambda_products(self, top: int, count: int) -> list[float]:
-        """vals[i] = Lam^{i-1} = prod_{j=0..i-1} L*P*|W_{top-j}|, vals[0]=1."""
-        vals = [1.0]
-        acc = 1.0
-        for j in range(count):
-            acc *= self.L * self.P * self.weight_norm(top - j)
-            vals.append(acc)
-        return vals
-
-
 class Trajectory:
     """The reads a caller declares, taken from one recursion sweep.
 
@@ -662,7 +657,6 @@ class Trajectory:
     def __init__(
         self, ctx: BoundContext, x, depth: int, *, norms=(), pairs=(), gaps=()
     ):
-        geo = ctx.geometry
         depth = int(depth)
         norm_at = frozenset(map(int, norms))
         pairs = sorted({(int(a), int(b)) for a, b in pairs})
@@ -689,21 +683,21 @@ class Trajectory:
         def select(n, product, state):
             nonlocal first
             if n == 1:
-                first = geo.keep(product) if gap_at else None
+                first = ctx.keep(product) if gap_at else None
             elif n - 1 in gap_at:
-                gaps_at[n - 1] = geo.restart_gap(product, first)
+                gaps_at[n - 1] = ctx.restart_gap(product, first)
             if n > last_gap:
                 first = None  # W_1 x: no later gap reads it
             if n in norm_at:
-                norms_at[n] = geo.state_norm(state)
+                norms_at[n] = ctx.state_norm(state)
             for a in partners.get(n, ()):
-                devs[a, n] = geo.distance(state, held[a])
+                devs[a, n] = ctx.distance(state, held[a])
                 if until[a] == n:
                     del held[a]
             if n in until:
-                held[n] = geo.keep(state)
+                held[n] = ctx.keep(state)
 
-        geo.states(x, depth, select)  # validates x and depth
+        ctx.states(x, depth, select)  # validates x and depth
         self._norms, self._deviations, self._gaps = norms_at, devs, gaps_at
 
     def _read(self, taken: dict, key, what: str):
@@ -872,7 +866,7 @@ def derive_limit_constants(
     if not ctx.has_limits:
         return None, "no declared limits"
     n1 = _SCAN_END
-    refusal = ctx.geometry.tail_cap_refusal()
+    refusal = ctx.tail_cap_refusal()
     if refusal is not None:
         return None, refusal
     ctx.prefetch([*(("W", n) for n in range(1, n1 + 1)), ("E", n1)])

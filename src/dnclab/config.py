@@ -35,7 +35,7 @@ import json
 from dataclasses import dataclass, field
 
 from .activations import Activation, make_activation
-from .analysis import CONSTANT_PAD, ZERO_PAD, Domain, SamplerSpec, padding_geometry
+from .analysis import CONSTANT_PAD, ZERO_PAD, BoundContext, Domain, SamplerSpec
 from .generators import GenSpec, MaskSpec, build
 from .linalg import INF, ONE, TWO, PNorm
 from .network import LayerSeq, NetworkKind
@@ -227,6 +227,8 @@ def _parse_pooling(doc: dict) -> PoolingOp | None:
     _require_keys(sec, {"name", "mu"}, "pooling")
     name = _get(sec, "name", "pooling")
     if name in ("none", "identity"):
+        if _int(sec.get("mu", 0), "pooling.mu") != 0:
+            raise ConfigError(f"pooling.mu must be absent or 0 for {name}, got {sec['mu']}")
         return None
     if name not in ("average", "max"):
         raise ConfigError(f"pooling.name must be none/average/max, got {name!r}")
@@ -341,7 +343,7 @@ def parse_config(doc: dict) -> Experiment:
     built = build(gen_spec)
     kind = built.kind(pool)
     try:
-        padding_geometry(extension, built.seq, kind, act, p)
+        BoundContext.scheme(extension, kind, p)
     except ValueError as exc:
         raise ConfigError(f"comparison.extension: {exc}") from exc
 

@@ -55,7 +55,6 @@ __all__ = [
     "matvec",
     "vector_norm",
     "induced_norm",
-    "induced_norms",
     "stacked_norms",
     "zero_pad_matrix",
     "extend_vector",
@@ -646,14 +645,6 @@ def induced_norm(a, p: PNorm):
             "the norm from above (Riesz-Thorin)."
         )
     return float(out[0]) if m.ndim == 2 else out
-
-
-def induced_norms(mats, p: PNorm) -> list[float]:
-    """Induced norms of a list of matrices of any shapes: one stacked
-    :func:`induced_norm` call per shape, in order of first appearance."""
-    return stacked_norms(
-        [np.shape(m) for m in mats], lambda i, out: np.copyto(out, mats[i]), p
-    )
 
 
 def stacked_norms(shapes, write, p: PNorm) -> list[float]:

@@ -31,8 +31,8 @@ step, as the sweep may write the next layer into the same memory; a
 caller that keeps one copies it (the list wrappers copy what they list).
 
 States of different widths are compared through one of two extensions,
-named ``zero_pad`` and ``constant_pad`` (``dnclab.analysis`` holds the
-geometry of each and refuses any other name):
+named ``zero_pad`` and ``constant_pad`` (in ``dnclab.analysis`` each is a
+bound-context class, and any other name is refused):
 
 * ``zero_pad`` needs no evaluation of its own.  A zero row plus a zero
   bias entry feeds 0 into the activation at every layer, so the extended

@@ -22,6 +22,7 @@ skipped.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -38,7 +39,6 @@ from .analysis import (
     SamplerSpec,
     Trajectory,
     _apriori_bounds,
-    _Lazy,
     deviation_bound_ctx,
     fit_exponential_rate,
     limit_bound_ctx,
@@ -268,11 +268,22 @@ def convergence_study(
     # one sample per column; the sweep takes the grid's reads as it goes
     traj = Trajectory(ctx, samples.T, depths.max_depth, **_trajectory_reads(depths))
 
-    lb = _Lazy(lambda n: limit_bound_ctx(ctx, n, constants))
     slack = 1.0 + _DOMINANCE_RTOL
     rows: list[StudyRow] = []
     dominance_violations: list[tuple[int, int, int]] = []
     limit_violations: list[tuple[int, int]] = []
+    limit_bound = functools.cache(lambda n: limit_bound_ctx(ctx, n, constants))
+
+    def limit_check(sup_dev: float, n: int, k: int) -> tuple:
+        """(J(n) + J(k), sup_dev <= it), both None without constants."""
+        if constants is None:
+            return None, None
+        pair = limit_bound(n) + limit_bound(k)
+        ok = sup_dev <= pair * slack
+        if not ok:
+            limit_violations.append((n, k))
+        return pair, ok
+
     for n in depths.n_list:
         for m in depths.m_list:
             dev = traj.deviation(n, n + m)
@@ -280,10 +291,7 @@ def convergence_study(
             bad = np.flatnonzero(dev > bnd * slack)
             dominance_violations.extend((n, m, int(i)) for i in bad)
             sup_dev, worst = _sup(dev)
-            pair = lb[n] + lb[n + m] if constants is not None else None
-            limit_ok = None if pair is None else sup_dev <= pair * slack
-            if limit_ok is False:
-                limit_violations.append((n, n + m))
+            pair, limit_ok = limit_check(sup_dev, n, n + m)
             rows.append(
                 StudyRow(
                     n, m, sup_dev, _sup(bnd)[0], pair, bad.size == 0, limit_ok, worst
@@ -304,12 +312,7 @@ def convergence_study(
             state_rows.append(StateRow(n, sup_norm, apri, ok, None, None, None))
             continue
         dev_ref = _sup(traj.deviation(n, ref))[0]
-        pair = lb[n] + lb[ref] if constants is not None else None
-        limit_ok = None
-        if pair is not None:
-            limit_ok = dev_ref <= pair * slack
-            if not limit_ok:
-                limit_violations.append((n, ref))
+        pair, limit_ok = limit_check(dev_ref, n, ref)
         state_rows.append(
             StateRow(n, sup_norm, apri, ok, dev_ref, pair, limit_ok)
         )

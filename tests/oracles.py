@@ -243,16 +243,15 @@ class KeptTrajectory:
         from dnclab.network import eval_extended_trajectory, eval_trajectory
 
         self.ctx, self.x = ctx, np.asarray(x, dtype=np.float64)
-        self.padded = isinstance(ctx.geometry, ConstantPad)
+        self.padded = isinstance(ctx, ConstantPad)
         sweep = eval_extended_trajectory if self.padded else eval_trajectory
         self.states = sweep(ctx.seq, ctx.kind, ctx.act, x, depth)
 
     def state_norm(self, n: int):
-        return self.ctx.geometry.state_norm(self.states[n - 1])
+        return self.ctx.state_norm(self.states[n - 1])
 
     def deviation(self, n_small: int, n_large: int):
-        geo = self.ctx.geometry
-        return geo.distance(self.states[n_large - 1], self.states[n_small - 1])
+        return self.ctx.distance(self.states[n_large - 1], self.states[n_small - 1])
 
     def product_gap(self, m: int):
         from dnclab.linalg import EventuallyConstSeq, apply_banded, matvec
@@ -264,7 +263,7 @@ class KeptTrajectory:
             first = EventuallyConstSeq(first, 0.0)
         else:
             product = matvec(seq.layer(m + 1)[0], state)
-        return self.ctx.geometry.restart_gap(product, first)
+        return self.ctx.restart_gap(product, first)
 
 
 def empirical_lipschitz(act) -> float:

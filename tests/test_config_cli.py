@@ -15,7 +15,7 @@ from dnclab import analysis, cli, linalg
 from dnclab.analysis import CONSTANT_PAD, ZERO_PAD
 from dnclab.cli import main
 from dnclab.config import CONFIG_SCHEMA, ConfigError, load_config, parse_config
-from dnclab.network import pool_of
+from dnclab.network import Plain, pool_of
 from dnclab.report import format_float, strip_generated_at
 
 import oracles
@@ -423,6 +423,20 @@ class TestOtherCommands:
                 )
                 for mask in (0, True, 1.5)
             ),
+            (
+                {"pooling": {"name": "none", "mu": 3}},
+                "pooling.mu must be absent or 0 for none, got 3",
+            ),
+            (
+                {"pooling": {"name": "identity", "mu": 2}},
+                "pooling.mu must be absent or 0 for identity, got 2",
+            ),
+            ({"pooling": {"name": "none", "mu": "x"}}, "pooling.mu must be an integer, got 'x'"),
+            ({"pooling": {"name": "none", "mu": 0.0}}, "pooling.mu must be an integer, got 0.0"),
+            (
+                {"pooling": {"name": "identity", "mu": None}},
+                "pooling.mu must be an integer, got None",
+            ),
         ],
         ids=[
             "name-list", "name-object", "comparison-null", "comparison-empty",
@@ -434,6 +448,7 @@ class TestOtherCommands:
             "report-empty", "table-empty",
             "bound-huge-int", "rate-huge-int", "norm_target-huge-int", "alpha-huge-int",
             "mask-base-huge-int", "mask-zero", "mask-bool", "mask-real",
+            "none-mu", "identity-mu", "none-mu-string", "none-mu-real", "identity-mu-null",
         ],
     )
     def test_malformed_config_is_exit_1(self, tmp_path, command, over, message):
@@ -463,6 +478,30 @@ class TestOtherCommands:
         assert isinstance(result.exception, SystemExit)
         assert f"Error: config {cfg} cannot be parsed" in result.stderr
         assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("command", ["run", "rates", "check", "bounds"])
+    @pytest.mark.parametrize("bound", [9e307, 1.7976931348623157e308])
+    def test_domain_without_a_finite_diameter_is_exit_1(self, tmp_path, command, bound):
+        """The uniform sampler draws from [-bound, bound], an interval whose
+        length 2 * bound overflows past 8.99e307: every command refuses such
+        a domain while parsing, instead of ending in numpy's OverflowError
+        or certifying bounds for a domain it could not sample."""
+        cfg = write_config(tmp_path, base_doc(**section("domain", bound=bound)))
+        result = CliRunner().invoke(
+            main, [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+        )
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Error: domain: domain diameter 2 * bound must be finite" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_values_at_the_edge_of_the_rules_parse(self):
+        """The largest bounds below 2 * bound's overflow, and mu = 0 without
+        a pooling window."""
+        assert parse_config(base_doc(**section("domain", bound=8.9e307))).domain.bound == 8.9e307
+        for name in ("none", "identity"):
+            assert parse_config(base_doc(pooling={"name": name, "mu": 0})).kind == Plain()
 
     @pytest.mark.parametrize(
         "command, over",

@@ -323,7 +323,7 @@ class TestBatchComposition:
 class NormAudit:
     """Watches one study's norm cache: which entries a cache miss computed
     (``lazy``), which :meth:`prefetch` filled, which the study read, which
-    operators a geometry built or mask-summed for a norm (``built``), and
+    operators a context built or mask-summed for a norm (``built``), and
     how many matrices had their induced norm evaluated outside the
     generators (``evaluated``)."""
 
@@ -341,34 +341,35 @@ class NormAudit:
         def patched_init(ctx, *args, **kwargs):
             init(ctx, *args, **kwargs)
             self.ctx = ctx
-            ctx._norm.compute = self._on_miss(ctx._norm.compute)
 
         def patched_prefetch(ctx, keys):
-            before = set(ctx._norm)
+            before = set(ctx._norms)
             prefetch(ctx, keys)
-            self.prefetched.update(set(ctx._norm) - before)
+            self.prefetched.update(set(ctx._norms) - before)
 
         mp.setattr(BoundContext, "__init__", patched_init)
         mp.setattr(BoundContext, "prefetch", patched_prefetch)
+        mp.setattr(BoundContext, "_norm", self._on_miss(BoundContext._norm))
         for name, tag in self.READS.items():
             read = self._on_read(tag, getattr(BoundContext, name))
             mp.setattr(BoundContext, name, read)
-        builders = ((analysis.ZeroPad, "_operator"), (analysis.ConstantPad, "_mask_norm"))
+        builders = ((BoundContext, "_operator"), (analysis.ConstantPad, "_mask_norm"))
         for cls, attr in builders:
             mp.setattr(cls, attr, self._on_build(attr, getattr(cls, attr)))
-        norm = linalg.induced_norm  # induced_norms calls it through linalg
+        norm = linalg.induced_norm  # stacked_norms calls it through linalg
         for module in (linalg, analysis):
             mp.setattr(module, "induced_norm", self._on_norm(norm))
 
     @property
     def operators(self) -> set:
-        """The keys whose operator a geometry built for an induced norm."""
+        """The keys whose operator a context built for an induced norm."""
         return {key for name, key in self.built if name == "_operator"}
 
-    def _on_miss(self, compute):
-        def recorded(key):
-            self.lazy.append(key)
-            return compute(key)
+    def _on_miss(self, read):
+        def recorded(ctx, key):
+            if key not in ctx._norms:
+                self.lazy.append(key)
+            return read(ctx, key)
 
         return recorded
 
@@ -380,9 +381,9 @@ class NormAudit:
         return recorded
 
     def _on_build(self, name, method):
-        def recorded(geo, *key):
+        def recorded(ctx, *key):
             self.built[name, key] += 1
-            return method(geo, *key)
+            return method(ctx, *key)
 
         return recorded
 
@@ -456,7 +457,7 @@ def test_prefetch_covers_exactly_the_norms_a_study_reads():
         assert audit.lazy == [], label
         assert audit.prefetched <= audit.read, (label, audit.prefetched - audit.read)
         assert max(audit.built.values(), default=1) == 1, label
-        assert audit.operators <= set(audit.ctx._norm), label
+        assert audit.operators <= set(audit.ctx._norms), label
         assert audit.evaluated == len(audit.operators) + limit, label
         studies += 1
     assert studies == 2 * 2 + 50 + 2 + 1
@@ -520,21 +521,21 @@ def _watched_trajectories(mp: pytest.MonkeyPatch) -> list:
 
 def _watched_sweeps(mp: pytest.MonkeyPatch) -> list:
     """One entry per recursion sweep run from now on: the weak references
-    to its states and to the copies of them the geometry keeps, and the
+    to its states and to the copies of them the context keeps, and the
     most of both alive at once after a step."""
     sweeps = []
-    keep = analysis.ZeroPad.keep
+    keep = BoundContext.keep
 
-    def watched_keep(geo, value):
-        got = keep(geo, value)
+    def watched_keep(ctx, value):
+        got = keep(ctx, value)
         if value is sweeps[-1]["state"]:
             sweeps[-1]["kept"].append(weakref.ref(got))
         return got
 
-    mp.setattr(analysis.ZeroPad, "keep", watched_keep)
-    for cls in (analysis.ZeroPad, analysis.ConstantPad):
+    mp.setattr(BoundContext, "keep", watched_keep)
+    for cls in (BoundContext, analysis.ConstantPad):
 
-        def watched(geo, x, depth, select, states=cls.__dict__["states"]):
+        def watched(ctx, x, depth, select, states=cls.__dict__["states"]):
             sweep = {"refs": [], "kept": [], "state": None, "peak": 0}
             sweeps.append(sweep)
 
@@ -547,7 +548,7 @@ def _watched_sweeps(mp: pytest.MonkeyPatch) -> list:
                 sweep["peak"] = max(sweep["peak"], alive)
                 return got
 
-            return states(geo, x, depth, spy)
+            return states(ctx, x, depth, spy)
 
         mp.setattr(cls, "states", watched)
     return sweeps
@@ -584,8 +585,8 @@ def test_trajectory_keeps_exactly_the_depths_a_study_reads():
 
 @pytest.mark.parametrize("prefix", ["fixed4-exp_decay", "avg2-exp_decay", "convc-t2"])
 def test_a_study_frees_its_network_without_the_cycle_collector(prefix):
-    """No cache a study builds (the geometry's zero-image memo, the norm
-    cache, the trajectory's reads) refers back to its owner, so the
+    """No cache a study builds (the context's zero-image memo, the norm
+    and bias caches, the trajectory's reads) refers back to its owner, so the
     network is freed as soon as the caller drops it, not at a later
     garbage collection: the selftest corpus never holds two networks."""
     inst = next(i for i in corpus_instances() if i.label.startswith(prefix))
@@ -747,10 +748,10 @@ def test_study_takes_restart_gaps_only_where_the_grid_reads_them(monkeypatch):
     not take."""
     exp = parse_config(GUARD_DOC)
     taken = []
-    gap = analysis.ZeroPad.restart_gap
+    gap = BoundContext.restart_gap
     monkeypatch.setattr(
-        analysis.ZeroPad, "restart_gap",
-        lambda geo, product, first: taken.append(1) or gap(geo, product, first),
+        BoundContext, "restart_gap",
+        lambda ctx, product, first: taken.append(1) or gap(ctx, product, first),
     )
     made = _watched_trajectories(monkeypatch)
     convergence_study(
