@@ -962,7 +962,8 @@ def fit_exponential_rate(devs: Sequence[float], ns: Sequence[int] | None = None)
 
     Zero, denormal, or non-finite deviations are excluded (they carry no
     slope information at double precision); fewer than 4 usable points is an
-    error.  A constant series fits rate 1.0 with R^2 = 1.
+    error, and so is a rate or amplitude past the double range.  A
+    constant series fits rate 1.0 with R^2 = 1.
     """
     devs = [float(v) for v in devs]
     if ns is None:
@@ -999,7 +1000,14 @@ def fit_exponential_rate(devs: Sequence[float], ns: Sequence[int] | None = None)
         r2 = 1.0 if ss_res <= 1.0e-30 else 0.0
     else:
         r2 = 1.0 - ss_res / ss_tot
-    return RateFit(math.exp(slope), math.exp(intercept), r2, len(pairs), excluded)
+    try:
+        rate, amplitude = math.exp(slope), math.exp(intercept)
+    except OverflowError:
+        raise ValueError(
+            f"fit_exponential_rate: the fit leaves the double range "
+            f"(log rate {slope:.6g}, log amplitude {intercept:.6g})"
+        ) from None
+    return RateFit(rate, amplitude, r2, len(pairs), excluded)
 
 
 # ---------------------------------------------------------------------------

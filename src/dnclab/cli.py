@@ -43,6 +43,7 @@ from .report import (
     render_table,
     report_payload,
     timestamp,
+    verdict_fields,
 )
 from .study import DepthPlan, convergence_study
 
@@ -147,12 +148,7 @@ def run(ctx, config_path, out_dir, threads, require_pass):
     click.echo(f"report: {report_path}")
     click.echo(f"table: {table_path}")
     if not result.bounds_ok:
-        for n, m, i in result.dominance_violations:
-            click.echo(f"DOMINANCE VIOLATION: n={n} m={m} sample={i}")
-        for n, i in result.apriori_violations:
-            click.echo(f"A-PRIORI VIOLATION: n={n} sample={i}")
-        for n, k in result.limit_violations:
-            click.echo(f"LIMIT-BOUND VIOLATION: n={n} vs depth {k}")
+        click.echo("\n".join(result.violation_lines()))
         ctx.exit(2)
     if require_pass and not result.passed:
         click.echo("convergence condition failed (--require-pass)")
@@ -198,14 +194,7 @@ def check(ctx, config_path, out_dir, require_pass):
         payload = {
             "schema": "dnc-lab/verdicts/v1",
             "label": exp.label,
-            "condition": condition.as_dict(),
-            "mask_conditions": (
-                None
-                if mask_verdicts is None
-                else {k: v.as_dict() for k, v in mask_verdicts.items()}
-            ),
-            "constants": None if constants is None else constants.as_dict(),
-            "constants_note": note,
+            **verdict_fields(condition, mask_verdicts, constants, note),
             "generated_at": timestamp(),
         }
         path = os.path.join(out_dir, "verdicts.json")

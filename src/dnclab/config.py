@@ -32,6 +32,7 @@ exactly" guarantee.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .activations import Activation, make_activation
@@ -239,7 +240,9 @@ def _parse_pooling(doc: dict) -> PoolingOp | None:
         raise ConfigError(f"pooling: {exc}") from exc
 
 
-def _parse_domain(doc: dict, dim: int, master_seed: int) -> tuple[Domain, SamplerSpec]:
+def _parse_domain(
+    doc: dict, dim: int, p: PNorm, master_seed: int
+) -> tuple[Domain, SamplerSpec]:
     sec = doc.get("domain")
     if not isinstance(sec, dict):
         raise ConfigError("config needs a 'domain' section, e.g. {\"bound\": 1.0}")
@@ -249,6 +252,12 @@ def _parse_domain(doc: dict, dim: int, master_seed: int) -> tuple[Domain, Sample
         domain = Domain(dim, bound)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"domain: {exc}") from exc
+    # every bound of a study is taken at the cube's largest p-norm
+    if not math.isfinite(domain.norm_bound(p)):
+        raise ConfigError(
+            f"domain: norm bound bound * dim^(1/p) must be finite, got bound "
+            f"{bound}, dim {dim}, p = {p}"
+        )
     samp = sec.get("sampler", {})
     if not isinstance(samp, dict):
         raise ConfigError("domain.sampler must be an object")
@@ -311,7 +320,7 @@ def parse_config(doc: dict) -> Experiment:
     # a conv generator refuses the pooling rows, so it never gets a pooling
     gen_spec = _parse_generator(doc, master_seed, pool.mu if pool else 0)
     act = _parse_activation(doc)
-    domain, sampler = _parse_domain(doc, gen_spec.input_dim, master_seed)
+    domain, sampler = _parse_domain(doc, gen_spec.input_dim, p, master_seed)
     depths = _parse_depths(doc)
 
     comparison = doc.get("comparison", {})

@@ -25,6 +25,7 @@ __all__ = [
     "render_report",
     "strip_generated_at",
     "render_table",
+    "verdict_fields",
 ]
 
 REPORT_SCHEMA = "dnc-lab/report/v1"
@@ -48,6 +49,18 @@ def format_float(x: float | None) -> str:
     return "" if x is None else f"{x:.17g}"
 
 
+def verdict_fields(condition, masks, constants, constants_note: str) -> dict:
+    """The x-independent verdicts, as a report and ``verdicts.json`` hold
+    them: the four values :func:`dnclab.analysis.network_verdicts` returns."""
+    masks = None if masks is None else {k: v.as_dict() for k, v in masks.items()}
+    return {
+        "condition": condition.as_dict(),
+        "mask_conditions": masks,
+        "constants": None if constants is None else constants.as_dict(),
+        "constants_note": constants_note,
+    }
+
+
 def report_payload(result: StudyResult, echo: dict) -> dict:
     """JSON-able report body with the config ``echo`` (no timestamp; add
     one with ``generated_at``)."""
@@ -58,23 +71,14 @@ def report_payload(result: StudyResult, echo: dict) -> dict:
         "extension": result.extension,
         "sample_count": result.sample_count,
         "reference_depth": result.reference_depth,
-        "condition": result.condition.as_dict(),
-        "mask_conditions": (
-            None
-            if result.mask_conditions is None
-            else {k: v.as_dict() for k, v in result.mask_conditions.items()}
+        **verdict_fields(
+            result.condition, result.mask_conditions, result.constants, result.constants_note
         ),
-        "constants": None if result.constants is None else result.constants.as_dict(),
-        "constants_note": result.constants_note,
         "rate": None if result.rate is None else result.rate.as_dict(),
         "rate_note": result.rate_note,
         "rows": [r.as_dict() for r in result.rows],
         "state_rows": [r.as_dict() for r in result.state_rows],
-        "violations": {
-            "dominance": [list(v) for v in result.dominance_violations],
-            "apriori": [list(v) for v in result.apriori_violations],
-            "limit": [list(v) for v in result.limit_violations],
-        },
+        "violations": {k: [list(v) for v in vs] for k, vs in result.violations.items()},
         "bounds_ok": result.bounds_ok,
         "passed": result.passed,
         "summary": result.summary(),

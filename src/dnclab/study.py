@@ -18,6 +18,9 @@ Each cell's deviations and bounds come back as one array over the samples,
 bit-identical to evaluating each sample alone, and are reduced as a scan in
 sample order would: violations ascending, the first strict maximum, NaN
 skipped.
+
+Each kind of inequality checked is declared once, in ``_CHECKS``; one local
+check in :func:`convergence_study` applies the slack and records violations.
 """
 
 from __future__ import annotations
@@ -133,6 +136,16 @@ class StateRow:
         return asdict(self)
 
 
+# Each kind of inequality a study checks, in the order it is recorded and
+# reported, with the CLI line of one violation, formatted with its key.  The
+# limit keys list the grid rows' (n, n + m) first, then the state rows'.
+_CHECKS = (
+    ("dominance", "DOMINANCE VIOLATION: n={} m={} sample={}"),  # (n, m, sample)
+    ("apriori", "A-PRIORI VIOLATION: n={} sample={}"),  # (n, sample)
+    ("limit", "LIMIT-BOUND VIOLATION: n={} vs depth {}"),  # (n, k)
+)
+
+
 @dataclass(frozen=True)
 class StudyResult:
     label: str
@@ -150,19 +163,21 @@ class StudyResult:
     rate_note: str
     dominance_violations: tuple[tuple[int, int, int], ...] = field(default=())
     apriori_violations: tuple[tuple[int, int], ...] = field(default=())
-    # (n, k): the sup deviation between depths n and k exceeded the limit
-    # pair J(n) + J(k); the grid rows' (n, n + m) come first, then the state
-    # rows' (n, reference depth)
     limit_violations: tuple[tuple[int, int], ...] = field(default=())
+
+    @property
+    def violations(self) -> dict[str, tuple]:
+        """Each check kind's violations, in the order of ``_CHECKS``."""
+        return {kind: getattr(self, f"{kind}_violations") for kind, _ in _CHECKS}
+
+    def violation_lines(self) -> list[str]:
+        """One line per violation, kind by kind."""
+        return [fmt.format(*key) for kind, fmt in _CHECKS for key in self.violations[kind]]
 
     @property
     def bounds_ok(self) -> bool:
         """All theorem-backed inequalities held on every sample."""
-        return not (
-            self.dominance_violations
-            or self.apriori_violations
-            or self.limit_violations
-        )
+        return not any(self.violations.values())
 
     @property
     def passed(self) -> bool:
@@ -179,11 +194,8 @@ class StudyResult:
         if self.rate is not None:
             parts.append(f"rate~{self.rate.rate:.4f} (R^2={self.rate.r_squared:.4f})")
         if not self.bounds_ok:
-            parts.append(
-                f"VIOLATIONS dominance={len(self.dominance_violations)} "
-                f"apriori={len(self.apriori_violations)} "
-                f"limit={len(self.limit_violations)}"
-            )
+            counts = (f"{kind}={len(v)}" for kind, v in self.violations.items())
+            parts.append("VIOLATIONS " + " ".join(counts))
         return " | ".join(parts)
 
 
@@ -269,9 +281,19 @@ def convergence_study(
     traj = Trajectory(ctx, samples.T, depths.max_depth, **_trajectory_reads(depths))
 
     slack = 1.0 + _DOMINANCE_RTOL
-    rows: list[StudyRow] = []
-    dominance_violations: list[tuple[int, int, int]] = []
-    limit_violations: list[tuple[int, int]] = []
+    found: dict[str, list[tuple]] = {kind: [] for kind, _ in _CHECKS}
+
+    def check(kind: str, key: tuple, values, bound) -> bool:
+        """Whether ``values <= bound`` held under the slack.  Records under
+        ``kind`` each failing sample i of an array as ``(*key, i)`` (a NaN
+        passes), or a failing sup as ``key`` (a NaN bound fails it)."""
+        if np.ndim(values):
+            bad = [(*key, int(i)) for i in np.flatnonzero(values > bound * slack)]
+        else:
+            bad = [] if values <= bound * slack else [key]
+        found[kind].extend(bad)
+        return not bad
+
     limit_bound = functools.cache(lambda n: limit_bound_ctx(ctx, n, constants))
 
     def limit_check(sup_dev: float, n: int, k: int) -> tuple:
@@ -279,35 +301,25 @@ def convergence_study(
         if constants is None:
             return None, None
         pair = limit_bound(n) + limit_bound(k)
-        ok = sup_dev <= pair * slack
-        if not ok:
-            limit_violations.append((n, k))
-        return pair, ok
+        return pair, check("limit", (n, k), sup_dev, pair)
 
+    rows: list[StudyRow] = []
     for n in depths.n_list:
         for m in depths.m_list:
             dev = traj.deviation(n, n + m)
             bnd = deviation_bound_ctx(ctx, traj, n, m)
-            bad = np.flatnonzero(dev > bnd * slack)
-            dominance_violations.extend((n, m, int(i)) for i in bad)
+            ok = check("dominance", (n, m), dev, bnd)
             sup_dev, worst = _sup(dev)
             pair, limit_ok = limit_check(sup_dev, n, n + m)
-            rows.append(
-                StudyRow(
-                    n, m, sup_dev, _sup(bnd)[0], pair, bad.size == 0, limit_ok, worst
-                )
-            )
+            rows.append(StudyRow(n, m, sup_dev, _sup(bnd)[0], pair, ok, limit_ok, worst))
 
     x_bound = domain.norm_bound(p)
     state_rows: list[StateRow] = []
-    apriori_violations: list[tuple[int, int]] = []
     state_ns = (*depths.n_list, ref)
     for n, apri in zip(state_ns, _apriori_bounds(ctx, state_ns, x_bound)):
         norms = traj.state_norm(n)
-        bad = np.flatnonzero(norms > apri * slack)
-        apriori_violations.extend((n, int(i)) for i in bad)
+        ok = check("apriori", (n,), norms, apri)
         sup_norm = _sup(norms)[0]
-        ok = bad.size == 0
         if n == ref:
             state_rows.append(StateRow(n, sup_norm, apri, ok, None, None, None))
             continue
@@ -340,7 +352,5 @@ def convergence_study(
         state_rows=tuple(state_rows),
         rate=rate,
         rate_note=rate_note,
-        dominance_violations=tuple(dominance_violations),
-        apriori_violations=tuple(apriori_violations),
-        limit_violations=tuple(limit_violations),
+        **{f"{kind}_violations": tuple(keys) for kind, keys in found.items()},
     )

@@ -416,3 +416,93 @@ def mp_limit_bound(seq, kind, act, p, n: int, constants, dps: int = 50):
         )
         tail = mpmath.mpf(constants.weight_sup) * (rho + mpmath.mpf(constants.x_bound))
         return L * term1 + L * P * rho * term2 + L * P * tail * w0 ** (n - 1)
+
+
+# ---------------------------------------------------------------------------
+# a whole zero-padded study, one sample and one cell at a time, at p = 1 or
+# p = inf, from the per-sample recursion and the bound oracles above
+# ---------------------------------------------------------------------------
+
+_STUDY_SLACK = 1.0 + 1.0e-9  # the relative slack every inequality grants
+
+
+def _scan_sup(values) -> tuple[float, int]:
+    """(max, first index attaining it), scanning in sample order from
+    (0.0, 0); a NaN never compares greater, so it is skipped."""
+    best, at = 0.0, 0
+    for i, v in enumerate(values):
+        if v > best:
+            best, at = v, i
+    return best, at
+
+
+def mp_study(seq, kind, act, p, domain, sampler, depths, constants, scale=1.0) -> dict:
+    """Every row, state row and violation list of a zero-padded
+    :func:`dnclab.study.convergence_study`, recomputed by loops.
+
+    The states come from :func:`per_sample_trajectory`, their norms and
+    deviations at 50 digits; each sample's deviation bound from
+    :func:`mp_deviation_bound`, the a-priori bound from
+    :func:`apriori_bound_at` at the domain's norm bound and each limit pair
+    J(n) + J(k) from :func:`mp_limit_bound` with the study's certified
+    ``constants`` (None: no limit checks).  Every bound is multiplied by
+    ``scale``, so a test can plant violations.  Returns the rows and the
+    state rows as tuples in the fields' order, and the violation keys
+    ``dominance`` (n, m, sample), ``apriori`` (n, sample) and ``limit``
+    (n, k), the grid's pairs before the state rows'.
+    """
+    from dnclab.analysis import BoundContext
+
+    xs = domain.samples(sampler)
+    ref = depths.reference
+    states = [per_sample_trajectory(seq, kind, act, x, depths.max_depth) for x in xs]
+    out = {"rows": [], "state_rows": [], "dominance": [], "apriori": [], "limit": []}
+
+    def norms(n, k=None):
+        """|N_n(x)| of each sample, or |N_k(x) - N_n(x)| given k."""
+        with mpmath.workdps(50):
+            return [
+                float(_mp_diff_norm(s[n - 1], () if k is None else s[k - 1], p))
+                for s in states
+            ]
+
+    def limit(sup_dev, n, k):
+        if constants is None:
+            return None, None
+        with mpmath.workdps(50):
+            pair = float(
+                mp_limit_bound(seq, kind, act, p, n, constants) * scale
+                + mp_limit_bound(seq, kind, act, p, k, constants) * scale
+            )
+        ok = sup_dev <= pair * _STUDY_SLACK
+        if not ok:
+            out["limit"].append((n, k))
+        return pair, ok
+
+    for n in depths.n_list:
+        for m in depths.m_list:
+            devs = norms(n, n + m)
+            bounds = [
+                float(mp_deviation_bound(seq, kind, act, p, x, n, m) * scale) for x in xs
+            ]
+            bad = [i for i, (d, b) in enumerate(zip(devs, bounds)) if d > b * _STUDY_SLACK]
+            out["dominance"] += [(n, m, i) for i in bad]
+            sup_dev, worst = _scan_sup(devs)
+            pair, limit_ok = limit(sup_dev, n, n + m)
+            out["rows"].append(
+                (n, m, sup_dev, _scan_sup(bounds)[0], pair, not bad, limit_ok, worst)
+            )
+
+    ctx = BoundContext(seq, kind, act, p)
+    for n in (*depths.n_list, ref):
+        sizes = norms(n)
+        apriori = apriori_bound_at(ctx, n, domain.norm_bound(p)) * scale
+        bad = [i for i, v in enumerate(sizes) if v > apriori * _STUDY_SLACK]
+        out["apriori"] += [(n, i) for i in bad]
+        row = (n, _scan_sup(sizes)[0], apriori, not bad)
+        if n == ref:
+            out["state_rows"].append((*row, None, None, None))
+            continue
+        dev_ref = _scan_sup(norms(n, ref))[0]
+        out["state_rows"].append((*row, dev_ref, *limit(dev_ref, n, ref)))
+    return out

@@ -623,6 +623,20 @@ class TestRateFit:
         with pytest.raises(ValueError, match="usable"):
             fit_exponential_rate([1.0, 0.5, 0.25])
 
+    @pytest.mark.parametrize(
+        "devs, ns",
+        [
+            # amplitude exp(intercept) ~ 1e350 from a rate of 1e-50
+            ([1e300, 1e250, 1e200, 1e150], [1, 2, 3, 4]),
+            # rate exp(slope) ~ 1e599: 1e-299 and 1e300 one depth apart
+            ([1e-299, 1e-299, 1e300, 1e300], [1, 1, 2, 2]),
+        ],
+        ids=["amplitude", "rate"],
+    )
+    def test_a_fit_past_the_double_range_is_a_value_error(self, devs, ns):
+        with pytest.raises(ValueError, match="leaves the double range"):
+            fit_exponential_rate(devs, ns)
+
 
 class TestSequenceLemmas:
     def test_matches_literal_nested_oracles(self):

@@ -1,7 +1,10 @@
 """Tests for the JSON config loader and the command-line interface."""
 
+import csv
 import gc
+import io
 import json
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -11,7 +14,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from dnclab import analysis, cli, linalg
+from dnclab import analysis, cli, linalg, study
 from dnclab.analysis import CONSTANT_PAD, ZERO_PAD
 from dnclab.cli import main
 from dnclab.config import CONFIG_SCHEMA, ConfigError, load_config, parse_config
@@ -177,6 +180,56 @@ class TestRunCommand:
         assert table.count(b"\r\n") >= 9  # header + deviation + state rows
         assert b"deviation_bound" in table
         assert "cli-smoke" in result.output and "<1 ok" in result.output
+
+    def test_every_violation_kind_agrees_across_the_outputs(self, tmp_path, monkeypatch):
+        """With the deviation bound scaled by 1/8, the a-priori table by 1/16
+        and the limit bound by 1/32, all three kinds fire in one run: the
+        violation lines, the summary's counts, the report's ``violations``
+        and the table's FAIL rows name the same violations, kind by kind
+        in the same order, and the run exits 2."""
+        for name, scale in (("deviation_bound_ctx", 1 / 8), ("limit_bound_ctx", 1 / 32)):
+            bound = getattr(study, name)
+            monkeypatch.setattr(study, name, lambda *a, f=bound, s=scale: f(*a) * s)
+        table = study._apriori_bounds
+        monkeypatch.setattr(
+            study, "_apriori_bounds", lambda *a: [b / 16 for b in table(*a)]
+        )
+        cfg = write_config(tmp_path, base_doc())
+        result = CliRunner().invoke(
+            main, ["run", "--config", str(cfg), "--out", str(tmp_path)]
+        )
+        assert result.exit_code == 2, result.output
+        patterns = {
+            "dominance": r"DOMINANCE VIOLATION: n=(\d+) m=(\d+) sample=(\d+)",
+            "apriori": r"A-PRIORI VIOLATION: n=(\d+) sample=(\d+)",
+            "limit": r"LIMIT-BOUND VIOLATION: n=(\d+) vs depth (\d+)",
+        }
+        summary, *lines = result.output.splitlines()
+        lines = [line for line in lines if "VIOLATION" in line]
+        kinds, keys = [], {kind: [] for kind in patterns}
+        for line in lines:
+            (kind,) = [k for k, pat in patterns.items() if re.fullmatch(pat, line)]
+            kinds.append(kind)
+            keys[kind].append([int(v) for v in re.fullmatch(patterns[kind], line).groups()])
+        assert kinds == sorted(kinds, key=list(patterns).index)
+        assert all(keys.values()), keys
+        counts = " ".join(f"{kind}={len(v)}" for kind, v in keys.items())
+        assert summary.endswith(f"| VIOLATIONS {counts}")
+
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["violations"] == keys
+        assert report["summary"] == summary
+        assert report["bounds_ok"] is False and report["passed"] is False
+
+        rows = list(csv.reader(io.StringIO((tmp_path / "table.csv").read_text())))
+        failed = {tuple(r[:3]) for r in rows[1:] if r[-1] == "FAIL"}
+        ref = base_doc()["depths"]["reference_depth"]
+        want = {("deviation", str(n), str(m)) for n, m, _ in keys["dominance"]}
+        want |= {("state", str(n), "") for n, _ in keys["apriori"]}
+        for n, k in keys["limit"]:
+            want.add(("state", str(n), "") if k == ref else ("deviation", str(n), str(k - n)))
+        assert failed == want
+        assert len(failed) < len(rows) - 1  # some rows pass
 
     def test_invalid_config_is_exit_1(self, tmp_path):
         cfg = write_config(tmp_path, base_doc(norm={"p": 7}))
@@ -496,10 +549,28 @@ class TestOtherCommands:
         assert "Traceback" not in result.stderr
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["run", "rates", "check", "bounds"])
+    def test_domain_without_a_finite_norm_bound_is_exit_1(self, tmp_path, command):
+        """At p = 1 the cube [-8.9e307, 8.9e307]^3 has a finite diameter but
+        the norm bound 3 * 8.9e307 every bound is taken at overflows: every
+        command refuses it while parsing, instead of certifying an infinite
+        bound or ending in an OverflowError."""
+        cfg = write_config(tmp_path, base_doc(**section("domain", bound=8.9e307)))
+        result = CliRunner().invoke(
+            main, [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+        )
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Error: domain: norm bound bound * dim^(1/p) must be finite" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_values_at_the_edge_of_the_rules_parse(self):
-        """The largest bounds below 2 * bound's overflow, and mu = 0 without
-        a pooling window."""
-        assert parse_config(base_doc(**section("domain", bound=8.9e307))).domain.bound == 8.9e307
+        """The largest bounds below 2 * bound's overflow (at p = inf, where
+        the norm bound is the bound itself), and mu = 0 without a pooling
+        window."""
+        doc = base_doc(norm={"p": "inf"}, **section("domain", bound=8.9e307))
+        assert parse_config(doc).domain.bound == 8.9e307
         for name in ("none", "identity"):
             assert parse_config(base_doc(pooling={"name": name, "mu": 0})).kind == Plain()
 

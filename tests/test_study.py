@@ -4,6 +4,7 @@ import gc
 import tracemalloc
 import weakref
 from collections import Counter
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -146,6 +147,53 @@ class TestRowLimitVerdict:
         assert result.exit_code == 2, result.output
         assert "LIMIT-BOUND VIOLATION: n=12 vs depth 20" in result.output
         assert result.output.count("LIMIT-BOUND VIOLATION") == 1
+
+
+def _oracle_case(label: str) -> tuple:
+    """(seq, kind, act, p, domain) of the corpus instance ``label``."""
+    (inst,) = [i for i in corpus_instances() if i.label == label]
+    return (*inst.build(), inst.activation(), inst.p, inst.domain())
+
+
+ORACLE_STUDIES = {
+    "scalar-0.4-p1": lambda: (scalar_net(0.4), PLAIN, relu(), ONE, Domain(1, 1.0)),
+    "max-pooled-pinf": lambda: _oracle_case("max1-exp_decay-sigmoid-pinf"),
+    "cyclic-p1": lambda: _oracle_case("cyc534-exp_decay-relu-p1"),
+}
+
+
+class TestWholeStudyOracle:
+    """A whole study against :func:`oracles.mp_study`, which recomputes
+    every row, state row and violation list one sample and one cell at a
+    time: floats to 1e-12 relative, indices, verdicts and keys exactly.
+    Scaling every bound by 1/16 plants violations of all three kinds."""
+
+    @pytest.mark.parametrize("scale", [1.0, 1 / 16], ids=["as-is", "planted"])
+    @pytest.mark.parametrize("case", sorted(ORACLE_STUDIES))
+    def test_study_matches_the_oracle(self, case, scale, monkeypatch):
+        seq, kind, act, p, domain = ORACLE_STUDIES[case]()
+        for name in ("deviation_bound_ctx", "limit_bound_ctx"):
+            bound = getattr(study, name)
+            monkeypatch.setattr(study, name, lambda *a, f=bound: f(*a) * scale)
+        table = study._apriori_bounds
+        monkeypatch.setattr(study, "_apriori_bounds", lambda *a: [b * scale for b in table(*a)])
+        res = convergence_study(seq, kind, act, p, domain, SMALL_SAMPLER, SMALL_PLAN)
+        want = oracles.mp_study(
+            seq, kind, act, p, domain, SMALL_SAMPLER, SMALL_PLAN, res.constants, scale
+        )
+        got = [astuple(r) for r in res.rows] + [astuple(r) for r in res.state_rows]
+        expected = want["rows"] + want["state_rows"]
+        assert len(got) == len(expected)
+        for row, expect in zip(got, expected):
+            assert len(row) == len(expect)
+            for value, target in zip(row, expect):
+                if type(target) is float:
+                    assert abs(value - target) <= 1e-12 * abs(target), (row, expect)
+                else:
+                    assert value == target and type(value) is type(target), (row, expect)
+        violations = (res.dominance_violations, res.apriori_violations, res.limit_violations)
+        assert violations == tuple(tuple(want[k]) for k in ("dominance", "apriori", "limit"))
+        assert all(violations) or scale == 1.0, violations
 
 
 class TestCorpusSmoke:
