@@ -50,7 +50,6 @@ from .analysis import (
 from .config import CONFIG_SCHEMA, ConfigError, Experiment, load_config, parse_config
 from .corpus import Instance, control_instances, corpus_instances
 from .generators import (
-    BuiltNetwork,
     GenSpec,
     MaskSpec,
     build,
@@ -66,7 +65,6 @@ from .linalg import (
     apply_banded,
     as_matrix,
     as_vector,
-    extend_vector,
     induced_norm,
     matvec,
     seq_sum,

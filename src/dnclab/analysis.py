@@ -52,7 +52,6 @@ from .linalg import (
     INF,
     EventuallyConstSeq,
     PNorm,
-    extend_vector,
     induced_norm,
     seq_sum,
     stacked_norms,
@@ -323,10 +322,11 @@ def state_deviation(a: np.ndarray, b: np.ndarray, p: PNorm, fill: float):
     batches of states."""
     if a.shape[0] == b.shape[0]:
         return vector_norm(a - b, p)
-    size = max(a.shape[0], b.shape[0])
-    return vector_norm(
-        extend_vector(a, size, fill) - extend_vector(b, size, fill), p
-    )
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("state_deviation: states of different widths must be finite")
+    out = np.zeros(_padded_shape(a, b))
+    _write_padded_diff(out, a, b, fill)
+    return vector_norm(out, p)
 
 
 def _padded_shape(a: np.ndarray, b: np.ndarray | None) -> tuple[int, ...]:
@@ -334,12 +334,19 @@ def _padded_shape(a: np.ndarray, b: np.ndarray | None) -> tuple[int, ...]:
     return a.shape if b is None else tuple(map(max, a.shape, b.shape))
 
 
-def _write_padded_diff(out: np.ndarray, a: np.ndarray, b: np.ndarray | None) -> None:
+def _write_padded_diff(
+    out: np.ndarray, a: np.ndarray, b: np.ndarray | None, fill: float = 0.0
+) -> None:
     """Write a - b, both zero-padded to ``out``'s shape, into the zeroed
-    ``out`` (``a`` alone if b is None); vectors or matrices."""
+    ``out`` (``a`` alone if b is None); vectors or matrices.  A non-zero
+    ``fill`` pads states instead, which differ in their first axis only:
+    past the shorter one, the rows read a_i - fill or fill - b_i."""
     out[tuple(map(slice, a.shape))] = a
     if b is not None:
         out[tuple(map(slice, b.shape))] -= b
+        if fill:  # at most one of the two tails is non-empty
+            out[b.shape[0] :] -= fill
+            out[a.shape[0] :] += fill
 
 
 class BoundContext:

@@ -40,7 +40,7 @@ from .analysis import CONSTANT_PAD, ZERO_PAD, BoundContext, Domain, SamplerSpec
 from .generators import GenSpec, MaskSpec, build
 from .linalg import INF, ONE, TWO, PNorm
 from .network import LayerSeq, NetworkKind
-from .pooling import PoolingOp
+from .pooling import PoolingOp, no_pooling
 from .study import DepthPlan
 
 __all__ = ["CONFIG_SCHEMA", "ConfigError", "Experiment", "load_config", "parse_config"]
@@ -160,7 +160,7 @@ def _parse_mask(section: dict) -> MaskSpec:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _parse_generator(doc: dict, master_seed: int, extra_rows: int) -> GenSpec:
+def _parse_generator(doc: dict, master_seed: int, pooling: PoolingOp) -> GenSpec:
     gen = doc.get("generator")
     if not isinstance(gen, dict):
         raise ConfigError("config needs a 'generator' section")
@@ -195,7 +195,7 @@ def _parse_generator(doc: dict, master_seed: int, extra_rows: int) -> GenSpec:
         rate=_optional(_real, gen.get("rate"), "generator.rate"),
         norm_target=_optional(_real, gen.get("norm_target"), "generator.norm_target"),
         norm_p=norm_p,
-        extra_rows=extra_rows,
+        pooling=pooling,
         mask=mask,
     )
     for key in ("scale", "bias_scale"):
@@ -219,10 +219,10 @@ def _parse_activation(doc: dict) -> Activation:
         raise ConfigError(f"activation: {exc}") from exc
 
 
-def _parse_pooling(doc: dict) -> PoolingOp | None:
+def _parse_pooling(doc: dict) -> PoolingOp:
     sec = doc.get("pooling")
     if sec is None:
-        return None
+        return no_pooling()
     if not isinstance(sec, dict):
         raise ConfigError("pooling section must be an object")
     _require_keys(sec, {"name", "mu"}, "pooling")
@@ -230,7 +230,7 @@ def _parse_pooling(doc: dict) -> PoolingOp | None:
     if name in ("none", "identity"):
         if _int(sec.get("mu", 0), "pooling.mu") != 0:
             raise ConfigError(f"pooling.mu must be absent or 0 for {name}, got {sec['mu']}")
-        return None
+        return no_pooling()
     if name not in ("average", "max"):
         raise ConfigError(f"pooling.name must be none/average/max, got {name!r}")
     mu = _int(_get(sec, "mu", "pooling"), "pooling.mu")
@@ -318,7 +318,7 @@ def parse_config(doc: dict) -> Experiment:
     pool = _parse_pooling(doc)
     p = _parse_p(doc)
     # a conv generator refuses the pooling rows, so it never gets a pooling
-    gen_spec = _parse_generator(doc, master_seed, pool.mu if pool else 0)
+    gen_spec = _parse_generator(doc, master_seed, pool)
     act = _parse_activation(doc)
     domain, sampler = _parse_domain(doc, gen_spec.input_dim, p, master_seed)
     depths = _parse_depths(doc)
@@ -349,8 +349,7 @@ def parse_config(doc: dict) -> Experiment:
         if not name:
             raise ConfigError(f"output.{key} must name a file, got an empty string")
 
-    built = build(gen_spec)
-    kind = built.kind(pool)
+    seq, kind = build(gen_spec)
     try:
         BoundContext.scheme(extension, kind, p)
     except ValueError as exc:
@@ -366,7 +365,7 @@ def parse_config(doc: dict) -> Experiment:
 
     return Experiment(
         label=_string(doc.get("label", gen_spec.family), "label"),
-        seq=built.seq,
+        seq=seq,
         kind=kind,
         act=act,
         p=p,

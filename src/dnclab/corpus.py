@@ -36,7 +36,7 @@ from .activations import Activation, make_activation
 from .analysis import CONSTANT_PAD, ZERO_PAD, Domain
 from .generators import GenSpec, MaskSpec, build
 from .linalg import INF, ONE, TWO, PNorm
-from .pooling import PoolingOp
+from .pooling import PoolingOp, average_pooling, max_pooling, no_pooling
 
 __all__ = ["Instance", "corpus_instances", "control_instances"]
 
@@ -57,8 +57,6 @@ class Instance:
     gen: GenSpec
     act_name: str
     act_params: tuple[tuple[str, float], ...] = ()
-    pool_kind: str = "identity"
-    pool_mu: int = 0
     p: PNorm = ONE
     extension: str = ZERO_PAD
     omega_target: float | None = None
@@ -66,16 +64,12 @@ class Instance:
     def activation(self) -> Activation:
         return make_activation(self.act_name, **dict(self.act_params))
 
-    def pooling(self) -> PoolingOp:
-        return PoolingOp(self.pool_kind, self.pool_mu)
-
     def domain(self) -> Domain:
         return Domain(self.gen.input_dim, 1.0)
 
     def build(self) -> tuple:
         """(layer sequence, network kind) ready for evaluation."""
-        built = build(self.gen)
-        return built.seq, built.kind(self.pooling())
+        return build(self.gen)
 
     @property
     def is_rate_instance(self) -> bool:
@@ -103,12 +97,10 @@ def _fixed(
     input_dim: int,
     omega: float,
     rate: float | None,
-    pool_kind: str = "identity",
-    pool_mu: int = 0,
+    pooling: PoolingOp = no_pooling(),
 ) -> Instance:
     name, params = act
-    pool_lip = PoolingOp(pool_kind, pool_mu).lipschitz(p)
-    target = omega / (_lipschitz(name, params) * pool_lip)
+    target = omega / (_lipschitz(name, params) * pooling.lipschitz(p))
     gen = GenSpec(
         family=family,
         input_dim=input_dim,
@@ -119,15 +111,13 @@ def _fixed(
         bias_scale=0.5,
         norm_target=target,
         norm_p=p,
-        extra_rows=pool_mu,
+        pooling=pooling,
     )
     return Instance(
         label=label,
         gen=gen,
         act_name=name,
         act_params=params,
-        pool_kind=pool_kind,
-        pool_mu=pool_mu,
         p=p,
         omega_target=omega,
     )
@@ -210,8 +200,7 @@ def corpus_instances() -> tuple[Instance, ...]:
                     input_dim=4,
                     omega=omega,
                     rate=rate,
-                    pool_kind="average",
-                    pool_mu=2,
+                    pooling=average_pooling(2),
                 )
             )
             idx += 1
@@ -230,8 +219,7 @@ def corpus_instances() -> tuple[Instance, ...]:
                 input_dim=3,
                 omega=0.55,
                 rate=0.5,
-                pool_kind="max",
-                pool_mu=1,
+                pooling=max_pooling(1),
             )
         )
         idx += 1

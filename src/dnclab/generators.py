@@ -32,14 +32,13 @@ import numpy as np
 
 from .linalg import ONE, PNorm, induced_norm, vector_norm
 from .network import PLAIN, Conv, LayerSeq, MaskSeq, NetworkKind, Pooled, cnn_layer_seq
-from .pooling import PoolingOp
+from .pooling import PoolingOp, no_pooling
 
 __all__ = [
     "MATRIX_FAMILIES",
     "MASK_FAMILIES",
     "MaskSpec",
     "GenSpec",
-    "BuiltNetwork",
     "build",
     "build_masks",
     "rescale_to_norm",
@@ -203,8 +202,10 @@ class GenSpec:
     matrix has that induced norm_p norm (:func:`rescale_to_norm`; handy for
     dialing the contraction factor).  The convolutional family ("conv") instead takes a
     :class:`MaskSpec` and grows widths arithmetically by its band width.
-    ``extra_rows`` reserves pooling rows (weights are (width + extra_rows) x
-    previous width) and must match the pooling window later attached.
+    ``pooling`` is the :class:`PoolingOp` the network runs with (identity
+    pooling, the default, for none): a matrix family reserves its ``mu``
+    pooling rows, so weights are (width + mu) x previous width, and a
+    convolution takes no pooling.
     """
 
     family: str
@@ -216,7 +217,7 @@ class GenSpec:
     bias_scale: float = 0.5
     norm_target: float | None = None
     norm_p: PNorm = ONE
-    extra_rows: int = 0
+    pooling: PoolingOp = no_pooling()
     mask: MaskSpec | None = None
 
     def __post_init__(self):
@@ -233,9 +234,8 @@ class GenSpec:
             raise ValueError("scale and bias_scale must be >= 0")
         object.__setattr__(self, "scale", float(self.scale))
         object.__setattr__(self, "bias_scale", float(self.bias_scale))
-        if int(self.extra_rows) < 0:
-            raise ValueError("extra_rows must be >= 0")
-        object.__setattr__(self, "extra_rows", int(self.extra_rows))
+        if not isinstance(self.pooling, PoolingOp):
+            raise TypeError(f"pooling must be a PoolingOp, got {self.pooling!r}")
         if self.norm_target is not None:
             t = float(self.norm_target)
             if not t > 0.0:
@@ -247,7 +247,7 @@ class GenSpec:
                 raise ValueError("conv family needs a MaskSpec")
             if self.widths is not None:
                 raise ValueError("conv widths are derived from the mask band")
-            if self.extra_rows != 0:
+            if self.pooling.mu != 0:
                 raise ValueError("pooling rows are not supported on conv families")
             if self.norm_target is not None:
                 raise ValueError("conv norms are set through the mask coefficients")
@@ -280,24 +280,6 @@ class GenSpec:
             raise ValueError("diverging control needs an explicit norm_target")
 
 
-@dataclass(frozen=True)
-class BuiltNetwork:
-    """A generated layer sequence, plus its mask sequence when convolutional."""
-
-    seq: LayerSeq
-    masks: MaskSeq | None = None
-
-    def kind(self, pool: PoolingOp | None) -> NetworkKind:
-        """The recursion this network runs with ``pool`` attached (None or
-        identity pooling for none): a convolution when it has masks, else
-        pooled or plain."""
-        if self.masks is not None:
-            return Conv(self.masks)
-        if pool is None or pool.kind == "identity":
-            return PLAIN
-        return Pooled(pool)
-
-
 # ---------------------------------------------------------------------------
 # matrix families
 # ---------------------------------------------------------------------------
@@ -309,11 +291,11 @@ def _embed(block: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return out
 
 
-def _build_matrix_family(spec: GenSpec) -> BuiltNetwork:
+def _build_matrix_family(spec: GenSpec) -> tuple[LayerSeq, NetworkKind]:
     cycle = spec.widths  # normalised to a tuple
     period = len(cycle)
     min_w, max_w = min(cycle), max(cycle)
-    s, mu, p = spec.input_dim, spec.extra_rows, spec.norm_p
+    s, mu, p = spec.input_dim, spec.pooling.mu, spec.norm_p
     seed = spec.seed
 
     def width(n: int) -> int:
@@ -391,7 +373,7 @@ def _build_matrix_family(spec: GenSpec) -> BuiltNetwork:
         weight_limit=_embed(core, max_w + mu, max_w),
         bias_limit=bias_core,
     )
-    return BuiltNetwork(seq)
+    return seq, Pooled(spec.pooling) if mu else PLAIN
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +381,7 @@ def _build_matrix_family(spec: GenSpec) -> BuiltNetwork:
 # ---------------------------------------------------------------------------
 
 
-def _build_conv_family(spec: GenSpec) -> BuiltNetwork:
+def _build_conv_family(spec: GenSpec) -> tuple[LayerSeq, NetworkKind]:
     masks = build_masks(spec.mask)
     s = spec.input_dim
     seed = spec.seed
@@ -418,11 +400,13 @@ def _build_conv_family(spec: GenSpec) -> BuiltNetwork:
         b[j] += spec.bias_scale * bias_rate**n
         return b
 
-    return BuiltNetwork(cnn_layer_seq(masks, bias, s, bias_limit=bias_core), masks)
+    return cnn_layer_seq(masks, bias, s, bias_limit=bias_core), Conv(masks)
 
 
-def build(spec: GenSpec) -> BuiltNetwork:
-    """Materialize a spec into a lazily generated layer sequence."""
+def build(spec: GenSpec) -> tuple[LayerSeq, NetworkKind]:
+    """Materialize a spec into a lazily generated layer sequence and the
+    recursion it runs: ``Conv`` for a convolution, ``Pooled`` for average
+    or max pooling, ``PLAIN`` otherwise."""
     if spec.family == "conv":
         return _build_conv_family(spec)
     return _build_matrix_family(spec)

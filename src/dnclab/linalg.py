@@ -24,11 +24,12 @@ rests on the primitives here, so two properties are enforced globally:
   far from 1 is first scaled by a power of two, so an operand is refused
   only when its Gram matrix or its squared norm leaves the double range.
 
-The module also provides what compares states of different widths:
-:func:`extend_vector` pads a state (or a batch) with a fill value,
-:func:`zero_pad_matrix` embeds a matrix in a larger zero matrix, which
-leaves its induced norms alone, and :class:`EventuallyConstSeq` holds the
-states of constant-padded convolutions.  A convolution is given by its
+The module also provides what compares operators and states of different
+widths: :func:`zero_pad_matrix` embeds a matrix in a larger zero matrix,
+which leaves its induced norms alone, and :class:`EventuallyConstSeq` holds
+the states of constant-padded convolutions.  (A state padded with a fill
+value is never built: ``analysis.state_deviation`` writes the padded
+difference of two states straight away.)  A convolution is given by its
 mask alone: :func:`toeplitz_matrix` cuts a finite window out of the banded
 Toeplitz matrix of a mask (the finite convolution matrix is one such
 window), and :func:`apply_banded` applies the mask's constant-padded
@@ -57,7 +58,6 @@ __all__ = [
     "induced_norm",
     "stacked_norms",
     "zero_pad_matrix",
-    "extend_vector",
     "EventuallyConstSeq",
     "toeplitz_matrix",
     "apply_banded",
@@ -189,13 +189,22 @@ TWO = PNorm(2.0)
 INF = PNorm(math.inf)
 
 
+# below this a p = 2 norm may have lost bits to squares that underflowed
+_L2_TINY = 2.0**-450
+
+
 def vector_norm(x, p: PNorm):
     """l_p norm of a vector, or of each column of a 2-d batch, via
     sequential summation down the columns.
 
     A vector gives a float, a ``(dim, S)`` batch an array of S norms.
     Accepts the empty vector (norm 0) so that sequence heads of length zero
-    need no special casing.
+    need no special casing.  At p = 2 only a column whose plain result is
+    infinite, or below 2^-450 while it has a non-zero entry, is summed again
+    with its entries scaled by the power of two that brings the largest
+    into [0.5, 1), and its root scaled back: exact scalings, so a column has
+    the same bits in any batch, and an infinite norm means the norm itself
+    leaves the double range.
     """
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim not in (1, 2):
@@ -209,11 +218,32 @@ def vector_norm(x, p: PNorm):
     elif p.p == 1.0:
         out = _seq_sums(np.abs(arr), 0)
     elif p.p == 2.0:
-        out = np.sqrt(_seq_sums(arr * arr, 0))
+        out = _l2_norms(arr)
     else:  # Python's pow on each total, as the scalar form always took it
         totals = np.atleast_1d(_seq_sums(np.abs(arr) ** p.p, 0)).tolist()
         out = np.array([t ** (1.0 / p.p) for t in totals]).reshape(arr.shape[1:])
     return float(out) if arr.ndim == 1 else out
+
+
+@np.errstate(over="ignore")
+def _l2_norms(arr: np.ndarray):
+    """The l_2 norm of a vector, or of each column of a batch, as
+    :func:`vector_norm` forms it."""
+    out = np.sqrt(_seq_sums(arr * arr, 0))
+    # NaN-blind extremes: one NaN column must not hide another's overflow
+    lo = np.fmin.reduce(out, axis=None, initial=math.inf)
+    if _L2_TINY <= lo and np.fmax.reduce(out, axis=None, initial=0.0) < math.inf:
+        return out
+    cols, out = arr.reshape(arr.shape[0], -1), np.atleast_1d(out)
+    redo = np.flatnonzero(np.isinf(out) | (out < _L2_TINY))
+    sub = cols[:, redo]
+    peak = np.abs(sub).max(axis=0)
+    # a zero column is exact already, an infinite entry stays infinite
+    fix = (peak > 0.0) & np.isfinite(peak)
+    exps = np.frexp(peak[fix])[1]
+    scaled = np.ldexp(sub[:, fix], -exps)
+    out[redo[fix]] = np.ldexp(np.sqrt(_seq_sums(scaled * scaled, 0)), exps)
+    return out.reshape(arr.shape[1:])
 
 
 # one chunk of a p = 2 stack holds at most this many Gram entries (8 MB), or
@@ -686,25 +716,6 @@ def zero_pad_matrix(w, size: int, *, keep_cols: bool = False) -> np.ndarray:
         )
     out = np.zeros((size, cols if keep_cols else size), dtype=np.float64)
     out[:rows, :cols] = m
-    out.flags.writeable = False
-    return out
-
-
-def extend_vector(v, size: int, fill: float = 0.0) -> np.ndarray:
-    """Extend ``v`` (or each column of a 2-d batch) to ``size`` entries,
-    writing ``fill`` in the new slots.
-
-    Zero fill is the padding used for weights and biases; a sigma(0) fill
-    appears when states of different widths are compared through their
-    extension, whose padded coordinates carry sigma(0) rather than 0.
-    """
-    validate = as_vector if np.ndim(v) == 1 else as_matrix
-    arr = validate(v, name="extend_vector operand")
-    rows = arr.shape[0]
-    if size < rows:
-        raise ValueError(f"extend_vector: target size {size} smaller than {rows}")
-    out = np.full((size, *arr.shape[1:]), float(fill), dtype=np.float64)
-    out[:rows] = arr
     out.flags.writeable = False
     return out
 

@@ -6,6 +6,8 @@ so that agreement with the library is evidence, not circularity.
 """
 
 
+import math
+
 import mpmath
 import numpy as np
 
@@ -129,6 +131,41 @@ def left_to_right_sum(values) -> float:
     for v in values:
         total += float(v)
     return total
+
+
+def two_copy_state_deviation(a, b, p, fill):
+    """|a - b|_p with the shorter state extended by ``fill``, formed the
+    way the library once did: both states copied into fresh arrays of the
+    common length with ``fill`` in the new slots, then subtracted."""
+    from dnclab.linalg import vector_norm
+
+    size = max(a.shape[0], b.shape[0])
+    ext = []
+    for v in (a, b):
+        out = np.full((size, *v.shape[1:]), float(fill))
+        out[: v.shape[0]] = v
+        ext.append(out)
+    return vector_norm(ext[0] - ext[1], p)
+
+
+def l2_norm(col) -> float:
+    """sqrt(0.0 + c_0^2 + c_1^2 + ...) for one column, a square and an
+    addition at a time.  Where that reads inf, or below 2^-450 for a
+    column with a finite non-zero peak, the same loop runs over the column
+    times 2^-e, where 2^(e-1) <= max|c_i| < 2^e, and its root is scaled
+    back by 2^e."""
+    col = [abs(float(c)) for c in col]
+    plain = math.sqrt(left_to_right_sum(c * c for c in col))
+    peak = max(col, default=0.0)
+    if not (math.isinf(plain) or plain < 2.0**-450) or peak in (0.0, math.inf):
+        return plain
+    e = math.frexp(peak)[1]
+    scaled = [math.ldexp(c, -e) for c in col]
+    root = math.sqrt(left_to_right_sum(v * v for v in scaled))
+    try:
+        return math.ldexp(root, e)
+    except OverflowError:
+        return math.inf
 
 
 def rowwise_matvec(a, x) -> np.ndarray:

@@ -40,6 +40,7 @@ from dnclab.network import (
     MaskSeq,
     Pooled,
     cnn_layer_seq,
+    eval_trajectory,
     pool_of,
 )
 from dnclab.pooling import max_pooling
@@ -87,7 +88,7 @@ def drifting_net(seed: int = 5) -> LayerSeq:
         norm_target=0.55,
         norm_p=ONE,
     )
-    return build(spec).seq
+    return build(spec)[0]
 
 
 class TestDomain:
@@ -136,6 +137,29 @@ class TestStateDeviation:
         a = np.array([1.0, -1.0])
         b = np.array([0.0, 1.0])
         assert state_deviation(a, b, INF, 9.9) == 2.0
+
+    @pytest.mark.parametrize("fill", [0.0, 0.5])
+    @pytest.mark.parametrize("p", [ONE, TWO, INF], ids=str)
+    @pytest.mark.parametrize(
+        "label", ["cyc534-exp_decay-relu-p1", "convz-t2-sigmoid-pinf"]
+    )
+    def test_padded_difference_has_the_bits_of_two_copies(self, label, p, fill):
+        """Batches of states of unequal widths, in both argument orders."""
+        seq, kind, act, _, dim = corpus_case(label)
+        xs = Domain(dim, 1.0).uniform_samples(7, seed=2).T
+        states = eval_trajectory(seq, kind, act, xs, 4)
+        for a, b in ((states[0], states[1]), (states[2], states[1])):
+            assert a.shape[0] != b.shape[0]
+            for u, v in ((a, b), (b, a)):
+                want = oracles.two_copy_state_deviation(u, v, p, fill)
+                assert state_deviation(u, v, p, fill).tobytes() == want.tobytes()
+
+    def test_non_finite_states_of_unequal_widths_are_refused(self):
+        a = np.array([1.0, math.inf, 2.0])
+        with pytest.raises(ValueError, match="must be finite"):
+            state_deviation(a, np.zeros(2), INF, 0.0)
+        with pytest.raises(ValueError, match="must be finite"):
+            state_deviation(np.zeros(2), a, INF, 0.5)
 
 
 class TestLambdaProducts:
@@ -197,10 +221,10 @@ def apriori_case(case: str):
     if case in ("pooled", "cyclic"):
         label = {"pooled": "max1-exp_decay-prelu-p1", "cyclic": "cyc534-exp_decay-relu-p1"}
         return (*corpus_case(label[case])[:2], ZERO_PAD)
-    net = build(GenSpec("conv", input_dim=3, seed=4, mask=MaskSpec(
+    seq, kind = build(GenSpec("conv", input_dim=3, seed=4, mask=MaskSpec(
         "constant_limit", (0.2, -0.1, 0.1), rate=0.5, limit=(0.2, -0.1, 0.1)
     )))
-    return net.seq, Conv(net.masks), case
+    return seq, kind, case
 
 
 APRIORI_CASES = [
@@ -286,8 +310,8 @@ class TestDeviationBound:
         spec = GenSpec("conv", input_dim=2, seed=7, mask=MaskSpec(
             "constant_limit", (0.2, -0.1), rate=0.5, limit=(0.2, -0.1)
         ))
-        net = build(spec)
-        ctx = BoundContext(net.seq, Conv(net.masks), sigmoid(), INF, CONSTANT_PAD)
+        seq, kind = build(spec)
+        ctx = BoundContext(seq, kind, sigmoid(), INF, CONSTANT_PAD)
         cells = ((1, 2), (3, 2), (4, 3))
         for x in Domain(2, 1.0).uniform_samples(8, seed=1):
             traj = cell_trajectory(ctx, x, cells)
@@ -345,11 +369,11 @@ class TestLimitConstants:
             seed=3,
             mask=MaskSpec("vanishing_exponential", (0.6, -0.4), rate=0.5),
         )
-        net = build(spec)
-        finite_p = BoundContext(net.seq, Conv(net.masks), sigmoid(), ONE)
+        seq, kind = build(spec)
+        finite_p = BoundContext(seq, kind, sigmoid(), ONE)
         constants, why = derive_limit_constants(finite_p, 1.0)
         assert constants is None and "p = inf" in why
-        sup = BoundContext(net.seq, Conv(net.masks), sigmoid(), INF)
+        sup = BoundContext(seq, kind, sigmoid(), INF)
         constants, why = derive_limit_constants(sup, 1.0)
         assert why == "ok" and constants.omega0 < 1
 
@@ -498,8 +522,8 @@ class TestConditionChecks:
             seed=0,
             mask=MaskSpec("constant_limit", (0.2, -0.1), rate=0.5, limit=(0.2, -0.1)),
         )
-        net = build(spec)
-        v = check_condition(BoundContext(net.seq, Conv(net.masks), relu(), INF))
+        seq, kind = build(spec)
+        v = check_condition(BoundContext(seq, kind, relu(), INF))
         assert v.method == "analytic"
         assert v.estimate == pytest.approx(0.3, rel=1e-12)
 
@@ -588,8 +612,6 @@ class TestTrajectory:
         ctx = BoundContext(seq, PLAIN, relu(), ONE)
         x = np.array([0.3, -0.8, 0.5])
         traj = Trajectory(ctx, x, 5, norms=(1, 3, 5))
-        from dnclab.network import eval_trajectory
-
         for n in (1, 3, 5):
             direct = eval_trajectory(seq, PLAIN, relu(), x, n)[-1]
             assert traj.state_norm(n) == vector_norm(direct, ONE)

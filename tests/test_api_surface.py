@@ -15,7 +15,6 @@ ROOT_NAMES = [
     "ACTIVATION_NAMES",
     "Activation",
     "BoundContext",
-    "BuiltNetwork",
     "CONFIG_SCHEMA",
     "CONSTANT_PAD",
     "ConditionVerdict",
@@ -65,7 +64,6 @@ ROOT_NAMES = [
     "elu",
     "eval_extended_trajectory",
     "eval_trajectory",
-    "extend_vector",
     "fit_exponential_rate",
     "identity",
     "induced_norm",

@@ -629,6 +629,51 @@ class TestOtherCommands:
         assert "Traceback" not in result.stderr
         assert not (tmp_path / "out" / "report.json").exists()
 
+    def test_overflowing_zero_padded_states_are_exit_1(self, tmp_path):
+        """The same convolution compared under zero padding: its states
+        leave the double range too, and the distance between two states of
+        different widths refuses them, so ``run`` ends in exit code 1."""
+        doc = {
+            **CONV_DOC,
+            "label": "cli-conv-overflow-zero-pad",
+            "generator": {
+                "family": "conv",
+                "input_dim": 2,
+                "mask": {"family": "diverging", "base": [3.0, -2.0, 2.5]},
+            },
+            "activation": {"name": "relu"},
+            "comparison": {"extension": "zero_pad"},
+            "domain": {"bound": 1.0, "sampler": {"count": 5}},
+            "depths": {"n_list": [1, 2, 3, 4], "m_list": [1, 2], "reference_depth": 700},
+        }
+        cfg = write_config(tmp_path, doc)
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = CliRunner().invoke(
+                main, ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
+            )
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert (
+            "Error: state_deviation: states of different widths must be finite"
+            in result.stderr
+        )
+        assert "Traceback" not in result.stderr
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_p2_norms_past_the_range_of_the_squares_pass(self, tmp_path):
+        """At p = 2 the cube [-8.9e307, 8.9e307]^3 has the finite norm bound
+        1.54e308, but its states have entries whose squares overflow: their
+        norms are still finite, so ``run`` passes with no violation."""
+        doc = base_doc(norm={"p": 2}, **section("domain", bound=8.9e307))
+        cfg = write_config(tmp_path, doc)
+        result = CliRunner().invoke(
+            main, ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        )
+        assert result.exit_code == 0, result.output
+        assert "VIOLATION" not in result.output
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["violations"] == {"apriori": [], "dominance": [], "limit": []}
+
     @pytest.mark.parametrize("key", ["report", "table"])
     def test_unwritable_output_is_exit_1(self, tmp_path, key):
         """An output file in a missing directory ends in ``Error: ...`` and

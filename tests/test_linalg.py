@@ -18,7 +18,6 @@ from dnclab.linalg import (
     apply_banded,
     as_matrix,
     as_vector,
-    extend_vector,
     induced_norm,
     matvec,
     seq_sum,
@@ -103,6 +102,50 @@ class TestVectorNorm:
 
     def test_empty_vector_is_zero(self):
         assert vector_norm(np.array([]), TWO) == 0.0
+
+    @pytest.mark.parametrize("p", [ONE, TWO, INF], ids=str)
+    def test_batch_of_no_samples_has_no_norms(self, p):
+        assert vector_norm(np.ones((3, 0)), p).shape == (0,)
+
+    @pytest.mark.parametrize(
+        "v",
+        [
+            [2e154, 1e154],
+            [3e-170, 4e-170],
+            [1e200, -3e199, 5e198],
+            [1e-300, 2e-310, -7e-301],
+            [1.5e308, 1e307],
+            [5e-324, 0.0],
+        ],
+    )
+    def test_p2_past_the_range_of_the_squares_agrees_with_hypot(self, v):
+        """An entry whose square leaves the double range (above about
+        1.34e154, or below about 1e-154) still gives the norm, not inf or
+        0.0, and without an overflow warning."""
+        assert vector_norm(v, TWO) == pytest.approx(math.hypot(*v), rel=1e-15)
+
+    def test_p2_of_tiny_entries_is_exact(self):
+        assert vector_norm([3e-170, 4e-170], TWO) == 5e-170
+
+    def test_p2_past_the_double_range_is_infinite(self):
+        assert vector_norm([1.5e308, 1.5e308], TWO) == math.inf
+        assert vector_norm([math.inf, 1.0], TWO) == math.inf
+        assert math.isnan(vector_norm([math.nan, 1e300], TWO))
+
+    def test_p2_rescued_column_leaves_the_others_bits(self):
+        """Only the columns whose plain result is out of range are summed
+        again; every column has the bits it has alone."""
+        batch = np.random.default_rng(3).normal(size=(6, 5))
+        plain = vector_norm(batch, TWO)
+        batch[:, 2] *= 1e300
+        batch[:, 4] = 0.0
+        got = vector_norm(batch, TWO)
+        keep = [0, 1, 3]
+        assert got[keep].tobytes() == plain[keep].tobytes()
+        assert got[2] == pytest.approx(plain[2] * 1e300, rel=1e-14)
+        assert got[4] == 0.0
+        for j in range(5):
+            assert got[j] == vector_norm(batch[:, j], TWO)
 
 
 FROZEN = np.array([[1.0, -2.0], [3.0, 4.0]])
@@ -280,20 +323,13 @@ class TestPaddingPreservesNorms:
 
     def test_vector_padding_preserves_norms(self):
         v = np.array([1.0, -2.0, 2.0])
-        w = extend_vector(v, 7)
+        w = np.concatenate([v, np.zeros(4)])
         for p in (ONE, TWO, INF, PNorm(4.0)):
             assert vector_norm(w, p) == vector_norm(v, p)
 
     def test_rejects_shrinking(self):
         with pytest.raises(ValueError):
             zero_pad_matrix(np.ones((3, 3)), 2)
-        with pytest.raises(ValueError):
-            extend_vector(np.ones(4), 3)
-
-    def test_extend_vector_fill(self):
-        out = extend_vector([1.0, 2.0], 4, fill=0.5)
-        assert_array_equal(out, [1.0, 2.0, 0.5, 0.5])
-        assert not out.flags.writeable
 
 
 class TestValidatedContainers:
