@@ -189,22 +189,18 @@ TWO = PNorm(2.0)
 INF = PNorm(math.inf)
 
 
-# below this a p = 2 norm may have lost bits to squares that underflowed
-_L2_TINY = 2.0**-450
-
-
 def vector_norm(x, p: PNorm):
     """l_p norm of a vector, or of each column of a 2-d batch, via
     sequential summation down the columns.
 
     A vector gives a float, a ``(dim, S)`` batch an array of S norms.
     Accepts the empty vector (norm 0) so that sequence heads of length zero
-    need no special casing.  At p = 2 only a column whose plain result is
-    infinite, or below 2^-450 while it has a non-zero entry, is summed again
-    with its entries scaled by the power of two that brings the largest
-    into [0.5, 1), and its root scaled back: exact scalings, so a column has
-    the same bits in any batch, and an infinite norm means the norm itself
-    leaves the double range.
+    need no special casing.  At 1 < p < inf only a column whose plain
+    result is infinite, or below 2^(-900/p) while it has a non-zero entry,
+    is summed again with its entries scaled by the power of two that brings
+    the largest into [0.5, 1), and its root scaled back: exact scalings, so
+    a column has the same bits in any batch, and an infinite norm means the
+    norm itself leaves the double range.
     """
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim not in (1, 2):
@@ -217,32 +213,40 @@ def vector_norm(x, p: PNorm):
         out = np.abs(arr).max(axis=0)
     elif p.p == 1.0:
         out = _seq_sums(np.abs(arr), 0)
-    elif p.p == 2.0:
-        out = _l2_norms(arr)
-    else:  # Python's pow on each total, as the scalar form always took it
-        totals = np.atleast_1d(_seq_sums(np.abs(arr) ** p.p, 0)).tolist()
-        out = np.array([t ** (1.0 / p.p) for t in totals]).reshape(arr.shape[1:])
+    else:
+        out = _p_norms(arr, p.p)
     return float(out) if arr.ndim == 1 else out
 
 
+def _root_sums(arr: np.ndarray, p: float):
+    """The p-th root of each column's sequential sum of |x|^p, unscaled: a
+    square root at p = 2, Python's pow on each total otherwise (as the
+    scalar form always took it)."""
+    if p == 2.0:
+        return np.sqrt(_seq_sums(arr * arr, 0))
+    totals = np.atleast_1d(_seq_sums(np.abs(arr) ** p, 0)).tolist()
+    return np.array([t ** (1.0 / p) for t in totals]).reshape(arr.shape[1:])
+
+
 @np.errstate(over="ignore")
-def _l2_norms(arr: np.ndarray):
-    """The l_2 norm of a vector, or of each column of a batch, as
-    :func:`vector_norm` forms it."""
-    out = np.sqrt(_seq_sums(arr * arr, 0))
+def _p_norms(arr: np.ndarray, p: float):
+    """The l_p norm, 1 < p < inf, of a vector or of each column of a
+    batch, as :func:`vector_norm` forms it.  Below 2^(-900/p) (2^-450 at
+    p = 2) a norm may have lost bits to powers that underflowed."""
+    out = _root_sums(arr, p)
+    tiny = 2.0 ** (-900.0 / p)
     # NaN-blind extremes: one NaN column must not hide another's overflow
     lo = np.fmin.reduce(out, axis=None, initial=math.inf)
-    if _L2_TINY <= lo and np.fmax.reduce(out, axis=None, initial=0.0) < math.inf:
+    if tiny <= lo and np.fmax.reduce(out, axis=None, initial=0.0) < math.inf:
         return out
     cols, out = arr.reshape(arr.shape[0], -1), np.atleast_1d(out)
-    redo = np.flatnonzero(np.isinf(out) | (out < _L2_TINY))
+    redo = np.flatnonzero(np.isinf(out) | (out < tiny))
     sub = cols[:, redo]
     peak = np.abs(sub).max(axis=0)
     # a zero column is exact already, an infinite entry stays infinite
     fix = (peak > 0.0) & np.isfinite(peak)
     exps = np.frexp(peak[fix])[1]
-    scaled = np.ldexp(sub[:, fix], -exps)
-    out[redo[fix]] = np.ldexp(np.sqrt(_seq_sums(scaled * scaled, 0)), exps)
+    out[redo[fix]] = np.ldexp(_root_sums(np.ldexp(sub[:, fix], -exps), p), exps)
     return out.reshape(arr.shape[1:])
 
 
@@ -280,23 +284,29 @@ def _gamma(k: int) -> float:
     return k * _U / (1.0 - k * _U)
 
 
-def _grams(ms: np.ndarray) -> np.ndarray:
-    """The Gram matrices A^T A of a ``(K, rows, cols)`` stack as one
-    ``(cols, cols, K)`` array: entry [i, j, k] adds ``ms[k, r, i] *
-    ms[k, r, j]`` over ascending rows r from 0.0, as :func:`matvec` adds.
-    Each block of Gram rows is accumulated from its diagonal rightwards,
-    and the lower triangle is then copied from the upper: the products
-    commute bitwise, so each Gram matrix is exactly symmetric either way.
-    Besides the result it holds one row of the stack, ``(cols, K)``, and
-    one product buffer of a block of Gram rows, at most 256 KB or one
-    Gram row of every member, whichever is larger."""
-    k, rows, cols = ms.shape
+def _grams(ms: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """The Gram matrices A^T A of the matrices ``ms[members]`` of a ``(K,
+    rows, cols)`` stack as one ``(cols, cols, len(members))`` array: slot
+    s holds the Gram matrix of member ``members[s]``, entry [i, j, s]
+    adding ``ms[members[s], r, i] * ms[members[s], r, j]`` over ascending
+    rows r from 0.0, as :func:`matvec` adds.  Each block of Gram rows is
+    accumulated from its diagonal rightwards, and the lower triangle is
+    then copied from the upper: the products commute bitwise, so each Gram
+    matrix is exactly symmetric either way.  The members are gathered one
+    row at a time, never as a stack: besides the result it holds that row,
+    ``(cols, len(members))`` twice, and one product buffer of a block of
+    Gram rows, at most 256 KB or one Gram row of every member, whichever
+    is larger."""
+    rows, cols = ms.shape[1:]
+    k = len(members)
     g = np.zeros((cols, cols, k))
     block = max(1, min(cols, _GRAM_BLOCK_BYTES // (8 * cols * k)))
     prod = np.empty((block, cols, k))
+    gathered = np.empty((k, cols))
     row = np.empty((cols, k))
     for r in range(rows):
-        np.copyto(row, ms[:, r, :].T)
+        np.take(ms[:, r], members, axis=0, out=gathered)
+        np.copyto(row, gathered.T)
         for i in range(0, cols, block):
             gb = g[i : i + block, i:]
             pb = prod[: len(gb), : cols - i]
@@ -515,22 +525,26 @@ def _top_eigenvalue_bounds(ms: np.ndarray) -> np.ndarray:
     most that.
 
     Each member runs the same operations alone as in any stack.  This
-    function builds the Gram matrices and owns them: the rung overwrites
-    the Gram array, and the members that go on to another rung have
-    their Gram matrices built again.  The out-of-range refusals are those
-    of :func:`_spectral_norms`."""
-    g = _grams(ms)
-    if not np.isfinite(g).all():
-        raise ValueError(_OUT_OF_RANGE + "A^T A overflows")
-    nonzero = g.any(axis=(0, 1))
-    if not np.array_equal(nonzero, ms.any(axis=(1, 2))):
-        raise ValueError(_OUT_OF_RANGE + "A^T A underflows to zero")
+    function builds the Gram matrices of the non-zero members, one slot
+    each, gathered from the stack by index (:func:`_grams`), and owns
+    them: the rung overwrites the Gram array.  A member that reaches the
+    Frobenius rung leaves the ladder by index: it keeps its slot, the
+    rung factors it with the others, and its result is not read.  The
+    members that go on to another rung have their Gram matrices built
+    again, gathered by index in the same way; only a Lanczos restart of
+    some but not all of them runs on a copy of their Gram matrices.  So
+    the batch holds the operand stack, one Gram array and, during a
+    Lanczos run, its basis.  The out-of-range refusals are those of
+    :func:`_spectral_norms`."""
     out = np.zeros(len(ms))
-    todo = np.flatnonzero(nonzero)
+    todo = np.flatnonzero(ms.any(axis=(1, 2)))
     if todo.size == 0:
         return out
-    if todo.size < nonzero.size:
-        g = g.compress(nonzero, axis=2)
+    g = _grams(ms, todo)
+    if not np.isfinite(g).all():
+        raise ValueError(_OUT_OF_RANGE + "A^T A overflows")
+    if not g.any(axis=(0, 1)).all():
+        raise ValueError(_OUT_OF_RANGE + "A^T A underflows to zero")
     rows, cols = ms.shape[1:]
     diag = np.arange(cols)
     # a Gram matrix whose diagonal is below 1/2 is scaled up by a power of
@@ -563,16 +577,13 @@ def _top_eigenvalue_bounds(ms: np.ndarray) -> np.ndarray:
     ones = _start_vector(0, cols)[:, None]
     alpha, beta, broke = _lanczos(g, np.broadcast_to(ones, (cols, todo.size)))
     theta = _top_ritz_values(alpha, beta)
-    live = np.arange(todo.size)  # the members still on the ladder
+    live = np.arange(todo.size)  # the member in each slot of g
     while True:
         shift = theta[live] * (1.0 + _RUNG_SLACK * 10.0 ** rung[live])
         if not np.isfinite(shift).all():
             raise ValueError(_OUT_OF_RANGE + "the Cholesky rung overflows")
         climbing = (rung[live] < _RUNGS) & (shift < frobenius[live])
-        if not climbing.all():
-            live, shift = live[climbing], shift[climbing]
-            g = g.compress(climbing, axis=2)
-        if live.size == 0:
+        if not climbing.any():
             break
         ok, factored, largest = _cholesky_rung(g, shift)
         del g
@@ -587,14 +598,15 @@ def _top_eigenvalue_bounds(ms: np.ndarray) -> np.ndarray:
             + gram_error[live]
         )
         bound = np.nextafter(shift + _INFLATE * margin, np.inf)
+        ok &= climbing  # the members that left are not read
         if not np.isfinite(bound[ok]).all():
             raise ValueError(_OUT_OF_RANGE + "the Cholesky rung overflows")
         done = live[ok]
         found[done] = np.minimum(bound[ok], frobenius[done])
-        live = live[~ok]
+        live = live[climbing & ~ok]
         if live.size == 0:
             break
-        g = _grams(ms[todo[live]])
+        g = _grams(ms, todo[live])
         g *= scale[live]
         restart = broke[live] & (start[live] < cols + 1)
         rung[live[~restart]] += 1
@@ -602,7 +614,9 @@ def _top_eigenvalue_bounds(ms: np.ndarray) -> np.ndarray:
             again = live[restart]
             start[again] += 1
             v0 = np.stack([_start_vector(t, cols) for t in start[again]], axis=1)
-            alpha, beta, broke[again] = _lanczos(g.compress(restart, axis=2), v0)
+            alpha, beta, broke[again] = _lanczos(
+                g if restart.all() else g.compress(restart, axis=2), v0
+            )
             theta[again] = np.maximum(theta[again], _top_ritz_values(alpha, beta))
     # dividing by the scale is exact unless the result is subnormal, or
     # overflows: a squared norm past the double range is refused

@@ -148,22 +148,28 @@ def two_copy_state_deviation(a, b, p, fill):
     return vector_norm(ext[0] - ext[1], p)
 
 
-def l2_norm(col) -> float:
-    """sqrt(0.0 + c_0^2 + c_1^2 + ...) for one column, a square and an
-    addition at a time.  Where that reads inf, or below 2^-450 for a
-    column with a finite non-zero peak, the same loop runs over the column
-    times 2^-e, where 2^(e-1) <= max|c_i| < 2^e, and its root is scaled
-    back by 2^e."""
-    col = [abs(float(c)) for c in col]
-    plain = math.sqrt(left_to_right_sum(c * c for c in col))
-    peak = max(col, default=0.0)
-    if not (math.isinf(plain) or plain < 2.0**-450) or peak in (0.0, math.inf):
+def lp_norm(col, p: float) -> float:
+    """(0.0 + |c_0|^p + |c_1|^p + ...)^(1/p) for one column, 1 < p < inf,
+    one addition at a time: squares and math.sqrt at p = 2, numpy's powers
+    and Python's root otherwise.  Where that reads inf, or below 2^(-900/p)
+    for a column with a finite non-zero peak, the same loop runs over the
+    column times 2^-e, where 2^(e-1) <= max|c_i| < 2^e, and its root is
+    scaled back by 2^e."""
+    col = np.abs(np.asarray(col, dtype=np.float64))
+
+    def root(values):
+        with np.errstate(over="ignore"):
+            powers = values * values if p == 2.0 else values**p
+        total = left_to_right_sum(powers)
+        return math.sqrt(total) if p == 2.0 else total ** (1.0 / p)
+
+    plain = root(col)
+    peak = float(col.max(initial=0.0))
+    if not (math.isinf(plain) or plain < 2.0 ** (-900.0 / p)) or peak in (0.0, math.inf):
         return plain
     e = math.frexp(peak)[1]
-    scaled = [math.ldexp(c, -e) for c in col]
-    root = math.sqrt(left_to_right_sum(v * v for v in scaled))
     try:
-        return math.ldexp(root, e)
+        return math.ldexp(root(np.array([math.ldexp(c, -e) for c in col])), e)
     except OverflowError:
         return math.inf
 
@@ -351,8 +357,12 @@ def apriori_bound_at(ctx, n: int, x_bound: float) -> float:
 
 # ---------------------------------------------------------------------------
 # the deviation and limit bounds, written out from their formulas in mpmath
-# at p = 1 and p = inf, from the loop norms and the per-sample recursion above
+# at p = 1 and p = inf, from the loop norms and the per-sample recursion
+# above; under constant padding (p = inf) from the (head, tail) states of
+# :func:`per_sample_constant_pad` and the mask sums
 # ---------------------------------------------------------------------------
+
+_CONSTANT_PAD = "constant_pad"  # the config's name of the extension
 
 
 def _loop_norm(a, b, p) -> float:
@@ -381,6 +391,66 @@ def _mp_diff_norm(u, v, p) -> mpmath.mpf:
     return max(diffs) if p.is_inf else mpmath.fsum(diffs)
 
 
+def _mp_seq_norm(u, v) -> mpmath.mpf:
+    """|u - v| in l_inf of two eventually constant sequences, each a
+    (head, tail) pair whose head is continued by its tail (|u| itself for
+    v = None): the largest of the entry differences over the longer head
+    and the tails' difference, in mpmath."""
+    hu, tu = u
+    hv, tv = (np.zeros(0), 0.0) if v is None else v
+
+    def entry(head, tail, i):
+        return mpmath.mpf(float(head[i]) if i < len(head) else float(tail))
+
+    diffs = [
+        abs(entry(hu, tu, i) - entry(hv, tv, i)) for i in range(max(len(hu), len(hv)))
+    ]
+    return max([abs(mpmath.mpf(float(tu)) - mpmath.mpf(float(tv))), *diffs])
+
+
+def _state_gap(u, v, p, extension) -> mpmath.mpf:
+    """|u - v| of two states of one sample in the extension (|u| for v =
+    None): zero-padded vectors at p = 1 or inf, or (head, tail) sequences
+    in l_inf under constant padding."""
+    if extension == _CONSTANT_PAD:
+        return _mp_seq_norm(u, v)
+    return _mp_diff_norm(u, () if v is None else v, p)
+
+
+def _sample_states(seq, kind, act, x, n_max: int, extension) -> list:
+    """States N_1(x) .. N_{n_max}(x) of one sample in the extension."""
+    if extension == _CONSTANT_PAD:
+        return per_sample_constant_pad(seq, kind.masks, act, x, n_max)
+    return per_sample_trajectory(seq, kind, act, x, n_max)
+
+
+def _operator_gap(seq, kind, p, j: int, k, extension):
+    """|W_j| (k None), |W_j - W_k| or |W_j - W*| (k = "limit") in the
+    extension: the loop sums of the zero-padded matrices or, under constant
+    padding past layer 1, the mpmath sum of the absolute mask differences
+    (the exact norm of the constant-padded Toeplitz operator)."""
+    if extension != _CONSTANT_PAD or (j == 1 and k is None):
+        b = None if k is None else seq.weight_limit if k == "limit" else seq.layer(k)[0]
+        return _loop_norm(seq.layer(j)[0], b, p)
+    masks = kind.masks
+    a = masks.mask(j)
+    b = np.zeros_like(a) if k is None else masks.limit if k == "limit" else masks.mask(k)
+    return mpmath.fsum(
+        abs(mpmath.mpf(float(u)) - mpmath.mpf(float(v))) for u, v in zip(a, b)
+    )
+
+
+def _restart_gap(seq, kind, p, x, state, m: int, extension) -> mpmath.mpf:
+    """|W_{m+1} N_m(x) - W_1 x| of one sample: zero-padded products, or
+    under constant padding the banded product of ``state`` against W_1 x
+    continued by 0.0."""
+    first = rowwise_matvec(seq.layer(1)[0], x)
+    if extension == _CONSTANT_PAD:
+        product = elementwise_apply_banded(kind.masks.mask(m + 1), *state)
+        return _mp_seq_norm(product, (first, 0.0))
+    return _mp_diff_norm(rowwise_matvec(seq.layer(m + 1)[0], state), first, p)
+
+
 def _mp_constants(kind, act, p) -> tuple:
     """(L, P): the activation's declared Lipschitz constant and the pooling
     constant at p = 1 or inf, which only max pooling at p = 1 lifts above 1
@@ -390,7 +460,9 @@ def _mp_constants(kind, act, p) -> tuple:
     return mpmath.mpf(act.lipschitz), mpmath.mpf(op.window if lift else 1)
 
 
-def mp_deviation_bound(seq, kind, act, p, x, n: int, m: int, dps: int = 50):
+def mp_deviation_bound(
+    seq, kind, act, p, x, n: int, m: int, dps: int = 50, extension: str = "zero_pad"
+):
     """The deviation bound on |N_{n+m}(x) - N_n(x)| of one sample, in full:
 
         L sum_{i=0}^{n-1} Lam_i |b_{m+n-i} - b_{n-i}|
@@ -399,19 +471,18 @@ def mp_deviation_bound(seq, kind, act, p, x, n: int, m: int, dps: int = 50):
 
     with Lam_i = prod_{j=0}^{i-1} L P |W_{n+m-j}|, every product and sum
     at ``dps`` digits, the operator norms by the loop sums of the
-    zero-padded matrices and the states by :func:`per_sample_trajectory`.
+    zero-padded matrices and the states by :func:`per_sample_trajectory`;
+    under constant padding the operators past layer 1 by their mask sums
+    and the states by :func:`per_sample_constant_pad`.
     """
-    def weight(k):
-        return seq.layer(k)[0]
-
-    states = per_sample_trajectory(seq, kind, act, x, max(n - 1, m))
+    states = _sample_states(seq, kind, act, x, max(n - 1, m), extension)
     with mpmath.workdps(dps):
         L, P = _mp_constants(kind, act, p)
 
         def lam(i):
             out = mpmath.mpf(1)
             for j in range(i):
-                out *= L * P * _loop_norm(weight(n + m - j), None, p)
+                out *= L * P * _operator_gap(seq, kind, p, n + m - j, None, extension)
             return out
 
         term1 = mpmath.fsum(
@@ -420,17 +491,17 @@ def mp_deviation_bound(seq, kind, act, p, x, n: int, m: int, dps: int = 50):
         )
         term2 = mpmath.fsum(
             lam(i)
-            * _mp_diff_norm(states[n - 2 - i], (), p)
-            * _loop_norm(weight(m + n - i), weight(n - i), p)
+            * _state_gap(states[n - 2 - i], None, p, extension)
+            * _operator_gap(seq, kind, p, m + n - i, n - i, extension)
             for i in range(n - 1)
         )
-        gap = _mp_diff_norm(
-            rowwise_matvec(weight(m + 1), states[m - 1]), rowwise_matvec(weight(1), x), p
-        )
+        gap = _restart_gap(seq, kind, p, x, states[m - 1], m, extension)
         return L * term1 + L * P * term2 + L * P * lam(n - 1) * gap
 
 
-def mp_limit_bound(seq, kind, act, p, n: int, constants, dps: int = 50):
+def mp_limit_bound(
+    seq, kind, act, p, n: int, constants, dps: int = 50, extension: str = "zero_pad"
+):
     """The limit bound J(n) in full, from the certified ``constants``
     (omega0, w = weight_sup, rho, D = x_bound):
 
@@ -438,7 +509,8 @@ def mp_limit_bound(seq, kind, act, p, n: int, constants, dps: int = 50):
           + L P rho sum_{i=0}^{n-2} omega0^i |W_{n-i} - W*|
           + L P w (rho + D) omega0^{n-1}
 
-    at ``dps`` digits, with the differences zero-padded."""
+    at ``dps`` digits, with the differences zero-padded (E past layer 1
+    by the mask sums under constant padding)."""
     with mpmath.workdps(dps):
         L, P = _mp_constants(kind, act, p)
         w0 = mpmath.mpf(constants.omega0)
@@ -448,7 +520,7 @@ def mp_limit_bound(seq, kind, act, p, n: int, constants, dps: int = 50):
             for i in range(n)
         )
         term2 = mpmath.fsum(
-            w0**i * _loop_norm(seq.layer(n - i)[0], seq.weight_limit, p)
+            w0**i * _operator_gap(seq, kind, p, n - i, "limit", extension)
             for i in range(n - 1)
         )
         tail = mpmath.mpf(constants.weight_sup) * (rho + mpmath.mpf(constants.x_bound))
@@ -456,8 +528,9 @@ def mp_limit_bound(seq, kind, act, p, n: int, constants, dps: int = 50):
 
 
 # ---------------------------------------------------------------------------
-# a whole zero-padded study, one sample and one cell at a time, at p = 1 or
-# p = inf, from the per-sample recursion and the bound oracles above
+# a whole study, one sample and one cell at a time, zero-padded at p = 1 or
+# p = inf or constant-padded at p = inf, from the per-sample recursions and
+# the bound oracles above
 # ---------------------------------------------------------------------------
 
 _STUDY_SLACK = 1.0 + 1.0e-9  # the relative slack every inequality grants
@@ -473,12 +546,18 @@ def _scan_sup(values) -> tuple[float, int]:
     return best, at
 
 
-def mp_study(seq, kind, act, p, domain, sampler, depths, constants, scale=1.0) -> dict:
-    """Every row, state row and violation list of a zero-padded
-    :func:`dnclab.study.convergence_study`, recomputed by loops.
+def mp_study(
+    seq, kind, act, p, domain, sampler, depths, constants, scale=1.0,
+    extension: str = "zero_pad",
+) -> dict:
+    """Every row, state row and violation list of a
+    :func:`dnclab.study.convergence_study` in ``extension``, recomputed by
+    loops.
 
-    The states come from :func:`per_sample_trajectory`, their norms and
-    deviations at 50 digits; each sample's deviation bound from
+    The states come from :func:`per_sample_trajectory` (under constant
+    padding from :func:`per_sample_constant_pad`, normed per sample over
+    head and tail in l_inf), their norms and deviations at 50 digits;
+    each sample's deviation bound from
     :func:`mp_deviation_bound`, the a-priori bound from
     :func:`apriori_bound_at` at the domain's norm bound and each limit pair
     J(n) + J(k) from :func:`mp_limit_bound` with the study's certified
@@ -492,14 +571,16 @@ def mp_study(seq, kind, act, p, domain, sampler, depths, constants, scale=1.0) -
 
     xs = domain.samples(sampler)
     ref = depths.reference
-    states = [per_sample_trajectory(seq, kind, act, x, depths.max_depth) for x in xs]
+    states = [
+        _sample_states(seq, kind, act, x, depths.max_depth, extension) for x in xs
+    ]
     out = {"rows": [], "state_rows": [], "dominance": [], "apriori": [], "limit": []}
 
     def norms(n, k=None):
         """|N_n(x)| of each sample, or |N_k(x) - N_n(x)| given k."""
         with mpmath.workdps(50):
             return [
-                float(_mp_diff_norm(s[n - 1], () if k is None else s[k - 1], p))
+                float(_state_gap(s[n - 1], None if k is None else s[k - 1], p, extension))
                 for s in states
             ]
 
@@ -508,8 +589,9 @@ def mp_study(seq, kind, act, p, domain, sampler, depths, constants, scale=1.0) -
             return None, None
         with mpmath.workdps(50):
             pair = float(
-                mp_limit_bound(seq, kind, act, p, n, constants) * scale
-                + mp_limit_bound(seq, kind, act, p, k, constants) * scale
+                mp_limit_bound(seq, kind, act, p, n, constants, extension=extension) * scale
+                + mp_limit_bound(seq, kind, act, p, k, constants, extension=extension)
+                * scale
             )
         ok = sup_dev <= pair * _STUDY_SLACK
         if not ok:
@@ -520,7 +602,11 @@ def mp_study(seq, kind, act, p, domain, sampler, depths, constants, scale=1.0) -
         for m in depths.m_list:
             devs = norms(n, n + m)
             bounds = [
-                float(mp_deviation_bound(seq, kind, act, p, x, n, m) * scale) for x in xs
+                float(
+                    mp_deviation_bound(seq, kind, act, p, x, n, m, extension=extension)
+                    * scale
+                )
+                for x in xs
             ]
             bad = [i for i, (d, b) in enumerate(zip(devs, bounds)) if d > b * _STUDY_SLACK]
             out["dominance"] += [(n, m, i) for i in bad]
@@ -530,7 +616,7 @@ def mp_study(seq, kind, act, p, domain, sampler, depths, constants, scale=1.0) -
                 (n, m, sup_dev, _scan_sup(bounds)[0], pair, not bad, limit_ok, worst)
             )
 
-    ctx = BoundContext(seq, kind, act, p)
+    ctx = BoundContext(seq, kind, act, p, extension)
     for n in (*depths.n_list, ref):
         sizes = norms(n)
         apriori = apriori_bound_at(ctx, n, domain.norm_bound(p)) * scale

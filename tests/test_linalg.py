@@ -3,6 +3,7 @@
 import hashlib
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -146,6 +147,29 @@ class TestVectorNorm:
         assert got[4] == 0.0
         for j in range(5):
             assert got[j] == vector_norm(batch[:, j], TWO)
+
+    @pytest.mark.parametrize("entry", [1e200, 1e-120])
+    def test_p3_past_the_range_of_the_cubes_agrees_with_mpmath(self, entry):
+        """At p = 3 the cube of 1e200 overflows and that of 1e-120
+        underflows to 0.0; the norm of [x, x] is still 2^(1/3) x, without
+        an overflow warning."""
+        with mpmath.workdps(40):
+            want = mpmath.cbrt(2) * mpmath.mpf(entry)
+            assert abs(vector_norm([entry, entry], PNorm(3.0)) - want) <= 1e-15 * want
+
+    def test_p3_rescued_columns_leave_the_others_bits(self):
+        batch = np.random.default_rng(5).normal(size=(6, 5))
+        plain = vector_norm(batch, PNorm(3.0))
+        batch[:, 1] *= 1e200
+        batch[:, 3] *= 1e-120
+        batch[:, 4] = 0.0
+        got = vector_norm(batch, PNorm(3.0))
+        assert got[[0, 2]].tobytes() == plain[[0, 2]].tobytes()
+        assert got[1] == pytest.approx(plain[1] * 1e200, rel=1e-14)
+        assert got[3] == pytest.approx(plain[3] * 1e-120, rel=1e-14)
+        assert got[4] == 0.0
+        for j in range(5):
+            assert got[j] == vector_norm(batch[:, j], PNorm(3.0))
 
 
 FROZEN = np.array([[1.0, -2.0], [3.0, 4.0]])

@@ -150,15 +150,19 @@ class TestRowLimitVerdict:
 
 
 def _oracle_case(label: str) -> tuple:
-    """(seq, kind, act, p, domain) of the corpus instance ``label``."""
+    """(seq, kind, act, p, domain, extension) of the corpus instance
+    ``label``."""
     (inst,) = [i for i in corpus_instances() if i.label == label]
-    return (*inst.build(), inst.activation(), inst.p, inst.domain())
+    return (*inst.build(), inst.activation(), inst.p, inst.domain(), inst.extension)
 
 
 ORACLE_STUDIES = {
-    "scalar-0.4-p1": lambda: (scalar_net(0.4), PLAIN, relu(), ONE, Domain(1, 1.0)),
+    "scalar-0.4-p1": lambda: (
+        scalar_net(0.4), PLAIN, relu(), ONE, Domain(1, 1.0), analysis.ZERO_PAD
+    ),
     "max-pooled-pinf": lambda: _oracle_case("max1-exp_decay-sigmoid-pinf"),
     "cyclic-p1": lambda: _oracle_case("cyc534-exp_decay-relu-p1"),
+    "constant-padded-conv-pinf": lambda: _oracle_case("convc-t2-sigmoid-pinf"),
 }
 
 
@@ -171,15 +175,18 @@ class TestWholeStudyOracle:
     @pytest.mark.parametrize("scale", [1.0, 1 / 16], ids=["as-is", "planted"])
     @pytest.mark.parametrize("case", sorted(ORACLE_STUDIES))
     def test_study_matches_the_oracle(self, case, scale, monkeypatch):
-        seq, kind, act, p, domain = ORACLE_STUDIES[case]()
+        seq, kind, act, p, domain, extension = ORACLE_STUDIES[case]()
         for name in ("deviation_bound_ctx", "limit_bound_ctx"):
             bound = getattr(study, name)
             monkeypatch.setattr(study, name, lambda *a, f=bound: f(*a) * scale)
         table = study._apriori_bounds
         monkeypatch.setattr(study, "_apriori_bounds", lambda *a: [b * scale for b in table(*a)])
-        res = convergence_study(seq, kind, act, p, domain, SMALL_SAMPLER, SMALL_PLAN)
+        res = convergence_study(
+            seq, kind, act, p, domain, SMALL_SAMPLER, SMALL_PLAN, extension=extension
+        )
         want = oracles.mp_study(
-            seq, kind, act, p, domain, SMALL_SAMPLER, SMALL_PLAN, res.constants, scale
+            seq, kind, act, p, domain, SMALL_SAMPLER, SMALL_PLAN, res.constants, scale,
+            extension=extension,
         )
         got = [astuple(r) for r in res.rows] + [astuple(r) for r in res.state_rows]
         expected = want["rows"] + want["state_rows"]
@@ -678,9 +685,10 @@ GUARD_DOC = {
 # states besides the held ones: the sweep's current state and product, the
 # first product, the input batch and the kernels' temporaries
 GUARD_SPARE_STATES = 8
-# a p = 2 batch holds its operand stack, their Gram matrices and one
-# compacted copy of the Gram matrices still iterating
-GUARD_P2_COPIES = 3
+# a p = 2 batch holds its operand stack and one Gram array, each member's
+# slot gathered from the stack by index, plus a Lanczos basis (30 of its 32
+# columns here); no compacted copy of the Gram matrices
+GUARD_P2_COPIES = 2
 
 
 def _traced_peak(exp, mp: pytest.MonkeyPatch) -> tuple:
