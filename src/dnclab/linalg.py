@@ -294,19 +294,17 @@ def _grams(ms: np.ndarray, members: np.ndarray) -> np.ndarray:
     then copied from the upper: the products commute bitwise, so each Gram
     matrix is exactly symmetric either way.  The members are gathered one
     row at a time, never as a stack: besides the result it holds that row,
-    ``(cols, len(members))`` twice, and one product buffer of a block of
-    Gram rows, at most 256 KB or one Gram row of every member, whichever
-    is larger."""
+    ``(cols, len(members))``, and one product buffer of a block of Gram
+    rows, at most 256 KB or one Gram row of every member, whichever is
+    larger."""
     rows, cols = ms.shape[1:]
     k = len(members)
     g = np.zeros((cols, cols, k))
     block = max(1, min(cols, _GRAM_BLOCK_BYTES // (8 * cols * k)))
     prod = np.empty((block, cols, k))
-    gathered = np.empty((k, cols))
     row = np.empty((cols, k))
     for r in range(rows):
-        np.take(ms[:, r], members, axis=0, out=gathered)
-        np.copyto(row, gathered.T)
+        np.take(ms[:, r].T, members, axis=1, out=row)
         for i in range(0, cols, block):
             gb = g[i : i + block, i:]
             pb = prod[: len(gb), : cols - i]
@@ -531,10 +529,8 @@ def _top_eigenvalue_bounds(ms: np.ndarray) -> np.ndarray:
     Frobenius rung leaves the ladder by index: it keeps its slot, the
     rung factors it with the others, and its result is not read.  The
     members that go on to another rung have their Gram matrices built
-    again, gathered by index in the same way; only a Lanczos restart of
-    some but not all of them runs on a copy of their Gram matrices.  So
-    the batch holds the operand stack, one Gram array and, during a
-    Lanczos run, its basis.  The out-of-range refusals are those of
+    again, gathered by index in the same way.  So the batch holds the
+    operand stack, one Gram array and, during a Lanczos run, its basis.  The out-of-range refusals are those of
     :func:`_spectral_norms`."""
     out = np.zeros(len(ms))
     todo = np.flatnonzero(ms.any(axis=(1, 2)))
@@ -614,9 +610,7 @@ def _top_eigenvalue_bounds(ms: np.ndarray) -> np.ndarray:
             again = live[restart]
             start[again] += 1
             v0 = np.stack([_start_vector(t, cols) for t in start[again]], axis=1)
-            alpha, beta, broke[again] = _lanczos(
-                g if restart.all() else g.compress(restart, axis=2), v0
-            )
+            alpha, beta, broke[again] = _lanczos(g.compress(restart, axis=2), v0)
             theta[again] = np.maximum(theta[again], _top_ritz_values(alpha, beta))
     # dividing by the scale is exact unless the result is subnormal, or
     # overflows: a squared norm past the double range is refused

@@ -427,9 +427,10 @@ def _sample_states(seq, kind, act, x, n_max: int, extension) -> list:
 def _operator_gap(seq, kind, p, j: int, k, extension):
     """|W_j| (k None), |W_j - W_k| or |W_j - W*| (k = "limit") in the
     extension: the loop sums of the zero-padded matrices or, under constant
-    padding past layer 1, the mpmath sum of the absolute mask differences
-    (the exact norm of the constant-padded Toeplitz operator)."""
-    if extension != _CONSTANT_PAD or (j == 1 and k is None):
+    padding, the mpmath sum of the absolute mask differences (the exact
+    norm of the constant-padded Toeplitz operator; the bounds read it past
+    layer 1 only)."""
+    if extension != _CONSTANT_PAD:
         b = None if k is None else seq.weight_limit if k == "limit" else seq.layer(k)[0]
         return _loop_norm(seq.layer(j)[0], b, p)
     masks = kind.masks
