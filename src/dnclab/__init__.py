@@ -70,20 +70,13 @@ from .linalg import (
     seq_sum,
     toeplitz_matrix,
     vector_norm,
-    zero_pad_matrix,
 )
 from .network import (
-    PLAIN,
-    Conv,
     LayerSeq,
     MaskSeq,
-    NetworkKind,
-    Plain,
-    Pooled,
     cnn_layer_seq,
     eval_extended_trajectory,
     eval_trajectory,
-    pool_of,
 )
 from .pooling import PoolingOp, average_pooling, max_pooling, no_pooling
 from .report import (

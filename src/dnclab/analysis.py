@@ -29,13 +29,15 @@ inequality the laboratory verifies:
   for the two scalar sequence lemmas behind the convergence proofs.
 
 Every bound takes a :class:`BoundContext`, which caches the x-independent
-data of one network and norm and measures in its extension, the scheme
-that compares networks of different widths.  The context class is the
-extension: :class:`BoundContext` itself pads weights and biases with zeros
-and states with the activation's value at zero (which literal zero
-padding matches exactly whenever act(0) = 0); its subclass
-:class:`ConstantPad` compares constant-padded convolutional sequences in
-l_inf with the exact mask-sum operator norms.
+data of one layer sequence and norm and measures in its extension, the
+scheme that compares networks of different widths.  The sequence states
+the recursion it runs: its pooling gives the factor P, and a convolution's
+masks give the mask conditions and the constant-padded operators.  The
+context class is the extension: :class:`BoundContext` itself pads weights
+and biases with zeros and states with the activation's value at zero
+(which literal zero padding matches exactly whenever act(0) = 0); its
+subclass :class:`ConstantPad` compares constant-padded convolutional
+sequences in l_inf with the exact mask-sum operator norms.
 """
 
 from __future__ import annotations
@@ -57,14 +59,7 @@ from .linalg import (
     stacked_norms,
     vector_norm,
 )
-from .network import (
-    Conv,
-    LayerSeq,
-    NetworkKind,
-    eval_extended_trajectory,
-    eval_trajectory,
-    pool_of,
-)
+from .network import LayerSeq, eval_extended_trajectory, eval_trajectory
 
 __all__ = [
     "Domain",
@@ -220,9 +215,9 @@ def check_condition(ctx: BoundContext) -> ConditionVerdict:
     (:meth:`BoundContext.finite_weight_norms`).
     """
     lp = ctx.L * ctx.P
-    if isinstance(ctx.kind, Conv):
-        lim = ctx.kind.masks.limit
-        limit_norm = None if lim is None else seq_sum(np.abs(lim))
+    masks = ctx.seq.masks
+    if masks is not None:
+        limit_norm = None if masks.limit is None else seq_sum(np.abs(masks.limit))
     else:
         limit_norm = ctx.weight_limit_norm
     if limit_norm is not None:
@@ -353,11 +348,12 @@ class BoundContext:
     """Caches the x-independent norm and difference data the bounds consume,
     and measures in the network's extension.
 
-    One instance per (layer sequence, kind, activation, p, extension); the
-    caches matter because the study grid revisits the same weight-difference
-    norms for every (n, m) pair and sample.  ``BoundContext(seq, kind, act,
-    p, extension)`` returns the class of the extension (:meth:`scheme`):
-    this class for ``zero_pad``, :class:`ConstantPad` for ``constant_pad``.
+    One instance per (layer sequence, activation, p, extension); the caches
+    matter because the study grid revisits the same weight-difference norms
+    for every (n, m) pair and sample.  ``BoundContext(seq, act, p,
+    extension)`` returns the class of the extension (:meth:`scheme`): this
+    class for ``zero_pad``, :class:`ConstantPad` for ``constant_pad``.  The
+    sequence says which recursion it runs (its ``pooling`` and ``masks``).
 
     Under zero padding states are finite in l_p: weights, biases and
     pre-activations are padded with zeros, states with act(0).  Every
@@ -369,29 +365,23 @@ class BoundContext:
     of samples (one per column) and return one value per sample.
     """
 
-    def __new__(cls, seq, kind, act, p, extension: str = ZERO_PAD):
-        chosen = BoundContext.scheme(extension, kind, p)
+    def __new__(cls, seq, act, p, extension: str = ZERO_PAD):
+        chosen = BoundContext.scheme(extension, seq, p)
         if not issubclass(chosen, cls):
             raise ValueError(f"the {extension!r} extension is not a {cls.__name__}")
         return super().__new__(chosen)
 
     def __init__(
-        self,
-        seq: LayerSeq,
-        kind: NetworkKind,
-        act: Activation,
-        p: PNorm,
-        extension: str = ZERO_PAD,
+        self, seq: LayerSeq, act: Activation, p: PNorm, extension: str = ZERO_PAD
     ):
         self.seq = seq
-        self.kind = kind
         self.act = act
         self.p = p
         self.L = act.lipschitz
-        self.P = pool_of(kind).lipschitz(p)
+        self.P = seq.pooling.lipschitz(p)
         # a vanishing conv mask has the zero operator as its limit, so there
         # |W_k - W*| is |W_k| and the two keys share one entry
-        self._zero_limit = isinstance(kind, Conv) and self.weight_limit_norm == 0.0
+        self._zero_limit = seq.masks is not None and self.weight_limit_norm == 0.0
         self._norms: dict[tuple, float] = {}
 
         # the caches below close over the layer data, not over the context,
@@ -409,18 +399,18 @@ class BoundContext:
         self._bias_norm = functools.cache(lambda n: vector_norm(seq.bias(n), p))
         # |(act o pool)(0)| by pre-pooling dimension, the only input it has
         self._zero_image = functools.cache(
-            lambda dim: vector_norm(act.apply(pool_of(kind).pool(np.zeros(dim))), p)
+            lambda dim: vector_norm(act.apply(seq.pooling.pool(np.zeros(dim))), p)
         )
 
     @staticmethod
-    def scheme(extension: str, kind: NetworkKind, p: PNorm) -> type:
+    def scheme(extension: str, seq: LayerSeq, p: PNorm) -> type:
         """The context class of the ``extension`` scheme, after checking
         that the scheme applies to the network and the norm."""
         if extension == ZERO_PAD:
             return BoundContext
         if extension != CONSTANT_PAD:
             raise ValueError(f"unknown extension scheme {extension!r}")
-        if not isinstance(kind, Conv):
+        if seq.masks is None:
             raise ValueError("constant padding applies to convolutional networks")
         if not p.is_inf:
             raise ValueError("constant-padded comparisons use the l_inf sequence metric")
@@ -431,8 +421,8 @@ class BoundContext:
     @functools.cached_property
     def weight_limit_norm(self) -> float | None:
         """|W*|, or None when the extension has no declared limit operator."""
-        if isinstance(self.kind, Conv):
-            lim = self.kind.masks.limit
+        if self.seq.masks is not None:
+            lim = self.seq.masks.limit
             # only a vanishing mask has a zero-padded limit operator
             return None if lim is None or lim.any() else 0.0
         lim = self.seq.weight_limit
@@ -446,7 +436,7 @@ class BoundContext:
         """Why the state norms admit no certified sup, or None: padded
         coordinates carry act(0), so on the unbounded widths of a convolution
         their finite-p norm grows without limit."""
-        if isinstance(self.kind, Conv) and self.act.value_at_zero and not self.p.is_inf:
+        if self.seq.masks is not None and self.act.value_at_zero and not self.p.is_inf:
             return (
                 "act(0) != 0 on unbounded widths admits no finite-p tail cap; "
                 "use p = inf"
@@ -487,10 +477,10 @@ class BoundContext:
     def zero_image_norm(self, n: int) -> float:
         """|(act o pool)(0)| at layer n — the additive constant of the
         a-priori recursion."""
-        return self._zero_image(self.seq.width(n) + self.seq.extra_rows)
+        return self._zero_image(self.seq.width(n) + self.seq.pooling.mu)
 
     def states(self, x, depth: int, select) -> list:
-        return eval_trajectory(self.seq, self.kind, self.act, x, depth, select)
+        return eval_trajectory(self.seq, self.act, x, depth, select)
 
     def keep(self, value):
         """A product or state of the sweep held past its step: a copy, as
@@ -571,7 +561,7 @@ class ConstantPad(BoundContext):
 
     @functools.cached_property
     def weight_limit_norm(self) -> float | None:
-        lim = self.kind.masks.limit
+        lim = self.seq.masks.limit
         return None if lim is None else seq_sum(np.abs(lim))
 
     def norms(self, keys) -> list[float]:
@@ -582,10 +572,10 @@ class ConstantPad(BoundContext):
         if tag == "W":
             if a == 1:  # layer 1 keeps its zero-padded matrix
                 return super().norms([(tag, a)])[0]
-            return self.kind.masks.abs_sum(a)
+            return self.seq.masks.abs_sum(a)
         if tag == "dW":
             return seq_sum(np.abs(self._mask(a) - self._mask(b)))
-        lim = self.kind.masks.limit
+        lim = self.seq.masks.limit
         if lim is None:
             raise ValueError("no declared mask limit")
         return seq_sum(np.abs(self._mask(a) - lim))
@@ -595,7 +585,7 @@ class ConstantPad(BoundContext):
             raise ValueError(
                 "constant-padded weight differences are defined for layers >= 2"
             )
-        return self.kind.masks.mask(n)
+        return self.seq.masks.mask(n)
 
     def finite_weight_norms(self, lo: int, hi: int) -> list[float]:
         """The cache holds the mask sums from layer 2 on, so those layers'
@@ -609,7 +599,7 @@ class ConstantPad(BoundContext):
         return abs(self.act.value_at_zero)
 
     def states(self, x, depth: int, select) -> list:
-        return eval_extended_trajectory(self.seq, self.kind, self.act, x, depth, select)
+        return eval_extended_trajectory(self.seq, self.act, x, depth, select)
 
     def restart_gap(self, product, first) -> float:
         return self.distance(product, first)
@@ -910,11 +900,8 @@ def network_verdicts(ctx: BoundContext, x_bound: float) -> tuple:
     convolution; the constants and their note are those of
     :func:`derive_limit_constants` at ``x_bound``."""
     condition = check_condition(ctx)
-    mask_conditions = (
-        check_mask_conditions(ctx.kind.masks, ctx.act)
-        if isinstance(ctx.kind, Conv)
-        else None
-    )
+    masks = ctx.seq.masks
+    mask_conditions = None if masks is None else check_mask_conditions(masks, ctx.act)
     constants, note = derive_limit_constants(ctx, x_bound)
     return condition, mask_conditions, constants, note
 

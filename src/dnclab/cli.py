@@ -70,7 +70,6 @@ def _refusal_exits_1(command):
 def _study(exp: Experiment):
     return convergence_study(
         exp.seq,
-        exp.kind,
         exp.act,
         exp.p,
         exp.domain,
@@ -170,7 +169,7 @@ def run(ctx, config_path, out_dir, threads, require_pass):
 def check(ctx, config_path, out_dir, require_pass):
     """Evaluate the convergence conditions without drawing samples."""
     exp = load_config(config_path)
-    bctx = BoundContext(exp.seq, exp.kind, exp.act, exp.p, exp.extension)
+    bctx = BoundContext(exp.seq, exp.act, exp.p, exp.extension)
     condition, mask_verdicts, constants, note = network_verdicts(
         bctx, exp.domain.norm_bound(exp.p)
     )
@@ -217,7 +216,7 @@ def bounds(ctx, config_path, out_dir):
     bound when certified constants exist (empty otherwise).
     """
     exp = load_config(config_path)
-    bctx = BoundContext(exp.seq, exp.kind, exp.act, exp.p, exp.extension)
+    bctx = BoundContext(exp.seq, exp.act, exp.p, exp.extension)
     xb = exp.domain.norm_bound(exp.p)
     constants, note = derive_limit_constants(bctx, xb)
     depths = sorted({*exp.depths.n_list, exp.depths.reference})
@@ -301,10 +300,8 @@ def selftest(ctx, threads, samples):
     cases += [(inst, False) for inst in control_instances()]
     failures: list[str] = []
     for inst, converges in cases:
-        seq, kind = inst.build()
         result = convergence_study(
-            seq,
-            kind,
+            inst.build(),
             inst.activation(),
             inst.p,
             inst.domain(),

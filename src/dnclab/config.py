@@ -39,7 +39,7 @@ from .activations import Activation, make_activation
 from .analysis import CONSTANT_PAD, ZERO_PAD, BoundContext, Domain, SamplerSpec
 from .generators import GenSpec, MaskSpec, build
 from .linalg import INF, ONE, TWO, PNorm
-from .network import LayerSeq, NetworkKind
+from .network import LayerSeq
 from .pooling import PoolingOp, no_pooling
 from .study import DepthPlan
 
@@ -58,7 +58,6 @@ class Experiment:
 
     label: str
     seq: LayerSeq
-    kind: NetworkKind
     act: Activation
     p: PNorm
     extension: str
@@ -349,9 +348,9 @@ def parse_config(doc: dict) -> Experiment:
         if not name:
             raise ConfigError(f"output.{key} must name a file, got an empty string")
 
-    seq, kind = build(gen_spec)
+    seq = build(gen_spec)
     try:
-        BoundContext.scheme(extension, kind, p)
+        BoundContext.scheme(extension, seq, p)
     except ValueError as exc:
         raise ConfigError(f"comparison.extension: {exc}") from exc
 
@@ -366,7 +365,6 @@ def parse_config(doc: dict) -> Experiment:
     return Experiment(
         label=_string(doc.get("label", gen_spec.family), "label"),
         seq=seq,
-        kind=kind,
         act=act,
         p=p,
         extension=extension,

@@ -36,6 +36,7 @@ from .activations import Activation, make_activation
 from .analysis import CONSTANT_PAD, ZERO_PAD, Domain
 from .generators import GenSpec, MaskSpec, build
 from .linalg import INF, ONE, TWO, PNorm
+from .network import LayerSeq
 from .pooling import PoolingOp, average_pooling, max_pooling, no_pooling
 
 __all__ = ["Instance", "corpus_instances", "control_instances"]
@@ -67,8 +68,8 @@ class Instance:
     def domain(self) -> Domain:
         return Domain(self.gen.input_dim, 1.0)
 
-    def build(self) -> tuple:
-        """(layer sequence, network kind) ready for evaluation."""
+    def build(self) -> LayerSeq:
+        """The layer sequence, ready for evaluation."""
         return build(self.gen)
 
     @property

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import ONE, PNorm, induced_norm, vector_norm
-from .network import PLAIN, Conv, LayerSeq, MaskSeq, NetworkKind, Pooled, cnn_layer_seq
+from .network import LayerSeq, MaskSeq, cnn_layer_seq
 from .pooling import PoolingOp, no_pooling
 
 __all__ = [
@@ -291,7 +291,7 @@ def _embed(block: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return out
 
 
-def _build_matrix_family(spec: GenSpec) -> tuple[LayerSeq, NetworkKind]:
+def _build_matrix_family(spec: GenSpec) -> LayerSeq:
     cycle = spec.widths  # normalised to a tuple
     period = len(cycle)
     min_w, max_w = min(cycle), max(cycle)
@@ -364,16 +364,15 @@ def _build_matrix_family(spec: GenSpec) -> tuple[LayerSeq, NetworkKind]:
             b = b + bias_decay(n) * d
         return b
 
-    seq = LayerSeq(
+    return LayerSeq(
         s,
         width,
         weight,
         bias,
-        extra_rows=mu,
+        pooling=spec.pooling,
         weight_limit=_embed(core, max_w + mu, max_w),
         bias_limit=bias_core,
     )
-    return seq, Pooled(spec.pooling) if mu else PLAIN
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +380,7 @@ def _build_matrix_family(spec: GenSpec) -> tuple[LayerSeq, NetworkKind]:
 # ---------------------------------------------------------------------------
 
 
-def _build_conv_family(spec: GenSpec) -> tuple[LayerSeq, NetworkKind]:
+def _build_conv_family(spec: GenSpec) -> LayerSeq:
     masks = build_masks(spec.mask)
     s = spec.input_dim
     seed = spec.seed
@@ -400,13 +399,13 @@ def _build_conv_family(spec: GenSpec) -> tuple[LayerSeq, NetworkKind]:
         b[j] += spec.bias_scale * bias_rate**n
         return b
 
-    return cnn_layer_seq(masks, bias, s, bias_limit=bias_core), Conv(masks)
+    return cnn_layer_seq(masks, bias, s, bias_limit=bias_core)
 
 
-def build(spec: GenSpec) -> tuple[LayerSeq, NetworkKind]:
-    """Materialize a spec into a lazily generated layer sequence and the
-    recursion it runs: ``Conv`` for a convolution, ``Pooled`` for average
-    or max pooling, ``PLAIN`` otherwise."""
+def build(spec: GenSpec) -> LayerSeq:
+    """Materialize a spec into a lazily generated layer sequence, which
+    carries the recursion it runs: the spec's ``pooling``, or the
+    ``masks`` of a convolution."""
     if spec.family == "conv":
         return _build_conv_family(spec)
     return _build_matrix_family(spec)

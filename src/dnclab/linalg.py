@@ -24,12 +24,10 @@ rests on the primitives here, so two properties are enforced globally:
   far from 1 is first scaled by a power of two, so an operand is refused
   only when its Gram matrix or its squared norm leaves the double range.
 
-The module also provides what compares operators and states of different
-widths: :func:`zero_pad_matrix` embeds a matrix in a larger zero matrix,
-which leaves its induced norms alone, and :class:`EventuallyConstSeq` holds
-the states of constant-padded convolutions.  (A state padded with a fill
-value is never built: ``analysis.state_deviation`` writes the padded
-difference of two states straight away.)  A convolution is given by its
+Constant-padded convolutions keep their states as
+:class:`EventuallyConstSeq`.  (A zero-padded operator or a state padded
+with a fill value is never built: ``analysis`` writes the padded
+difference of two of them straight away.)  A convolution is given by its
 mask alone: :func:`toeplitz_matrix` cuts a finite window out of the banded
 Toeplitz matrix of a mask (the finite convolution matrix is one such
 window), and :func:`apply_banded` applies the mask's constant-padded
@@ -57,7 +55,6 @@ __all__ = [
     "vector_norm",
     "induced_norm",
     "stacked_norms",
-    "zero_pad_matrix",
     "EventuallyConstSeq",
     "toeplitz_matrix",
     "apply_banded",
@@ -471,8 +468,8 @@ def _cholesky_rung(
     and, per member, the trace and the largest diagonal entry of the
     matrix actually factored (the rounded ``shift - G[i, i]``), taken
     before the factorisation.  Only the lower triangle is updated; blocks
-    of rows bound the product buffer to 256 KB, or one row of every
-    member."""
+    of at most n rows bound the product buffer to 256 KB, or one row of
+    every member."""
     n, _, k = g.shape
     diag = np.arange(n)
     np.negative(g, out=g)
@@ -480,7 +477,7 @@ def _cholesky_rung(
     shifted = np.abs(g[diag, diag])
     trace = _seq_sums(shifted, 0)
     ok = np.ones(k, dtype=bool)
-    block = max(1, _GRAM_BLOCK_BYTES // (8 * n * k))
+    block = max(1, min(n, _GRAM_BLOCK_BYTES // (8 * n * k)))
     prod = np.empty((block, n, k))
     for j in range(n):
         pivot = g[j, j]
@@ -700,31 +697,6 @@ def stacked_norms(shapes, write, p: PNorm) -> list[float]:
             write(i, slot)
         for i, v in zip(idx, induced_norm(stack, p).tolist()):
             out[i] = v
-    return out
-
-
-# ---------------------------------------------------------------------------
-# zero padding
-# ---------------------------------------------------------------------------
-
-
-def zero_pad_matrix(w, size: int, *, keep_cols: bool = False) -> np.ndarray:
-    """Embed ``w`` in the top-left corner of a larger zero matrix.
-
-    By default the result is ``size`` x ``size`` (the fixed-width embedding
-    of a layer matrix).  With ``keep_cols=True`` only rows are padded — the
-    first-layer form, where the input dimension is left alone.  Padding
-    never changes induced p-norms; the test suite checks this directly.
-    """
-    m = as_matrix(w, name="zero_pad_matrix operand")
-    rows, cols = m.shape
-    if size < rows or (not keep_cols and size < cols):
-        raise ValueError(
-            f"zero_pad_matrix: target size {size} smaller than source {rows}x{cols}"
-        )
-    out = np.zeros((size, cols if keep_cols else size), dtype=np.float64)
-    out[:rows, :cols] = m
-    out.flags.writeable = False
     return out
 
 

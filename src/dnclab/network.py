@@ -4,17 +4,18 @@ The hidden-state recursion is
 
     N_1(x) = act(pre_1(x)),      N_{n+1}(x) = act(pre_{n+1}(N_n(x))),
 
-where the pre-activation map is ``W_n v + b_n`` for plain and convolutional
-networks and ``pool(W_n v) + b_n`` when a pooling operator is attached.  No
-output layer is modelled: every statement in this package concerns the
-hidden-state sequence itself.
+where the pre-activation map is ``pool(W_n v) + b_n``.  A
+:class:`LayerSeq` states which recursion it runs: its ``pooling`` (identity
+pooling, the default, is none, and the map is ``W_n v + b_n``) and, for a
+convolution, its ``masks``.  No output layer is modelled: every statement
+in this package concerns the hidden-state sequence itself.
 
 Widths may vary: ``width(n)`` is the state dimension after layer n
-(``width(0)`` is the input dimension), and a pooling recursion consumes
-``extra_rows = mu`` additional rows in each weight, i.e. W_n is
-``(width(n) + extra_rows) x width(n-1)``.  Convolutional sequences have
+(``width(0)`` is the input dimension), and pooling with window parameter
+mu consumes mu additional rows in each weight, i.e. W_n is
+``(width(n) + mu) x width(n-1)``.  Convolutional sequences have
 ``width(n) = width(0) + n * tau`` because each full banded convolution
-lengthens the state by tau.
+lengthens the state by tau; they take no pooling rows.
 
 Every evaluation takes one input vector ``x`` of shape ``(dim,)`` or a
 batch of S inputs as the columns of a ``(dim, S)`` array, and walks the
@@ -74,12 +75,6 @@ from .pooling import PoolingOp, no_pooling
 __all__ = [
     "MaskSeq",
     "LayerSeq",
-    "Plain",
-    "Pooled",
-    "Conv",
-    "NetworkKind",
-    "PLAIN",
-    "pool_of",
     "eval_trajectory",
     "eval_extended_trajectory",
     "cnn_layer_seq",
@@ -133,33 +128,6 @@ class MaskSeq:
         return seq_sum(np.abs(self.mask(n)))
 
 
-@dataclass(frozen=True)
-class Plain:
-    """Fully connected recursion: state -> act(W state + b)."""
-
-
-@dataclass(frozen=True)
-class Pooled:
-    """Pooling recursion: state -> act(pool(W state) + b)."""
-
-    op: PoolingOp
-
-
-@dataclass(frozen=True)
-class Conv:
-    """Banded-Toeplitz (convolutional) recursion with growing widths."""
-
-    masks: MaskSeq
-
-
-NetworkKind = Plain | Pooled | Conv
-PLAIN = Plain()
-
-
-def pool_of(kind: NetworkKind) -> PoolingOp:
-    return kind.op if isinstance(kind, Pooled) else no_pooling()
-
-
 class LayerSeq:
     """Lazily generated, cached sequence of layer parameters (W_n, b_n).
 
@@ -170,6 +138,11 @@ class LayerSeq:
     width schedule (a mismatch raises a ValueError naming the offending
     layer), frozen, and cached — so evaluations at any depths see
     bitwise-identical parameters.  :meth:`layer` returns the pair.
+
+    ``pooling`` is the recursion's :class:`PoolingOp`: each weight carries
+    its ``mu`` extra rows.  ``masks`` is the :class:`MaskSeq` of a
+    convolution (:func:`cnn_layer_seq`), None for any other sequence; a
+    convolution takes no pooling rows.
 
     ``weight_limit`` / ``bias_limit`` optionally declare limits W*, b* that
     the layers converge to (for growing-width sequences the bias limit is a
@@ -185,18 +158,19 @@ class LayerSeq:
         weight_fn: Callable[[int], object],
         bias_fn: Callable[[int], object],
         *,
-        extra_rows: int = 0,
+        pooling: PoolingOp = no_pooling(),
+        masks: MaskSeq | None = None,
         weight_limit=None,
         bias_limit=None,
     ):
         input_dim = int(input_dim)
         if input_dim < 1:
             raise ValueError(f"input dimension must be >= 1, got {input_dim}")
-        extra_rows = int(extra_rows)
-        if extra_rows < 0:
-            raise ValueError(f"extra_rows must be >= 0, got {extra_rows}")
+        if masks is not None and pooling.mu:
+            raise ValueError("a convolution takes no pooling rows")
         self.input_dim = input_dim
-        self.extra_rows = extra_rows
+        self.pooling = pooling
+        self.masks = masks
         self._width_fn = width_fn
         self._weight_fn = weight_fn
         self._bias_fn = bias_fn
@@ -230,7 +204,7 @@ class LayerSeq:
         w = self._weights.get(n)
         if w is None:
             w = as_matrix(self._weight_fn(n), name=f"layer {n} weight")
-            expected = (self.width(n) + self.extra_rows, self.width(n - 1))
+            expected = (self.width(n) + self.pooling.mu, self.width(n - 1))
             if w.shape != expected:
                 raise ValueError(
                     f"layer {n}: weight shape {w.shape} does not chain, "
@@ -259,7 +233,7 @@ def _column(b: np.ndarray, z: np.ndarray) -> np.ndarray:
     return b if z.ndim == 1 else b[:, None]
 
 
-def _input(seq: LayerSeq, kind: NetworkKind, x, n_max: int) -> np.ndarray:
+def _input(seq: LayerSeq, x, n_max: int) -> np.ndarray:
     """The validated input, one vector or a batch of columns, of a
     recursion run to depth n_max."""
     if n_max < 1:
@@ -269,23 +243,11 @@ def _input(seq: LayerSeq, kind: NetworkKind, x, n_max: int) -> np.ndarray:
         raise ValueError(
             f"input has dimension {v.shape[0]}, network expects {seq.width(0)}"
         )
-    if isinstance(kind, Pooled) and kind.op.mu != seq.extra_rows:
-        raise ValueError(
-            f"pooling window mu={kind.op.mu} does not match the layer shapes "
-            f"(extra_rows={seq.extra_rows})"
-        )
-    if not isinstance(kind, Pooled) and seq.extra_rows != 0:
-        raise ValueError("layer shapes reserve pooling rows but no pooling is attached")
     return v
 
 
 def _sweep(
-    seq: LayerSeq,
-    kind: NetworkKind,
-    act: Activation,
-    x,
-    n_max: int,
-    padded: bool,
+    seq: LayerSeq, act: Activation, x, n_max: int, padded: bool
 ) -> Iterator[tuple]:
     """Walk the recursion once, yielding ``(W_j N_{j-1}(x), N_j(x))`` for
     j = 1..n_max, with N_0(x) = x: the layer's product before pooling and
@@ -299,18 +261,18 @@ def _sweep(
     workspaces allocated once, at the final head length: layer j fills the
     top width(j) rows, and its product and state are views of them.
     """
-    if padded and not isinstance(kind, Conv):
+    if padded and seq.masks is None:
         raise ValueError("constant padding is defined for convolutional networks only")
-    v = _input(seq, kind, x, n_max)
+    v = _input(seq, x, n_max)
     if padded:
         # the padded input, the product, the shifted products (then the
         # activation's scratch) and the state
-        rows = seq.width(1) + (n_max - 1) * kind.masks.tau
+        rows = seq.width(1) + (n_max - 1) * seq.masks.tau
         work = np.empty((4, rows, *v.shape[1:]))
         banded, state = work[:3], work[3]
     for j in range(1, n_max + 1):
         if j > 1 and padded:
-            prod = apply_banded(kind.masks.mask(j), v, out=banded)
+            prod = apply_banded(seq.masks.mask(j), v, out=banded)
             if prod.head_len != seq.width(j):
                 raise ValueError(
                     f"layer {j}: extended head length {prod.head_len} does not "
@@ -323,7 +285,7 @@ def _sweep(
         else:
             w, b = seq.layer(j)
             prod = matvec(w, v)
-            z = kind.op.pool(prod) if isinstance(kind, Pooled) else prod
+            z = seq.pooling.pool(prod) if seq.pooling.mu else prod
             v = z + _column(b, z)
             act.apply(v, out=v)
             if padded:
@@ -339,7 +301,7 @@ def _listed(steps: Iterator[tuple], select) -> list:
 
 
 def eval_trajectory(
-    seq: LayerSeq, kind: NetworkKind, act: Activation, x, n_max: int, select=None
+    seq: LayerSeq, act: Activation, x, n_max: int, select=None
 ) -> list:
     """[N_1(x), ..., N_{n_max}(x)] computed in one sweep; for a ``(dim, S)``
     batch each state is ``(width, S)``, one column per sample.
@@ -350,11 +312,11 @@ def eval_trajectory(
     value holds them.  Both are valid only until the sweep's next step, so
     a ``select`` that keeps one returns a copy.
     """
-    return _listed(_sweep(seq, kind, act, x, n_max, False), select)
+    return _listed(_sweep(seq, act, x, n_max, False), select)
 
 
 def eval_extended_trajectory(
-    seq: LayerSeq, kind: NetworkKind, act: Activation, x, n_max: int, select=None
+    seq: LayerSeq, act: Activation, x, n_max: int, select=None
 ) -> list:
     """Constant-padded states at depths 1..n_max of a convolutional network
     (sequence batches with one column per sample for a batched ``x``);
@@ -362,7 +324,7 @@ def eval_extended_trajectory(
     states.  The sweep reuses its workspaces from layer to layer, so
     without ``select`` each listed state is a copy; with it, what the
     caller keeps it copies."""
-    return _listed(_sweep(seq, kind, act, x, n_max, True), select)
+    return _listed(_sweep(seq, act, x, n_max, True), select)
 
 
 def cnn_layer_seq(
@@ -372,9 +334,10 @@ def cnn_layer_seq(
     *,
     bias_limit=None,
 ) -> LayerSeq:
-    """LayerSeq whose n-th weight is the finite banded Toeplitz matrix of
-    mask(n), ``toeplitz_matrix(mask(n), width(n), width(n - 1))``; widths
-    grow arithmetically, width(n) = input_dim + n * tau."""
+    """LayerSeq of the convolution by ``masks`` (its ``masks``), whose n-th
+    weight is the finite banded Toeplitz matrix of mask(n),
+    ``toeplitz_matrix(mask(n), width(n), width(n - 1))``; widths grow
+    arithmetically, width(n) = input_dim + n * tau."""
     tau = masks.tau
 
     def width(n: int) -> int:
@@ -383,4 +346,6 @@ def cnn_layer_seq(
     def weight(n: int) -> np.ndarray:
         return toeplitz_matrix(masks.mask(n), width(n), width(n - 1))
 
-    return LayerSeq(input_dim, width, weight, bias_source, bias_limit=bias_limit)
+    return LayerSeq(
+        input_dim, width, weight, bias_source, masks=masks, bias_limit=bias_limit
+    )

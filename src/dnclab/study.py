@@ -48,7 +48,7 @@ from .analysis import (
     network_verdicts,
 )
 from .linalg import PNorm
-from .network import LayerSeq, NetworkKind
+from .network import LayerSeq
 
 __all__ = [
     "DepthPlan",
@@ -246,7 +246,6 @@ def _trajectory_reads(depths: DepthPlan) -> dict:
 
 def convergence_study(
     seq: LayerSeq,
-    kind: NetworkKind,
     act: Activation,
     p: PNorm,
     domain: Domain,
@@ -267,7 +266,7 @@ def convergence_study(
         raise ValueError(
             f"domain dimension {domain.dim} != network input dimension {seq.input_dim}"
         )
-    ctx = BoundContext(seq, kind, act, p, extension)
+    ctx = BoundContext(seq, act, p, extension)
     samples = domain.samples(sampler)
     ref = depths.reference
 

@@ -64,6 +64,20 @@ def abs_row_sum_norm(a) -> float:
     return best
 
 
+def zero_pad_matrix(w, size: int, *, keep_cols: bool = False) -> np.ndarray:
+    """Embed ``w`` in the top-left corner of a larger zero matrix: ``size``
+    x ``size`` by default (the fixed-width embedding of a layer matrix), or
+    with ``keep_cols=True`` only rows padded (the first-layer form, where
+    the input dimension is left alone)."""
+    m = np.asarray(w, dtype=np.float64)
+    rows, cols = m.shape
+    if size < rows or (not keep_cols and size < cols):
+        raise ValueError(f"target size {size} smaller than source {rows}x{cols}")
+    out = np.zeros((size, cols if keep_cols else size))
+    out[:rows, :cols] = m
+    return out
+
+
 def conv_full(mask, x) -> np.ndarray:
     """Full discrete convolution by literal double loop (len(x)+tau outputs)."""
     mask = np.asarray(mask, dtype=np.float64)
@@ -240,29 +254,27 @@ def pool_vector(op, v) -> np.ndarray:
     return np.array(out, dtype=np.float64)
 
 
-def per_sample_trajectory(seq, kind, act, x, n_max: int) -> list:
-    """States N_1(x) .. N_{n_max}(x) of one sample, one row sum at a time."""
-    pool = getattr(kind, "op", None)
+def per_sample_trajectory(seq, act, x, n_max: int) -> list:
+    """States N_1(x) .. N_{n_max}(x) of one sample, one row sum at a time,
+    each product through the sequence's pooling."""
     v = np.asarray(x, dtype=np.float64)
     out = []
     for j in range(1, n_max + 1):
         w, b = seq.layer(j)
-        z = rowwise_matvec(w, v)
-        if pool is not None:
-            z = pool_vector(pool, z)
-        v = act.apply(z + b)
+        v = act.apply(pool_vector(seq.pooling, rowwise_matvec(w, v)) + b)
         out.append(v)
     return out
 
 
-def per_sample_constant_pad(seq, masks, act, x, n_max: int) -> list:
+def per_sample_constant_pad(seq, act, x, n_max: int) -> list:
     """(head, tail) states of one sample under constant padding: layer 1 is
-    the zero-padded matrix, later layers the per-element banded operator."""
+    the zero-padded matrix, later layers the per-element banded operator of
+    the sequence's masks."""
     w, b = seq.layer(1)
     state = (act.apply(rowwise_matvec(w, x) + b), act.value_at_zero)
     out = [state]
     for j in range(2, n_max + 1):
-        head, tail = elementwise_apply_banded(masks.mask(j), *state)
+        head, tail = elementwise_apply_banded(seq.masks.mask(j), *state)
         state = (act.apply(head + seq.layer(j)[1]), float(act.apply(tail)))
         out.append(state)
     return out
@@ -288,7 +300,7 @@ class KeptTrajectory:
         self.ctx, self.x = ctx, np.asarray(x, dtype=np.float64)
         self.padded = isinstance(ctx, ConstantPad)
         sweep = eval_extended_trajectory if self.padded else eval_trajectory
-        self.states = sweep(ctx.seq, ctx.kind, ctx.act, x, depth)
+        self.states = sweep(ctx.seq, ctx.act, x, depth)
 
     def state_norm(self, n: int):
         return self.ctx.state_norm(self.states[n - 1])
@@ -302,7 +314,7 @@ class KeptTrajectory:
         seq, state = self.ctx.seq, self.states[m - 1]
         first = matvec(seq.layer(1)[0], self.x)
         if self.padded:
-            product = apply_banded(self.ctx.kind.masks.mask(m + 1), state)
+            product = apply_banded(seq.masks.mask(m + 1), state)
             first = EventuallyConstSeq(first, 0.0)
         else:
             product = matvec(seq.layer(m + 1)[0], state)
@@ -322,17 +334,17 @@ def empirical_lipschitz(act) -> float:
     return float(np.max(np.abs(np.diff(y)) / np.diff(grid)))
 
 
-def network_lipschitz_bound(seq, act, pool, n: int, p) -> float:
+def network_lipschitz_bound(seq, act, n: int, p) -> float:
     """(L*P)^n * prod_{j<=n} |W_j|_p — a Lipschitz constant for x -> N_n(x).
 
-    Each layer is the composition of a W-multiplication (factor |W_j|), an
-    optional pooling (factor P), and the activation (factor L); the product
+    Each layer is the composition of a W-multiplication (factor |W_j|), the
+    sequence's pooling (factor P), and the activation (factor L); the product
     telescopes through the recursion.  The norms are taken one matrix at a
     time, in layer order.
     """
     from dnclab.linalg import induced_norm
 
-    factor = act.lipschitz * pool.lipschitz(p)
+    factor = act.lipschitz * seq.pooling.lipschitz(p)
     acc = 1.0
     for j in range(1, n + 1):
         acc *= factor * induced_norm(seq.layer(j)[0], p)
@@ -417,14 +429,14 @@ def _state_gap(u, v, p, extension) -> mpmath.mpf:
     return _mp_diff_norm(u, () if v is None else v, p)
 
 
-def _sample_states(seq, kind, act, x, n_max: int, extension) -> list:
+def _sample_states(seq, act, x, n_max: int, extension) -> list:
     """States N_1(x) .. N_{n_max}(x) of one sample in the extension."""
     if extension == _CONSTANT_PAD:
-        return per_sample_constant_pad(seq, kind.masks, act, x, n_max)
-    return per_sample_trajectory(seq, kind, act, x, n_max)
+        return per_sample_constant_pad(seq, act, x, n_max)
+    return per_sample_trajectory(seq, act, x, n_max)
 
 
-def _operator_gap(seq, kind, p, j: int, k, extension):
+def _operator_gap(seq, p, j: int, k, extension):
     """|W_j| (k None), |W_j - W_k| or |W_j - W*| (k = "limit") in the
     extension: the loop sums of the zero-padded matrices or, under constant
     padding, the mpmath sum of the absolute mask differences (the exact
@@ -433,7 +445,7 @@ def _operator_gap(seq, kind, p, j: int, k, extension):
     if extension != _CONSTANT_PAD:
         b = None if k is None else seq.weight_limit if k == "limit" else seq.layer(k)[0]
         return _loop_norm(seq.layer(j)[0], b, p)
-    masks = kind.masks
+    masks = seq.masks
     a = masks.mask(j)
     b = np.zeros_like(a) if k is None else masks.limit if k == "limit" else masks.mask(k)
     return mpmath.fsum(
@@ -441,28 +453,28 @@ def _operator_gap(seq, kind, p, j: int, k, extension):
     )
 
 
-def _restart_gap(seq, kind, p, x, state, m: int, extension) -> mpmath.mpf:
+def _restart_gap(seq, p, x, state, m: int, extension) -> mpmath.mpf:
     """|W_{m+1} N_m(x) - W_1 x| of one sample: zero-padded products, or
     under constant padding the banded product of ``state`` against W_1 x
     continued by 0.0."""
     first = rowwise_matvec(seq.layer(1)[0], x)
     if extension == _CONSTANT_PAD:
-        product = elementwise_apply_banded(kind.masks.mask(m + 1), *state)
+        product = elementwise_apply_banded(seq.masks.mask(m + 1), *state)
         return _mp_seq_norm(product, (first, 0.0))
     return _mp_diff_norm(rowwise_matvec(seq.layer(m + 1)[0], state), first, p)
 
 
-def _mp_constants(kind, act, p) -> tuple:
+def _mp_constants(seq, act, p) -> tuple:
     """(L, P): the activation's declared Lipschitz constant and the pooling
     constant at p = 1 or inf, which only max pooling at p = 1 lifts above 1
     (to its window)."""
-    op = getattr(kind, "op", None)
-    lift = op is not None and op.kind == "max" and not p.is_inf
+    op = seq.pooling
+    lift = op.kind == "max" and not p.is_inf
     return mpmath.mpf(act.lipschitz), mpmath.mpf(op.window if lift else 1)
 
 
 def mp_deviation_bound(
-    seq, kind, act, p, x, n: int, m: int, dps: int = 50, extension: str = "zero_pad"
+    seq, act, p, x, n: int, m: int, dps: int = 50, extension: str = "zero_pad"
 ):
     """The deviation bound on |N_{n+m}(x) - N_n(x)| of one sample, in full:
 
@@ -476,14 +488,14 @@ def mp_deviation_bound(
     under constant padding the operators past layer 1 by their mask sums
     and the states by :func:`per_sample_constant_pad`.
     """
-    states = _sample_states(seq, kind, act, x, max(n - 1, m), extension)
+    states = _sample_states(seq, act, x, max(n - 1, m), extension)
     with mpmath.workdps(dps):
-        L, P = _mp_constants(kind, act, p)
+        L, P = _mp_constants(seq, act, p)
 
         def lam(i):
             out = mpmath.mpf(1)
             for j in range(i):
-                out *= L * P * _operator_gap(seq, kind, p, n + m - j, None, extension)
+                out *= L * P * _operator_gap(seq, p, n + m - j, None, extension)
             return out
 
         term1 = mpmath.fsum(
@@ -493,15 +505,15 @@ def mp_deviation_bound(
         term2 = mpmath.fsum(
             lam(i)
             * _state_gap(states[n - 2 - i], None, p, extension)
-            * _operator_gap(seq, kind, p, m + n - i, n - i, extension)
+            * _operator_gap(seq, p, m + n - i, n - i, extension)
             for i in range(n - 1)
         )
-        gap = _restart_gap(seq, kind, p, x, states[m - 1], m, extension)
+        gap = _restart_gap(seq, p, x, states[m - 1], m, extension)
         return L * term1 + L * P * term2 + L * P * lam(n - 1) * gap
 
 
 def mp_limit_bound(
-    seq, kind, act, p, n: int, constants, dps: int = 50, extension: str = "zero_pad"
+    seq, act, p, n: int, constants, dps: int = 50, extension: str = "zero_pad"
 ):
     """The limit bound J(n) in full, from the certified ``constants``
     (omega0, w = weight_sup, rho, D = x_bound):
@@ -513,7 +525,7 @@ def mp_limit_bound(
     at ``dps`` digits, with the differences zero-padded (E past layer 1
     by the mask sums under constant padding)."""
     with mpmath.workdps(dps):
-        L, P = _mp_constants(kind, act, p)
+        L, P = _mp_constants(seq, act, p)
         w0 = mpmath.mpf(constants.omega0)
         rho = mpmath.mpf(constants.rho)
         term1 = mpmath.fsum(
@@ -521,7 +533,7 @@ def mp_limit_bound(
             for i in range(n)
         )
         term2 = mpmath.fsum(
-            w0**i * _operator_gap(seq, kind, p, n - i, "limit", extension)
+            w0**i * _operator_gap(seq, p, n - i, "limit", extension)
             for i in range(n - 1)
         )
         tail = mpmath.mpf(constants.weight_sup) * (rho + mpmath.mpf(constants.x_bound))
@@ -548,7 +560,7 @@ def _scan_sup(values) -> tuple[float, int]:
 
 
 def mp_study(
-    seq, kind, act, p, domain, sampler, depths, constants, scale=1.0,
+    seq, act, p, domain, sampler, depths, constants, scale=1.0,
     extension: str = "zero_pad",
 ) -> dict:
     """Every row, state row and violation list of a
@@ -573,7 +585,7 @@ def mp_study(
     xs = domain.samples(sampler)
     ref = depths.reference
     states = [
-        _sample_states(seq, kind, act, x, depths.max_depth, extension) for x in xs
+        _sample_states(seq, act, x, depths.max_depth, extension) for x in xs
     ]
     out = {"rows": [], "state_rows": [], "dominance": [], "apriori": [], "limit": []}
 
@@ -590,9 +602,8 @@ def mp_study(
             return None, None
         with mpmath.workdps(50):
             pair = float(
-                mp_limit_bound(seq, kind, act, p, n, constants, extension=extension) * scale
-                + mp_limit_bound(seq, kind, act, p, k, constants, extension=extension)
-                * scale
+                mp_limit_bound(seq, act, p, n, constants, extension=extension) * scale
+                + mp_limit_bound(seq, act, p, k, constants, extension=extension) * scale
             )
         ok = sup_dev <= pair * _STUDY_SLACK
         if not ok:
@@ -604,7 +615,7 @@ def mp_study(
             devs = norms(n, n + m)
             bounds = [
                 float(
-                    mp_deviation_bound(seq, kind, act, p, x, n, m, extension=extension)
+                    mp_deviation_bound(seq, act, p, x, n, m, extension=extension)
                     * scale
                 )
                 for x in xs
@@ -617,7 +628,7 @@ def mp_study(
                 (n, m, sup_dev, _scan_sup(bounds)[0], pair, not bad, limit_ok, worst)
             )
 
-    ctx = BoundContext(seq, kind, act, p, extension)
+    ctx = BoundContext(seq, act, p, extension)
     for n in (*depths.n_list, ref):
         sizes = norms(n)
         apriori = apriori_bound_at(ctx, n, domain.norm_bound(p)) * scale

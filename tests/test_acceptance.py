@@ -23,7 +23,6 @@ from click.testing import CliRunner
 from dnclab import (
     INF,
     ONE,
-    PLAIN,
     TWO,
     BoundContext,
     EventuallyConstSeq,
@@ -48,11 +47,11 @@ from dnclab import (
     tail_product_sums,
     toeplitz_matrix,
     weighted_tail_sums,
-    zero_pad_matrix,
 )
 from dnclab.analysis import apriori_bound_ctx, deviation_bound_ctx
 from dnclab.cli import main
 from dnclab.report import strip_generated_at
+from oracles import zero_pad_matrix
 
 REFERENCE_DEPTH = 48
 SAMPLE_COUNT = 100
@@ -87,8 +86,8 @@ def prepared():
     t0 = time.perf_counter()
     out = []
     for inst in corpus_instances():
-        seq, kind = inst.build()
-        ctx = BoundContext(seq, kind, inst.activation(), inst.p, inst.extension)
+        seq = inst.build()
+        ctx = BoundContext(seq, inst.activation(), inst.p, inst.extension)
         samples = inst.domain().uniform_samples(SAMPLE_COUNT, SAMPLE_SEED)
         traj = Trajectory(ctx, samples.T, REFERENCE_DEPTH, **CORPUS_READS)
         out.append(PreparedInstance(inst, ctx, traj))
@@ -231,14 +230,14 @@ def test_criterion_4_deviation_dominance(prepared, capsys):
         bias_limit=np.zeros(1),
     )
     worst_gap = 0.0
-    scalar_ctx = BoundContext(seq, PLAIN, relu(), ONE)
+    scalar_ctx = BoundContext(seq, relu(), ONE)
     for n, m in ((1, 1), (2, 3), (3, 2), (5, 4)):
         traj = Trajectory(scalar_ctx, [1.0], n + m, norms=range(1, n), gaps=(m,))
         bound = deviation_bound_ctx(scalar_ctx, traj, n, m)
         closed_form = 0.4**n - 0.4 ** (n + m)
         emp = abs(
-            eval_trajectory(seq, PLAIN, relu(), [1.0], n + m)[-1][0]
-            - eval_trajectory(seq, PLAIN, relu(), [1.0], n)[-1][0]
+            eval_trajectory(seq, relu(), [1.0], n + m)[-1][0]
+            - eval_trajectory(seq, relu(), [1.0], n)[-1][0]
         )
         worst_gap = max(worst_gap, abs(bound - closed_form), abs(emp - closed_form))
     elapsed = time.perf_counter() - t0

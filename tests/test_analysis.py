@@ -33,16 +33,7 @@ from dnclab.analysis import (
 from dnclab.corpus import corpus_instances
 from dnclab.generators import GenSpec, MaskSpec, build, build_masks
 from dnclab.linalg import INF, ONE, TWO, induced_norm, vector_norm
-from dnclab.network import (
-    PLAIN,
-    Conv,
-    LayerSeq,
-    MaskSeq,
-    Pooled,
-    cnn_layer_seq,
-    eval_trajectory,
-    pool_of,
-)
+from dnclab.network import LayerSeq, MaskSeq, cnn_layer_seq, eval_trajectory
 from dnclab.pooling import max_pooling
 
 import oracles
@@ -88,7 +79,7 @@ def drifting_net(seed: int = 5) -> LayerSeq:
         norm_target=0.55,
         norm_p=ONE,
     )
-    return build(spec)[0]
+    return build(spec)
 
 
 class TestDomain:
@@ -145,9 +136,9 @@ class TestStateDeviation:
     )
     def test_padded_difference_has_the_bits_of_two_copies(self, label, p, fill):
         """Batches of states of unequal widths, in both argument orders."""
-        seq, kind, act, _, dim = corpus_case(label)
+        seq, act, _, dim = corpus_case(label)
         xs = Domain(dim, 1.0).uniform_samples(7, seed=2).T
-        states = eval_trajectory(seq, kind, act, xs, 4)
+        states = eval_trajectory(seq, act, xs, 4)
         for a, b in ((states[0], states[1]), (states[2], states[1])):
             assert a.shape[0] != b.shape[0]
             for u, v in ((a, b), (b, a)):
@@ -164,7 +155,7 @@ class TestStateDeviation:
 
 class TestLambdaProducts:
     def test_scalar_relu_products(self):
-        ctx = BoundContext(scalar_net(0.4), PLAIN, relu(), ONE)
+        ctx = BoundContext(scalar_net(0.4), relu(), ONE)
         vals = ctx.lambda_products(10, 4)
         assert vals[0] == 1.0
         assert_allclose(vals, [0.4**i for i in range(5)], rtol=1e-14)
@@ -172,8 +163,10 @@ class TestLambdaProducts:
     def test_pooling_factor_included(self):
         # max pooling with mu=1 doubles the ell-1 operator constant
         w = np.ones((2, 1)) * 0.3
-        seq = LayerSeq(1, lambda n: 1, lambda n: w, lambda n: np.zeros(1), extra_rows=1)
-        ctx = BoundContext(seq, Pooled(max_pooling(1)), relu(), ONE)
+        seq = LayerSeq(
+            1, lambda n: 1, lambda n: w, lambda n: np.zeros(1), pooling=max_pooling(1)
+        )
+        ctx = BoundContext(seq, relu(), ONE)
         vals = ctx.lambda_products(5, 2)
         assert_allclose(vals, [1.0, 2 * 0.6, (2 * 0.6) ** 2], rtol=1e-14)
 
@@ -184,12 +177,12 @@ class TestAprioriBound:
         # the 3 coordinates, and the bound collapses to that exact norm
         seq = LayerSeq(3, lambda n: 3, lambda n: np.zeros((3, 3)), lambda n: np.zeros(3))
         for p, expect in ((ONE, 1.5), (INF, 0.5), (TWO, 0.5 * math.sqrt(3.0))):
-            got = apriori_bound_ctx(BoundContext(seq, PLAIN, sigmoid(), p), 4, 2.0)
+            got = apriori_bound_ctx(BoundContext(seq, sigmoid(), p), 4, 2.0)
             assert got == pytest.approx(expect, rel=1e-15)
 
     def test_scalar_relu_geometric(self):
         seq = scalar_net(0.4)
-        ctx = BoundContext(seq, PLAIN, relu(), ONE)
+        ctx = BoundContext(seq, relu(), ONE)
         for n in (1, 2, 5):
             assert apriori_bound_ctx(ctx, n, 3.0) == pytest.approx(
                 3.0 * 0.4**n, rel=1e-14
@@ -197,7 +190,7 @@ class TestAprioriBound:
 
     def test_dominates_sampled_states(self):
         seq = drifting_net()
-        ctx = BoundContext(seq, PLAIN, relu(), ONE)
+        ctx = BoundContext(seq, relu(), ONE)
         dom = Domain(3, 1.0)
         bound_cache = {n: apriori_bound_ctx(ctx, n, dom.norm_bound(ONE)) for n in (1, 3, 6)}
         for x in dom.uniform_samples(30, seed=2):
@@ -206,25 +199,25 @@ class TestAprioriBound:
                 assert traj.state_norm(n) <= bound * (1 + 1e-9)
 
     def test_monotone_in_input_radius(self):
-        ctx = BoundContext(drifting_net(), PLAIN, relu(), ONE)
+        ctx = BoundContext(drifting_net(), relu(), ONE)
         assert apriori_bound_ctx(ctx, 4, 2.0) >= apriori_bound_ctx(ctx, 4, 1.0)
 
     def test_rejects_bad_depth(self):
         with pytest.raises(ValueError, match="depth"):
-            apriori_bound_ctx(BoundContext(scalar_net(0.4), PLAIN, relu(), ONE), 0, 1.0)
+            apriori_bound_ctx(BoundContext(scalar_net(0.4), relu(), ONE), 0, 1.0)
 
 
 def apriori_case(case: str):
-    """(seq, kind, extension) of a net the a-priori table is pinned on."""
+    """(seq, extension) of a net the a-priori table is pinned on."""
     if case == "scalar":
-        return scalar_net(0.4), PLAIN, ZERO_PAD
+        return scalar_net(0.4), ZERO_PAD
     if case in ("pooled", "cyclic"):
         label = {"pooled": "max1-exp_decay-prelu-p1", "cyclic": "cyc534-exp_decay-relu-p1"}
-        return (*corpus_case(label[case])[:2], ZERO_PAD)
-    seq, kind = build(GenSpec("conv", input_dim=3, seed=4, mask=MaskSpec(
+        return corpus_case(label[case])[0], ZERO_PAD
+    seq = build(GenSpec("conv", input_dim=3, seed=4, mask=MaskSpec(
         "constant_limit", (0.2, -0.1, 0.1), rate=0.5, limit=(0.2, -0.1, 0.1)
     )))
-    return seq, kind, case
+    return seq, case
 
 
 APRIORI_CASES = [
@@ -239,8 +232,8 @@ class TestAprioriTable:
         "case, p", APRIORI_CASES, ids=[f"{c}-p{p.p:g}" for c, p in APRIORI_CASES]
     )
     def test_every_depth_has_the_bits_of_a_lone_evaluation(self, case, p):
-        seq, kind, extension = apriori_case(case)
-        ctx = BoundContext(seq, kind, sigmoid(), p, extension)
+        seq, extension = apriori_case(case)
+        ctx = BoundContext(seq, sigmoid(), p, extension)
         depths = range(1, 65)
         want = [oracles.apriori_bound_at(ctx, n, 1.5) for n in depths]
         assert analysis._apriori_bounds(ctx, depths, 1.5) == want
@@ -250,7 +243,7 @@ class TestAprioriTable:
         assert got == [want[63], want[2], want[16], want[2]]
 
     def test_rejects_bad_depth(self):
-        ctx = BoundContext(scalar_net(0.4), PLAIN, relu(), ONE)
+        ctx = BoundContext(scalar_net(0.4), relu(), ONE)
         with pytest.raises(ValueError, match="depth must be >= 1, got 0"):
             analysis._apriori_bounds(ctx, (3, 0), 1.0)
 
@@ -263,8 +256,8 @@ class TestBiasGaps:
     def test_gaps_have_the_bits_of_the_state_deviation(self, extension, p):
         # every conv layer has its own width, so each gap pads one bias;
         # layer 1 has the width of the declared limit b*
-        seq, kind, _ = apriori_case(extension)
-        ctx = BoundContext(seq, kind, sigmoid(), p, extension)
+        seq, _ = apriori_case(extension)
+        ctx = BoundContext(seq, sigmoid(), p, extension)
         for j, k in ((2, 1), (1, 2), (9, 4), (5, 5), (30, 6)):
             want = state_deviation(seq.bias(j), seq.bias(k), p, 0.0)
             assert ctx.bias_diff(j, k) == want, (j, k)
@@ -276,7 +269,7 @@ class TestBiasGaps:
 
 class TestDeviationBound:
     def test_scalar_net_achieves_equality(self):
-        ctx = BoundContext(scalar_net(0.4), PLAIN, relu(), ONE)
+        ctx = BoundContext(scalar_net(0.4), relu(), ONE)
         for n, m in ((1, 1), (3, 2), (5, 4)):
             traj = cell_trajectory(ctx, [1.0], [(n, m)])
             bound = deviation_bound_ctx(ctx, traj, n, m)
@@ -288,13 +281,13 @@ class TestDeviationBound:
 
     def test_head_start_term_alone_at_depth_one(self):
         # n = 1 keeps only the third term: |W_{m+1} N_m(x) - W_1 x|
-        ctx = BoundContext(scalar_net(0.4), PLAIN, relu(), ONE)
+        ctx = BoundContext(scalar_net(0.4), relu(), ONE)
         got = deviation_bound_ctx(ctx, cell_trajectory(ctx, [1.0], [(1, 3)]), 1, 3)
         assert got == pytest.approx(0.4 - 0.4**4, rel=1e-14)
 
     def test_dominates_drifting_network(self):
         seq = drifting_net()
-        ctx = BoundContext(seq, PLAIN, relu(), ONE)
+        ctx = BoundContext(seq, relu(), ONE)
         cells = ((1, 2), (2, 3), (4, 5), (6, 3))
         for x in Domain(3, 1.0).uniform_samples(15, seed=4):
             traj = cell_trajectory(ctx, x, cells)
@@ -310,8 +303,8 @@ class TestDeviationBound:
         spec = GenSpec("conv", input_dim=2, seed=7, mask=MaskSpec(
             "constant_limit", (0.2, -0.1), rate=0.5, limit=(0.2, -0.1)
         ))
-        seq, kind = build(spec)
-        ctx = BoundContext(seq, kind, sigmoid(), INF, CONSTANT_PAD)
+        seq = build(spec)
+        ctx = BoundContext(seq, sigmoid(), INF, CONSTANT_PAD)
         cells = ((1, 2), (3, 2), (4, 3))
         for x in Domain(2, 1.0).uniform_samples(8, seed=1):
             traj = cell_trajectory(ctx, x, cells)
@@ -321,13 +314,13 @@ class TestDeviationBound:
 
     def test_rejects_bad_depths(self):
         with pytest.raises(ValueError, match="n >= 1"):
-            ctx = BoundContext(scalar_net(0.4), PLAIN, relu(), ONE)
+            ctx = BoundContext(scalar_net(0.4), relu(), ONE)
             deviation_bound_ctx(ctx, Trajectory(ctx, [1.0], 1), 0, 1)
 
 
 class TestLimitConstants:
     def test_scalar_certificate(self):
-        ctx = BoundContext(scalar_net(0.4), PLAIN, relu(), ONE)
+        ctx = BoundContext(scalar_net(0.4), relu(), ONE)
         constants, why = derive_limit_constants(ctx, 1.0)
         assert why == "ok"
         assert constants.omega0 == pytest.approx(0.4, rel=1e-12)
@@ -346,18 +339,18 @@ class TestLimitConstants:
             weight_limit=np.array([[0.5]]),
             bias_limit=np.zeros(1),
         )
-        ctx = BoundContext(seq, PLAIN, relu(), ONE)
+        ctx = BoundContext(seq, relu(), ONE)
         constants, why = derive_limit_constants(ctx, 1.0)
         assert why == "ok"
         assert constants.omega0 == pytest.approx(0.5 + 0.4 * 0.25, rel=1e-12)
 
     def test_refuses_without_limits(self):
-        ctx = BoundContext(scalar_net(0.4, limits=False), PLAIN, relu(), ONE)
+        ctx = BoundContext(scalar_net(0.4, limits=False), relu(), ONE)
         constants, why = derive_limit_constants(ctx, 1.0)
         assert constants is None and why == "no declared limits"
 
     def test_refuses_supercritical_omega(self):
-        ctx = BoundContext(scalar_net(1.2), PLAIN, relu(), ONE)
+        ctx = BoundContext(scalar_net(1.2), relu(), ONE)
         constants, why = derive_limit_constants(ctx, 1.0)
         assert constants is None
         assert "omega0" in why and ">= 1" in why
@@ -369,11 +362,11 @@ class TestLimitConstants:
             seed=3,
             mask=MaskSpec("vanishing_exponential", (0.6, -0.4), rate=0.5),
         )
-        seq, kind = build(spec)
-        finite_p = BoundContext(seq, kind, sigmoid(), ONE)
+        seq = build(spec)
+        finite_p = BoundContext(seq, sigmoid(), ONE)
         constants, why = derive_limit_constants(finite_p, 1.0)
         assert constants is None and "p = inf" in why
-        sup = BoundContext(seq, kind, sigmoid(), INF)
+        sup = BoundContext(seq, sigmoid(), INF)
         constants, why = derive_limit_constants(sup, 1.0)
         assert why == "ok" and constants.omega0 < 1
 
@@ -391,7 +384,7 @@ class TestLimitConstants:
 
         monkeypatch.setattr(analysis, "vector_norm", counting)
         constants, why = derive_limit_constants(
-            BoundContext(seq, PLAIN, relu(), ONE), 1.0
+            BoundContext(seq, relu(), ONE), 1.0
         )
         assert why == "ok"
         assert calls == Counter(range(1, 49))
@@ -402,21 +395,21 @@ class TestLimitBound:
         # the limit network of the constant scalar net maps everything to 0,
         # so the true gap at depth n is exactly 0.4^n for x = 1
         seq = scalar_net(0.4)
-        ctx = BoundContext(seq, PLAIN, relu(), ONE)
+        ctx = BoundContext(seq, relu(), ONE)
         constants, _ = derive_limit_constants(ctx, 1.0)
         for n in (1, 2, 4, 8):
             lb = limit_bound_ctx(ctx, n, constants)
             assert 0.4**n <= lb <= 2.0 * 0.4**n
 
     def test_decay_ratio_approaches_omega0(self):
-        ctx = BoundContext(scalar_net(0.4), PLAIN, relu(), ONE)
+        ctx = BoundContext(scalar_net(0.4), relu(), ONE)
         constants, _ = derive_limit_constants(ctx, 1.0)
         vals = [limit_bound_ctx(ctx, n, constants) for n in (10, 11, 12)]
         assert vals[1] / vals[0] == pytest.approx(0.4, rel=1e-9)
 
     def test_triangle_dominance_on_drifting_network(self):
         seq = drifting_net()
-        ctx = BoundContext(seq, PLAIN, relu(), ONE)
+        ctx = BoundContext(seq, relu(), ONE)
         constants, why = derive_limit_constants(ctx, 1.0)
         assert why == "ok"
         ref = 30
@@ -432,24 +425,23 @@ class TestLimitBound:
     def test_requires_limits(self):
         seq = scalar_net(0.4, limits=False)
         constants, _ = derive_limit_constants(
-            BoundContext(scalar_net(0.4), PLAIN, relu(), ONE), 1.0
+            BoundContext(scalar_net(0.4), relu(), ONE), 1.0
         )
         with pytest.raises(ValueError, match="limits"):
-            limit_bound_ctx(BoundContext(seq, PLAIN, relu(), ONE), 3, constants)
+            limit_bound_ctx(BoundContext(seq, relu(), ONE), 3, constants)
 
 
 def corpus_case(label: str) -> tuple:
-    """(seq, kind, act, p, input_dim) of the corpus instance ``label``."""
+    """(seq, act, p, input_dim) of the corpus instance ``label``."""
     (inst,) = [i for i in corpus_instances() if i.label == label]
-    seq, kind = inst.build()
-    return seq, kind, inst.activation(), inst.p, inst.gen.input_dim
+    return inst.build(), inst.activation(), inst.p, inst.gen.input_dim
 
 
 FORMULA_CASES = {
-    "scalar-p1": lambda: (scalar_net(0.4), PLAIN, relu(), ONE, 1),
-    "scalar-pinf": lambda: (scalar_net(0.4), PLAIN, relu(), INF, 1),
-    "drifting-p1": lambda: (drifting_net(), PLAIN, relu(), ONE, 3),
-    "drifting-pinf": lambda: (drifting_net(), PLAIN, relu(), INF, 3),
+    "scalar-p1": lambda: (scalar_net(0.4), relu(), ONE, 1),
+    "scalar-pinf": lambda: (scalar_net(0.4), relu(), INF, 1),
+    "drifting-p1": lambda: (drifting_net(), relu(), ONE, 3),
+    "drifting-pinf": lambda: (drifting_net(), relu(), INF, 3),
     "max-pooled-p1": lambda: corpus_case("max1-exp_decay-prelu-p1"),
     "max-pooled-pinf": lambda: corpus_case("max1-exp_decay-sigmoid-pinf"),
     "cyclic-p1": lambda: corpus_case("cyc534-exp_decay-relu-p1"),
@@ -464,38 +456,38 @@ class TestFormulaOracles:
 
     @pytest.mark.parametrize("case", sorted(FORMULA_CASES))
     def test_deviation_bound_matches_formula(self, case):
-        seq, kind, act, p, dim = FORMULA_CASES[case]()
-        ctx = BoundContext(seq, kind, act, p)
+        seq, act, p, dim = FORMULA_CASES[case]()
+        ctx = BoundContext(seq, act, p)
         cells = ((1, 1), (2, 3), (4, 2), (6, 5))
         xs = Domain(dim, 1.0).uniform_samples(3, seed=2)
         traj = cell_trajectory(ctx, np.column_stack(xs), cells)
         for n, m in cells:
             got = deviation_bound_ctx(ctx, traj, n, m)
             for x, value in zip(xs, got):
-                want = oracles.mp_deviation_bound(seq, kind, act, p, x, n, m)
+                want = oracles.mp_deviation_bound(seq, act, p, x, n, m)
                 assert abs(value - want) <= 1e-12 * want, (n, m)
 
     @pytest.mark.parametrize("case", sorted(FORMULA_CASES))
     def test_limit_bound_matches_formula(self, case):
-        seq, kind, act, p, _ = FORMULA_CASES[case]()
-        ctx = BoundContext(seq, kind, act, p)
+        seq, act, p, _ = FORMULA_CASES[case]()
+        ctx = BoundContext(seq, act, p)
         constants, why = derive_limit_constants(ctx, 1.0)
         assert why == "ok"
         for n in (1, 2, 5, 12, 30):
             got = limit_bound_ctx(ctx, n, constants)
-            want = oracles.mp_limit_bound(seq, kind, act, p, n, constants)
+            want = oracles.mp_limit_bound(seq, act, p, n, constants)
             assert abs(got - want) <= 1e-12 * want, n
 
 
 class TestConditionChecks:
     def test_analytic_dense(self):
-        v = check_condition(BoundContext(scalar_net(0.4), PLAIN, relu(), ONE))
+        v = check_condition(BoundContext(scalar_net(0.4), relu(), ONE))
         assert v.passed and v.method == "analytic"
         assert v.estimate == pytest.approx(0.4, rel=1e-12)
         assert v.margin == pytest.approx(0.6, rel=1e-12)
 
     def test_tail_scan_label_without_limits(self):
-        ctx = BoundContext(scalar_net(0.9, limits=False), PLAIN, relu(), ONE)
+        ctx = BoundContext(scalar_net(0.9, limits=False), relu(), ONE)
         v = check_condition(ctx)
         assert v.method == "tail-scan[8,64]"
         assert v.passed and v.estimate == pytest.approx(0.9)
@@ -507,11 +499,11 @@ class TestConditionChecks:
             lambda n: 1,
             lambda n: w,
             lambda n: np.zeros(1),
-            extra_rows=1,
+            pooling=max_pooling(1),
             weight_limit=w,
             bias_limit=np.zeros(1),
         )
-        v = check_condition(BoundContext(seq, Pooled(max_pooling(1)), relu(), ONE))
+        v = check_condition(BoundContext(seq, relu(), ONE))
         assert v.estimate == pytest.approx(2 * 0.6, rel=1e-12)
         assert not v.passed
 
@@ -522,8 +514,8 @@ class TestConditionChecks:
             seed=0,
             mask=MaskSpec("constant_limit", (0.2, -0.1), rate=0.5, limit=(0.2, -0.1)),
         )
-        seq, kind = build(spec)
-        v = check_condition(BoundContext(seq, kind, relu(), INF))
+        seq = build(spec)
+        v = check_condition(BoundContext(seq, relu(), INF))
         assert v.method == "analytic"
         assert v.estimate == pytest.approx(0.3, rel=1e-12)
 
@@ -534,13 +526,13 @@ def _tail_scan_cases():
     masks = MaskSeq(1, lambda n: [0.3 + 0.4 / n, -0.2 + 0.1 * (-1) ** n])
     conv = cnn_layer_seq(masks, lambda n: np.zeros(2 + n), 2)
     for ext in (ZERO_PAD, CONSTANT_PAD):
-        yield conv, Conv(masks), sigmoid(), INF, ext
+        yield conv, sigmoid(), INF, ext
     rng = np.random.default_rng(3)
     # widths cycle through 3, 4, 5 so the window holds three shapes
     shape = lambda n: (3 + n % 3, 3 + (n - 1) % 3)
     mats = {n: rng.uniform(-0.5, 0.5, shape(n)) for n in range(1, 65)}
     plain = LayerSeq(3, lambda n: 3 + n % 3, mats.get, lambda n: np.zeros(3 + n % 3))
-    yield plain, PLAIN, sigmoid(), TWO, ZERO_PAD
+    yield plain, sigmoid(), TWO, ZERO_PAD
 
 
 @pytest.mark.parametrize(
@@ -550,9 +542,9 @@ def test_tail_scan_takes_the_finite_matrix_norms(case):
     """Without declared limits the omega estimate is L*P times the window
     maximum of the finite weight matrices' induced norms, whatever the
     extension (a constant-padded operator's mask sum does not enter)."""
-    seq, kind, act, p, ext = case
-    v = check_condition(BoundContext(seq, kind, act, p, ext))
-    lp = act.lipschitz * pool_of(kind).lipschitz(p)
+    seq, act, p, ext = case
+    v = check_condition(BoundContext(seq, act, p, ext))
+    lp = act.lipschitz * seq.pooling.lipschitz(p)
     want = max(lp * induced_norm(seq.layer(n)[0], p) for n in range(8, 65))
     assert v.method == "tail-scan[8,64]"
     assert v.estimate == want
@@ -600,7 +592,7 @@ class TestMaskConditions:
 
 class TestTrajectory:
     def test_product_gap_hand_computed(self):
-        ctx = BoundContext(scalar_net(0.4), PLAIN, relu(), ONE)
+        ctx = BoundContext(scalar_net(0.4), relu(), ONE)
         traj = Trajectory(ctx, [1.0], 4, gaps=(2,))
         with pytest.raises(ValueError, match="restart gap at depth 1 was not declared"):
             traj.product_gap(1)
@@ -609,15 +601,15 @@ class TestTrajectory:
 
     def test_state_norms_match_direct_evaluation(self):
         seq = drifting_net()
-        ctx = BoundContext(seq, PLAIN, relu(), ONE)
+        ctx = BoundContext(seq, relu(), ONE)
         x = np.array([0.3, -0.8, 0.5])
         traj = Trajectory(ctx, x, 5, norms=(1, 3, 5))
         for n in (1, 3, 5):
-            direct = eval_trajectory(seq, PLAIN, relu(), x, n)[-1]
+            direct = eval_trajectory(seq, relu(), x, n)[-1]
             assert traj.state_norm(n) == vector_norm(direct, ONE)
 
     def test_empirical_sup_is_max_over_samples(self):
-        ctx = BoundContext(scalar_net(0.4), PLAIN, relu(), ONE)
+        ctx = BoundContext(scalar_net(0.4), relu(), ONE)
         samples = [[0.2], [1.0], [-0.6]]
         got = max(Trajectory(ctx, x, 4, pairs=[(2, 4)]).deviation(2, 4) for x in samples)
         assert got == pytest.approx((0.4**2 - 0.4**4) * 1.0, rel=1e-12)

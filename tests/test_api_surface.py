@@ -19,7 +19,6 @@ ROOT_NAMES = [
     "CONSTANT_PAD",
     "ConditionVerdict",
     "ConfigError",
-    "Conv",
     "DepthPlan",
     "Domain",
     "EventuallyConstSeq",
@@ -31,12 +30,8 @@ ROOT_NAMES = [
     "LimitConstants",
     "MaskSeq",
     "MaskSpec",
-    "NetworkKind",
     "ONE",
-    "PLAIN",
     "PNorm",
-    "Plain",
-    "Pooled",
     "PoolingOp",
     "REPORT_SCHEMA",
     "RateFit",
@@ -74,7 +69,6 @@ ROOT_NAMES = [
     "max_pooling",
     "no_pooling",
     "parse_config",
-    "pool_of",
     "prelu",
     "relu",
     "render_report",
@@ -91,7 +85,6 @@ ROOT_NAMES = [
     "toeplitz_matrix",
     "vector_norm",
     "weighted_tail_sums",
-    "zero_pad_matrix",
 ]
 
 

@@ -18,7 +18,7 @@ from dnclab import analysis, cli, linalg, study
 from dnclab.analysis import CONSTANT_PAD, ZERO_PAD
 from dnclab.cli import main
 from dnclab.config import CONFIG_SCHEMA, ConfigError, load_config, parse_config
-from dnclab.network import Plain, pool_of
+from dnclab.pooling import no_pooling
 from dnclab.report import format_float, strip_generated_at
 
 import oracles
@@ -339,12 +339,9 @@ class TestOtherCommands:
         layers = [exp.seq.layer(j)[0] for j in range(1, exp.depths.reference + 1)]
         assert all((w.shape, w.tobytes()) in evaluated for w in layers)
         rows = (tmp_path / "bounds.csv").read_text().splitlines()[1:]
-        pool = pool_of(exp.kind)
         for row in rows:
             n, lip = row.split(",")[:2]
-            want = oracles.network_lipschitz_bound(
-                exp.seq, exp.act, pool, int(n), exp.p
-            )
+            want = oracles.network_lipschitz_bound(exp.seq, exp.act, int(n), exp.p)
             assert lip == format_float(want), n
 
     def test_rates_output(self, tmp_path):
@@ -572,7 +569,8 @@ class TestOtherCommands:
         doc = base_doc(norm={"p": "inf"}, **section("domain", bound=8.9e307))
         assert parse_config(doc).domain.bound == 8.9e307
         for name in ("none", "identity"):
-            assert parse_config(base_doc(pooling={"name": name, "mu": 0})).kind == Plain()
+            seq = parse_config(base_doc(pooling={"name": name, "mu": 0})).seq
+            assert seq.pooling == no_pooling()
 
     @pytest.mark.parametrize(
         "command, over",

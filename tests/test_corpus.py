@@ -6,7 +6,6 @@ import pytest
 from dnclab.analysis import CONSTANT_PAD, ZERO_PAD
 from dnclab.corpus import Instance, control_instances, corpus_instances
 from dnclab.linalg import INF, ONE
-from dnclab.network import Conv, Plain, Pooled
 
 
 class TestCorpusShape:
@@ -19,10 +18,10 @@ class TestCorpusShape:
     def test_geometry_mix(self):
         kinds = {"plain": 0, "pooled": 0, "conv": 0}
         for inst in corpus_instances():
-            seq, kind = inst.build()
-            if isinstance(kind, Pooled):
+            seq = inst.build()
+            if seq.pooling.mu:
                 kinds["pooled"] += 1
-            elif isinstance(kind, Conv):
+            elif seq.masks is not None:
                 kinds["conv"] += 1
             else:
                 kinds["plain"] += 1
@@ -49,13 +48,13 @@ class TestCorpusShape:
 
     def test_instances_rebuild_identically(self):
         inst = corpus_instances()[0]
-        a, _ = inst.build()
-        b, _ = inst.build()
+        a = inst.build()
+        b = inst.build()
         assert np.array_equal(a.layer(3)[0], b.layer(3)[0])
 
     def test_domain_matches_input_dim(self):
         for inst in corpus_instances():
-            seq, _ = inst.build()
+            seq = inst.build()
             assert inst.domain().dim == seq.width(0)
 
 

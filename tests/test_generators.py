@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dnclab.activations import relu, sigmoid
-from dnclab.analysis import CONSTANT_PAD, BoundContext, check_condition
+from dnclab.analysis import CONSTANT_PAD, BoundContext, Domain, check_condition
 from dnclab import generators
 from dnclab.generators import (
     MASK_FAMILIES,
@@ -17,7 +17,7 @@ from dnclab.generators import (
     rescale_to_norm,
 )
 from dnclab.linalg import INF, ONE, TWO, induced_norm, vector_norm
-from dnclab.network import PLAIN, Conv, Pooled, eval_trajectory, pool_of
+from dnclab.network import eval_trajectory
 from dnclab.pooling import average_pooling, max_pooling, no_pooling
 
 import oracles
@@ -58,8 +58,8 @@ class TestRescale:
             "exp_decay", input_dim=3, widths=16, seed=113, rate=0.5,
             norm_target=0.999, norm_p=TWO,
         )
-        seq, _ = build(spec)
-        ctx = BoundContext(seq, PLAIN, relu(), TWO)
+        seq = build(spec)
+        ctx = BoundContext(seq, relu(), TWO)
         exact = oracles.mp_spectral_norm(seq.weight_limit)
         assert ctx.weight_limit_norm >= exact
         assert ctx.weight_limit_norm >= np.linalg.norm(seq.weight_limit, 2)
@@ -125,14 +125,14 @@ class TestMaskSpecValidation:
 
 class TestDriftEnvelopes:
     def test_exp_decay_weight_drift_is_exact(self):
-        ctx = BoundContext(*build(EXP), relu(), ONE)
+        ctx = BoundContext(build(EXP), relu(), ONE)
         for k in range(2, 10):
             assert ctx.weight_limit_diff(k) == pytest.approx(
                 EXP.scale * EXP.rate**k, rel=1e-12
             )
 
     def test_exp_decay_bias_drift_is_exact(self):
-        ctx = BoundContext(*build(EXP), relu(), ONE)
+        ctx = BoundContext(build(EXP), relu(), ONE)
         for k in range(1, 10):
             assert ctx.bias_limit_diff(k) == pytest.approx(
                 EXP.bias_scale * EXP.rate**k, rel=1e-12
@@ -140,7 +140,7 @@ class TestDriftEnvelopes:
 
     def test_shared_direction_gives_exact_pair_drift(self):
         # fixed width -> one drift direction, so |W_j - W_k| telescopes
-        ctx = BoundContext(*build(EXP), relu(), ONE)
+        ctx = BoundContext(build(EXP), relu(), ONE)
         for j, k in ((5, 3), (7, 2), (4, 3)):
             assert ctx.weight_diff(j, k) == pytest.approx(
                 EXP.scale * abs(EXP.rate**j - EXP.rate**k), rel=1e-12
@@ -148,24 +148,24 @@ class TestDriftEnvelopes:
 
     def test_harmonic_weight_drift(self):
         spec = GenSpec("harmonic", input_dim=3, widths=3, seed=2, norm_target=0.5)
-        ctx = BoundContext(build(spec)[0], PLAIN, relu(), ONE)
+        ctx = BoundContext(build(spec), relu(), ONE)
         for k in (2, 4, 8):
             assert ctx.weight_limit_diff(k) == pytest.approx(spec.scale / k, rel=1e-12)
 
     def test_constant_family_never_drifts(self):
         spec = GenSpec("constant", input_dim=4, widths=4, seed=3, norm_target=0.5)
-        seq, _ = build(spec)
+        seq = build(spec)
         w2 = seq.layer(2)[0]
         for n in (3, 5, 9):
             assert np.array_equal(seq.layer(n)[0], w2)
-        ctx = BoundContext(seq, PLAIN, relu(), ONE)
+        ctx = BoundContext(seq, relu(), ONE)
         assert ctx.weight_limit_diff(4) == 0.0
         assert ctx.bias_limit_diff(4) == 0.0
 
 
 class TestNormTargets:
     def test_limit_norm_hits_target(self):
-        assert induced_norm(build(EXP)[0].weight_limit, ONE) == pytest.approx(
+        assert induced_norm(build(EXP).weight_limit, ONE) == pytest.approx(
             0.55, rel=1e-12
         )
 
@@ -173,18 +173,18 @@ class TestNormTargets:
         spec = GenSpec(
             "constant", input_dim=3, widths=3, seed=4, norm_target=0.8, norm_p=INF
         )
-        seq, _ = build(spec)
+        seq = build(spec)
         assert induced_norm(seq.layer(2)[0], INF) == pytest.approx(0.8, rel=1e-12)
 
     def test_first_layer_matches_core_norm(self):
-        seq, _ = build(EXP)
+        seq = build(EXP)
         assert induced_norm(seq.layer(1)[0], ONE) == pytest.approx(0.55, rel=1e-12)
 
 
 class TestDeterminismAndOrder:
     def test_same_seed_same_network(self):
-        a, _ = build(EXP)
-        b, _ = build(EXP)
+        a = build(EXP)
+        b = build(EXP)
         for n in (1, 2, 5):
             assert np.array_equal(a.layer(n)[0], b.layer(n)[0])
             assert np.array_equal(a.layer(n)[1], b.layer(n)[1])
@@ -193,13 +193,13 @@ class TestDeterminismAndOrder:
         other = GenSpec(
             "exp_decay", input_dim=3, widths=3, seed=6, rate=0.5, norm_target=0.55
         )
-        assert not np.array_equal(build(EXP)[0].layer(1)[0], build(other)[0].layer(1)[0])
+        assert not np.array_equal(build(EXP).layer(1)[0], build(other).layer(1)[0])
 
     def test_access_order_does_not_matter(self):
-        a, _ = build(EXP)
+        a = build(EXP)
         a5 = np.array(a.layer(5)[0])
         a2 = np.array(a.layer(2)[0])
-        b, _ = build(EXP)
+        b = build(EXP)
         b2 = np.array(b.layer(2)[0])
         b5 = np.array(b.layer(5)[0])
         assert np.array_equal(a5, b5) and np.array_equal(a2, b2)
@@ -209,11 +209,30 @@ class TestDeterminismAndOrder:
             "random_convergent", input_dim=3, widths=3, seed=9, rate=0.5,
             norm_target=0.5,
         )
-        seq, _ = build(spec)
-        ctx = BoundContext(seq, PLAIN, relu(), ONE)
+        seq = build(spec)
+        ctx = BoundContext(seq, relu(), ONE)
         # drift still bounded by the envelope, but directions are per-layer
         for k in (2, 4, 6):
             assert ctx.weight_limit_diff(k) <= spec.scale * spec.rate**k * (1 + 1e-12)
+
+    def test_stream_draws_are_pinned(self):
+        """Raw draws of the keyed layer streams and of the input sampler,
+        as exact values.  numpy does not promise its ``Generator`` streams
+        across versions (NEP 19); a change of stream fails here, by name,
+        before it moves any golden digest."""
+        uniform = generators._rng(5, "weight-drift", 7).uniform(-1.0, 1.0, 3)
+        assert uniform.tolist() == [
+            -0.04115749107253186, 0.5640466858349231, 0.01656105559582266
+        ]
+        core = generators._rng(0, "weight-core").uniform(-1.0, 1.0, 2)
+        assert core.tolist() == [-0.5915509543849149, 0.21706686187909652]
+        picks = [generators._rng(1100, "bias-drift", n).integers(1000) for n in range(1, 5)]
+        assert picks == [102, 215, 21, 195]
+        samples = Domain(2, 1.0).uniform_samples(2, 11)
+        assert samples.tolist() == [
+            [-0.7428595944616008, -0.0014442751197700776],
+            [0.20299671524671492, -0.9426219832561109],
+        ]
 
 
 RANDOM_P2 = GenSpec(
@@ -229,7 +248,7 @@ class TestBlockedDriftDirections:
     DEPTH = 70  # layer 66 opens the second block
 
     def _fetch(self, order):
-        seq, _ = build(RANDOM_P2)
+        seq = build(RANDOM_P2)
         for n in order:
             seq.layer(n)
         return [seq.layer(n)[0] for n in range(1, self.DEPTH + 1)]
@@ -242,7 +261,7 @@ class TestBlockedDriftDirections:
                 assert a.tobytes() == b.tobytes()
 
     def test_layers_match_the_per_layer_rescale(self):
-        spec, (seq, _) = RANDOM_P2, build(RANDOM_P2)
+        spec, seq = RANDOM_P2, build(RANDOM_P2)
         core = seq.weight_limit[:3, :3]
         for n in range(2, self.DEPTH + 1):
             shape = (seq.width(n), seq.width(n - 1))
@@ -267,7 +286,7 @@ class TestBlockedDriftDirections:
 
     def test_one_normalisation_call_per_block_and_shape(self, monkeypatch):
         stacks = self._stack_shapes(monkeypatch)
-        seq, _ = build(RANDOM_P2)
+        seq = build(RANDOM_P2)
         for n in range(1, self.DEPTH + 1):
             seq.layer(n)
         # two blocks (layers 2..65 and 66..129), two shapes in each
@@ -284,24 +303,24 @@ class TestBlockedDriftDirections:
         assert sorted(stacks) == [(2, 3, 4), (2, 4, 3)]
 
 
-class TestBuiltKind:
-    """``build`` returns the recursion its spec declares, and the pooling
-    window of that kind is the one the weights were shaped for."""
+class TestBuiltRecursion:
+    """``build`` returns a sequence that runs the recursion its spec
+    declares: its pooling window is the one the weights were shaped for."""
 
     @pytest.mark.parametrize(
         "pooling", [no_pooling(), average_pooling(2), max_pooling(1)], ids=str
     )
     @pytest.mark.parametrize("family", ["constant", "exp_decay", "random_convergent"])
-    def test_kind_window_matches_the_weight_rows(self, family, pooling):
+    def test_pooling_window_matches_the_weight_rows(self, family, pooling):
         rate = None if family == "constant" else 0.5
         spec = GenSpec(
             family, input_dim=3, widths=4, seed=5, rate=rate, norm_target=0.5,
             pooling=pooling,
         )
-        seq, kind = build(spec)
-        assert kind == (PLAIN if pooling.mu == 0 else Pooled(pooling))
-        assert pool_of(kind).mu == seq.extra_rows == pooling.mu
-        (state,) = eval_trajectory(seq, kind, relu(), np.ones((3, 2)), 1)
+        seq = build(spec)
+        assert seq.pooling == pooling and seq.masks is None
+        assert seq.layer(1)[0].shape == (4 + pooling.mu, 3)
+        (state,) = eval_trajectory(seq, relu(), np.ones((3, 2)), 1)
         assert state.shape == (4, 2) and np.isfinite(state).all()
 
     def test_pooling_must_be_an_operator(self):
@@ -315,7 +334,7 @@ class TestGeometries:
             "exp_decay", input_dim=3, widths=(5, 3, 4), seed=1, rate=0.5,
             norm_target=0.5,
         )
-        seq, _ = build(spec)
+        seq = build(spec)
         assert [seq.width(n) for n in range(0, 7)] == [3, 5, 3, 4, 5, 3, 4]
         for n in range(1, 7):
             assert seq.layer(n)[0].shape == (seq.width(n), seq.width(n - 1))
@@ -325,8 +344,8 @@ class TestGeometries:
             "constant", input_dim=4, widths=5, seed=2, norm_target=0.5,
             pooling=average_pooling(2),
         )
-        seq, kind = build(spec)
-        assert kind == Pooled(average_pooling(2))
+        seq = build(spec)
+        assert seq.pooling == average_pooling(2)
         assert seq.layer(1)[0].shape == (7, 4)
         assert seq.layer(3)[0].shape == (7, 5)
         assert seq.layer(1)[1].size == 5
@@ -334,17 +353,17 @@ class TestGeometries:
     def test_conv_network_parts(self):
         mask_spec = MaskSpec("vanishing_exponential", (0.6, -0.4), rate=0.5)
         spec = GenSpec("conv", input_dim=2, seed=7, mask=mask_spec)
-        seq, kind = build(spec)
-        assert isinstance(kind, Conv) and kind.masks.tau == 1
+        seq = build(spec)
+        assert seq.masks.tau == 1 and seq.pooling.mu == 0
         assert [seq.width(n) for n in range(4)] == [2, 3, 4, 5]
-        assert_allclose(kind.masks.mask(3), np.array([0.6, -0.4]) * 0.5**3, rtol=1e-14)
+        assert_allclose(seq.masks.mask(3), np.array([0.6, -0.4]) * 0.5**3, rtol=1e-14)
         assert seq.bias_limit.shape == (3,)  # s + tau core coordinates
 
     def test_conv_bias_drift_exact(self):
         mask_spec = MaskSpec("vanishing_exponential", (0.6, -0.4), rate=0.5)
         spec = GenSpec("conv", input_dim=2, seed=7, mask=mask_spec, bias_scale=0.5)
-        seq, kind = build(spec)
-        ctx = BoundContext(seq, kind, sigmoid(), INF)
+        seq = build(spec)
+        ctx = BoundContext(seq, sigmoid(), INF)
         for k in (1, 3, 6):
             assert ctx.bias_limit_diff(k) == pytest.approx(0.5 * 0.5**k, rel=1e-12)
 

@@ -172,10 +172,9 @@ def compute_study_digests() -> dict[str, str]:
     out: dict[str, str] = {}
     for group, insts in (("corpus", corpus_instances()), ("control", control_instances())):
         for inst in insts:
-            seq, kind = inst.build()
+            seq = inst.build()
             result = convergence_study(
                 seq,
-                kind,
                 inst.activation(),
                 inst.p,
                 inst.domain(),
@@ -189,7 +188,6 @@ def compute_study_digests() -> dict[str, str]:
         exp = parse_config(doc)
         result = convergence_study(
             exp.seq,
-            exp.kind,
             exp.act,
             exp.p,
             exp.domain,

@@ -39,7 +39,7 @@ from dnclab.linalg import (
 )
 from dnclab.linalg import _grams
 from dnclab.analysis import CONSTANT_PAD
-from dnclab.network import Conv, eval_extended_trajectory, eval_trajectory
+from dnclab.network import eval_extended_trajectory, eval_trajectory
 from dnclab.pooling import average_pooling, max_pooling
 
 # signed zeros, cancelling magnitudes and ordinary values
@@ -360,6 +360,26 @@ def test_p2_batch_holds_one_gram_array(monkeypatch):
     assert (got[1::12] < frobenius[1::12]).all()
 
 
+def test_cholesky_rung_buffers_at_most_n_rows(monkeypatch):
+    """The rung's product buffer holds at most n rows of every member, so
+    one 32 x 32 operator at p = 2 peaks under 100 KB traced; a buffer of
+    the full 256 KB block oversteps it.  Blocking never changes a bit: a
+    one-row block gives the same norm."""
+    a = np.random.default_rng(0).uniform(-1.0, 1.0, (32, 32))
+    induced_norm(a, TWO)  # warm the import-time and first-call allocations
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        got = induced_norm(a, TWO)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000, peak
+    monkeypatch.setattr(linalg, "_GRAM_BLOCK_BYTES", 1)
+    assert_same_bits(got, induced_norm(a, TWO))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 12), SEEDS)
 def test_stacked_exact_norms_match_loop_sums(rows, cols, count, seed):
@@ -586,25 +606,25 @@ def test_batched_recursion_matches_per_sample_loop(label):
     its last one, so both convolutional picks also run it to depth 40:
     their heads then span 40 sizes, from 5 to 83 rows."""
     inst = {i.label: i for i in corpus_instances()}[label]
-    seq, kind = inst.build()
+    seq = inst.build()
     act = inst.activation()
     xs = inst.domain().uniform_samples(5, seed=17).T
     depth = 10
-    if isinstance(kind, Conv):
-        states = eval_extended_trajectory(seq, kind, act, xs, 40)
+    if seq.masks is not None:
+        states = eval_extended_trajectory(seq, act, xs, 40)
         for s in range(xs.shape[1]):
-            want = oracles.per_sample_constant_pad(seq, kind.masks, act, xs[:, s], 40)
+            want = oracles.per_sample_constant_pad(seq, act, xs[:, s], 40)
             for got, (head, tail) in zip(states, want, strict=True):
                 assert_same_bits(got.head[:, s], head)
                 assert bits(got.tail[s]) == bits(tail)
     if inst.extension != CONSTANT_PAD:
-        states = eval_trajectory(seq, kind, act, xs, depth)
+        states = eval_trajectory(seq, act, xs, depth)
         for s in range(xs.shape[1]):
-            want = oracles.per_sample_trajectory(seq, kind, act, xs[:, s], depth)
+            want = oracles.per_sample_trajectory(seq, act, xs[:, s], depth)
             for got, v in zip(states, want):
                 assert_same_bits(got[:, s], v)
     # a trajectory over the batch agrees with the one over a single column
-    ctx = BoundContext(seq, kind, act, inst.p, inst.extension)
+    ctx = BoundContext(seq, act, inst.p, inst.extension)
     full = Trajectory(ctx, xs, depth, norms=(depth,))
     one = Trajectory(ctx, xs[:, 2], depth, norms=(depth,))
     assert bits(full.state_norm(depth)[2]) == bits(one.state_norm(depth))

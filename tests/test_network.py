@@ -8,17 +8,13 @@ from dnclab.activations import identity, relu, sigmoid
 from dnclab.analysis import BoundContext
 from dnclab.linalg import INF, ONE, seq_sum
 from dnclab.network import (
-    PLAIN,
-    Conv,
     LayerSeq,
     MaskSeq,
-    Pooled,
     cnn_layer_seq,
     eval_extended_trajectory,
     eval_trajectory,
-    pool_of,
 )
-from dnclab.pooling import average_pooling, no_pooling
+from dnclab.pooling import average_pooling
 
 import oracles
 
@@ -38,7 +34,7 @@ def scalar_net(weight: float, bias: float = 0.0) -> LayerSeq:
 class TestLayerSeq:
     def test_scalar_geometric_trajectory(self):
         seq = scalar_net(0.4)
-        states = eval_trajectory(seq, PLAIN, relu(), [1.0], 6)
+        states = eval_trajectory(seq, relu(), [1.0], 6)
         assert_allclose([s[0] for s in states], [0.4**n for n in range(1, 7)], rtol=1e-15)
 
     def test_layer_caching_returns_identical_objects(self):
@@ -75,14 +71,14 @@ class TestLayerSeq:
         # the norms of a sequence's weights live in one bound context per p
         seq = scalar_net(-0.7)
         for p in (ONE, INF):
-            ctx = BoundContext(seq, PLAIN, relu(), p)
+            ctx = BoundContext(seq, relu(), p)
             assert ctx.weight_norm(1) == 0.7
             assert ctx.weight_norm(1) is ctx.weight_norm(1)
 
     def test_input_dim_mismatch(self):
         seq = scalar_net(0.5)
         with pytest.raises(ValueError, match="dimension"):
-            eval_trajectory(seq, PLAIN, relu(), [1.0, 2.0], 3)[-1]
+            eval_trajectory(seq, relu(), [1.0, 2.0], 3)[-1]
 
 
 class TestPooledRecursion:
@@ -91,21 +87,33 @@ class TestPooledRecursion:
         # plus bias (-4, 1) -> (-1, 6); relu -> (0, 6)
         w = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         b = np.array([-4.0, 1.0])
-        seq = LayerSeq(2, lambda n: 2, lambda n: w, lambda n: b, extra_rows=1)
-        kind = Pooled(average_pooling(1))
-        out = eval_trajectory(seq, kind, relu(), [2.0, 4.0], 1)[-1]
+        seq = LayerSeq(
+            2, lambda n: 2, lambda n: w, lambda n: b, pooling=average_pooling(1)
+        )
+        out = eval_trajectory(seq, relu(), [2.0, 4.0], 1)[-1]
         assert_array_equal(out, [0.0, 6.0])
 
-    def test_pooling_shape_consistency_enforced(self):
-        seq = scalar_net(0.5)  # no extra rows
-        with pytest.raises(ValueError, match="mu"):
-            eval_trajectory(seq, Pooled(average_pooling(1)), relu(), [1.0], 2)[-1]
-        w = np.ones((2, 1))
-        reserved = LayerSeq(
-            1, lambda n: 1, lambda n: w, lambda n: np.zeros(1), extra_rows=1
+    def test_weight_without_its_pooling_rows_is_refused(self):
+        # layer 2 has no row for the pooling window; layer 1 has its mu = 1
+        w = {1: np.ones((2, 1)), 2: np.ones((1, 1))}
+        seq = LayerSeq(
+            1, lambda n: 1, w.get, lambda n: np.zeros(1), pooling=average_pooling(1)
         )
-        with pytest.raises(ValueError, match="pooling"):
-            eval_trajectory(reserved, PLAIN, relu(), [1.0], 2)[-1]
+        assert seq.layer(1)[0].shape == (2, 1)
+        with pytest.raises(ValueError, match=r"layer 2: weight shape \(1, 1\)"):
+            eval_trajectory(seq, relu(), [1.0], 2)
+
+    def test_masks_with_pooling_rows_are_refused(self):
+        masks = MaskSeq(0, lambda n: [1.0])
+        with pytest.raises(ValueError, match="pooling rows"):
+            LayerSeq(
+                1,
+                lambda n: 1,
+                lambda n: np.ones((2, 1)),
+                lambda n: np.zeros(1),
+                pooling=average_pooling(1),
+                masks=masks,
+            )
 
 
 class TestMaskSeq:
@@ -129,20 +137,22 @@ class TestConvNetwork:
     def test_widths_grow_by_band(self):
         masks = MaskSeq(2, lambda n: [0.5, 0.2, 0.1])
         seq = cnn_layer_seq(masks, lambda n: np.zeros(3 + 2 * n), 3)
+        assert seq.masks is masks and seq.pooling.mu == 0
+        assert scalar_net(0.5).masks is None
         assert [seq.width(n) for n in range(4)] == [3, 5, 7, 9]
         assert seq.layer(2)[0].shape == (7, 5)
 
     def test_single_tap_identity_mask(self):
         masks = MaskSeq(0, lambda n: [1.0])
         seq = cnn_layer_seq(masks, lambda n: np.zeros(2), 2)
-        out = eval_trajectory(seq, Conv(masks), relu(), [3.0, 4.0], 5)[-1]
+        out = eval_trajectory(seq, relu(), [3.0, 4.0], 5)[-1]
         assert_array_equal(out, [3.0, 4.0])
 
     def test_layer_is_full_convolution(self):
         masks = MaskSeq(1, lambda n: [1.0, -0.5])
         seq = cnn_layer_seq(masks, lambda n: np.zeros(2 + n), 2)
         x = np.array([2.0, 3.0])
-        out = eval_trajectory(seq, Conv(masks), identity(), x, 1)[-1]
+        out = eval_trajectory(seq, identity(), x, 1)[-1]
         assert_allclose(out, oracles.conv_full([1.0, -0.5], x), rtol=1e-15)
 
 
@@ -153,7 +163,7 @@ class TestConstantPadExtension:
         masks = MaskSeq(1, lambda n: [0.2, 0.3])
         seq = cnn_layer_seq(masks, lambda n: np.zeros(1 + n), 1)
         act = sigmoid()
-        states = eval_extended_trajectory(seq, Conv(masks), act, [1.0], 3)
+        states = eval_extended_trajectory(seq, act, [1.0], 3)
         assert states[0].tail == 0.5
         assert states[1].tail == float(act.apply(0.25))
         assert states[2].tail == float(act.apply(0.5 * states[1].tail))
@@ -167,7 +177,7 @@ class TestConstantPadExtension:
         act = sigmoid()
         x = np.array([0.7, -0.2])
         depth = 4
-        states = eval_extended_trajectory(seq, Conv(masks), act, x, depth)
+        states = eval_extended_trajectory(seq, act, x, depth)
 
         # dense shadow: truncate every operator wide enough that no head row
         # ever sees the cut
@@ -192,38 +202,28 @@ class TestConstantPadExtension:
     def test_constant_pad_requires_conv(self):
         seq = scalar_net(0.5)
         with pytest.raises(ValueError, match="convolutional"):
-            eval_extended_trajectory(seq, PLAIN, relu(), [1.0], 2)[-1]
+            eval_extended_trajectory(seq, relu(), [1.0], 2)[-1]
 
 
 class TestLipschitzBound:
     def test_product_formula(self):
         seq = scalar_net(0.4)
         act = relu()
-        assert oracles.network_lipschitz_bound(
-            seq, act, no_pooling(), 3, ONE
-        ) == pytest.approx(0.4**3)
+        assert oracles.network_lipschitz_bound(seq, act, 3, ONE) == pytest.approx(0.4**3)
 
     def test_bounds_actual_differences(self):
         masks = MaskSeq(1, lambda n: [0.5, -0.3])
         seq = cnn_layer_seq(masks, lambda n: np.zeros(2 + n), 2)
         act = sigmoid()
-        lip = oracles.network_lipschitz_bound(seq, act, no_pooling(), 3, ONE)
+        lip = oracles.network_lipschitz_bound(seq, act, 3, ONE)
         rng = np.random.default_rng(17)
         for _ in range(20):
             x = rng.uniform(-2, 2, 2)
             y = rng.uniform(-2, 2, 2)
             dx = (
-                eval_trajectory(seq, Conv(masks), act, x, 3)[-1]
-                - eval_trajectory(seq, Conv(masks), act, y, 3)[-1]
+                eval_trajectory(seq, act, x, 3)[-1]
+                - eval_trajectory(seq, act, y, 3)[-1]
             )
             lhs = seq_sum(np.abs(dx))
             rhs = lip * seq_sum(np.abs(x - y))
             assert lhs <= rhs * (1 + 1e-10) + 1e-12
-
-
-class TestPoolOf:
-    def test_kind_dispatch(self):
-        assert pool_of(PLAIN).kind == "identity"
-        assert pool_of(Pooled(average_pooling(2))).mu == 2
-        masks = MaskSeq(0, lambda n: [1.0])
-        assert pool_of(Conv(masks)).kind == "identity"

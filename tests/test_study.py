@@ -25,7 +25,7 @@ from dnclab.cli import main
 from dnclab.config import load_config, parse_config
 from dnclab.corpus import control_instances, corpus_instances
 from dnclab.linalg import INF, ONE, TWO, EventuallyConstSeq, apply_banded, matvec
-from dnclab.network import PLAIN, Conv, LayerSeq, eval_extended_trajectory
+from dnclab.network import LayerSeq, eval_extended_trajectory
 from dnclab.study import DepthPlan, convergence_study
 
 import oracles
@@ -49,7 +49,6 @@ SMALL_SAMPLER = SamplerSpec(count=6, seed=3)
 def run_scalar(**kw):
     return convergence_study(
         scalar_net(0.4),
-        PLAIN,
         relu(),
         ONE,
         Domain(1, 1.0),
@@ -116,7 +115,7 @@ class TestConvergenceStudy:
     def test_domain_dimension_checked(self):
         with pytest.raises(ValueError, match="dimension"):
             convergence_study(
-                scalar_net(0.4), PLAIN, relu(), ONE, Domain(2, 1.0), SMALL_SAMPLER
+                scalar_net(0.4), relu(), ONE, Domain(2, 1.0), SMALL_SAMPLER
             )
 
 
@@ -150,15 +149,14 @@ class TestRowLimitVerdict:
 
 
 def _oracle_case(label: str) -> tuple:
-    """(seq, kind, act, p, domain, extension) of the corpus instance
-    ``label``."""
+    """(seq, act, p, domain, extension) of the corpus instance ``label``."""
     (inst,) = [i for i in corpus_instances() if i.label == label]
-    return (*inst.build(), inst.activation(), inst.p, inst.domain(), inst.extension)
+    return inst.build(), inst.activation(), inst.p, inst.domain(), inst.extension
 
 
 ORACLE_STUDIES = {
     "scalar-0.4-p1": lambda: (
-        scalar_net(0.4), PLAIN, relu(), ONE, Domain(1, 1.0), analysis.ZERO_PAD
+        scalar_net(0.4), relu(), ONE, Domain(1, 1.0), analysis.ZERO_PAD
     ),
     "max-pooled-pinf": lambda: _oracle_case("max1-exp_decay-sigmoid-pinf"),
     "cyclic-p1": lambda: _oracle_case("cyc534-exp_decay-relu-p1"),
@@ -175,17 +173,17 @@ class TestWholeStudyOracle:
     @pytest.mark.parametrize("scale", [1.0, 1 / 16], ids=["as-is", "planted"])
     @pytest.mark.parametrize("case", sorted(ORACLE_STUDIES))
     def test_study_matches_the_oracle(self, case, scale, monkeypatch):
-        seq, kind, act, p, domain, extension = ORACLE_STUDIES[case]()
+        seq, act, p, domain, extension = ORACLE_STUDIES[case]()
         for name in ("deviation_bound_ctx", "limit_bound_ctx"):
             bound = getattr(study, name)
             monkeypatch.setattr(study, name, lambda *a, f=bound: f(*a) * scale)
         table = study._apriori_bounds
         monkeypatch.setattr(study, "_apriori_bounds", lambda *a: [b * scale for b in table(*a)])
         res = convergence_study(
-            seq, kind, act, p, domain, SMALL_SAMPLER, SMALL_PLAN, extension=extension
+            seq, act, p, domain, SMALL_SAMPLER, SMALL_PLAN, extension=extension
         )
         want = oracles.mp_study(
-            seq, kind, act, p, domain, SMALL_SAMPLER, SMALL_PLAN, res.constants, scale,
+            seq, act, p, domain, SMALL_SAMPLER, SMALL_PLAN, res.constants, scale,
             extension=extension,
         )
         got = [astuple(r) for r in res.rows] + [astuple(r) for r in res.state_rows]
@@ -214,10 +212,9 @@ class TestCorpusSmoke:
         ]
         for label in picks:
             inst = by_label[label]
-            seq, kind = inst.build()
+            seq = inst.build()
             res = convergence_study(
                 seq,
-                kind,
                 inst.activation(),
                 inst.p,
                 inst.domain(),
@@ -230,10 +227,9 @@ class TestCorpusSmoke:
 
     def test_controls_fail_condition_but_not_bounds(self):
         for inst in control_instances():
-            seq, kind = inst.build()
+            seq = inst.build()
             res = convergence_study(
                 seq,
-                kind,
                 inst.activation(),
                 inst.p,
                 inst.domain(),
@@ -292,8 +288,8 @@ class TestBatchComposition:
     @pytest.mark.parametrize("label", PICKS)
     def test_sample_bits_independent_of_batch(self, label):
         inst = {i.label: i for i in corpus_instances()}[label]
-        seq, kind = inst.build()
-        ctx = BoundContext(seq, kind, inst.activation(), inst.p, inst.extension)
+        seq = inst.build()
+        ctx = BoundContext(seq, inst.activation(), inst.p, inst.extension)
         xs = inst.domain().uniform_samples(7, seed=41).T
         count = xs.shape[1]
         full = Trajectory(ctx, xs, self.DEPTH, **self.EVERY)
@@ -319,8 +315,8 @@ class TestBatchComposition:
         for one vector; so do the deviation bounds built on them.  A read
         that was not declared raises."""
         inst = {i.label: i for i in corpus_instances()}[label]
-        seq, kind = inst.build()
-        ctx = BoundContext(seq, kind, inst.activation(), inst.p, inst.extension)
+        seq = inst.build()
+        ctx = BoundContext(seq, inst.activation(), inst.p, inst.extension)
         plan = self.LEAN_PLAN
         reads = study._trajectory_reads(plan)
         batch = inst.domain().uniform_samples(7, seed=41).T
@@ -355,7 +351,7 @@ class TestBatchComposition:
                     read()
 
     def test_reading_an_unkept_depth_names_it(self):
-        ctx = BoundContext(scalar_net(0.4), PLAIN, relu(), ONE)
+        ctx = BoundContext(scalar_net(0.4), relu(), ONE)
         lean = Trajectory(
             ctx, [[0.5, -0.25]], 12, norms=(1, 2, 11), pairs=[(2, 11)], gaps=(1, 11)
         )
@@ -476,21 +472,20 @@ def _audit_cases():
     for path in sorted(CONFIG_DIR.glob("*.json")):
         exp = load_config(str(path))
         yield path.stem, (
-            exp.seq, exp.kind, exp.act, exp.p, exp.domain, exp.sampler, exp.depths,
+            exp.seq, exp.act, exp.p, exp.domain, exp.sampler, exp.depths,
             exp.extension,
         )
         yield path.stem + "-deep", (
-            *(exp.seq, exp.kind, exp.act, exp.p, exp.domain),
+            *(exp.seq, exp.act, exp.p, exp.domain),
             SamplerSpec(count=2, seed=5), DEEP_PLAN, exp.extension,
         )
     for inst in (*corpus_instances(), *control_instances()):
-        seq, kind = inst.build()
         yield inst.label, (
-            seq, kind, inst.activation(), inst.p, inst.domain(),
+            inst.build(), inst.activation(), inst.p, inst.domain(),
             SamplerSpec(count=2, seed=inst.gen.seed + 7), AUDIT_PLAN, inst.extension,
         )
     yield "no-limits-p2", (
-        _plain_net_without_limits(), PLAIN, relu(), TWO, Domain(4, 1.0),
+        _plain_net_without_limits(), relu(), TWO, Domain(4, 1.0),
         SamplerSpec(count=2, seed=9), SCAN_PLAN, "zero_pad",
     )
 
@@ -503,11 +498,11 @@ def test_prefetch_covers_exactly_the_norms_a_study_reads():
     built (or mask-summed) twice.  A net without declared limits checks
     the condition's tail scan, which reads the same cache."""
     studies = 0
-    for label, (seq, kind, act, p, domain, sampler, depths, ext) in _audit_cases():
+    for label, (seq, act, p, domain, sampler, depths, ext) in _audit_cases():
         with pytest.MonkeyPatch.context() as mp:
             audit = NormAudit(mp)
-            convergence_study(seq, kind, act, p, domain, sampler, depths, extension=ext)
-        limit = int(not isinstance(kind, Conv) and seq.weight_limit is not None)
+            convergence_study(seq, act, p, domain, sampler, depths, extension=ext)
+        limit = int(seq.masks is None and seq.weight_limit is not None)
         assert audit.prefetched, label
         assert audit.lazy == [], label
         assert audit.prefetched <= audit.read, (label, audit.prefetched - audit.read)
@@ -526,13 +521,13 @@ def test_reused_workspaces_never_reach_a_kept_state():
     the states ``eval_extended_trajectory`` lists, each difference built
     in full as a sequence."""
     inst = {i.label: i for i in corpus_instances()}["convc-t2-sigmoid-pinf"]
-    seq, kind = inst.build()
+    seq = inst.build()
     act = inst.activation()
-    ctx = BoundContext(seq, kind, act, inst.p, inst.extension)
+    ctx = BoundContext(seq, act, inst.p, inst.extension)
     x = inst.domain().uniform_samples(6, seed=23).T
     norms, pairs, gaps = (1, 3, 5, 40), ((1, 40), (3, 40), (3, 5)), (1, 2, 4)
     traj = Trajectory(ctx, x, 40, norms=norms, pairs=pairs, gaps=gaps)
-    states = eval_extended_trajectory(seq, kind, act, x, 40)
+    states = eval_extended_trajectory(seq, act, x, 40)
     first = EventuallyConstSeq(matvec(seq.layer(1)[0], x), 0.0)
     for n in norms:
         np.testing.assert_array_equal(
@@ -542,7 +537,7 @@ def test_reused_workspaces_never_reach_a_kept_state():
         want = (states[b - 1] - states[a - 1]).norm(INF)
         np.testing.assert_array_equal(_bits(traj.deviation(a, b)), _bits(want))
     for m in gaps:
-        product = apply_banded(kind.masks.mask(m + 1), states[m - 1])
+        product = apply_banded(seq.masks.mask(m + 1), states[m - 1])
         want = (product - first).norm(INF)
         np.testing.assert_array_equal(_bits(traj.product_gap(m)), _bits(want))
 
@@ -619,11 +614,11 @@ def test_trajectory_keeps_exactly_the_depths_a_study_reads():
     Checked on both shipped configs, their deep variants, all 52 selftest
     studies and a net without limits."""
     studies = 0
-    for label, (seq, kind, act, p, domain, sampler, depths, ext) in _audit_cases():
+    for label, (seq, act, p, domain, sampler, depths, ext) in _audit_cases():
         with pytest.MonkeyPatch.context() as mp:
             made = _watched_trajectories(mp)
             sweeps = _watched_sweeps(mp)
-            convergence_study(seq, kind, act, p, domain, sampler, depths, extension=ext)
+            convergence_study(seq, act, p, domain, sampler, depths, extension=ext)
         (traj,), (sweep,) = made, sweeps
         reads = study._trajectory_reads(depths)
         declared = {key: set(values) for key, values in reads.items()}
@@ -647,13 +642,13 @@ def test_a_study_frees_its_network_without_the_cycle_collector(prefix):
     inst = next(i for i in corpus_instances() if i.label.startswith(prefix))
     gc.disable()
     try:
-        seq, kind = inst.build()
+        seq = inst.build()
         freed = weakref.ref(seq)
         result = convergence_study(
-            seq, kind, inst.activation(), inst.p, inst.domain(),
+            seq, inst.activation(), inst.p, inst.domain(),
             SamplerSpec(count=3, seed=1), SMALL_PLAN, extension=inst.extension,
         )
-        del seq, kind
+        del seq
         assert result.bounds_ok
         assert freed() is None
     finally:
@@ -711,7 +706,7 @@ def _traced_peak(exp, mp: pytest.MonkeyPatch) -> tuple:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
         result = convergence_study(
-            exp.seq, exp.kind, exp.act, exp.p, exp.domain, exp.sampler, exp.depths,
+            exp.seq, exp.act, exp.p, exp.domain, exp.sampler, exp.depths,
             extension=exp.extension,
         )
         peak = max(peaks["before sweep"], tracemalloc.get_traced_memory()[1]) - before
@@ -811,7 +806,7 @@ def test_study_takes_restart_gaps_only_where_the_grid_reads_them(monkeypatch):
     )
     made = _watched_trajectories(monkeypatch)
     convergence_study(
-        exp.seq, exp.kind, exp.act, exp.p, exp.domain, exp.sampler, exp.depths,
+        exp.seq, exp.act, exp.p, exp.domain, exp.sampler, exp.depths,
         extension=exp.extension,
     )
     (traj,) = made
