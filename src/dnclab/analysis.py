@@ -842,6 +842,15 @@ class LimitConstants:
         return asdict(self)
 
 
+def _scan_keys(ctx: BoundContext) -> list[tuple]:
+    """The keys of the operator norms :func:`derive_limit_constants` reads,
+    in one batch: |W_1| .. |W_48| and E_48; none when the network gets no
+    scan (no declared limits, or a tail-cap refusal)."""
+    if not ctx.has_limits or ctx.tail_cap_refusal() is not None:
+        return []
+    return [*(("W", n) for n in range(1, _SCAN_END + 1)), ("E", _SCAN_END)]
+
+
 def derive_limit_constants(
     ctx: BoundContext, x_bound: float
 ) -> tuple[LimitConstants | None, str]:
@@ -866,7 +875,7 @@ def derive_limit_constants(
     refusal = ctx.tail_cap_refusal()
     if refusal is not None:
         return None, refusal
-    ctx.prefetch([*(("W", n) for n in range(1, n1 + 1)), ("E", n1)])
+    ctx.prefetch(_scan_keys(ctx))
     lp = ctx.L * ctx.P
     e_end = ctx.bias_limit_diff(n1)
     E_end = ctx.weight_limit_diff(n1)

@@ -72,16 +72,6 @@ class Instance:
         """The layer sequence, ready for evaluation."""
         return build(self.gen)
 
-    @property
-    def is_rate_instance(self) -> bool:
-        """Exponential-drift instances dialed to omega = 0.6, rate = 0.5 —
-        the ones whose fitted convergence rate has a sharp prediction."""
-        return (
-            self.gen.family == "exp_decay"
-            and self.omega_target == 0.6
-            and self.gen.rate == 0.5
-        )
-
 
 def _lipschitz(act_name: str, act_params) -> float:
     return make_activation(act_name, **dict(act_params)).lipschitz

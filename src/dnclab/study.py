@@ -42,6 +42,7 @@ from .analysis import (
     SamplerSpec,
     Trajectory,
     _apriori_bounds,
+    _scan_keys,
     deviation_bound_ctx,
     fit_exponential_rate,
     limit_bound_ctx,
@@ -232,6 +233,20 @@ def _grid_norm_keys(depths: DepthPlan, limits: bool) -> list[tuple]:
     return sorted(keys)
 
 
+def _scan_batch(ctx: BoundContext, depths: DepthPlan) -> list[tuple]:
+    """The keys of the constants scan's norm batch: the scan's own, then
+    the grid's weight and drift keys, which the grid reads whatever the
+    verdicts, until the batch holds half of the study's operators (rounded
+    up).  The grid's batch after the verdicts takes the rest, with the
+    limit drifts E_k once the constants certify.  Empty without a scan."""
+    scan = _scan_keys(ctx)
+    if not scan:
+        return []
+    half = -(-len({*scan, *_grid_norm_keys(depths, limits=True)}) // 2)
+    rest = [key for key in _grid_norm_keys(depths, limits=False) if key not in scan]
+    return [*scan, *rest[: max(0, half - len(scan))]]
+
+
 def _trajectory_reads(depths: DepthPlan) -> dict:
     """What the audit grid reads from the trajectory, as the keywords of
     :class:`Trajectory`: the state norms at n and the reference depth (the
@@ -271,7 +286,13 @@ def convergence_study(
     ref = depths.reference
 
     # the x-independent phase runs before the states exist, so the norm
-    # batches' working set is freed before the trajectory is allocated
+    # batches' working set is freed before the trajectory is allocated.  A
+    # p = 2 batch holds its operand stack, a Gram array and a Lanczos basis,
+    # so the study's operators go in two even batches: the constants scan's,
+    # filled up with the grid's weights and drifts, and the grid's, which
+    # takes the rest and the limit drifts once the constants certify.  A
+    # network without a scan has one batch, the grid's
+    ctx.prefetch(_scan_batch(ctx, depths))
     condition, mask_conditions, constants, constants_note = network_verdicts(
         ctx, domain.norm_bound(p)
     )

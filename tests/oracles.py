@@ -641,3 +641,14 @@ def mp_study(
         dev_ref = _scan_sup(norms(n, ref))[0]
         out["state_rows"].append((*row, dev_ref, *limit(dev_ref, n, ref)))
     return out
+
+
+def is_rate_instance(inst) -> bool:
+    """Whether the corpus ``inst`` is an exponential-drift instance dialed
+    to omega = 0.6, rate = 0.5: one whose fitted convergence rate has a
+    sharp prediction."""
+    return (
+        inst.gen.family == "exp_decay"
+        and inst.omega_target == 0.6
+        and inst.gen.rate == 0.5
+    )

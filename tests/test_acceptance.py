@@ -51,7 +51,7 @@ from dnclab import (
 from dnclab.analysis import apriori_bound_ctx, deviation_bound_ctx
 from dnclab.cli import main
 from dnclab.report import strip_generated_at
-from oracles import zero_pad_matrix
+from oracles import is_rate_instance, zero_pad_matrix
 
 REFERENCE_DEPTH = 48
 SAMPLE_COUNT = 100
@@ -306,7 +306,7 @@ def test_criterion_6_exponential_rate(prepared, capsys):
     lookahead = 32
     results = []
     for pi in data:
-        if not pi.inst.is_rate_instance:
+        if not is_rate_instance(pi.inst):
             continue
         sup = {
             n: float(np.max(pi.traj.deviation(n, REFERENCE_DEPTH)))

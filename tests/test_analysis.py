@@ -1,5 +1,6 @@
 """Tests for the bounds, convergence conditions, and sequence lemmas."""
 
+import dataclasses
 import math
 from collections import Counter
 
@@ -30,7 +31,7 @@ from dnclab.analysis import (
     tail_product_sums,
     weighted_tail_sums,
 )
-from dnclab.corpus import corpus_instances
+from dnclab.corpus import control_instances, corpus_instances
 from dnclab.generators import GenSpec, MaskSpec, build, build_masks
 from dnclab.linalg import INF, ONE, TWO, induced_norm, vector_norm
 from dnclab.network import LayerSeq, MaskSeq, cnn_layer_seq, eval_trajectory
@@ -388,6 +389,63 @@ class TestLimitConstants:
         )
         assert why == "ok"
         assert calls == Counter(range(1, 49))
+
+
+def _omega0_shortfalls() -> tuple[int, list[str]]:
+    """(instances with constants, labels of those whose omega0 is not a
+    certified cap) over the corpus and the controls.  The constants come
+    from ``analysis.derive_limit_constants``; the cap is checked against
+    the norms of a fresh context: omega0 >= L*P*|W_k| for each k in
+    [2, 48] and omega0 >= L*P*(|W*| + E_48)."""
+    certified, short = 0, []
+    for inst in (*corpus_instances(), *control_instances()):
+        seq, act = inst.build(), inst.activation()
+        ctx = BoundContext(seq, act, inst.p, inst.extension)
+        constants, _ = analysis.derive_limit_constants(
+            ctx, inst.domain().norm_bound(inst.p)
+        )
+        if constants is None:
+            continue
+        certified += 1
+        fresh = BoundContext(seq, act, inst.p, inst.extension)
+        lp = fresh.L * fresh.P
+        caps = [lp * fresh.weight_norm(k) for k in range(2, 49)]
+        caps.append(lp * (fresh.weight_limit_norm + fresh.weight_limit_diff(48)))
+        if constants.omega0 < max(caps):
+            short.append(inst.label)
+    return certified, short
+
+
+class TestOmega0Property:
+    """The limit bound discounts every peeled layer k >= 2 by omega0, so
+    omega0 must cap L*P*|W_k| on every scanned layer and the declared tail
+    L*P*(|W*| + E_48) past the scan."""
+
+    def test_omega0_caps_every_layer_and_the_tail(self):
+        certified, short = _omega0_shortfalls()
+        assert certified == 50
+        assert short == []
+
+    def test_a_window_scan_fails_the_property(self, monkeypatch):
+        # the mutant takes omega0 over the window [8, 48] only; no selftest
+        # study's verdict or bound flags it
+        real = analysis.derive_limit_constants
+
+        def window_scan(ctx, x_bound):
+            constants, why = real(ctx, x_bound)
+            if constants is None:
+                return constants, why
+            lp = ctx.L * ctx.P
+            omega0 = max(
+                max(lp * ctx.weight_norm(k) for k in range(8, 49)),
+                lp * (ctx.weight_limit_norm + ctx.weight_limit_diff(48)),
+            )
+            return dataclasses.replace(constants, omega0=omega0), why
+
+        monkeypatch.setattr(analysis, "derive_limit_constants", window_scan)
+        certified, short = _omega0_shortfalls()
+        assert certified == 50
+        assert len(short) == 35, short
 
 
 class TestLimitBound:

@@ -170,8 +170,10 @@ def test_traced_run_sees_the_stacked_p2_norms(tmp_path):
     dense run records its spans, and the p = 2 norms do not go through
     ``matvec`` (what is left is the first-layer products).  One
     norm cache makes four stacked p = 2 calls, none on an operand seen
-    before: |W*|, then the constants scan (W_1 alone; W_2..W_48 with E_48),
-    then the grid's drifts and limit drifts."""
+    before: |W*|, then the constants scan's batch (W_1 alone; W_2..W_48
+    and E_48 with the grid's weights and drifts up to half of the study's
+    operators), then the grid's batch (the other weights and drifts, and
+    the limit drifts)."""
     trace = _traced_run(tmp_path, DENSE_P2_CONFIG)
     assert trace["missing"] == []
     calls = _span_calls(trace)

@@ -7,6 +7,8 @@ from dnclab.analysis import CONSTANT_PAD, ZERO_PAD
 from dnclab.corpus import Instance, control_instances, corpus_instances
 from dnclab.linalg import INF, ONE
 
+from oracles import is_rate_instance
+
 
 class TestCorpusShape:
     def test_fifty_unique_labels(self):
@@ -39,7 +41,7 @@ class TestCorpusShape:
                 assert inst.p.is_inf
 
     def test_rate_instances_flagged(self):
-        rated = [inst for inst in corpus_instances() if inst.is_rate_instance]
+        rated = [inst for inst in corpus_instances() if is_rate_instance(inst)]
         assert len(rated) == 10
         for inst in rated:
             assert inst.gen.family == "exp_decay"

@@ -718,22 +718,39 @@ def _traced_peak(exp, mp: pytest.MonkeyPatch) -> tuple:
 def test_study_memory_scales_with_the_depths_it_reads(monkeypatch):
     """Deterministic memory guard: the traced allocation peak of a dense
     p = 2 study at reference depth 64 is bounded by the states it holds
-    (the 8 of n_list), not by the 64 it sweeps, plus one batch of p = 2
-    operands; its sweep alone by the held and spare states.  Keeping
-    every state needs about 8 MB here, over the bound, and keeping the
-    18 depths the grid reads oversteps the sweep's bound."""
+    (the 8 of n_list), not by the 64 it sweeps, plus the larger of its two
+    batches of p = 2 operands; its sweep alone by the held and spare
+    states.  The two batches (the constants scan's and the grid's) split
+    the study's operators evenly: no stack holds more than half of the
+    operators of its shape.  Keeping every state needs about 8 MB here,
+    over the bound, keeping the 18 depths the grid reads oversteps the
+    sweep's bound, and a grid batch of every operator the scan leaves
+    oversteps the study's."""
     exp = parse_config(GUARD_DOC)
     state = GUARD_WIDTH * GUARD_SAMPLES * 8
     held = len(exp.depths.n_list)
     operators = len(study._grid_norm_keys(exp.depths, limits=True))
-    p2 = GUARD_P2_COPIES * operators * GUARD_WIDTH * GUARD_WIDTH * 8
+    batch = -(-operators // 2) + 1  # the larger batch and one spare operator
+    p2 = GUARD_P2_COPIES * batch * GUARD_WIDTH * GUARD_WIDTH * 8
     bound = (held + GUARD_SPARE_STATES) * state + p2
     assert held == 8 and exp.depths.max_depth == 64
     assert bound < exp.depths.max_depth * state  # the guard tells the two apart
+    stacks = []
+    real = linalg.induced_norm
+
+    def recording(a, p):
+        if np.ndim(a) == 3:
+            stacks.append(np.shape(a))
+        return real(a, p)
+
+    monkeypatch.setattr(linalg, "induced_norm", recording)
     result, peak, sweep = _traced_peak(exp, monkeypatch)
     assert result.passed
     assert peak < bound, (peak, bound)
     assert sweep < (held + GUARD_SPARE_STATES) * state, (sweep, held)
+    square = [k for k, *shape in stacks if shape == [GUARD_WIDTH, GUARD_WIDTH]]
+    assert sum(square) == operators - 1  # all but W_1, which has 16 columns
+    assert max(square) <= -(-sum(square) // 2), stacks
 
 
 # the constant-padded convolution of the conv-deep benchmark at 200 samples:
