@@ -445,14 +445,15 @@ class BoundContext:
 
     def norms(self, keys) -> list[float]:
         """The norms of the operators named by ``keys``, computed afresh:
-        each operator is written straight into one stack per shape, and
-        each stack takes one ``induced_norm`` call."""
+        one stack per shape, whose members are written from the weights
+        a block of rows at a time, and one ``induced_norm`` call each."""
         pairs = [self._operator(*key) for key in keys]
-        return stacked_norms(
-            [_padded_shape(*pair) for pair in pairs],
-            lambda i, out: _write_padded_diff(out, *pairs[i]),
-            self.p,
-        )
+
+        def write(i, out, rows):
+            a, b = pairs[i]
+            _write_padded_diff(out, a[rows], None if b is None else b[rows])
+
+        return stacked_norms([_padded_shape(*pair) for pair in pairs], write, self.p)
 
     def _operator(self, tag: str, a: int, b: int | None = None) -> tuple:
         """The operator named by a key, as the pair (A, B) of matrices whose
@@ -632,6 +633,10 @@ def _sup_distance(a: EventuallyConstSeq, b: EventuallyConstSeq):
     return float(out) if a.head.ndim == 1 else out
 
 
+# a batch of more samples is swept in even column chunks of at most this many
+_CHUNK_SAMPLES = 512
+
+
 class Trajectory:
     """The reads a caller declares, taken from one recursion sweep.
 
@@ -644,11 +649,14 @@ class Trajectory:
     soon as its depth is reached: a norm at n, a deviation at b, a gap at
     m + 1 from the products the sweep computes anyway.  A state is held
     only from a to the last b it is paired with (and W_1 x until the last
-    gap), as a copy, since the sweep's values are valid for one step; so
-    memory is O(distinct a * width * S), not O(depth * width * S), and
-    nothing is held after the sweep.  Each read is one value per sample
-    (an array of S, or a float for a vector), with the same bits in any
-    batch.  Reading anything that was not declared raises a ValueError.
+    gap), as a copy, since the sweep's values are valid for one step.  A
+    batch of more than 512 samples is swept in ceil(S / 512) even chunks
+    of columns, one after the other, and each read is joined from theirs:
+    a read has the same bits in any batch, so chunking changes none.  So
+    memory is O(distinct a * width * min(S, 512)), not O(depth * width *
+    S), and nothing is held after the sweep.  Each read is one value per
+    sample (an array of S, or a float for a vector).  Reading anything
+    that was not declared raises a ValueError.
     """
 
     def __init__(
@@ -673,29 +681,45 @@ class Trajectory:
         for a, b in pairs:
             partners.setdefault(b, []).append(a)
             until[a] = b
-        norms_at, devs, gaps_at, held = {}, {}, {}, {}
-        first = None
         last_gap = max(gap_at, default=0)
 
-        def select(n, product, state):
-            nonlocal first
-            if n == 1:
-                first = ctx.keep(product) if gap_at else None
-            elif n - 1 in gap_at:
-                gaps_at[n - 1] = ctx.restart_gap(product, first)
-            if n > last_gap:
-                first = None  # W_1 x: no later gap reads it
-            if n in norm_at:
-                norms_at[n] = ctx.state_norm(state)
-            for a in partners.get(n, ()):
-                devs[a, n] = ctx.distance(state, held[a])
-                if until[a] == n:
-                    del held[a]
-            if n in until:
-                held[n] = ctx.keep(state)
+        def sweep(x) -> tuple[dict, dict, dict]:
+            norms_at, devs, gaps_at, held = {}, {}, {}, {}
+            first = None
 
-        ctx.states(x, depth, select)  # validates x and depth
-        self._norms, self._deviations, self._gaps = norms_at, devs, gaps_at
+            def select(n, product, state):
+                nonlocal first
+                if n == 1:
+                    first = ctx.keep(product) if gap_at else None
+                elif n - 1 in gap_at:
+                    gaps_at[n - 1] = ctx.restart_gap(product, first)
+                if n > last_gap:
+                    first = None  # W_1 x: no later gap reads it
+                if n in norm_at:
+                    norms_at[n] = ctx.state_norm(state)
+                for a in partners.get(n, ()):
+                    devs[a, n] = ctx.distance(state, held[a])
+                    if until[a] == n:
+                        del held[a]
+                if n in until:
+                    held[n] = ctx.keep(state)
+
+            ctx.states(x, depth, select)  # validates x and depth
+            return norms_at, devs, gaps_at
+
+        if np.ndim(x) == 2 and np.shape(x)[1] > _CHUNK_SAMPLES:
+            x = np.asarray(x)
+            count = -(-x.shape[1] // _CHUNK_SAMPLES)
+            edges = [x.shape[1] * i // count for i in range(count + 1)]
+            parts = [sweep(x[:, lo:hi]) for lo, hi in zip(edges, edges[1:])]
+            taken = []
+            for pieces in zip(*parts):  # one kind of read, one dict per chunk
+                keys = list(pieces[0])
+                # each read joined, its chunks' pieces dropped as it is
+                taken.append({k: np.concatenate([p.pop(k) for p in pieces]) for k in keys})
+        else:
+            taken = sweep(x)
+        self._norms, self._deviations, self._gaps = taken
 
     def _read(self, taken: dict, key, what: str):
         try:

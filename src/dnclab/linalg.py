@@ -20,9 +20,12 @@ rests on the primitives here, so two properties are enforced globally:
   ``|A|_1^(1/p) * |A|_inf^(1-1/p)``, never a value.  :func:`induced_norm`
   takes one matrix or a ``(K, rows, cols)`` stack; at p = 2 a stack runs
   its Lanczos runs and rungs for all its members at once, with the same
-  bits per member as alone, and no BLAS or LAPACK call.  A Gram matrix
-  far from 1 is first scaled by a power of two, so an operand is refused
-  only when its Gram matrix or its squared norm leaves the double range.
+  bits per member as alone, and no BLAS or LAPACK call.  It reads the
+  members one block of rows at a time, so the stack that
+  :func:`stacked_norms` passes writes them on demand and is never held
+  whole.  A Gram matrix far from 1 is first scaled by a power of two, so
+  an operand is refused only when its Gram matrix or its squared norm
+  leaves the double range.
 
 Constant-padded convolutions keep their states as
 :class:`EventuallyConstSeq`.  (A zero-padded operator or a state padded
@@ -81,10 +84,20 @@ def seq_sum(values) -> float:
 
 def _seq_sums(a: np.ndarray, axis: int) -> np.ndarray:
     """Left-to-right sums of ``a`` along ``axis``, bit-identical to
-    :func:`seq_sum` of each line.  ``np.add.accumulate`` runs sequentially
+    :func:`seq_sum` of each line (but for the sign of a NaN, which numpy's
+    loops do not fix).  ``np.add.accumulate`` runs sequentially
     but starts from the first term instead of 0.0; ``+ 0.0`` turns the one
-    possible difference, an all-(-0.0) line, into +0.0."""
-    return np.add.accumulate(a, axis=axis).take(-1, axis=axis) + 0.0
+    possible difference, an all-(-0.0) line, into +0.0.  Where each term
+    (one slice across ``axis``) holds more than 256 entries, the terms are
+    instead added one at a time to partial sums that start at 0.0: the
+    same additions, and faster than accumulating along a strided axis."""
+    if a.size <= _ONE_CALL_ENTRIES * a.shape[axis]:
+        return np.add.accumulate(a, axis=axis).take(-1, axis=axis) + 0.0
+    terms = np.moveaxis(a, axis, 0)
+    out = np.zeros(terms.shape[1:])
+    for term in terms:
+        out += term
+    return out
 
 
 def as_vector(x, *, name: str = "vector") -> np.ndarray:
@@ -254,8 +267,9 @@ _GRAM_ENTRIES = 1 << 20
 # the Gram builder's and the Cholesky rung's product buffers hold at most
 # this many bytes (or one Gram row of every member, if that is larger)
 _GRAM_BLOCK_BYTES = 1 << 18
-# up to this many entries per column of products, one accumulation call over
-# all of them beats ``cols`` separate additions
+# up to this many entries per term (a column of products, a slice of a
+# sequential sum), one accumulation call over all the terms beats adding
+# them one at a time
 _ONE_CALL_ENTRIES = 256
 _OUT_OF_RANGE = "induced_norm: a p = 2 operand is out of double range: "
 
@@ -281,35 +295,77 @@ def _gamma(k: int) -> float:
     return k * _U / (1.0 - k * _U)
 
 
-def _grams(ms: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """The Gram matrices A^T A of the matrices ``ms[members]`` of a ``(K,
-    rows, cols)`` stack as one ``(cols, cols, len(members))`` array: slot
-    s holds the Gram matrix of member ``members[s]``, entry [i, j, s]
-    adding ``ms[members[s], r, i] * ms[members[s], r, j]`` over ascending
-    rows r from 0.0, as :func:`matvec` adds.  Each block of Gram rows is
-    accumulated from its diagonal rightwards, and the lower triangle is
-    then copied from the upper: the products commute bitwise, so each Gram
-    matrix is exactly symmetric either way.  The members are gathered one
-    row at a time, never as a stack: besides the result it holds that row,
-    ``(cols, len(members))``, and one product buffer of a block of Gram
-    rows, at most 256 KB or one Gram row of every member, whichever is
-    larger."""
+class _Stack:
+    """A ``(K, rows, cols)`` stack of matrices that is never held whole:
+    ``write(k, out, rows)`` writes the rows ``rows`` (a slice) of member k
+    into ``out``, zeroed, of shape ``(len(rows), cols)``.  ``np.asarray``
+    writes every member into one zero-padded array."""
+
+    ndim = 3
+
+    def __init__(self, shape, write):
+        self.shape = tuple(shape)
+        self.write = write
+
+    @classmethod
+    def of(cls, ms: np.ndarray) -> "_Stack":
+        """The stack of the matrices of the array ``ms``, copied out."""
+
+        def write(k, out, rows):
+            out[...] = ms[k, rows]
+
+        return cls(ms.shape, write)
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __array__(self, dtype=None, copy=None):
+        out = np.zeros(self.shape)
+        for k, slot in enumerate(out):
+            self.write(k, slot, slice(0, self.shape[1]))
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+
+def _grams(ms: _Stack, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Gram matrices A^T A of the members ``members`` of a stack as one
+    ``(cols, cols, len(members))`` array, and which of those members are
+    non-zero.  Slot s holds the Gram matrix of member ``members[s]``, entry
+    [i, j, s] adding ``A[r, i] * A[r, j]`` over ascending rows r from 0.0,
+    as :func:`matvec` adds.  Each block of Gram rows is accumulated from
+    its diagonal rightwards, and the lower triangle is then copied from the
+    upper: the products commute bitwise, so each Gram matrix is exactly
+    symmetric either way.  The members are gathered one block of rows at a
+    time through the stack's ``write``, never whole: besides the result it
+    holds that block and one product buffer of a block of Gram rows, each
+    at most 256 KB or one row of every member, whichever is larger.  A
+    non-finite entry is refused as it is gathered."""
     rows, cols = ms.shape[1:]
     k = len(members)
     g = np.zeros((cols, cols, k))
-    block = max(1, min(cols, _GRAM_BLOCK_BYTES // (8 * cols * k)))
+    nonzero = np.zeros(k, dtype=bool)
+    fit = _GRAM_BLOCK_BYTES // (8 * cols * k)
+    block = max(1, min(cols, fit))
     prod = np.empty((block, cols, k))
-    row = np.empty((cols, k))
-    for r in range(rows):
-        np.take(ms[:, r].T, members, axis=1, out=row)
-        for i in range(0, cols, block):
-            gb = g[i : i + block, i:]
-            pb = prod[: len(gb), : cols - i]
-            np.multiply(row[i : i + block, None], row[None, i:], out=pb)
-            gb += pb
+    height = max(1, min(rows, fit))
+    gathered = np.empty((height, cols, k))  # row r of member s at [r, :, s]
+    names = list(enumerate(members.tolist()))
+    for lo in range(0, rows, height):
+        rb = gathered[: min(height, rows - lo)]
+        rb.fill(0.0)
+        for s, member in names:
+            ms.write(member, rb[:, :, s], slice(lo, lo + len(rb)))
+        if not np.isfinite(rb).all():
+            raise ValueError("induced_norm operand: entries must be finite")
+        nonzero |= rb.any(axis=(0, 1))
+        for row in rb:
+            for i in range(0, cols, block):
+                gb = g[i : i + block, i:]
+                pb = prod[: len(gb), : cols - i]
+                np.multiply(row[i : i + block, None], row[None, i:], out=pb)
+                gb += pb
     for i in range(1, cols):
         g[i, :i] = g[:i, i]
-    return g
+    return g, nonzero
 
 
 def _gram_matvec(g: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -494,9 +550,9 @@ def _cholesky_rung(
     return ok, trace, shifted.max(axis=0)
 
 
-def _top_eigenvalue_bounds(ms: np.ndarray) -> np.ndarray:
+def _top_eigenvalue_bounds(ms: _Stack, members: np.ndarray) -> np.ndarray:
     """Certified upper bound on the top eigenvalue of A^T A for every
-    matrix A of a ``(K, rows, cols)`` stack; 0.0 for a zero A.
+    member A of a stack that ``members`` names; 0.0 for a zero A.
 
     A Lanczos run from the all-ones start gives a guess theta (its top
     Ritz value, :func:`_top_ritz_values`); one Cholesky rung then factors
@@ -520,20 +576,25 @@ def _top_eigenvalue_bounds(ms: np.ndarray) -> np.ndarray:
     most that.
 
     Each member runs the same operations alone as in any stack.  This
-    function builds the Gram matrices of the non-zero members, one slot
-    each, gathered from the stack by index (:func:`_grams`), and owns
-    them: the rung overwrites the Gram array.  A member that reaches the
-    Frobenius rung leaves the ladder by index: it keeps its slot, the
-    rung factors it with the others, and its result is not read.  The
-    members that go on to another rung have their Gram matrices built
-    again, gathered by index in the same way.  So the batch holds the
-    operand stack, one Gram array and, during a Lanczos run, its basis.  The out-of-range refusals are those of
+    function builds the Gram matrices of the members, one slot each,
+    gathered from the stack a block of rows at a time (:func:`_grams`),
+    and owns them: the rung overwrites the Gram array.  If some members
+    are zero, the array is dropped and built again for the others.  A
+    member that reaches the Frobenius rung leaves the ladder by index: it
+    keeps its slot, the rung factors it with the others, and its result
+    is not read.  The members that go on to another rung have their Gram
+    matrices built again in the same way.  So the batch holds one Gram
+    array, one block of rows and, during a Lanczos run, its basis; never
+    its operators together.  The out-of-range refusals are those of
     :func:`_spectral_norms`."""
-    out = np.zeros(len(ms))
-    todo = np.flatnonzero(ms.any(axis=(1, 2)))
+    out = np.zeros(len(members))
+    g, nonzero = _grams(ms, members)
+    todo = np.flatnonzero(nonzero)
     if todo.size == 0:
         return out
-    g = _grams(ms, todo)
+    if todo.size < len(members):
+        del g
+        g = _grams(ms, members[todo])[0]
     if not np.isfinite(g).all():
         raise ValueError(_OUT_OF_RANGE + "A^T A overflows")
     if not g.any(axis=(0, 1)).all():
@@ -599,7 +660,7 @@ def _top_eigenvalue_bounds(ms: np.ndarray) -> np.ndarray:
         live = live[climbing & ~ok]
         if live.size == 0:
             break
-        g = _grams(ms, todo[live])
+        g = _grams(ms, members[todo[live]])[0]
         g *= scale[live]
         restart = broke[live] & (start[live] < cols + 1)
         rung[live[~restart]] += 1
@@ -619,9 +680,9 @@ def _top_eigenvalue_bounds(ms: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # refused below
-def _spectral_norms(ms: np.ndarray) -> np.ndarray:
-    """Certified upper bound on the largest singular value of every matrix
-    of a ``(K, rows, cols)`` stack: the square root, rounded up, of
+def _spectral_norms(ms: _Stack) -> np.ndarray:
+    """Certified upper bound on the largest singular value of every member
+    of a stack: the square root, rounded up, of
     :func:`_top_eigenvalue_bounds`.  It is at least the exact value and,
     when the first rung holds on a matrix of up to about 250 rows and
     columns, at most 1e-11 relative above it (about 1e-12 at 64 x 64).
@@ -639,7 +700,8 @@ def _spectral_norms(ms: np.ndarray) -> np.ndarray:
     out = np.empty(k)
     step = max(1, _GRAM_ENTRIES // (cols * cols))
     for lo in range(0, k, step):
-        out[lo : lo + step] = _top_eigenvalue_bounds(ms[lo : lo + step])
+        chunk = np.arange(lo, min(k, lo + step))
+        out[lo : lo + step] = _top_eigenvalue_bounds(ms, chunk)
     root = np.sqrt(out)
     return np.where(out > 0.0, np.nextafter(root, np.inf), root)
 
@@ -655,16 +717,20 @@ def induced_norm(a, p: PNorm):
     and above it by about 1e-12 relative for a 64 x 64 matrix (the first
     rung's 1e-12 slack on the squared norm, plus rounding margins that grow
     with the matrix size; see :func:`_top_eigenvalue_bounds`).  The whole
-    stack is processed at once.  Any other exponent has no closed form and
-    is refused.
+    stack is processed at once; at p = 2 its members are read one block of
+    rows at a time, so the stack :func:`stacked_norms` passes is never
+    written whole (``np.asarray`` of it is the zero-padded stack).  Any
+    other exponent has no closed form and is refused.
     """
-    m = np.asarray(a, dtype=np.float64)
+    written = isinstance(a, _Stack) and p.p == 2.0
+    m = a if written else np.asarray(a, dtype=np.float64)
     if m.ndim not in (2, 3) or 0 in m.shape:
         raise ValueError(
             "induced_norm operand: expected a matrix or a (K, rows, cols) stack "
             f"with every dimension >= 1, got shape {m.shape}"
         )
-    if not np.all(np.isfinite(m)):
+    # a written stack's entries are checked as they are gathered
+    if not written and not np.all(np.isfinite(m)):
         raise ValueError("induced_norm operand: entries must be finite")
     stack = m if m.ndim == 3 else m[None]
     if p.p == 1.0:
@@ -672,7 +738,7 @@ def induced_norm(a, p: PNorm):
     elif p.is_inf:
         out = _seq_sums(np.abs(stack), 2).max(axis=1)
     elif p.p == 2.0:
-        out = _spectral_norms(stack)
+        out = _spectral_norms(stack if written else _Stack.of(stack))
     else:
         raise ValueError(
             "induced_norm: exact induced norms exist only for p in {1, 2, inf}; "
@@ -683,18 +749,24 @@ def induced_norm(a, p: PNorm):
 
 
 def stacked_norms(shapes, write, p: PNorm) -> list[float]:
-    """Induced norms of ``len(shapes)`` matrices that are never held outside
-    their stack: ``write(i, out)`` writes matrix i into ``out``, its zeroed
-    slot of shape ``shapes[i]`` in the one stack of that shape.  One
-    :func:`induced_norm` call per shape, in order of first appearance."""
+    """Induced norms of ``len(shapes)`` matrices that are never held as
+    arrays of their own: ``write(i, out, rows)`` writes the rows ``rows``
+    (a slice) of matrix i, zero-padded to ``shapes[i]``, into ``out``,
+    zeroed, of shape ``(len(rows), shapes[i][1])``.  One
+    :func:`induced_norm` call per shape, in order of first appearance, on
+    a stack of that shape.  At p = 2 the stack writes its members on
+    demand, one block of rows of every member at a time, so a batch holds
+    its Gram array, its Lanczos basis and one block of rows, never its
+    operators together; ``np.asarray`` of the stack writes them all into
+    one zero-padded array.  At p = 1 and p = inf that array is built."""
     groups: dict[tuple, list[int]] = {}
     for i, shape in enumerate(shapes):
         groups.setdefault(tuple(shape), []).append(i)
     out = [0.0] * len(shapes)
     for shape, idx in groups.items():
-        stack = np.zeros((len(idx), *shape))
-        for slot, i in zip(stack, idx):
-            write(i, slot)
+        stack = _Stack(
+            (len(idx), *shape), lambda k, slot, rows, idx=idx: write(idx[k], slot, rows)
+        )
         for i, v in zip(idx, induced_norm(stack, p).tolist()):
             out[i] = v
     return out

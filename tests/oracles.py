@@ -367,6 +367,32 @@ def apriori_bound_at(ctx, n: int, x_bound: float) -> float:
     return suffix[1] * factors[0] * x_bound + left_to_right_sum(terms)
 
 
+def mp_apriori_bounds(seq, act, p, depth: int, x_bound: float, dps: int = 50) -> list:
+    """The a-priori bounds at depths 1 .. ``depth``, from the recursion
+
+        a_0 = x_bound,  a_j = L P |W_j| a_{j-1} + L |b_j| + |(act o pool)(0_j)|
+
+    at ``dps`` digits, for a zero-padded network at p = 1 or p = inf: the
+    norms are exact sums of the absolute entries (column sums for |W_j|
+    at p = 1, row sums at p = inf), and (act o pool)(0_j) is act(0) in
+    each of the width(j) coordinates (pooling maps a zero vector to
+    zeros)."""
+    if not (p.is_inf or p.p == 1.0):
+        raise ValueError("the a-priori oracle covers p = 1 and p = inf only")
+    with mpmath.workdps(dps):
+        L, P = _mp_constants(seq, act, p)
+        bound, out = mpmath.mpf(x_bound), []
+        for j in range(1, depth + 1):
+            w = np.abs(seq.layer(j)[0])
+            lines = w if p.is_inf else w.T
+            weight = max(mpmath.fsum(map(mpmath.mpf, line.tolist())) for line in lines)
+            bias = _mp_diff_norm(seq.bias(j), (), p)
+            zero = _mp_diff_norm([act.value_at_zero] * seq.width(j), (), p)
+            bound = L * P * weight * bound + L * bias + zero
+            out.append(bound)
+        return out
+
+
 # ---------------------------------------------------------------------------
 # the deviation and limit bounds, written out from their formulas in mpmath
 # at p = 1 and p = inf, from the loop norms and the per-sample recursion

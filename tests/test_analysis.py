@@ -4,6 +4,7 @@ import dataclasses
 import math
 from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -242,6 +243,26 @@ class TestAprioriTable:
         # any order and any subset: each depth is its own evaluation
         got = analysis._apriori_bounds(ctx, (64, 3, 17, 3), 1.5)
         assert got == [want[63], want[2], want[16], want[2]]
+
+    @pytest.mark.parametrize("p", [ONE, INF], ids=["p1", "pinf"])
+    @pytest.mark.parametrize("case", ["scalar", "pooled", "cyclic"])
+    def test_matches_the_recursion_at_50_digits(self, case, p):
+        """Every depth's bound agrees with the a-priori recursion run at
+        50 digits, within the rounding of its float evaluation: gamma_K
+        with K = 2n + 2 * (widest layer) + 8 covers the n suffix products,
+        the n + 1 additions, each norm's sum and the few products that
+        form a factor or a constant."""
+        seq, extension = apriori_case(case)
+        act = sigmoid()
+        ctx = BoundContext(seq, act, p, extension)
+        depths = range(1, 65)
+        got = analysis._apriori_bounds(ctx, depths, 1.5)
+        want = oracles.mp_apriori_bounds(seq, act, p, depths[-1], 1.5)
+        width = max(seq.width(n) + seq.pooling.mu for n in range(0, depths[-1] + 1))
+        for n, value, exact in zip(depths, got, want):
+            k = 2 * n + 2 * width + 8
+            gamma = k * 2.0**-53 / (1 - k * 2.0**-53)
+            assert abs(mpmath.mpf(value) - exact) <= gamma * exact, (n, value, exact)
 
     def test_rejects_bad_depth(self):
         ctx = BoundContext(scalar_net(0.4), relu(), ONE)

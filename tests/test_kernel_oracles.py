@@ -37,7 +37,7 @@ from dnclab.linalg import (
     toeplitz_matrix,
     vector_norm,
 )
-from dnclab.linalg import _grams
+from dnclab.linalg import _grams, _Stack
 from dnclab.analysis import CONSTANT_PAD
 from dnclab.network import eval_extended_trajectory, eval_trajectory
 from dnclab.pooling import average_pooling, max_pooling
@@ -142,18 +142,72 @@ def test_matvec_skips_only_terms_that_cannot_change_a_bit(case):
     assert_same_bits(np.where(nan, 0.0, got), np.where(nan, 0.0, want))
 
 
+@st.composite
+def sum_operands(draw):
+    """(array, axis) for ``_seq_sums``: one to three axes, each term (one
+    slice across the summed axis) holding from 1 to 2 x 257 entries, so
+    both sides of the 256-entry threshold; signed zeros, NaN, infinities
+    and overflowing magnitudes among the entries, and lines of -0.0."""
+    shape = draw(st.lists(st.sampled_from([1, 2, 3, 7, 257]), min_size=1, max_size=3))
+    if math.prod(shape) > 3000:
+        shape = shape[:2]
+    axis = draw(st.integers(0, len(shape) - 1))
+    entries = st.one_of(
+        st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e308, -1e308]),
+        st.floats(-1e3, 1e3, allow_nan=False),
+    )
+    a = draw(arrays(np.float64, shape, elements=entries))
+    if draw(st.booleans()):  # every line of -0.0, or one of them
+        lines = np.moveaxis(a, axis, -1)
+        index = draw(st.integers(0, lines[..., 0].size - 1))
+        which = index if draw(st.booleans()) else slice(None)
+        lines.reshape(-1, shape[axis])[which] = -0.0
+    return a, axis
+
+
+@settings(max_examples=200, deadline=None)
+@given(sum_operands())
+@example((np.array([-math.inf, math.inf, math.nan]), 0))
+@example((np.full((2, 257), -0.0), 0))
+def test_seq_sums_row_loop_matches_accumulate(case):
+    """Adding one term at a time from 0.0 and ``np.add.accumulate`` give
+    the same bits on every axis, infinities and signed zeros included,
+    and so does :func:`seq_sum` of each line; a NaN reaches the same
+    sums.  (IEEE 754 fixes neither the sign nor the payload of a NaN that
+    an addition returns, and numpy's loops differ in both: accumulating
+    [-inf, inf, nan] gives -NaN, adding it in place +NaN.)"""
+    a, axis = case
+    got = {}
+    with np.errstate(invalid="ignore", over="ignore"):
+        for name, entries in (("loop", 0), ("accumulate", a.size), ("default", None)):
+            with pytest.MonkeyPatch.context() as mp:
+                if entries is not None:
+                    mp.setattr(linalg, "_ONE_CALL_ENTRIES", entries)
+                got[name] = linalg._seq_sums(a, axis)
+        lines = np.moveaxis(a, axis, -1)
+        want = np.array([seq_sum(line) for line in lines.reshape(-1, a.shape[axis])])
+    nan = np.isnan(want)
+    for name, sums in got.items():
+        assert sums.shape == lines.shape[:-1], name
+        np.testing.assert_array_equal(np.isnan(sums.ravel()), nan, err_msg=name)
+        assert_same_bits(np.where(nan, 0.0, sums.ravel()), np.where(nan, 0.0, want))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 9), st.integers(1, 9), st.integers(1, 4), SEEDS, st.booleans())
 def test_gram_matches_nested_row_sums(rows, cols, count, seed, signed_zeros):
     """Each slot holds the Gram matrix of the member it names, in any
-    order and with repeats, as its nested row sums give it."""
+    order and with repeats, as its nested row sums give it, and the
+    gather flags the members that have a non-zero entry."""
     rng = np.random.default_rng(seed)
     ms = rng.normal(size=(count, rows, cols))
     if signed_zeros:
         ms[rng.random(ms.shape) < 0.5] = -0.0
+    ms[rng.random(count) < 0.3] = -0.0  # whole members of signed zeros
     for members in (np.arange(count), rng.integers(0, count, size=rng.integers(1, 6))):
-        grams = _grams(ms, members)
+        grams, nonzero = _grams(_Stack.of(ms), members)
         assert grams.shape == (cols, cols, len(members))
+        np.testing.assert_array_equal(nonzero, ms[members].any(axis=(1, 2)))
         for slot, k in enumerate(members.tolist()):
             assert_same_bits(grams[:, :, slot], oracles.nested_gram(ms[k]))
 
@@ -302,7 +356,7 @@ def test_spectral_rungs_climb_and_end_at_the_frobenius_rung(monkeypatch):
     columns, so the first rung fails and the slack grows; with no rungs
     left every member takes |A|_F^2, which still bounds it."""
     rng = np.random.default_rng(5)
-    q = np.linalg.qr(rng.normal(size=(36, 36)))[0]
+    q = np.linalg.qr(np.random.default_rng(5).normal(size=(36, 36)))[0]
     spectrum = np.concatenate([[1.0, 1.0 - 1e-10], np.linspace(0.9, 0.1, 34)])
     clustered = (q * spectrum) @ q.T
     stack = np.stack([clustered, rng.normal(size=(36, 36))])
@@ -326,13 +380,27 @@ def test_spectral_rungs_climb_and_end_at_the_frobenius_rung(monkeypatch):
         assert sigma <= top <= frobenius * (1 + 1e-12)
 
 
+def padded_writer(pairs):
+    """A ``stacked_norms`` writer of the zero-padded differences ``pairs``."""
+
+    def write(i, out, rows):
+        a, b = pairs[i]
+        out[: a[rows].shape[0], : a.shape[1]] = a[rows]
+        if b is not None:
+            out[: b[rows].shape[0], : b.shape[1]] -= b[rows]
+
+    return write
+
+
 def test_p2_batch_holds_one_gram_array(monkeypatch):
-    """A 64 x 64 stack of 96 with zero members and rank-one members, which
-    leave the ladder at the Frobenius rung: every member has the bits of
-    its lone norm, the rank-one ones those of |A|_F, and the traced peak
-    inside the call stays below one Gram array and one Lanczos basis of
-    the non-zero members plus 0.5 MB.  A compacted copy of the Gram
-    matrices (of the non-zero members, or of those still climbing)
+    """A batch of 96 operators of 64 x 64 through ``stacked_norms``, with
+    zero members and rank-one members, which leave the ladder at the
+    Frobenius rung: every member has the bits of its lone norm, the
+    rank-one ones those of |A|_F, and the traced peak inside the call
+    stays below one Gram array and one Lanczos basis of the non-zero
+    members plus one block of rows (256 KB) and 128 KB for a Lanczos
+    step's vectors.  The operand stack (3 MB), or a compacted copy of the
+    Gram matrices (of the non-zero members, or of those still climbing),
     oversteps it."""
     rng = np.random.default_rng(3)
     n, count = 64, 96
@@ -346,18 +414,111 @@ def test_p2_batch_holds_one_gram_array(monkeypatch):
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        got = induced_norm(stack, TWO)
+        write = padded_writer([(m, None) for m in stack])
+        got = np.array(linalg.stacked_norms([(n, n)] * count, write, TWO))
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
     steps = min(linalg._LANCZOS_STEPS, n)
-    bound = (n * n + n * steps) * nonzero * 8 + (1 << 19)
+    bound = (n * n + n * steps) * nonzero * 8 + linalg._GRAM_BLOCK_BYTES + (1 << 17)
     assert peak < bound, (peak, bound)
+    assert bound < (n * n + n * steps) * nonzero * 8 + stack.nbytes
     assert_same_bits(got, [induced_norm(m, TWO) for m in stack])
     monkeypatch.setattr(linalg, "_RUNGS", 0)  # every member takes |A|_F
     frobenius = induced_norm(stack, TWO)
     assert_same_bits(got[rank_one], frobenius[rank_one])
     assert (got[1::12] < frobenius[1::12]).all()
+
+
+def ladder_operators(rng) -> list:
+    """Operators of two shapes, each the zero-padded difference (A, B) of
+    smaller matrices (B None for A alone): zero members (A - A, and an
+    A of signed zeros), rank-one members, which end at the Frobenius rung,
+    one whose top pair lies 1e-10 apart in 36 columns, whose first rung
+    fails so that it is gathered again for the next, and plain ones."""
+    q = np.linalg.qr(np.random.default_rng(5).normal(size=(36, 36)))[0]
+    spectrum = np.concatenate([[1.0, 1.0 - 1e-10], np.linspace(0.9, 0.1, 34)])
+    clustered = (q * spectrum) @ q.T
+    small = rng.normal(size=(5, 3))
+    return [
+        (rng.normal(size=(5, 7)), rng.normal(size=(4, 7))),
+        (small, small.copy()),
+        (clustered, None),
+        (np.outer(rng.normal(size=36), rng.normal(size=30)), None),
+        (-np.zeros((2, 2)), None),
+        (np.outer(rng.normal(size=5), rng.normal(size=7)), None),
+        (rng.normal(size=(36, 36)), rng.normal(size=(30, 36))),
+        (small, rng.normal(size=(5, 7))),
+    ]
+
+
+def whole_stack(shape, members, write) -> np.ndarray:
+    """The stack of ``members`` written whole, one zeroed slot each."""
+    out = np.zeros((len(members), *shape))
+    for slot, i in zip(out, members):
+        write(i, slot, slice(0, shape[0]))
+    return out
+
+
+def test_stacked_p2_norms_match_the_written_stack(monkeypatch):
+    """``stacked_norms`` at p = 2 has, bit for bit, the norms that
+    ``induced_norm`` gives the stack written whole (``np.asarray`` of the
+    stack it passes, which holds exactly those bytes) and each member
+    alone, under every kernel setting: zero members, rank-one members at
+    the Frobenius rung and a member whose ladder climb gathers it again.
+    At p = 1 and p = inf the stack is written whole."""
+    pairs = ladder_operators(np.random.default_rng(8))
+    shapes = [a.shape if b is None else tuple(map(max, a.shape, b.shape)) for a, b in pairs]
+    write = padded_writer(pairs)
+    passed = []
+    real = linalg.induced_norm
+
+    def recording(a, p):
+        passed.append((a, np.asarray(a).copy()))
+        return real(a, p)
+
+    rungs = []
+    rung = linalg._cholesky_rung
+    monkeypatch.setattr(linalg, "induced_norm", recording)
+    monkeypatch.setattr(
+        linalg, "_cholesky_rung",
+        lambda g, shift: rungs.append(g.shape[2]) or rung(g, shift),
+    )
+    want = linalg.stacked_norms(shapes, write, TWO)
+    monkeypatch.undo()
+    assert rungs == [3, 2, 1], rungs  # the clustered member climbs alone
+    groups = {}
+    for i, shape in enumerate(shapes):
+        groups.setdefault(shape, []).append(i)
+    assert [a.shape for a, _ in passed] == [(len(v), *k) for k, v in groups.items()]
+    for (stack, written), (shape, members) in zip(passed, groups.items()):
+        assert not isinstance(stack, np.ndarray)
+        assert written.tobytes() == whole_stack(shape, members, write).tobytes()
+        assert_same_bits([want[i] for i in members], induced_norm(written, TWO))
+    def alone(p) -> list:
+        return [induced_norm(whole_stack(s, [i], write)[0], p) for i, s in enumerate(shapes)]
+
+    assert_same_bits(want, alone(TWO))
+    assert [i for i, w in enumerate(want) if w == 0.0] == [1, 4]
+    for one_call, gram_entries, block_bytes in KERNEL_SETTINGS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "_ONE_CALL_ENTRIES", one_call)
+            mp.setattr(linalg, "_GRAM_ENTRIES", gram_entries)
+            mp.setattr(linalg, "_GRAM_BLOCK_BYTES", block_bytes)
+            assert_same_bits(linalg.stacked_norms(shapes, write, TWO), want)
+    for p in (ONE, INF):
+        got = linalg.stacked_norms(shapes, write, p)
+        assert_same_bits(got, alone(p))
+
+
+def test_written_stack_refuses_a_non_finite_entry():
+    """A written stack's entries are checked as they are gathered, with the
+    message of an array operand."""
+    pairs = [(np.ones((3, 3)), None), (np.full((3, 3), math.inf), None)]
+    written = linalg._Stack((2, 3, 3), padded_writer(pairs))
+    for stack in (np.stack([a for a, _ in pairs]), written):
+        with pytest.raises(ValueError, match="entries must be finite"):
+            induced_norm(stack, TWO)
 
 
 def test_cholesky_rung_buffers_at_most_n_rows(monkeypatch):

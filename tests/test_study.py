@@ -304,6 +304,41 @@ class TestBatchComposition:
                     if a is not None:
                         np.testing.assert_array_equal(a, b)
 
+    # zero-padded dense at p = 1, 2 and inf, pooled, cyclic widths, and a
+    # constant-padded convolution
+    CHUNK_PICKS = (
+        "fixed4-exp_decay-selu-p1",
+        "fixed4-exp_decay-sigmoid-p2",
+        "fixed4-random_convergent-relu-pinf",
+        "max1-exp_decay-selu-p2",
+        "cyc534-exp_decay-prelu-p2",
+        "convc-t2-sigmoid-pinf",
+    )
+
+    @pytest.mark.parametrize("label", CHUNK_PICKS)
+    def test_chunked_sweep_has_the_bits_of_one_sweep(self, label, monkeypatch):
+        """A batch swept in chunks of columns (one sample each, or five
+        chunks of four or five) gives every read and every deviation bound
+        the bits of one sweep of the whole batch."""
+        inst = {i.label: i for i in corpus_instances()}[label]
+        ctx = BoundContext(inst.build(), inst.activation(), inst.p, inst.extension)
+        xs = inst.domain().uniform_samples(23, seed=43).T
+
+        def reads(chunk: int) -> list:
+            monkeypatch.setattr(analysis, "_CHUNK_SAMPLES", chunk)
+            traj = Trajectory(ctx, xs, self.DEPTH, **self.EVERY)
+            out = [traj.state_norm(n) for n in range(1, self.DEPTH + 1)]
+            out += [traj.product_gap(m) for m in range(1, self.DEPTH)]
+            for n, m in self.PAIRS:
+                out += [traj.deviation(n, n + m), deviation_bound_ctx(ctx, traj, n, m)]
+            return [_bits(values) for values in out]
+
+        whole = reads(xs.shape[1])
+        assert all(values.shape == (23,) for values in whole)
+        for chunk in (1, 5):
+            for a, b in zip(whole, reads(chunk), strict=True):
+                np.testing.assert_array_equal(a, b)
+
     # holds 1, 2, 3 and 6 of the 12 depths; reads nothing at 9 and 10
     LEAN_PLAN = DepthPlan(n_list=(1, 2, 3, 6), m_list=(1, 2, 5), reference_depth=12)
 
@@ -680,10 +715,11 @@ GUARD_DOC = {
 # states besides the held ones: the sweep's current state and product, the
 # first product, the input batch and the kernels' temporaries
 GUARD_SPARE_STATES = 8
-# a p = 2 batch holds its operand stack and one Gram array, each member's
-# slot gathered from the stack by index, plus a Lanczos basis (30 of its 32
-# columns here); no compacted copy of the Gram matrices
-GUARD_P2_COPIES = 2
+# a p = 2 batch holds one Gram array, each member's slot gathered a block
+# of rows at a time, never an operand stack or a compacted copy of the Gram
+# matrices; its Lanczos basis (30 of 32 columns here) and its block of rows
+# fit in the spare states
+GUARD_P2_COPIES = 1
 
 
 def _traced_peak(exp, mp: pytest.MonkeyPatch) -> tuple:
@@ -718,14 +754,15 @@ def _traced_peak(exp, mp: pytest.MonkeyPatch) -> tuple:
 def test_study_memory_scales_with_the_depths_it_reads(monkeypatch):
     """Deterministic memory guard: the traced allocation peak of a dense
     p = 2 study at reference depth 64 is bounded by the states it holds
-    (the 8 of n_list), not by the 64 it sweeps, plus the larger of its two
-    batches of p = 2 operands; its sweep alone by the held and spare
-    states.  The two batches (the constants scan's and the grid's) split
-    the study's operators evenly: no stack holds more than half of the
-    operators of its shape.  Keeping every state needs about 8 MB here,
-    over the bound, keeping the 18 depths the grid reads oversteps the
-    sweep's bound, and a grid batch of every operator the scan leaves
-    oversteps the study's."""
+    (the 8 of n_list), not by the 64 it sweeps, plus the Gram array of
+    the larger of its two batches of p = 2 operands; its sweep alone by
+    the held and spare states.  The two batches (the constants scan's and
+    the grid's) split the study's operators evenly: no stack holds more
+    than half of the operators of its shape, and none is written whole.
+    Keeping every state needs about 8 MB here, over the bound, keeping
+    the 18 depths the grid reads oversteps the sweep's bound, and a batch
+    that holds its operand stack beside its Gram array oversteps the
+    study's."""
     exp = parse_config(GUARD_DOC)
     state = GUARD_WIDTH * GUARD_SAMPLES * 8
     held = len(exp.depths.n_list)
@@ -739,8 +776,8 @@ def test_study_memory_scales_with_the_depths_it_reads(monkeypatch):
     real = linalg.induced_norm
 
     def recording(a, p):
-        if np.ndim(a) == 3:
-            stacks.append(np.shape(a))
+        if a.ndim == 3:
+            stacks.append(a.shape)  # the shape alone: the stack is not written
         return real(a, p)
 
     monkeypatch.setattr(linalg, "induced_norm", recording)
@@ -749,8 +786,38 @@ def test_study_memory_scales_with_the_depths_it_reads(monkeypatch):
     assert peak < bound, (peak, bound)
     assert sweep < (held + GUARD_SPARE_STATES) * state, (sweep, held)
     square = [k for k, *shape in stacks if shape == [GUARD_WIDTH, GUARD_WIDTH]]
+    assert len(stacks) == 3  # W_1 alone, then the two even batches
     assert sum(square) == operators - 1  # all but W_1, which has 16 columns
     assert max(square) <= -(-sum(square) // 2), stacks
+
+
+# three chunks of 500 samples: a state of one chunk is 128 KB, of the batch 384 KB
+SWEEP_GUARD_SAMPLES = 1500
+
+
+def test_sweep_memory_scales_with_one_chunk(monkeypatch):
+    """Deterministic memory guard: a batch of more than 512 samples is
+    swept in even chunks, so the sweep's traced peak is bounded by the
+    held and spare states of one chunk plus the reads it returns (one
+    value per read and sample).  Sweeping all 1500 samples at once needs
+    about 5.6 MB here, over the bound."""
+    exp = parse_config(
+        dict(GUARD_DOC, domain={
+            "bound": 1.0,
+            "sampler": {"kind": "uniform", "count": SWEEP_GUARD_SAMPLES},
+        })
+    )
+    chunks = -(-SWEEP_GUARD_SAMPLES // analysis._CHUNK_SAMPLES)
+    state = GUARD_WIDTH * (SWEEP_GUARD_SAMPLES // chunks) * 8
+    held = len(exp.depths.n_list)
+    reads = study._trajectory_reads(exp.depths)
+    values = sum(len(set(r)) for r in reads.values()) * SWEEP_GUARD_SAMPLES * 8
+    bound = (held + GUARD_SPARE_STATES) * state + values
+    assert chunks == 3 and SWEEP_GUARD_SAMPLES % chunks == 0
+    assert bound < (held + GUARD_SPARE_STATES) * state * chunks
+    result, _, sweep = _traced_peak(exp, monkeypatch)
+    assert result.passed
+    assert sweep < bound, (sweep, bound)
 
 
 # the constant-padded convolution of the conv-deep benchmark at 200 samples:
