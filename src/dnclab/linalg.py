@@ -297,9 +297,9 @@ def _gamma(k: int) -> float:
 
 class _Stack:
     """A ``(K, rows, cols)`` stack of matrices that is never held whole:
-    ``write(k, out, rows)`` writes the rows ``rows`` (a slice) of member k
-    into ``out``, zeroed, of shape ``(len(rows), cols)``.  ``np.asarray``
-    writes every member into one zero-padded array."""
+    ``write(k, out, rows)`` writes the rows ``rows`` (a slice with a start
+    and a stop) of member k into ``out``, zeroed, which has one row for
+    each of them.  ``np.asarray`` writes every member into one array."""
 
     ndim = 3
 
@@ -751,8 +751,8 @@ def induced_norm(a, p: PNorm):
 def stacked_norms(shapes, write, p: PNorm) -> list[float]:
     """Induced norms of ``len(shapes)`` matrices that are never held as
     arrays of their own: ``write(i, out, rows)`` writes the rows ``rows``
-    (a slice) of matrix i, zero-padded to ``shapes[i]``, into ``out``,
-    zeroed, of shape ``(len(rows), shapes[i][1])``.  One
+    (a slice with a start and a stop) of matrix i, zero-padded to
+    ``shapes[i]``, into ``out``, zeroed, which has one row for each.  One
     :func:`induced_norm` call per shape, in order of first appearance, on
     a stack of that shape.  At p = 2 the stack writes its members on
     demand, one block of rows of every member at a time, so a batch holds
