@@ -1046,7 +1046,7 @@ def _seq_arg(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError(f"{name}: expected a nonempty 1-d sequence")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name}: entries must be finite")
     return arr
 

@@ -14,8 +14,8 @@ in closed form rather than estimated:
   (``limit + base * rate^n`` etc.), so mask sums and mask limits are exact
   by construction.
 
-Randomness is drawn from per-layer PCG64 streams keyed by
-(seed, role, layer index) through ``SeedSequence``, which makes every layer
+Randomness is drawn from per-layer PCG64 streams keyed by the 32-bit words
+of (seed, role, layer index) through ``SeedSequence``, which makes every layer
 a pure function of the spec — independent of evaluation order, thread
 count, or how deep previous calls went.  Drift directions are normalised
 in stacks, one stacked induced-norm call per shape: the per-phase
@@ -26,6 +26,7 @@ the same bits as alone, so this changes no layer.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,15 +68,27 @@ _DRIFT_FAMILIES = ("exp_decay", "harmonic", "random_convergent")
 _DRIFT_BLOCK = 64
 
 
+def _words(key: int | str) -> tuple[int, ...]:
+    """The little-endian 32-bit words SeedSequence reads a key entry >= 0
+    as; a role is its ASCII bytes read as one int."""
+    n = int.from_bytes(key.encode("ascii"), "little") if isinstance(key, str) else int(key)
+    if n < 0:
+        raise ValueError(f"stream key entries must be nonnegative, got {n}")
+    return tuple([(n >> s) & 0xFFFFFFFF for s in range(0, max(n.bit_length(), 1), 32)])
+
+
+_role_words = functools.cache(_words)  # each role's words, computed once
+
+
 def _rng(seed: int, role: str, *index: int) -> np.random.Generator:
     """Independent PCG64 stream keyed by (seed, role, index...).
 
     Keying through SeedSequence entropy (rather than jumping a shared
     stream) is what makes layer n reproducible without generating layers
-    1..n-1 first.
+    1..n-1 first.  The key's ``uint32`` words give the tuple's stream.
     """
-    entropy = (int(seed), int.from_bytes(role.encode("ascii"), "little"), *map(int, index))
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+    words = _words(seed) + _role_words(role) + sum(map(_words, index), ())
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(np.array(words, np.uint32))))
 
 
 def rescale_to_norm(w, target: float, p: PNorm) -> np.ndarray:

@@ -107,7 +107,7 @@ def as_vector(x, *, name: str = "vector") -> np.ndarray:
         raise ValueError(f"{name}: expected a 1-d array, got shape {arr.shape}")
     if arr.size < 1:
         raise ValueError(f"{name}: dimension must be at least 1")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name}: entries must be finite")
     arr.flags.writeable = False
     return arr
@@ -120,7 +120,7 @@ def as_matrix(a, *, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name}: expected a 2-d array, got shape {arr.shape}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError(f"{name}: both dimensions must be at least 1, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name}: entries must be finite")
     arr.flags.writeable = False
     return arr
@@ -730,7 +730,7 @@ def induced_norm(a, p: PNorm):
             f"with every dimension >= 1, got shape {m.shape}"
         )
     # a written stack's entries are checked as they are gathered
-    if not written and not np.all(np.isfinite(m)):
+    if not written and not np.isfinite(m).all():
         raise ValueError("induced_norm operand: entries must be finite")
     stack = m if m.ndim == 3 else m[None]
     if p.p == 1.0:

@@ -12,11 +12,12 @@ scanning windows of mu + 1 consecutive entries:
 * ``identity`` — mu = 0, the do-nothing operator (plain recursions).
 
 Operators act on a vector or, along axis 0, on a ``(dim, S)`` batch of
-columns.  Window sums use ``np.convolve`` (one call per column, so a column
-pools to the same bits in any batch) and window maxima fold ``np.maximum``
-over the mu + 1 shifted slices in window order (a NaN in the window gives
-NaN; of equal entries such as -0.0 and +0.0 the later one is kept): fixed
-orders of elementwise C loops, so pooled evaluations are deterministic.
+columns.  Window sums add the mu + 1 shifted slices left to right onto
+0.0, and window maxima fold ``np.maximum`` over them in window order (a
+NaN in the window gives NaN; of equal entries such as -0.0 and +0.0 the
+later one is kept): fixed orders of elementwise C loops over the whole
+batch, never a BLAS reduction, so a column pools to the same bits in any
+batch and pooled evaluations are deterministic.
 """
 
 from __future__ import annotations
@@ -81,13 +82,12 @@ class PoolingOp:
         self.out_dim(arr.shape[0])  # validates the window fits
         if self.kind == "identity":
             return np.array(arr)
-        if self.kind == "average":
-            ones = np.ones(self.window)
-            if arr.ndim == 1:
-                return np.convolve(arr, ones, mode="valid") / self.window
-            cols = [np.convolve(col, ones, mode="valid") for col in arr.T]
-            return np.stack(cols, axis=1) / self.window
         size = arr.shape[0] - self.mu
+        if self.kind == "average":
+            out = np.zeros((size, *arr.shape[1:]))
+            for t in range(self.window):
+                out += arr[t : t + size]
+            return out / self.window
         out = np.array(arr[:size])
         for t in range(1, self.window):
             np.maximum(out, arr[t : t + size], out=out)

@@ -214,36 +214,35 @@ def _sup(values: np.ndarray) -> tuple[float, int]:
     return (float(v[i]), i) if v[i] > 0.0 else (0.0, 0)
 
 
-def _grid_norm_keys(depths: DepthPlan, limits: bool) -> list[tuple]:
-    """The keys of the weight-operator norms the audit grid reads.
+def _grid_norm_keys(depths: DepthPlan) -> list[tuple]:
+    """The keys of the weight-operator norms the audit grid reads, sorted.
 
     Per (n, m) the deviation bound reads |W_i| for i in [m + 2, n + m] (its
     Lam products) and |W_{k+m} - W_k| for k in [2, n]; the a-priori bound
     at depth n reads |W_1| .. |W_n|; with certified constants the limit
     bound at depth n reads E_k for k in [2, n], and the grid takes it at n,
-    n + m and the reference depth.
+    n + m and the reference depth; without them, the keys but the E keys.
     """
     keys = {("W", n) for n in range(1, depths.reference + 1)}
     for n in depths.n_list:
         for m in depths.m_list:
             keys.update(("W", i) for i in range(m + 2, n + m + 1))
             keys.update(("dW", k + m, k) for k in range(2, n + 1))
-    if limits:
-        keys.update(("E", k) for k in range(2, depths.max_depth + 1))
+    keys.update(("E", k) for k in range(2, depths.max_depth + 1))
     return sorted(keys)
 
 
-def _scan_batch(ctx: BoundContext, depths: DepthPlan) -> list[tuple]:
+def _scan_batch(ctx: BoundContext, grid: list[tuple], weights: list[tuple]) -> list[tuple]:
     """The keys of the constants scan's norm batch: the scan's own, then
-    the grid's weight and drift keys, which the grid reads whatever the
+    the ``grid``'s ``weights`` (its keys but the E keys), read whatever the
     verdicts, until the batch holds half of the study's operators (rounded
     up).  The grid's batch after the verdicts takes the rest, with the
     limit drifts E_k once the constants certify.  Empty without a scan."""
     scan = _scan_keys(ctx)
     if not scan:
         return []
-    half = -(-len({*scan, *_grid_norm_keys(depths, limits=True)}) // 2)
-    rest = [key for key in _grid_norm_keys(depths, limits=False) if key not in scan]
+    half = -(-len({*scan, *grid}) // 2)
+    rest = [key for key in weights if key not in scan]
     return [*scan, *rest[: max(0, half - len(scan))]]
 
 
@@ -292,11 +291,13 @@ def convergence_study(
     # filled up with the grid's weights and drifts, and the grid's, which
     # takes the rest and the limit drifts once the constants certify.  A
     # network without a scan has one batch, the grid's
-    ctx.prefetch(_scan_batch(ctx, depths))
+    grid = _grid_norm_keys(depths)
+    weights = [key for key in grid if key[0] != "E"]
+    ctx.prefetch(_scan_batch(ctx, grid, weights))
     condition, mask_conditions, constants, constants_note = network_verdicts(
         ctx, domain.norm_bound(p)
     )
-    ctx.prefetch(_grid_norm_keys(depths, constants is not None))
+    ctx.prefetch(grid if constants is not None else weights)
     # one sample per column; the sweep takes the grid's reads as it goes
     traj = Trajectory(ctx, samples.T, depths.max_depth, **_trajectory_reads(depths))
 

@@ -237,14 +237,15 @@ def _later_max(a: float, b: float) -> float:
 
 
 def pool_vector(op, v) -> np.ndarray:
-    """One vector through a pooling operator: window means by np.convolve,
-    window maxima by a left-to-right fold of :func:`_later_max` over each
-    window."""
+    """One vector through a pooling operator: window means by
+    :func:`left_to_right_sum` over each window, window maxima by a
+    left-to-right fold of :func:`_later_max` over each window."""
     v = np.asarray(v, dtype=np.float64)
     if op.kind == "identity":
         return v.copy()
     if op.kind == "average":
-        return np.convolve(v, np.ones(op.window), mode="valid") / op.window
+        sums = [left_to_right_sum(v[i : i + op.window]) for i in range(v.size - op.mu)]
+        return np.array(sums, dtype=np.float64) / op.window
     out = []
     for i in range(v.size - op.mu):
         best = float(v[i])

@@ -1,5 +1,8 @@
 """Tests for the synthetic layer-sequence generators."""
 
+import inspect
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -233,6 +236,58 @@ class TestDeterminismAndOrder:
             [-0.7428595944616008, -0.0014442751197700776],
             [0.20299671524671492, -0.9426219832561109],
         ]
+
+
+# every role string the generators key a stream by, read from the source
+STREAM_ROLES = sorted(
+    set(re.findall(r'_rng\(\s*seed,\s*"([a-z-]+)"', inspect.getsource(generators)))
+)
+STREAM_KEYS = (0, 1, 2**32 - 1, 2**32, 2**64 + 5)
+
+
+class TestStreamKeys:
+    """``_rng`` keys ``SeedSequence`` by the 32-bit words of (seed, role,
+    index), which must be the streams of the tuple of ints."""
+
+    def test_the_source_keys_five_roles(self):
+        assert STREAM_ROLES == [
+            "bias-core", "bias-drift", "weight-core", "weight-drift", "weight-first"
+        ]
+
+    @pytest.mark.parametrize("role", STREAM_ROLES)
+    def test_words_give_the_streams_of_the_tuple(self, role):
+        role_int = int.from_bytes(role.encode("ascii"), "little")
+        for seed in STREAM_KEYS:
+            for index in ((), *((i,) for i in STREAM_KEYS)):
+                want = np.random.SeedSequence((seed, role_int, *index))
+                got = generators._rng(seed, role, *index)
+                assert got.bit_generator.seed_seq.pool.tolist() == want.pool.tolist()
+                draws = np.random.Generator(np.random.PCG64(want)).random(4)
+                assert got.random(4).tolist() == draws.tolist(), (seed, index)
+
+    def test_a_negative_key_is_refused(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            generators._rng(0, "bias-drift", -1)
+
+    def test_streams_never_hand_seedsequence_a_tuple(self, monkeypatch):
+        entropies = []
+        real = np.random.SeedSequence
+
+        def spy(entropy=None, **kw):
+            entropies.append(entropy)
+            return real(entropy, **kw)
+
+        monkeypatch.setattr(np.random, "SeedSequence", spy)
+        conv = GenSpec(
+            "conv", input_dim=3, seed=2,
+            mask=MaskSpec("vanishing_exponential", (0.2, 0.1), rate=0.5),
+        )
+        for spec in (EXP, RANDOM_P2, conv):
+            seq = build(spec)
+            for n in range(1, 6):
+                seq.layer(n)
+        assert len(entropies) > 15
+        assert all(type(e) is np.ndarray and e.dtype == np.uint32 for e in entropies)
 
 
 RANDOM_P2 = GenSpec(

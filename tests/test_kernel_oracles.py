@@ -729,7 +729,7 @@ def test_activation_refuses_an_out_of_another_shape():
 @settings(max_examples=80, deadline=None)
 @given(
     st.sampled_from(["average", "max"]),
-    st.integers(1, 4),
+    st.integers(1, 40),
     st.integers(0, 6),
     st.integers(1, 4),
     SEEDS,

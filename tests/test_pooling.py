@@ -46,6 +46,20 @@ class TestPoolValues:
         with pytest.raises(ValueError):
             PoolingOp("median", 1)
 
+    def test_average_pooling_makes_no_per_column_call(self, monkeypatch):
+        """A batch pools in one elementwise call per window tap: no
+        ``np.convolve`` per column, whose BLAS dot need not add left to
+        right from 16 entries up."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("pool made a per-column np.convolve call")
+
+        monkeypatch.setattr(np, "convolve", refuse)
+        batch = np.random.default_rng(0).normal(size=(66, 1000))
+        for op in (average_pooling(2), average_pooling(15), max_pooling(3)):
+            assert op.pool(batch).shape == (66 - op.mu, 1000)
+            assert op.pool(batch[:, 0]).shape == (66 - op.mu,)
+
 
 class TestLipschitzConstants:
     def test_average_is_nonexpansive_everywhere(self):

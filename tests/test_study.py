@@ -548,6 +548,30 @@ def test_prefetch_covers_exactly_the_norms_a_study_reads():
     assert studies == 2 * 2 + 50 + 2 + 1
 
 
+def test_a_study_builds_its_grid_key_plan_once(monkeypatch):
+    """The constants scan's batch, the grid's batch with or without the
+    limit drifts, and a study without a scan take one key plan."""
+    calls = Counter()
+    real = study._grid_norm_keys
+
+    def counted(depths):
+        calls["plan"] += 1
+        return real(depths)
+
+    monkeypatch.setattr(study, "_grid_norm_keys", counted)
+    # a scan whose constants certify, a scan whose constants do not, no scan
+    picks = {"fixed4-exp_decay-relu-p2": True, "control-diverging-dense": False,
+             "no-limits-p2": False}
+    for label, case in _audit_cases():
+        if label in picks:
+            seq, act, p, domain, sampler, depths, ext = case
+            calls.clear()
+            result = convergence_study(seq, act, p, domain, sampler, depths, extension=ext)
+            assert calls["plan"] == 1, label
+            assert (result.constants is not None) == picks.pop(label), label
+    assert not picks
+
+
 def test_reused_workspaces_never_reach_a_kept_state():
     """The constant-padded sweep writes every layer into the same
     workspaces, so what a trajectory holds past a step must be a copy.
@@ -766,7 +790,7 @@ def test_study_memory_scales_with_the_depths_it_reads(monkeypatch):
     exp = parse_config(GUARD_DOC)
     state = GUARD_WIDTH * GUARD_SAMPLES * 8
     held = len(exp.depths.n_list)
-    operators = len(study._grid_norm_keys(exp.depths, limits=True))
+    operators = len(study._grid_norm_keys(exp.depths))
     batch = -(-operators // 2) + 1  # the larger batch and one spare operator
     p2 = GUARD_P2_COPIES * batch * GUARD_WIDTH * GUARD_WIDTH * 8
     bound = (held + GUARD_SPARE_STATES) * state + p2
