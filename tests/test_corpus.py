@@ -1,5 +1,7 @@
 """Tests for the shipped verification corpus."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -68,3 +70,17 @@ class TestControls:
         assert families == {"diverging", "conv"}
         for c in controls:
             assert c.omega_target > 1.0
+
+
+# SHA-256 of ``repr(corpus_instances() + control_instances())``: every field of
+# all 52 instances (label, generator spec, activation and its parameters, p,
+# extension, omega target), in order.  Re-freeze only when the corpus is
+# meant to change.
+CORPUS_DIGEST = "1ecfdb5a1cda71cf2b1d8594328bbe1f8d0a28d58f5fcbff23132784cd13ccea"
+
+
+def test_corpus_fields_are_pinned():
+    instances = corpus_instances() + control_instances()
+    assert len(instances) == 52
+    digest = hashlib.sha256(repr(instances).encode("utf-8")).hexdigest()
+    assert digest == CORPUS_DIGEST
