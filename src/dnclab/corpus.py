@@ -18,9 +18,13 @@ The corpus spans the whole parameter cube the laboratory claims to cover:
   them).
 
 Every instance dials the limiting contraction factor omega = L*P*|W*| to a
-target strictly below 1; `controls()` returns deliberately diverging
+target strictly below 1; `control_instances()` returns deliberately diverging
 companions (omega > 1) that must fail the condition checks while still
 satisfying the bounds, which assume no convergence.
+
+An instance's position in the corpus fixes its generator seed (1100 +
+index) and, on dense families, its round-robin p (index mod 3 into 1, 2,
+inf); reordering the group tables changes every later instance.
 
 Harmonic (1/n) drift families are exercised in the unit tests but excluded
 here: their deviations decay like 1/n and cannot reach the 1e-6 convergence
@@ -48,6 +52,23 @@ _ACTS: tuple[tuple[str, tuple[tuple[str, float], ...]], ...] = (
     ("sigmoid", ()),
 )
 _P_CYCLE = (ONE, TWO, INF)
+
+# Dense groups, each run with every activation of _ACTS: label prefix, drift
+# family, widths, input dimension, omega target, drift rate, pooling.
+_DENSE_GROUPS = (
+    ("fixed4", "constant", 4, 3, 0.5, None, no_pooling()),
+    ("fixed4", "exp_decay", 4, 3, 0.6, 0.5, no_pooling()),
+    ("fixed4", "random_convergent", 4, 3, 0.45, 0.45, no_pooling()),
+    ("avg2", "constant", 5, 4, 0.5, None, average_pooling(2)),
+    ("avg2", "exp_decay", 5, 4, 0.6, 0.5, average_pooling(2)),
+    ("max1", "exp_decay", 4, 3, 0.55, 0.5, max_pooling(1)),
+    ("cyc534", "exp_decay", (5, 3, 4), 3, 0.5, 0.5, no_pooling()),
+    ("cyc43", "random_convergent", (4, 3), 3, 0.5, 0.45, no_pooling()),
+)
+# Convolutional groups, each run with every activation: mask base (vanishing)
+# or limit pattern (constant-limit) of length tau + 1, input dimension.
+_CONVZ_GROUPS = (((0.6, -0.4), 2), ((0.5, -0.3, 0.2), 3))
+_CONVC_GROUPS = (((0.3, 0.1), 2), ((0.2, -0.1, 0.1), 3))
 
 
 @dataclass(frozen=True)
@@ -148,104 +169,35 @@ def _conv(
 def corpus_instances() -> tuple[Instance, ...]:
     """The 50 convergent instances, in a fixed deterministic order."""
     out: list[Instance] = []
-    idx = 0
-
-    def nth_p() -> PNorm:
-        return _P_CYCLE[idx % 3]
-
-    # fully connected, fixed width 4
-    for family, omega, rate in (
-        ("constant", 0.5, None),
-        ("exp_decay", 0.6, 0.5),
-        ("random_convergent", 0.45, 0.45),
-    ):
+    for prefix, family, widths, input_dim, omega, rate, pooling in _DENSE_GROUPS:
         for act in _ACTS:
-            p = nth_p()
+            p = _P_CYCLE[len(out) % 3]
             out.append(
                 _fixed(
-                    idx,
-                    f"fixed4-{family}-{act[0]}-p{p}",
-                    family,
-                    act,
-                    p,
-                    widths=4,
-                    input_dim=3,
-                    omega=omega,
-                    rate=rate,
-                )
-            )
-            idx += 1
-
-    # fixed width 5 with average pooling (mu = 2)
-    for family, omega, rate in (("constant", 0.5, None), ("exp_decay", 0.6, 0.5)):
-        for act in _ACTS:
-            p = nth_p()
-            out.append(
-                _fixed(
-                    idx,
-                    f"avg2-{family}-{act[0]}-p{p}",
-                    family,
-                    act,
-                    p,
-                    widths=5,
-                    input_dim=4,
-                    omega=omega,
-                    rate=rate,
-                    pooling=average_pooling(2),
-                )
-            )
-            idx += 1
-
-    # fixed width 4 with max pooling (mu = 1; P depends on p)
-    for act in _ACTS:
-        p = nth_p()
-        out.append(
-            _fixed(
-                idx,
-                f"max1-exp_decay-{act[0]}-p{p}",
-                "exp_decay",
-                act,
-                p,
-                widths=4,
-                input_dim=3,
-                omega=0.55,
-                rate=0.5,
-                pooling=max_pooling(1),
-            )
-        )
-        idx += 1
-
-    # cyclic width schedules (bounded, non-constant widths)
-    for widths, family, rate in (((5, 3, 4), "exp_decay", 0.5), ((4, 3), "random_convergent", 0.45)):
-        for act in _ACTS:
-            p = nth_p()
-            wtag = "".join(str(w) for w in widths)
-            out.append(
-                _fixed(
-                    idx,
-                    f"cyc{wtag}-{family}-{act[0]}-p{p}",
+                    len(out),
+                    f"{prefix}-{family}-{act[0]}-p{p}",
                     family,
                     act,
                     p,
                     widths=widths,
-                    input_dim=3,
-                    omega=0.5,
+                    input_dim=input_dim,
+                    omega=omega,
                     rate=rate,
+                    pooling=pooling,
                 )
             )
-            idx += 1
 
     # convolutional, vanishing masks, zero-padded comparison
-    for tau, base, s in ((1, (0.6, -0.4), 2), (2, (0.5, -0.3, 0.2), 3)):
+    for base, s in _CONVZ_GROUPS:
         for act in _ACTS:
             # p = 2 is excluded for growing widths (see module docstring);
             # sigmoid needs p = inf for its nonzero act(0) tail.
-            p = INF if act[0] == "sigmoid" else (ONE, INF)[idx % 2]
+            p = INF if act[0] == "sigmoid" else (ONE, INF)[len(out) % 2]
             mask = MaskSpec("vanishing_exponential", base, rate=0.5)
             out.append(
                 _conv(
-                    idx,
-                    f"convz-t{tau}-{act[0]}-p{p}",
+                    len(out),
+                    f"convz-t{mask.tau}-{act[0]}-p{p}",
                     mask,
                     act,
                     p,
@@ -254,10 +206,9 @@ def corpus_instances() -> tuple[Instance, ...]:
                     omega=0.0,
                 )
             )
-            idx += 1
 
     # convolutional, constant-limit masks, constant-padded comparison
-    for tau, pattern, s in ((1, (0.3, 0.1), 2), (2, (0.2, -0.1, 0.1), 3)):
+    for pattern, s in _CONVC_GROUPS:
         for act in _ACTS:
             lip = _lipschitz(*act)
             total = sum(abs(v) for v in pattern)
@@ -265,8 +216,8 @@ def corpus_instances() -> tuple[Instance, ...]:
             mask = MaskSpec("constant_limit", lim, rate=0.5, limit=lim)
             out.append(
                 _conv(
-                    idx,
-                    f"convc-t{tau}-{act[0]}-pinf",
+                    len(out),
+                    f"convc-t{mask.tau}-{act[0]}-pinf",
                     mask,
                     act,
                     INF,
@@ -275,13 +226,12 @@ def corpus_instances() -> tuple[Instance, ...]:
                     omega=0.4,
                 )
             )
-            idx += 1
 
     # deeper fixed-width exponential instances for the rate check
     for act, p in ((_ACTS[0], TWO), (_ACTS[1], INF)):
         out.append(
             _fixed(
-                idx,
+                len(out),
                 f"deep6-exp_decay-{act[0]}-p{p}",
                 "exp_decay",
                 act,
@@ -292,7 +242,6 @@ def corpus_instances() -> tuple[Instance, ...]:
                 rate=0.5,
             )
         )
-        idx += 1
 
     assert len(out) == 50, f"corpus must hold exactly 50 instances, got {len(out)}"
     labels = [inst.label for inst in out]
