@@ -27,6 +27,7 @@ import os
 
 import click
 
+from . import __version__
 from .analysis import (
     BoundContext,
     SamplerSpec,
@@ -112,7 +113,7 @@ _require_pass_opt = click.option(
 
 
 @click.group()
-@click.version_option(package_name="dnc-lab")
+@click.version_option(__version__, prog_name="dnc-lab")
 def main():
     """Numerical laboratory for deep-network layer recursions."""
     # At interpreter exit, move every tracked object to the permanent

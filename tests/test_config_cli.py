@@ -713,6 +713,21 @@ class TestOtherCommands:
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "report.json").exists()
 
+    def test_version_needs_no_install(self):
+        # the version comes from the package, not from installed metadata,
+        # so it prints from a checkout too
+        result = CliRunner().invoke(main, ["--version"])
+        assert result.exit_code == 0, result.output
+        assert result.output == "dnc-lab, version 0.1.0\n"
+        proc = subprocess.run(
+            [sys.executable, "-m", "dnclab", "--version"],
+            capture_output=True,
+            text=True,
+            env=src_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "dnc-lab, version 0.1.0\n"
+
 
 class TestExitFreeze:
     """``main`` has the interpreter freeze every tracked object at exit, so
