@@ -228,6 +228,10 @@ def bounds(ctx, config_path, out_dir):
     lips = [1.0]
     for w in bctx.finite_weight_norms(1, depths[-1]):
         lips.append(lips[-1] * (factor * w))
+    if constants is not None:
+        # the limit column reads the drifts E_2 .. E_N: one batch, not
+        # one lazy miss per depth
+        bctx.prefetch(("E", k) for k in range(2, depths[-1] + 1))
     for n, apri in zip(depths, _apriori_bounds(bctx, depths, xb)):
         lip = lips[n]
         lim = None if constants is None else limit_bound_ctx(bctx, n, constants)

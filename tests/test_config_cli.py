@@ -344,6 +344,32 @@ class TestOtherCommands:
             want = oracles.network_lipschitz_bound(exp.seq, exp.act, int(n), exp.p)
             assert lip == format_float(want), n
 
+    def test_bounds_norms_its_limit_drifts_in_one_batch(self, tmp_path, monkeypatch):
+        """With certified constants the limit column at depth n reads
+        E_2 .. E_n: a dense p = 2 table norms them in one batch, none in a
+        stack of its own."""
+        cfg = CONFIG_DIR / "dense_exp_decay.json"
+        batches = []
+        norms = analysis.BoundContext.norms
+
+        def recorded(self, keys):
+            batches.append(list(keys))
+            return norms(self, keys)
+
+        monkeypatch.setattr(analysis.BoundContext, "norms", recorded)
+        result = CliRunner().invoke(
+            main, ["bounds", "--config", str(cfg), "--out", str(tmp_path)]
+        )
+        monkeypatch.undo()
+        assert result.exit_code == 0, result.output
+        rows = (tmp_path / "bounds.csv").read_text().splitlines()[1:]
+        assert all(row.split(",")[3] for row in rows)
+        exp = load_config(str(cfg))
+        assert exp.p.p == 2.0 and exp.extension == ZERO_PAD
+        drifts = [[k for k in keys if k[0] == "E"] for keys in batches]
+        assert [("E", k) for k in range(2, exp.depths.reference + 1)] in drifts
+        assert not [keys for keys in batches if len(keys) == 1 and keys[0][0] == "E"]
+
     def test_rates_output(self, tmp_path):
         # shallow grids are polluted by transients, so fit over deeper n
         doc = base_doc(
