@@ -56,14 +56,19 @@ def _refusal_exits_1(command):
     raised while evaluating the configured network (an operator norm out of
     double range, say), an array too large to allocate (a MemoryError, from
     a sample count or a width far past the machine) or an output file that
-    cannot be written (an OSError) as ``Error: ...`` with exit code 1."""
+    cannot be written (an OSError) as ``Error: ...`` with exit code 1.  An
+    exception without text is named by its kind, and a MemoryError says
+    which inputs to reduce."""
 
     @functools.wraps(command)
     def wrapped(*args, **kwargs):
         try:
             return command(*args, **kwargs)
         except (OSError, ValueError, MemoryError) as exc:
-            raise click.ClickException(str(exc)) from exc
+            message = str(exc) or type(exc).__name__
+            if isinstance(exc, MemoryError):
+                message += "; reduce the depths, the widths or the sample count"
+            raise click.ClickException(message) from exc
 
     return wrapped
 

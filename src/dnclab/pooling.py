@@ -13,9 +13,9 @@ scanning windows of mu + 1 consecutive entries:
 
 Operators act on a vector or, along axis 0, on a ``(dim, S)`` batch of
 columns.  Window sums add the mu + 1 shifted slices left to right onto
-0.0, and window maxima fold ``np.maximum`` over them in window order (a
-NaN in the window gives NaN; of equal entries such as -0.0 and +0.0 the
-later one is kept): fixed orders of elementwise C loops over the whole
+0.0 by ``linalg._seq_sums``, and window maxima fold ``np.maximum`` over
+them in window order (a NaN in the window gives NaN; of equal entries
+such as -0.0 and +0.0 the later one is kept): fixed orders over the whole
 batch, never a BLAS reduction, so a column pools to the same bits in any
 batch and pooled evaluations are deterministic.
 """
@@ -25,8 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
-from .linalg import PNorm
+from .linalg import PNorm, _seq_sums
 
 __all__ = [
     "PoolingOp",
@@ -84,10 +85,10 @@ class PoolingOp:
             return np.array(arr)
         size = arr.shape[0] - self.mu
         if self.kind == "average":
-            out = np.zeros((size, *arr.shape[1:]))
-            for t in range(self.window):
-                out += arr[t : t + size]
-            return out / self.window
+            # term t of the sum is a view of the shifted slice arr[t : t + size]
+            shape = (self.window, size, *arr.shape[1:])
+            terms = as_strided(arr, shape, (arr.strides[0], *arr.strides), writeable=False)
+            return _seq_sums(terms) / self.window
         out = np.array(arr[:size])
         for t in range(1, self.window):
             np.maximum(out, arr[t : t + size], out=out)

@@ -624,6 +624,25 @@ class TestOtherCommands:
         assert "Error: Unable to allocate" in result.stderr
         assert "Traceback" not in result.stderr
 
+    def test_memory_error_without_text_is_named(self, tmp_path, monkeypatch):
+        """A MemoryError with no text (a depth of 2^63 runs out of memory
+        layer by layer) still ends in a message, never a bare ``Error:``: it
+        names the exception and the inputs to reduce, with exit code 1."""
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "convergence_study", out_of_memory)
+        cfg = write_config(tmp_path, base_doc())
+        result = CliRunner().invoke(
+            main, ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        )
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        message = result.stderr.strip().removeprefix("Error:").strip()
+        assert message.startswith("MemoryError; reduce the depths"), result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_overflowing_constant_padded_states_are_exit_1(self, tmp_path):
         """A relu convolution whose mask sums to 3.5 (|mask| to 7.5) drives
         its constant-padded states past the double range long before depth

@@ -9,8 +9,10 @@ form: each member of a stack must have the bits it has alone, and its value
 must bracket mpmath's largest singular value from above.
 """
 
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -144,10 +146,12 @@ def test_matvec_skips_only_terms_that_cannot_change_a_bit(case):
 
 @st.composite
 def sum_operands(draw):
-    """(array, axis) for ``_seq_sums``: one to three axes, each term (one
-    slice across the summed axis) holding from 1 to 2 x 257 entries, so
-    both sides of the 256-entry threshold; signed zeros, NaN, infinities
-    and overflowing magnitudes among the entries, and lines of -0.0."""
+    """(array, axis, factor) for ``_seq_sums``: one to three axes, each
+    term (one slice across the summed axis) holding from 1 to 2 x 257
+    entries; signed zeros, NaN, infinities and overflowing magnitudes among
+    the entries, and lines of -0.0.  The factor is None or an array that
+    broadcasts to the array's shape, with axes of length 1 and leading
+    axes dropped among its draws."""
     shape = draw(st.lists(st.sampled_from([1, 2, 3, 7, 257]), min_size=1, max_size=3))
     if math.prod(shape) > 3000:
         shape = shape[:2]
@@ -162,35 +166,119 @@ def sum_operands(draw):
         index = draw(st.integers(0, lines[..., 0].size - 1))
         which = index if draw(st.booleans()) else slice(None)
         lines.reshape(-1, shape[axis])[which] = -0.0
-    return a, axis
+    factor = None
+    if draw(st.booleans()):
+        kept = [n if draw(st.booleans()) else 1 for n in shape]
+        kept = kept[draw(st.integers(0, len(shape))) :]
+        factor = draw(arrays(np.float64, tuple(kept), elements=entries))
+    return a, axis, factor
 
 
 @settings(max_examples=200, deadline=None)
 @given(sum_operands())
-@example((np.array([-math.inf, math.inf, math.nan]), 0))
-@example((np.full((2, 257), -0.0), 0))
+@example((np.array([-math.inf, math.inf, math.nan]), 0, None))
+@example((np.full((2, 257), -0.0), 0, None))
+@example((np.full((2, 3), 2.0), 1, np.full(3, -0.0)))
 def test_seq_sums_row_loop_matches_accumulate(case):
     """Adding one term at a time from 0.0 and ``np.add.accumulate`` give
     the same bits on every axis, infinities and signed zeros included,
-    and so does :func:`seq_sum` of each line; a NaN reaches the same
-    sums.  (IEEE 754 fixes neither the sign nor the payload of a NaN that
-    an addition returns, and numpy's loops differ in both: accumulating
-    [-inf, inf, nan] gives -NaN, adding it in place +NaN.)"""
-    a, axis = case
+    with or without a broadcast second factor, and so does :func:`seq_sum`
+    of each line of products; a NaN reaches the same sums.  (IEEE 754
+    fixes neither the sign nor the payload of a NaN that an addition
+    returns, and numpy's loops differ in both: accumulating [-inf, inf,
+    nan] gives -NaN, adding it in place +NaN.)"""
+    a, axis, factor = case
     got = {}
     with np.errstate(invalid="ignore", over="ignore"):
-        for name, entries in (("loop", 0), ("accumulate", a.size), ("default", None)):
+        products = a if factor is None else a * factor
+        for name, entries in (("loop", 0), ("accumulate", products.size), ("default", None)):
             with pytest.MonkeyPatch.context() as mp:
                 if entries is not None:
                     mp.setattr(linalg, "_ONE_CALL_ENTRIES", entries)
-                got[name] = linalg._seq_sums(a, axis)
-        lines = np.moveaxis(a, axis, -1)
+                got[name] = linalg._seq_sums(a, axis, factor)
+        lines = np.moveaxis(products, axis, -1)
         want = np.array([seq_sum(line) for line in lines.reshape(-1, a.shape[axis])])
     nan = np.isnan(want)
     for name, sums in got.items():
         assert sums.shape == lines.shape[:-1], name
         np.testing.assert_array_equal(np.isnan(sums.ravel()), nan, err_msg=name)
         assert_same_bits(np.where(nan, 0.0, sums.ravel()), np.where(nan, 0.0, want))
+
+
+def source_sites(predicate) -> set:
+    """(module, innermost function) of every node of the package's source
+    for which ``predicate`` holds; a function node is its own."""
+    found = set()
+
+    def visit(node, module, function):
+        if isinstance(node, ast.FunctionDef):
+            function = node.name
+        if predicate(node):
+            found.add((module, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.name, None)
+    return found
+
+
+def adds_in_place(node) -> bool:
+    return isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add)
+
+
+def zeros_then_added_in_a_loop(node) -> bool:
+    """A function that fills an array from ``np.zeros`` and adds into it
+    in place inside a ``for`` loop."""
+    if not isinstance(node, ast.FunctionDef):
+        return False
+    zeroed = {
+        target.id
+        for n in ast.walk(node)
+        if isinstance(n, ast.Assign) and isinstance(n.value, ast.Call)
+        and getattr(n.value.func, "attr", None) in ("zeros", "zeros_like")
+        for target in n.targets
+        if isinstance(target, ast.Name)
+    }
+    return any(
+        adds_in_place(n) and getattr(n.target, "id", None) in zeroed
+        for loop in ast.walk(node)
+        if isinstance(loop, ast.For)
+        for n in ast.walk(loop)
+    )
+
+
+def loop_that_adds(node) -> bool:
+    """A loop that adds in place, calls an ``add``, or adds two values
+    outside a slice's bounds."""
+    if not isinstance(node, (ast.For, ast.While, ast.comprehension)):
+        return False
+    bounds = {id(m) for s in ast.walk(node) if isinstance(s, ast.Slice) for m in ast.walk(s)}
+    return any(
+        adds_in_place(m)
+        or getattr(m, "attr", None) == "add"
+        or (isinstance(m, ast.BinOp) and isinstance(m.op, ast.Add) and id(m) not in bounds)
+        for m in ast.walk(node)
+    )
+
+
+def test_one_summation_kernel_in_the_source():
+    """``linalg._seq_sums`` is the only place that calls
+    ``np.add.accumulate`` or reads ``_ONE_CALL_ENTRIES``; besides it only
+    the kernels that keep a loop of their own sum from ``np.zeros`` in a
+    loop, and pooling has no loop that adds."""
+    primitive = {("linalg.py", "_seq_sums")}
+    assert source_sites(
+        lambda n: isinstance(n, ast.Attribute) and n.attr == "accumulate"
+        and getattr(n.value, "attr", None) == "add"
+    ) == primitive
+    assert source_sites(
+        lambda n: isinstance(n, ast.Name) and n.id == "_ONE_CALL_ENTRIES"
+        and isinstance(n.ctx, ast.Load)
+    ) == primitive
+    own_loops = {("linalg.py", name) for name in ("matvec", "apply_banded", "_grams")}
+    assert primitive <= source_sites(zeros_then_added_in_a_loop) <= primitive | own_loops
+    assert not {site for site in source_sites(loop_that_adds) if site[0] == "pooling.py"}
 
 
 @settings(max_examples=100, deadline=None)
@@ -264,10 +352,10 @@ def spectral_stacks(draw):
     return np.stack([spectral_member(k, rows, cols, rng) for k in kinds])
 
 
-# (entries up to which one accumulation call forms the Gram products and
-# the Gram-Schmidt corrections, Gram entries per chunk, product-buffer
-# bytes): the kernel's defaults, the one-at-a-time additions everywhere,
-# one matrix per chunk, and one row or vector per product buffer
+# (products in all up to which a sum takes one accumulation call, Gram
+# entries per chunk, product-buffer bytes): the kernel's defaults, one
+# term at a time in every sum, one matrix per chunk, and one row or vector
+# per product buffer
 KERNEL_SETTINGS = (
     (linalg._ONE_CALL_ENTRIES, linalg._GRAM_ENTRIES, linalg._GRAM_BLOCK_BYTES),
     (0, linalg._GRAM_ENTRIES, linalg._GRAM_BLOCK_BYTES),
@@ -742,10 +830,14 @@ def test_pooling_on_batch_matches_columns(kind, mu, extra, samples, seed, specia
     if specials:  # signed zeros meet in one window; NaN propagates
         hit = rng.random(z.shape) < 0.6
         z[hit] = rng.choice([0.0, -0.0, math.nan], size=int(hit.sum()))
-    batch = op.pool(z)
-    for s in range(samples):
-        assert_same_bits(batch[:, s], oracles.pool_vector(op, z[:, s]))
-        assert_same_bits(op.pool(z[:, s]), batch[:, s])
+    # window sums one shifted slice at a time, and in one accumulation call
+    for entries in (0, op.window * z.size):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "_ONE_CALL_ENTRIES", entries)
+            batch = op.pool(z)
+            for s in range(samples):
+                assert_same_bits(batch[:, s], oracles.pool_vector(op, z[:, s]))
+                assert_same_bits(op.pool(z[:, s]), batch[:, s])
 
 
 # one corpus instance per geometry; the recursion oracle evaluates each sample
