@@ -57,6 +57,7 @@ from .linalg import (
     induced_norm,
     seq_sum,
     stacked_norms,
+    toeplitz_matrix,
     vector_norm,
 )
 from .network import LayerSeq, eval_extended_trajectory, eval_trajectory
@@ -401,6 +402,10 @@ class BoundContext:
         self._zero_image = functools.cache(
             lambda dim: vector_norm(act.apply(seq.pooling.pool(np.zeros(dim))), p)
         )
+        # a convolution's Toeplitz windows, each built once (at p = 2, one a layer)
+        self._window = functools.cache(
+            lambda n, k: toeplitz_matrix(seq.masks.mask(n), k + seq.masks.tau, k)
+        )
 
     @staticmethod
     def scheme(extension: str, seq: LayerSeq, p: PNorm) -> type:
@@ -457,15 +462,22 @@ class BoundContext:
 
     def _operator(self, tag: str, a: int, b: int | None = None) -> tuple:
         """The operator named by a key, as the pair (A, B) of matrices whose
-        zero-padded difference it is; B is None for W_n itself."""
-        w = self.seq.layer(a)[0]
-        if tag == "W":
-            return w, None
-        if tag == "dW":
-            return w, self.seq.layer(b)[0]
-        if self.seq.weight_limit is None:
+        zero-padded difference it is; B is None for W_n itself.  A
+        convolution's are its masks' windows: the full ones at p = 2; at
+        p = 1 and inf the smallest with every column and distinct row sum,
+        terms in order (<= tau + 1 shared columns, then as many more)."""
+        conv = self.seq.masks is not None
+        if tag == "E" and (conv or self.seq.weight_limit is None):
             raise ValueError("no declared weight limit")
-        return w, self.seq.weight_limit
+        ns = (a,) if tag == "W" else (a, b)  # b is None for W*
+        if not conv:
+            pair = [self.seq.layer(n)[0] if n else self.seq.weight_limit for n in ns]
+        else:
+            cols = [self.seq.width(n - 1) for n in ns]
+            cut = math.inf if self.p.p == 2.0 else self.seq.masks.tau + 1
+            kept = [min(min(cols), cut) + min(c - min(cols), cut) for c in cols]
+            pair = [self._window(n, k) for n, k in zip(ns, kept)]
+        return pair[0], pair[1] if tag != "W" else None
 
     def finite_weight_norms(self, lo: int, hi: int) -> list[float]:
         """|W_lo| .. |W_hi| of the finite weight matrices, whatever the
@@ -556,9 +568,9 @@ class BoundContext:
 
 
 class ConstantPad(BoundContext):
-    """Constant-padded convolutional sequences in l_inf: layer 1 keeps its
-    zero-padded matrix, later layers act by their constant-padded Toeplitz
-    operators, whose induced norms are the exact absolute mask sums."""
+    """Constant-padded convolutional sequences in l_inf, every layer by its
+    constant-padded Toeplitz operator: layer 1 reads the finite input, so
+    its norm is its zero-padded window's; later ones are exact mask sums."""
 
     @functools.cached_property
     def weight_limit_norm(self) -> float | None:
@@ -571,7 +583,7 @@ class ConstantPad(BoundContext):
 
     def _mask_norm(self, tag: str, a: int, b: int | None = None) -> float:
         if tag == "W":
-            if a == 1:  # layer 1 keeps its zero-padded matrix
+            if a == 1:  # layer 1 reads the finite input
                 return super().norms([(tag, a)])[0]
             return self.seq.masks.abs_sum(a)
         if tag == "dW":
@@ -590,9 +602,7 @@ class ConstantPad(BoundContext):
 
     def finite_weight_norms(self, lo: int, hi: int) -> list[float]:
         """The cache holds the mask sums from layer 2 on, so those layers'
-        finite matrices are normed afresh through the zero-pad operator
-        path; layer 1 is its finite matrix in both and comes from the
-        cache."""
+        zero-padded windows are normed afresh; layer 1's is cached."""
         later = super().norms([("W", n) for n in range(max(lo, 2), hi + 1)])
         return [self.weight_norm(1), *later] if lo == 1 else later
 

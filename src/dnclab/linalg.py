@@ -7,7 +7,7 @@ rests on the primitives here, so two properties are enforced globally:
   its terms left to right from 0.0 over IEEE doubles, never by a BLAS or
   pairwise reduction: :func:`seq_sum` for one list, :func:`_seq_sums` for
   the lines of an array or of a product of two, and the loops of
-  :func:`matvec` and :func:`apply_banded`, which make the same additions.
+  :func:`matvec` and :func:`_banded_sums`, which make the same additions.
   Results are bit-reproducible across runs, batch and stack compositions,
   and BLAS builds.
 * **Exactness discipline.**  Induced matrix norms are computed exactly for
@@ -869,10 +869,12 @@ def apply_banded(mask, x: EventuallyConstSeq, *, out=None) -> EventuallyConstSeq
     constant tail, so the output tail is ``sum(mask) * x.tail``.  Row i sums
     ``mask[k] * x[i - k]`` for k descending to 0 (column order) from 0.0,
     adding one shifted slice of the padded input per k, as :func:`_seq_sums`
-    adds.  It keeps a loop of its own: its terms land at row offsets (term
-    k from row k on), and it writes into the caller's workspace.  The
-    operator's induced l_1 and l_inf norms both equal the absolute mask sum
-    (``dnclab.network.MaskSeq.abs_sum``), which also bounds every
+    adds, in a loop of its own (:func:`_banded_sums`): its terms land at
+    row offsets (term k from row k on) in the caller's workspace.  A
+    zero-padded sweep calls it on a zero tail, unchecked, so that a state
+    past the double range reaches the distance that refuses it.  The
+    operator's induced l_1 and l_inf norms both equal the absolute mask
+    sum (``dnclab.network.MaskSeq.abs_sum``), which also bounds every
     intermediate p.
 
     ``out`` is a float64 workspace of shape ``(3, rows, ...)``: the padded
@@ -882,15 +884,21 @@ def apply_banded(mask, x: EventuallyConstSeq, *, out=None) -> EventuallyConstSeq
     without ``out`` the workspace is fresh.
     """
     mask = as_vector(mask, name="Toeplitz mask")
-    tau = mask.size - 1
-    size = x.head_len + tau
     if out is None:
-        out = np.empty((3, size, *x.head.shape[1:]))
+        out = np.empty((3, x.head_len + mask.size - 1, *x.head.shape[1:]))
+    total = _banded_sums(mask, x.head, x.tail, out)
+    return EventuallyConstSeq._of_filled(total, seq_sum(mask) * x.tail)
+
+
+def _banded_sums(mask: np.ndarray, head: np.ndarray, tail, out: np.ndarray) -> np.ndarray:
+    """:func:`apply_banded`'s head in ``out``: on a zero tail, :func:`matvec`
+    of the convolution matrix (extra terms ±0.0), but infinities stay in band."""
+    size = head.shape[0] + mask.size - 1
     padded, total, shifted = (a[:size] for a in out)
-    padded[: x.head_len] = x.head
-    padded[x.head_len :] = x.tail  # the head, then tau copies of the tail
+    padded[: head.shape[0]] = head
+    padded[head.shape[0] :] = tail  # the head, then tau copies of the tail
     total.fill(0.0)
-    for k in range(tau, -1, -1):
+    for k in range(mask.size - 1, -1, -1):
         np.multiply(mask[k], padded[: size - k], out=shifted[: size - k])
         total[k:] += shifted[: size - k]
-    return EventuallyConstSeq._of_filled(total, seq_sum(mask) * x.tail)
+    return total

@@ -40,17 +40,13 @@ bound-context class, and any other name is refused):
   state is the finite state of :func:`eval_trajectory` followed by act(0)
   in every padded coordinate.
 * ``constant_pad`` — convolutional networks only, evaluated by
-  :func:`eval_extended_trajectory`.  Layer 1 is the zero-padded finite
-  matrix; layers 2, 3, ... apply their mask's constant-padded Toeplitz
-  operator (``linalg.apply_banded``), so the constant tail evolves by
-  ``t -> act(sum(mask) * t)`` while the head lengthens by tau per layer.
-  Those layers run in workspaces allocated once per sweep at the last
-  head length, layer j in their top width(j) rows, with the activation
-  computed in place: the loop allocates no array whose size grows.
-  Convolutional weights are the finite windows
-  ``linalg.toeplitz_matrix(mask(n), width(n), width(n - 1))``; this sweep
-  reads layer 1's window and the biases of layers 2, 3, ... only, so it
-  builds no other window.
+  :func:`eval_extended_trajectory`.  The input's tail is 0, and the
+  constant tail evolves by ``t -> act(sum(mask) * t)``.
+
+A convolution is its masks under both: each layer applies its mask's
+banded kernel (``linalg.apply_banded``) to the state and a zero or constant
+tail, in workspaces allocated once per sweep at the last width (layer j in
+their top width(j) rows), so the loop builds no weight and no growing array.
 """
 
 from __future__ import annotations
@@ -63,6 +59,7 @@ import numpy as np
 from .activations import Activation
 from .linalg import (
     EventuallyConstSeq,
+    _banded_sums,
     apply_banded,
     as_matrix,
     as_vector,
@@ -133,8 +130,8 @@ class LayerSeq:
 
     ``weight_fn(n)`` and ``bias_fn(n)`` are each called at most once per
     index, and apart: :meth:`bias` generates b_n without W_n, so a reader of
-    the biases alone (the bias norms and gaps, the constant-padded sweep
-    past layer 1) builds no weight.  Each output is validated against the
+    the biases alone (the bias norms and gaps, a convolution's sweep)
+    builds no weight.  Each output is validated against the
     width schedule (a mismatch raises a ValueError naming the offending
     layer), frozen, and cached — so evaluations at any depths see
     bitwise-identical parameters.  :meth:`layer` returns the pair.
@@ -252,45 +249,40 @@ def _sweep(
     """Walk the recursion once, yielding ``(W_j N_{j-1}(x), N_j(x))`` for
     j = 1..n_max, with N_0(x) = x: the layer's product before pooling and
     bias, and its state.  Both are finite arrays, or, if ``padded``, both
-    are constant-padded :class:`EventuallyConstSeq` (layer 1 keeps its
-    zero-padded finite form: product tail 0, state tail act(0); later layers
-    apply their constant-padded Toeplitz operator).
-
-    A yielded pair is valid until the next step: a caller that keeps one
-    copies it.  The constant-padded layers past the first write into
-    workspaces allocated once, at the final head length: layer j fills the
-    top width(j) rows, and its product and state are views of them.
+    are constant-padded :class:`EventuallyConstSeq`.  A dense layer is
+    ``matvec`` and pooling; a convolution's is its mask's banded kernel on
+    a zero tail (``linalg._banded_sums``) or, if ``padded``, a constant one
+    (``apply_banded``), in the sweep's workspaces.  A yielded pair is valid
+    until the next step: a caller that keeps one copies it.
     """
     if padded and seq.masks is None:
         raise ValueError("constant padding is defined for convolutional networks only")
     v = _input(seq, x, n_max)
-    if padded:
+    if seq.masks is not None:
         # the padded input, the product, the shifted products (then the
         # activation's scratch) and the state
-        rows = seq.width(1) + (n_max - 1) * seq.masks.tau
-        work = np.empty((4, rows, *v.shape[1:]))
+        work = np.empty((4, seq.width(n_max), *v.shape[1:]))
         banded, state = work[:3], work[3]
+        v = EventuallyConstSeq._of_filled(v, 0.0) if padded else v
     for j in range(1, n_max + 1):
-        if j > 1 and padded:
-            prod = apply_banded(seq.masks.mask(j), v, out=banded)
-            if prod.head_len != seq.width(j):
-                raise ValueError(
-                    f"layer {j}: extended head length {prod.head_len} does not "
-                    f"match width {seq.width(j)}"
-                )
-            head = state[: prod.head_len]
-            np.add(prod.head, _column(seq.bias(j), head), out=head)
-            act.apply(head, out=head, scratch=banded[2, : prod.head_len])
-            v = EventuallyConstSeq._of_filled(head, act.apply(prod.tail))
-        else:
+        if seq.masks is None:
             w, b = seq.layer(j)
             prod = matvec(w, v)
             z = seq.pooling.pool(prod) if seq.pooling.mu else prod
             v = z + _column(b, z)
             act.apply(v, out=v)
+        else:
             if padded:
-                prod = EventuallyConstSeq._of_filled(prod, 0.0)
-                v = EventuallyConstSeq._of_filled(v, act.value_at_zero)
+                prod = apply_banded(seq.masks.mask(j), v, out=banded)
+            else:
+                prod = _banded_sums(seq.masks.mask(j), v, 0.0, banded)
+            total = prod.head if padded else prod
+            if total.shape[0] != seq.width(j):
+                raise ValueError(f"layer {j}: width {seq.width(j)} is not its convolution's")
+            head = state[: total.shape[0]]
+            np.add(total, _column(seq.bias(j), head), out=head)
+            act.apply(head, out=head, scratch=banded[2, : total.shape[0]])
+            v = EventuallyConstSeq._of_filled(head, act.apply(prod.tail)) if padded else head
         yield prod, v
 
 
@@ -335,9 +327,9 @@ def cnn_layer_seq(
     bias_limit=None,
 ) -> LayerSeq:
     """LayerSeq of the convolution by ``masks`` (its ``masks``), whose n-th
-    weight is the finite banded Toeplitz matrix of mask(n),
-    ``toeplitz_matrix(mask(n), width(n), width(n - 1))``; widths grow
-    arithmetically, width(n) = input_dim + n * tau."""
+    weight is ``toeplitz_matrix(mask(n), width(n), width(n - 1))``, built
+    for library callers of :meth:`LayerSeq.layer` only: no study path reads
+    it.  Widths grow arithmetically, width(n) = input_dim + n * tau."""
     tau = masks.tau
 
     def width(n: int) -> int:

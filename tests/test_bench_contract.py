@@ -131,15 +131,16 @@ def _span_calls(trace: dict) -> dict[str, int]:
 
 def test_traced_run_sees_the_batched_layers(tmp_path):
     """The per-layer run still finds every target and records spans for the
-    recursion, both kernels and the activation it drives (in place on the
-    sweep's workspaces) and the restart gaps it streams on a
-    constant-padded convolution."""
+    recursion, the banded kernel and the activation it drives (in place on
+    the sweep's workspaces) and the restart gaps it streams on a
+    constant-padded convolution.  Every layer of a convolution, layer 1
+    too, applies its mask: it makes no ``matvec`` call."""
     trace = _traced_run(tmp_path, CONV_CONFIG)
     assert trace["missing"] == []
     calls = _span_calls(trace)
+    assert calls.get("linalg.matvec", 0) == 0
     for name in (
         "network.trajectory",
-        "linalg.matvec",
         "linalg.apply_banded",
         "activations.apply",
         "analysis.product_gap",

@@ -14,10 +14,13 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from dnclab import analysis, cli, linalg, study
-from dnclab.analysis import CONSTANT_PAD, ZERO_PAD
+from dnclab import analysis, cli, linalg, network, study
+from dnclab.activations import make_activation
+from dnclab.analysis import CONSTANT_PAD, ZERO_PAD, BoundContext
 from dnclab.cli import main
 from dnclab.config import CONFIG_SCHEMA, ConfigError, load_config, parse_config
+from dnclab.linalg import INF, ONE, TWO
+from dnclab.network import MaskSeq
 from dnclab.pooling import no_pooling
 from dnclab.report import format_float, strip_generated_at
 
@@ -311,7 +314,10 @@ class TestOtherCommands:
         """The Lipschitz column is one running product over |W_1| .. |W_ref|:
         no matrix is normed twice (the a-priori and limit columns share the
         context's cache), every layer up to the reference depth is normed,
-        and each entry is oracles.network_lipschitz_bound's value at its depth."""
+        and each entry is oracles.network_lipschitz_bound's value at its depth.
+        A convolution's layers are normed as their masks' smallest windows,
+        toeplitz_matrix(mask(j), c + tau, c) with c = min(width(j - 1), tau + 1):
+        exactly one per layer, and nothing else."""
         if case == "conv-constant-pad":
             cfg = write_config(tmp_path, CONV_DOC)
         else:
@@ -336,8 +342,18 @@ class TestOtherCommands:
         exp = load_config(str(cfg))
         dense = case == "dense_exp_decay"
         assert exp.extension == (ZERO_PAD if dense else CONSTANT_PAD)
-        layers = [exp.seq.layer(j)[0] for j in range(1, exp.depths.reference + 1)]
-        assert all((w.shape, w.tobytes()) in evaluated for w in layers)
+        depths = range(1, exp.depths.reference + 1)
+        if dense:
+            layers = [exp.seq.layer(j)[0] for j in depths]
+            assert all((w.shape, w.tobytes()) in evaluated for w in layers)
+        else:
+            tau = exp.seq.masks.tau
+            cols = [min(exp.seq.width(j - 1), tau + 1) for j in depths]
+            windows = [
+                linalg.toeplitz_matrix(exp.seq.masks.mask(j), c + tau, c)
+                for j, c in zip(depths, cols)
+            ]
+            assert sorted(evaluated) == sorted((w.shape, w.tobytes()) for w in windows)
         rows = (tmp_path / "bounds.csv").read_text().splitlines()[1:]
         for row in rows:
             n, lip = row.split(",")[:2]
@@ -772,6 +788,59 @@ class TestOtherCommands:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "dnc-lab, version 0.1.0\n"
+
+
+class TestConvolutionsBuildNoWeight:
+    """A convolution is its masks: no study, ``check``, ``bounds`` or
+    ``rates`` path builds a dense weight or calls ``matvec`` on one.  Each
+    test makes a convolution's weight function (and ``matvec``) raise."""
+
+    @pytest.fixture(autouse=True)
+    def no_dense_weights(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a convolution built a dense weight or product")
+
+        monkeypatch.setattr(network, "toeplitz_matrix", refuse)
+        monkeypatch.setattr(network, "matvec", refuse)
+
+    @pytest.mark.parametrize(
+        "p, extension",
+        [(1, "zero_pad"), (2, "zero_pad"), ("inf", "zero_pad"), ("inf", "constant_pad")],
+    )
+    @pytest.mark.parametrize("command", ["run", "check", "bounds", "rates"])
+    def test_commands(self, tmp_path, p, extension, command):
+        doc = {
+            **CONV_DOC,
+            "activation": {"name": "tanh"},
+            "norm": {"p": p},
+            "comparison": {"extension": extension},
+        }
+        cfg = write_config(tmp_path, doc)
+        result = CliRunner().invoke(
+            main, [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+        )
+        assert result.exit_code == 0, result.output
+
+    @pytest.mark.parametrize("p", [ONE, TWO, INF])
+    def test_window_scan_without_a_limit_mask(self, p):
+        """``check``'s condition scans |W_8| .. |W_64| of a convolution whose
+        masks declare no limit, from the masks."""
+        masks = MaskSeq(1, lambda n: np.array([0.5, -0.25]) * (1.0 + 1.0 / n))
+        seq = network.cnn_layer_seq(masks, lambda n: np.zeros(1 + n), 1)
+        ctx = BoundContext(seq, make_activation("tanh"), p)
+        verdict = analysis.check_condition(ctx)
+        assert verdict.method == "tail-scan[8,64]"
+        assert verdict.estimate == max(ctx.weight_norm(n) for n in range(8, 65))
+
+    def test_a_non_vanishing_limit_is_still_refused(self):
+        """Under zero padding only a vanishing mask declares W* (the zero
+        operator): any other limit leaves E_k = |W_k - W*| undefined."""
+        exp = parse_config({**CONV_DOC, "comparison": {"extension": "zero_pad"}})
+        ctx = BoundContext(exp.seq, exp.act, exp.p, exp.extension)
+        with pytest.raises(ValueError, match="no declared weight limit"):
+            ctx.weight_limit_diff(3)
+        with pytest.raises(ValueError, match="no declared weight limit"):
+            ctx.norms([("E", 3)])
 
 
 class TestExitFreeze:

@@ -252,10 +252,11 @@ def test_run_bytes_ignore_seed_environment(tmp_path, cfg):
         assert _digest(f, (tmp_path / f).read_bytes()) == GOLDEN[f"{cfg}/run/{f}"], f
 
 
-def test_constant_padded_run_builds_one_window(tmp_path, monkeypatch):
-    """A constant-padded ``run`` reads layer 1's finite Toeplitz window and
-    only the biases past it, so it builds one window in all; ``bounds``,
-    whose Lipschitz column norms the finite windows, keeps its bytes."""
+def test_constant_padded_run_builds_no_window(tmp_path, monkeypatch):
+    """A constant-padded ``run`` applies every layer's mask and reads the
+    biases alone, so it builds no Toeplitz window through ``network``;
+    ``bounds``, whose Lipschitz column norms the masks' windows, keeps its
+    bytes."""
     calls = []
     window = network.toeplitz_matrix
     monkeypatch.setattr(
@@ -269,7 +270,7 @@ def test_constant_padded_run_builds_one_window(tmp_path, monkeypatch):
     runner = CliRunner()
     res = runner.invoke(main, ["run", "--config", str(cfg), "--out", str(tmp_path)])
     assert res.exit_code == 0, res.output
-    assert len(calls) == 1
+    assert calls == []
     res = runner.invoke(main, ["bounds", "--config", str(sample), "--out", str(tmp_path)])
     assert res.exit_code == 0, res.output
     got = _digest("bounds.csv", (tmp_path / "bounds.csv").read_bytes())

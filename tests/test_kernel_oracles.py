@@ -41,7 +41,7 @@ from dnclab.linalg import (
 )
 from dnclab.linalg import _grams, _Stack
 from dnclab.analysis import CONSTANT_PAD
-from dnclab.network import eval_extended_trajectory, eval_trajectory
+from dnclab.network import MaskSeq, cnn_layer_seq, eval_extended_trajectory, eval_trajectory
 from dnclab.pooling import average_pooling, max_pooling
 
 # signed zeros, cancelling magnitudes and ordinary values
@@ -276,7 +276,7 @@ def test_one_summation_kernel_in_the_source():
         lambda n: isinstance(n, ast.Name) and n.id == "_ONE_CALL_ENTRIES"
         and isinstance(n.ctx, ast.Load)
     ) == primitive
-    own_loops = {("linalg.py", name) for name in ("matvec", "apply_banded", "_grams")}
+    own_loops = {("linalg.py", name) for name in ("matvec", "_banded_sums", "_grams")}
     assert primitive <= source_sites(zeros_then_added_in_a_loop) <= primitive | own_loops
     assert not {site for site in source_sites(loop_that_adds) if site[0] == "pooling.py"}
 
@@ -714,6 +714,69 @@ def test_dense_truncation_matches_entry_loop(mask, rows, cols):
     assert_same_bits(window, oracles.toeplitz_window(mask, rows, cols))
     finite = toeplitz_matrix(mask, cols + mask.size - 1, cols)
     assert_same_bits(finite, oracles.toeplitz_window(mask, cols + mask.size - 1, cols))
+
+
+def scaled_mask(rng, tau: int) -> np.ndarray:
+    """tau + 1 coefficients of magnitudes 1e-8 .. 1e8 and random signs, a
+    few of them signed zeros."""
+    mask = rng.choice([-1.0, 1.0], tau + 1) * 10.0 ** rng.uniform(-8.0, 8.0, tau + 1)
+    mask[rng.random(tau + 1) < 0.15] = -0.0
+    return mask
+
+
+def padded_conv_operator(masks, dim: int, j: int, k=None) -> np.ndarray:
+    """The full zero-padded W_j - W_k of a convolution on ``dim`` inputs
+    (W_j if k is None), entry by entry."""
+    tau = masks.tau
+    cj = dim + (j - 1) * tau
+    full = oracles.toeplitz_window(masks.mask(j), cj + tau, cj)
+    if k is not None:
+        ck = dim + (k - 1) * tau
+        full[: ck + tau, :ck] -= oracles.toeplitz_window(masks.mask(k), ck + tau, ck)
+    return full
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 5), st.integers(1, 8), st.integers(1, 6), st.integers(1, 6), SEEDS)
+@example(0, 1, 1, 1, 0)  # tau = 0: one column of each kind
+@example(5, 1, 1, 1, 1)  # input_dim 1 < tau + 1: no row holds the whole mask
+@example(2, 8, 1, 6, 2)  # both kinds cut to tau + 1 columns
+@example(5, 8, 6, 6, 3)  # the widest operators drawn
+def test_conv_window_norms_are_the_full_operators(tau, dim, k, gap, seed):
+    """At p = 1 and p = inf a convolution's context norms W_j and the
+    padded difference W_j - W_k (j > k) from its masks' smallest windows:
+    the same bits as the full zero-padded operators' loop sums."""
+    masks = MaskSeq(tau, lambda n: scaled_mask(np.random.default_rng([seed, n]), tau))
+    seq = cnn_layer_seq(masks, lambda n: np.zeros(dim + n * tau), dim)
+    j = k + gap
+    for p, loop_norm in ((ONE, oracles.abs_col_sum_norm), (INF, oracles.abs_row_sum_norm)):
+        ctx = BoundContext(seq, make_activation("relu"), p)
+        got = ctx.norms([("W", j), ("dW", j, k), ("W", k)])
+        want = [
+            loop_norm(padded_conv_operator(masks, dim, j)),
+            loop_norm(padded_conv_operator(masks, dim, j, k)),
+            loop_norm(padded_conv_operator(masks, dim, k)),
+        ]
+        assert_same_bits(got, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 5), st.integers(1, 8), st.integers(1, 4), SEEDS, st.booleans())
+def test_zero_tail_banded_sums_are_the_finite_convolution(tau, cols, samples, seed, one):
+    """The banded kernel on a zero tail has the bits of ``matvec`` on the
+    finite convolution matrix, on batches (or a vector) holding ±0.0 and
+    all-zero rows."""
+    rng = np.random.default_rng(seed)
+    mask = scaled_mask(rng, tau)
+    v = rng.normal(size=(cols, samples)) * 10.0 ** rng.uniform(-8.0, 8.0, (cols, samples))
+    v[rng.random(v.shape) < 0.3] = 0.0
+    v[rng.random(v.shape) < 0.3] = -0.0
+    v[rng.random(cols) < 0.2] = -0.0
+    if one:
+        v = v[:, 0]
+    work = np.empty((3, cols + tau, *v.shape[1:]))
+    got = linalg._banded_sums(mask, v, 0.0, work)
+    assert_same_bits(got, matvec(toeplitz_matrix(mask, cols + tau, cols), v))
 
 
 BATCHES = arrays(
