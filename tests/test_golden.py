@@ -10,8 +10,10 @@ rate and violation tuples).  ``repr`` of a float is its shortest round-trip
 form, so these digests catch a last-bit drift that the CLI's rounded stdout
 cannot: all 50 corpus instances and the 2 diverging controls at the
 ``selftest`` plan with 5 samples, plus one inline dense p = 2 study at
-width 64 and one constant-padded sigmoid convolution.  They were frozen
-from the per-sample evaluation path, before the recursion was batched.
+width 64 and one constant-padded sigmoid convolution, frozen from the
+per-sample evaluation path before the recursion was batched, and two
+zero-padded convolutions (one at p = 2, one with input_dim < tau + 1),
+frozen before the constant-padded norms joined the shared norm batch.
 
 To refreeze after a deliberate output change, run this file directly: it
 prints the current digests in the layout of ``GOLDEN`` and ``STUDY_GOLDEN``.
@@ -106,6 +108,8 @@ STUDY_GOLDEN = {
     "control/control-diverging-conv": "33952bb1b0f9fed22cf3c2a16168353d07ef70c430013c8306903088ebc27c25",
     "inline/dense-w64-p2": "5abbfec269a9081ddfca2c6b5aa0755942f1b2e703e6028e0f26fbab3322f31e",
     "inline/conv-constant-pad-sigmoid": "e9fe56d4346b0cf838dcf7a748686742ab4f70b93a07e8ad30068d680a046f65",
+    "inline/conv-zero-pad-p2": "31caae1f7998c41d03cfa758133069b093247aa6b7ecab246f493a03750bc3c1",
+    "inline/conv-zero-pad-narrow-input": "5ddc60d64c059f3dedab94424dc2b1c88eaa0a6e3eb7b1b7d355534dfa460c3e",
 }
 
 # the selftest plan (see ``dnc-lab selftest``) at 5 samples per instance
@@ -150,6 +154,34 @@ INLINE_CONFIGS = {
             "m_list": [1, 2, 4, 8],
             "reference_depth": 32,
         },
+    },
+    # zero-padded convolutions, which the corpus runs only at p = 1 and inf
+    # with input_dim tau + 1: one at p = 2, one whose layer 1 has no full row
+    "conv-zero-pad-p2": {
+        "label": "conv-zero-pad-p2",
+        "seed": 11,
+        "generator": {
+            "family": "conv",
+            "input_dim": 3,
+            "mask": {"family": "vanishing_exponential", "base": [0.5, -0.3, 0.2], "rate": 0.6},
+        },
+        "activation": {"name": "relu"},
+        "norm": {"p": 2},
+        "domain": {"bound": 1.0, "sampler": {"kind": "uniform", "count": 20}},
+        "depths": {"n_list": [1, 2, 3, 4, 6], "m_list": [1, 2, 4], "reference_depth": 20},
+    },
+    "conv-zero-pad-narrow-input": {
+        "label": "conv-zero-pad-narrow-input",
+        "seed": 13,
+        "generator": {
+            "family": "conv",
+            "input_dim": 1,
+            "mask": {"family": "vanishing_exponential", "base": [0.4, 0.3, -0.2], "rate": 0.5},
+        },
+        "activation": {"name": "sigmoid"},
+        "norm": {"p": "inf"},
+        "domain": {"bound": 1.0, "sampler": {"kind": "uniform", "count": 20}},
+        "depths": {"n_list": [1, 2, 3, 4, 6], "m_list": [1, 2, 4], "reference_depth": 20},
     },
 }
 
