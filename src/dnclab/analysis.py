@@ -37,7 +37,8 @@ context class is the extension: :class:`BoundContext` itself pads weights
 and biases with zeros and states with the activation's value at zero
 (which literal zero padding matches exactly whenever act(0) = 0); its
 subclass :class:`ConstantPad` compares constant-padded convolutional
-sequences in l_inf with the exact mask-sum operator norms.
+sequences in l_inf, naming as operands the mask rows whose sums are the
+exact operator norms; one batched evaluation norms both extensions'.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from .linalg import (
     INF,
     EventuallyConstSeq,
     PNorm,
-    induced_norm,
     seq_sum,
     stacked_norms,
     toeplitz_matrix,
@@ -359,11 +359,12 @@ class BoundContext:
     Under zero padding states are finite in l_p: weights, biases and
     pre-activations are padded with zeros, states with act(0).  Every
     weight-operator norm, in the extension, lives in one cache keyed by its
-    operator: ``("W", n)`` for W_n, ``("dW", j, k)`` for W_j - W_k and
-    ``("E", k)`` for W_k - W*.  Only :meth:`prefetch` fills it, in one batch
-    (:meth:`norms`); a read that misses prefetches its own key.  Biases are
-    zero-padded under both schemes.  The state methods take a whole batch
-    of samples (one per column) and return one value per sample.
+    operator: ``("W", n)`` for W_n (n None for W*), ``("dW", j, k)`` for
+    W_j - W_k and ``("E", k)`` for W_k - W*.  Only :meth:`prefetch` fills
+    it, in one batch (:meth:`norms`) of the operands the extension names
+    (:meth:`_operator`); a read that misses prefetches its own key.  Biases
+    are zero-padded under both schemes.  The state methods take a whole
+    batch of samples (one per column) and return one value per sample.
     """
 
     def __new__(cls, seq, act, p, extension: str = ZERO_PAD):
@@ -381,8 +382,9 @@ class BoundContext:
         self.L = act.lipschitz
         self.P = seq.pooling.lipschitz(p)
         # a vanishing conv mask has the zero operator as its limit, so there
-        # |W_k - W*| is |W_k| and the two keys share one entry
-        self._zero_limit = seq.masks is not None and self.weight_limit_norm == 0.0
+        # |W*| is 0, |W_k - W*| is |W_k| and the two keys share one entry
+        lim = None if seq.masks is None else seq.masks.limit
+        self._zero_limit = lim is not None and not lim.any()
         self._norms: dict[tuple, float] = {}
 
         # the caches below close over the layer data, not over the context,
@@ -423,19 +425,24 @@ class BoundContext:
 
     # -- what the extension decides ----------------------------------------
 
-    @functools.cached_property
+    def _declares_weight_limit(self) -> bool:
+        """Whether W* is declared: a dense ``weight_limit`` or, as only a
+        vanishing mask has a zero-padded limit operator, a zero limit mask."""
+        conv = self.seq.masks is not None
+        return self._zero_limit if conv else self.seq.weight_limit is not None
+
+    @property
     def weight_limit_norm(self) -> float | None:
-        """|W*|, or None when the extension has no declared limit operator."""
-        if self.seq.masks is not None:
-            lim = self.seq.masks.limit
-            # only a vanishing mask has a zero-padded limit operator
-            return None if lim is None or lim.any() else 0.0
-        lim = self.seq.weight_limit
-        return None if lim is None else induced_norm(lim, self.p)
+        """|W*| (the cache's ``("W", None)``, 0 for a zero limit mask), or
+        None when the extension has no declared limit operator."""
+        if not self._declares_weight_limit():
+            return None
+        return 0.0 if self._zero_limit else self._norm(("W", None))
 
     @property
     def has_limits(self) -> bool:
-        return self.weight_limit_norm is not None and self.seq.bias_limit is not None
+        """Whether W* and b* are declared; reading it norms nothing."""
+        return self._declares_weight_limit() and self.seq.bias_limit is not None
 
     def tail_cap_refusal(self) -> str | None:
         """Why the state norms admit no certified sup, or None: padded
@@ -481,11 +488,14 @@ class BoundContext:
 
     def finite_weight_norms(self, lo: int, hi: int) -> list[float]:
         """|W_lo| .. |W_hi| of the finite weight matrices, whatever the
-        extension.  Under zero padding these are the cache's ``("W", n)``
-        entries, prefetched in one batch."""
-        ns = range(lo, hi + 1)
-        self.prefetch(("W", n) for n in ns)
-        return [self.weight_norm(n) for n in ns]
+        extension: the cache's entries :meth:`_finite_key` names,
+        prefetched in one batch."""
+        keys = [self._finite_key(n) for n in range(lo, hi + 1)]
+        self.prefetch(keys)
+        return [self._norm(key) for key in keys]
+
+    def _finite_key(self, n: int) -> tuple:
+        return ("W", n)  # the finite W_n is the extension's
 
     def zero_image_norm(self, n: int) -> float:
         """|(act o pool)(0)| at layer n — the additive constant of the
@@ -572,42 +582,29 @@ class ConstantPad(BoundContext):
     constant-padded Toeplitz operator: layer 1 reads the finite input, so
     its norm is its zero-padded window's; later ones are exact mask sums."""
 
-    @functools.cached_property
-    def weight_limit_norm(self) -> float | None:
-        lim = self.seq.masks.limit
-        return None if lim is None else seq_sum(np.abs(lim))
+    def _declares_weight_limit(self) -> bool:
+        return self.seq.masks.limit is not None
 
-    def norms(self, keys) -> list[float]:
-        """Mask sums are exact and cheap, so they are taken one at a time."""
-        return [self._mask_norm(*key) for key in keys]
-
-    def _mask_norm(self, tag: str, a: int, b: int | None = None) -> float:
-        if tag == "W":
-            if a == 1:  # layer 1 reads the finite input
-                return super().norms([(tag, a)])[0]
-            return self.seq.masks.abs_sum(a)
-        if tag == "dW":
-            return seq_sum(np.abs(self._mask(a) - self._mask(b)))
-        lim = self.seq.masks.limit
-        if lim is None:
+    def _operator(self, tag: str, a: int, b: int | None = None) -> tuple:
+        """A mask sum is the l_inf norm of the mask as a 1 x (tau + 1) row:
+        from layer 2 on, W_n is its mask's row and a difference the pair of
+        rows (None for the limit mask's).  W_1 and the finite windows
+        ``("F", n)`` of :meth:`_finite_key` are the base's."""
+        if tag == "F" or (tag, a) == ("W", 1):
+            return super()._operator("W", a)
+        masks = self.seq.masks
+        ns = (a,) if tag == "W" else (a, b)  # b is None for W*
+        if None in ns and masks.limit is None:
             raise ValueError("no declared mask limit")
-        return seq_sum(np.abs(self._mask(a) - lim))
+        if tag != "W" and min(n for n in ns if n is not None) < 2:
+            raise ValueError("constant-padded weight differences are defined for layers >= 2")
+        rows = [(masks.limit if n is None else masks.mask(n))[None] for n in ns]
+        return rows[0], rows[1] if tag != "W" else None
 
-    def _mask(self, n: int) -> np.ndarray:
-        if n < 2:
-            raise ValueError(
-                "constant-padded weight differences are defined for layers >= 2"
-            )
-        return self.seq.masks.mask(n)
-
-    def finite_weight_norms(self, lo: int, hi: int) -> list[float]:
-        """The cache holds the mask sums from layer 2 on, so those layers'
-        zero-padded windows are normed afresh; layer 1's is cached."""
-        later = super().norms([("W", n) for n in range(max(lo, 2), hi + 1)])
-        return [self.weight_norm(1), *later] if lo == 1 else later
-
-    def zero_image_norm(self, n: int) -> float:
-        return abs(self.act.value_at_zero)
+    def _finite_key(self, n: int) -> tuple:
+        # from layer 2 on the cache's ("W", n) are mask sums, so the finite
+        # windows are keyed apart
+        return ("W", n) if n == 1 else ("F", n)
 
     def states(self, x, depth: int, select) -> list:
         return eval_extended_trajectory(self.seq, self.act, x, depth, select)
@@ -878,11 +875,12 @@ class LimitConstants:
 
 def _scan_keys(ctx: BoundContext) -> list[tuple]:
     """The keys of the operator norms :func:`derive_limit_constants` reads,
-    in one batch: |W_1| .. |W_48| and E_48; none when the network gets no
-    scan (no declared limits, or a tail-cap refusal)."""
+    in one batch: |W_1| .. |W_48|, E_48 and |W*| (0 for a zero limit mask);
+    none when the network gets no scan (no limits, or a tail-cap refusal)."""
     if not ctx.has_limits or ctx.tail_cap_refusal() is not None:
         return []
-    return [*(("W", n) for n in range(1, _SCAN_END + 1)), ("E", _SCAN_END)]
+    keys = [*(("W", n) for n in range(1, _SCAN_END + 1)), ("E", _SCAN_END)]
+    return keys if ctx._zero_limit else [*keys, ("W", None)]
 
 
 def derive_limit_constants(
@@ -942,6 +940,7 @@ def network_verdicts(ctx: BoundContext, x_bound: float) -> tuple:
     order.  The mask conditions are None unless the network is a
     convolution; the constants and their note are those of
     :func:`derive_limit_constants` at ``x_bound``."""
+    ctx.prefetch(_scan_keys(ctx))  # with |W*|, which the condition reads
     condition = check_condition(ctx)
     masks = ctx.seq.masks
     mask_conditions = None if masks is None else check_mask_conditions(masks, ctx.act)

@@ -260,8 +260,8 @@ def _sweep(
     v = _input(seq, x, n_max)
     if seq.masks is not None:
         # the padded input, the product, the shifted products (then the
-        # activation's scratch) and the state
-        work = np.empty((4, seq.width(n_max), *v.shape[1:]))
+        # activation's scratch) and the state, at the last convolution's width
+        work = np.empty((4, seq.width(0) + n_max * seq.masks.tau, *v.shape[1:]))
         banded, state = work[:3], work[3]
         v = EventuallyConstSeq._of_filled(v, 0.0) if padded else v
     for j in range(1, n_max + 1):
@@ -272,16 +272,16 @@ def _sweep(
             v = z + _column(b, z)
             act.apply(v, out=v)
         else:
+            rows = seq.width(0) + j * seq.masks.tau  # the head lengthens by tau
+            if seq.width(j) != rows:
+                raise ValueError(f"layer {j}: width {seq.width(j)} is not its convolution's")
             if padded:
                 prod = apply_banded(seq.masks.mask(j), v, out=banded)
             else:
                 prod = _banded_sums(seq.masks.mask(j), v, 0.0, banded)
-            total = prod.head if padded else prod
-            if total.shape[0] != seq.width(j):
-                raise ValueError(f"layer {j}: width {seq.width(j)} is not its convolution's")
-            head = state[: total.shape[0]]
-            np.add(total, _column(seq.bias(j), head), out=head)
-            act.apply(head, out=head, scratch=banded[2, : total.shape[0]])
+            head = state[:rows]
+            np.add(prod.head if padded else prod, _column(seq.bias(j), head), out=head)
+            act.apply(head, out=head, scratch=banded[2, :rows])
             v = EventuallyConstSeq._of_filled(head, act.apply(prod.tail)) if padded else head
         yield prod, v
 

@@ -170,15 +170,15 @@ def test_traced_run_sees_the_stacked_p2_norms(tmp_path):
     """The tracer wraps ``induced_norm`` for stacked operands too: a p = 2
     dense run records its spans, and the p = 2 norms do not go through
     ``matvec`` (what is left is the first-layer products).  One
-    norm cache makes four stacked p = 2 calls, none on an operand seen
-    before: |W*|, then the constants scan's batch (W_1 alone; W_2..W_48
-    and E_48 with the grid's weights and drifts up to half of the study's
+    norm cache makes three stacked p = 2 calls, none on an operand seen
+    before: the constants scan's batch (W_1 alone; W_2..W_48, E_48 and
+    |W*| with the grid's weights and drifts up to half of the study's
     operators), then the grid's batch (the other weights and drifts, and
     the limit drifts)."""
     trace = _traced_run(tmp_path, DENSE_P2_CONFIG)
     assert trace["missing"] == []
     calls = _span_calls(trace)
     assert calls.get("linalg.induced_norm", 0) > 0
-    assert trace["counts"].get("linalg.induced_norm.p2_calls", 0) == 4
+    assert trace["counts"].get("linalg.induced_norm.p2_calls", 0) == 3
     assert trace["counts"].get("linalg.induced_norm.repeats", 0) == 0
     assert 0 < calls.get("linalg.matvec", 0) < 100

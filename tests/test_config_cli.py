@@ -19,6 +19,7 @@ from dnclab.activations import make_activation
 from dnclab.analysis import CONSTANT_PAD, ZERO_PAD, BoundContext
 from dnclab.cli import main
 from dnclab.config import CONFIG_SCHEMA, ConfigError, load_config, parse_config
+from dnclab.corpus import corpus_instances
 from dnclab.linalg import INF, ONE, TWO
 from dnclab.network import MaskSeq
 from dnclab.pooling import no_pooling
@@ -317,7 +318,9 @@ class TestOtherCommands:
         and each entry is oracles.network_lipschitz_bound's value at its depth.
         A convolution's layers are normed as their masks' smallest windows,
         toeplitz_matrix(mask(j), c + tau, c) with c = min(width(j - 1), tau + 1):
-        exactly one per layer, and nothing else."""
+        exactly one per layer.  Its constant-padded norms, the constants
+        scan's W_2 .. W_48, E_48 and |W*| and the limit column's E_2 .. E_ref,
+        are mask sums, each one 1 x (tau + 1) row; nothing else is normed."""
         if case == "conv-constant-pad":
             cfg = write_config(tmp_path, CONV_DOC)
         else:
@@ -331,8 +334,7 @@ class TestOtherCommands:
                 evaluated[m.shape, m.tobytes()] += 1
             return norm(a, p)
 
-        for module in (linalg, analysis):
-            monkeypatch.setattr(module, "induced_norm", counted)
+        monkeypatch.setattr(linalg, "induced_norm", counted)  # stacked_norms' call
         result = CliRunner().invoke(
             main, ["bounds", "--config", str(cfg), "--out", str(tmp_path)]
         )
@@ -353,7 +355,12 @@ class TestOtherCommands:
                 linalg.toeplitz_matrix(exp.seq.masks.mask(j), c + tau, c)
                 for j, c in zip(depths, cols)
             ]
-            assert sorted(evaluated) == sorted((w.shape, w.tobytes()) for w in windows)
+            masks, end = exp.seq.masks, depths[-1]
+            rows = [masks.mask(j) for j in range(2, 49)]
+            rows += [masks.mask(k) - masks.limit for k in (*range(2, end + 1), 48)]
+            rows.append(masks.limit)
+            want = [*windows, *(row[None] for row in rows)]
+            assert sorted(evaluated) == sorted((w.shape, w.tobytes()) for w in want)
         rows = (tmp_path / "bounds.csv").read_text().splitlines()[1:]
         for row in rows:
             n, lip = row.split(",")[:2]
@@ -745,6 +752,42 @@ class TestOtherCommands:
         assert isinstance(result.exception, SystemExit)
         assert "Error: " in result.stderr and "nodir" in result.stderr
         assert "Traceback" not in result.stderr
+
+    def test_selftest_norms_no_weight_limit_alone(self, monkeypatch):
+        """|W*| joins the constants scan's batch: a selftest makes 97
+        certified p = 2 stacks, the generators' included (109 when each
+        dense p = 2 context normed |W*| in a stack of its own), and no
+        one-member stack of a context's batches holds a declared W*."""
+        stacks, alone, batching = [], set(), []
+        spectral, stacked = linalg._spectral_norms, analysis.stacked_norms
+
+        def recording(ms):
+            stacks.append(len(ms))
+            if batching and len(ms) == 1:
+                alone.add((ms.shape[1:], np.asarray(ms).tobytes()))
+            return spectral(ms)
+
+        def batch(*args):
+            batching.append(True)
+            try:
+                return stacked(*args)
+            finally:
+                batching.pop()
+
+        monkeypatch.setattr(linalg, "_spectral_norms", recording)
+        monkeypatch.setattr(analysis, "stacked_norms", batch)
+        result = CliRunner().invoke(main, ["selftest", "--samples", "5"])
+        monkeypatch.undo()
+        assert result.exit_code == 0, result.output
+        assert len(stacks) == 97
+        limits = {
+            (w.shape, w.tobytes())
+            for w in (inst.build().weight_limit for inst in corpus_instances() if inst.p == TWO)
+            if w is not None
+        }
+        assert len(limits) == 12  # the dense p = 2 studies
+        assert alone  # W_1 has a shape of its own
+        assert not alone & limits
 
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_selftest_rejects_nonpositive_samples(self, count):

@@ -40,7 +40,7 @@ from dnclab.linalg import (
     vector_norm,
 )
 from dnclab.linalg import _grams, _Stack
-from dnclab.analysis import CONSTANT_PAD
+from dnclab.analysis import CONSTANT_PAD, ZERO_PAD
 from dnclab.network import MaskSeq, cnn_layer_seq, eval_extended_trajectory, eval_trajectory
 from dnclab.pooling import average_pooling, max_pooling
 
@@ -716,10 +716,11 @@ def test_dense_truncation_matches_entry_loop(mask, rows, cols):
     assert_same_bits(finite, oracles.toeplitz_window(mask, cols + mask.size - 1, cols))
 
 
-def scaled_mask(rng, tau: int) -> np.ndarray:
-    """tau + 1 coefficients of magnitudes 1e-8 .. 1e8 and random signs, a
-    few of them signed zeros."""
-    mask = rng.choice([-1.0, 1.0], tau + 1) * 10.0 ** rng.uniform(-8.0, 8.0, tau + 1)
+def scaled_mask(rng, tau: int, decades: float = 8.0) -> np.ndarray:
+    """tau + 1 coefficients of magnitudes 1e-decades .. 1e+decades and
+    random signs, a few of them signed zeros."""
+    scale = 10.0 ** rng.uniform(-decades, decades, tau + 1)
+    mask = rng.choice([-1.0, 1.0], tau + 1) * scale
     mask[rng.random(tau + 1) < 0.15] = -0.0
     return mask
 
@@ -758,6 +759,97 @@ def test_conv_window_norms_are_the_full_operators(tau, dim, k, gap, seed):
             loop_norm(padded_conv_operator(masks, dim, k)),
         ]
         assert_same_bits(got, want)
+
+
+def extreme_masks(tau: int, seed: int, count: int | None = None) -> MaskSeq:
+    """Masks and a limit mask of magnitudes 1e-300 .. 1e300 with signed
+    zeros, whose differences and sums stay finite."""
+    lim = scaled_mask(np.random.default_rng([seed, 0]), tau, 300.0)
+    return MaskSeq(
+        tau, lambda n: scaled_mask(np.random.default_rng([seed, n]), tau, 300.0), lim
+    )
+
+
+def mask_sums(masks: MaskSeq, j: int, k: int) -> list[float]:
+    """sum |m_j|, sum |m_k|, sum |m_j - m_k|, sum |m_k - lim| and sum |lim|,
+    each a left-to-right seq_sum."""
+    mj, mk, lim = masks.mask(j), masks.mask(k), masks.limit
+    return [
+        masks.abs_sum(j),
+        masks.abs_sum(k),
+        seq_sum(np.abs(mj - mk)),
+        seq_sum(np.abs(mk - lim)),
+        seq_sum(np.abs(lim)),
+    ]
+
+
+def constant_pad_reads(ctx, j: int, k: int) -> list[float]:
+    return [
+        ctx.weight_norm(j),
+        ctx.weight_norm(k),
+        ctx.weight_diff(j, k),
+        ctx.weight_limit_diff(k),
+        ctx.weight_limit_norm,
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 5), st.integers(1, 4), st.integers(2, 6), st.integers(1, 6), SEEDS)
+@example(0, 1, 2, 1, 0)  # tau = 0: one-entry rows
+@example(5, 4, 6, 6, 1)  # the widest rows drawn
+def test_constant_pad_norms_are_the_mask_sums(tau, dim, k, gap, seed):
+    """A constant-padded context names W_n (n >= 2), W_j - W_k, W_k - W*
+    and W* as rows of masks, and the shared batch norms them at p = inf
+    with the bits of the mask sums, on masks of magnitudes 1e-300 .. 1e300
+    with signed zeros, and with W_1's window in the same batch."""
+    masks = extreme_masks(tau, seed)
+    seq = cnn_layer_seq(masks, lambda n: np.zeros(dim + n * tau), dim)
+    ctx = BoundContext(seq, make_activation("relu"), INF, CONSTANT_PAD)
+    j = k + gap
+    ctx.prefetch([("W", 1), ("W", j), ("W", k), ("dW", j, k), ("E", k), ("W", None)])
+    assert_same_bits(constant_pad_reads(ctx, j, k), mask_sums(masks, j, k))
+
+
+def test_constant_pad_norms_summed_term_by_term_keep_their_bits():
+    """A batch of more rows than one accumulation call takes (here 6,000
+    entries a tag) is summed one term at a time, with the same bits."""
+    masks = extreme_masks(5, 7)
+    seq = cnn_layer_seq(masks, lambda n: np.zeros(1 + 5 * n), 1)
+    ctx = BoundContext(seq, make_activation("relu"), INF, CONSTANT_PAD)
+    ks = range(2, 1002)
+    ctx.prefetch(
+        [("W", None), *(key for k in ks for key in (("W", k), ("dW", k + 1, k), ("E", k)))]
+    )
+    for k in ks:
+        assert_same_bits(constant_pad_reads(ctx, k + 1, k), mask_sums(masks, k + 1, k))
+
+
+@pytest.mark.parametrize("name", ACTIVATION_NAMES)
+def test_constant_pad_zero_image_is_act_at_zero(name):
+    """The a-priori recursion's additive constant |(act o pool)(0)| at
+    p = inf is |act(0)| at every width of a constant-padded convolution."""
+    act = make_activation(name, **({"alpha": 2.0} if name == "prelu" else {}))
+    seq = cnn_layer_seq(MaskSeq(2, lambda n: [0.5, 0.2, 0.1]), lambda n: np.zeros(1 + 2 * n), 1)
+    ctx = BoundContext(seq, act, INF, CONSTANT_PAD)
+    got = [ctx.zero_image_norm(n) for n in (1, 2, 5, 48)]
+    assert_same_bits(got, [abs(act.value_at_zero)] * 4)
+
+
+@pytest.mark.parametrize("extension", [ZERO_PAD, CONSTANT_PAD])
+def test_overflowing_weight_difference_is_refused(extension):
+    """A weight difference whose entries overflow is refused in either
+    extension, as the shared batch refuses any operand that is not finite
+    (a constant-padded difference read +inf before it joined the batch).
+    numpy warns of the overflow as the operand is written."""
+    masks = MaskSeq(1, lambda n: [(-1.0) ** n * 1.5e308, 0.25])
+    seq = cnn_layer_seq(masks, lambda n: np.zeros(2 + n), 2)
+    ctx = BoundContext(seq, make_activation("relu"), INF, extension)
+    assert math.isfinite(ctx.weight_norm(3))
+    with (
+        pytest.warns(RuntimeWarning, match="overflow encountered in subtract"),
+        pytest.raises(ValueError, match="induced_norm operand: entries must be finite"),
+    ):
+        ctx.weight_diff(3, 2)
 
 
 @settings(max_examples=150, deadline=None)

@@ -155,6 +155,18 @@ class TestConvNetwork:
         out = eval_trajectory(seq, identity(), x, 1)[-1]
         assert_allclose(out, oracles.conv_full([1.0, -0.5], x), rtol=1e-15)
 
+    @pytest.mark.parametrize("sweep", [eval_trajectory, eval_extended_trajectory])
+    def test_width_that_is_not_the_convolutions_is_refused(self, sweep):
+        """A sequence with masks whose width function disagrees with
+        input_dim + n * tau is refused by name before the layer is computed,
+        not by a broadcast into a workspace sized from that width."""
+        masks = MaskSeq(2, lambda n: [0.5, 0.2, 0.1])
+        seq = LayerSeq(
+            2, lambda n: 1, lambda n: np.zeros((1, 1)), lambda n: np.zeros(1), masks=masks
+        )
+        with pytest.raises(ValueError, match="layer 1: width 1 is not its convolution's"):
+            sweep(seq, relu(), [0.5, -0.5], 3)
+
 
 class TestConstantPadExtension:
     def test_sigmoid_tails_reach_fixed_point_of_mask_sum(self):
