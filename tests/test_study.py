@@ -518,8 +518,8 @@ def test_prefetch_covers_exactly_the_norms_a_study_reads():
     norm was computed on a cache miss, none was prefetched and never read,
     and none was computed twice: every evaluated matrix is the operator of
     one entry of the context's norm cache (|W*| included), and no operator
-    was named twice.  A net without declared limits checks
-    the condition's tail scan, which reads the same cache."""
+    was named twice.  A net without declared limits checks the condition's
+    tail scan, which reads the same cache."""
     studies = 0
     for label, (seq, act, p, domain, sampler, depths, ext) in _audit_cases():
         with pytest.MonkeyPatch.context() as mp:
