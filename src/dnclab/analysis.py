@@ -55,6 +55,8 @@ from .linalg import (
     INF,
     EventuallyConstSeq,
     PNorm,
+    _padded_shape,
+    _write_padded_diff,
     seq_sum,
     stacked_norms,
     toeplitz_matrix,
@@ -210,17 +212,19 @@ def check_condition(ctx: BoundContext) -> ConditionVerdict:
     """Verdict on the central condition omega = lim L*P*|W_n|_p < 1 (strict).
 
     With declared limits the estimate is analytic: L*P*|W*|_p (norm
-    continuity), or L*P*sum|w*_k| for convolutional sequences.  Otherwise it
-    is the labelled maximum of L*P*|W_n|_p over the scan window [8, 64],
-    taken on the finite weight matrices in either extension
+    continuity), read from the norm cache whenever the extension declares
+    W*.  A zero-padded limit mask that does not vanish declares none; its
+    L*P*sum|w*_k| is the limit of the zero-padded sections' norms, exact at
+    p = 1 and inf and an upper bound at p = 2.  Otherwise it is the
+    labelled maximum of L*P*|W_n|_p over the scan window [8, 64], taken on
+    the finite weight matrices in either extension
     (:meth:`BoundContext.finite_weight_norms`).
     """
     lp = ctx.L * ctx.P
     masks = ctx.seq.masks
-    if masks is not None:
-        limit_norm = None if masks.limit is None else seq_sum(np.abs(masks.limit))
-    else:
-        limit_norm = ctx.weight_limit_norm
+    limit_norm = ctx.weight_limit_norm
+    if limit_norm is None and masks is not None and masks.limit is not None:
+        limit_norm = seq_sum(np.abs(masks.limit))
     if limit_norm is not None:
         est = lp * limit_norm
         method = "analytic"
@@ -323,26 +327,6 @@ def state_deviation(a: np.ndarray, b: np.ndarray, p: PNorm, fill: float):
     out = np.zeros(_padded_shape(a, b))
     _write_padded_diff(out, a, b, fill)
     return vector_norm(out, p)
-
-
-def _padded_shape(a: np.ndarray, b: np.ndarray | None) -> tuple[int, ...]:
-    """The common shape of ``a`` and ``b`` zero-padded (``a``'s, if b is None)."""
-    return a.shape if b is None else tuple(map(max, a.shape, b.shape))
-
-
-def _write_padded_diff(
-    out: np.ndarray, a: np.ndarray, b: np.ndarray | None, fill: float = 0.0
-) -> None:
-    """Write a - b, both zero-padded to ``out``'s shape, into the zeroed
-    ``out`` (``a`` alone if b is None); vectors or matrices.  A non-zero
-    ``fill`` pads states instead, which differ in their first axis only:
-    past the shorter one, the rows read a_i - fill or fill - b_i."""
-    out[tuple(map(slice, a.shape))] = a
-    if b is not None:
-        out[tuple(map(slice, b.shape))] -= b
-        if fill:  # at most one of the two tails is non-empty
-            out[b.shape[0] :] -= fill
-            out[a.shape[0] :] += fill
 
 
 class BoundContext:
@@ -457,15 +441,10 @@ class BoundContext:
 
     def norms(self, keys) -> list[float]:
         """The norms of the operators named by ``keys``, computed afresh:
-        one stack per shape, whose members are written from the weights
-        a block of rows at a time, and one ``induced_norm`` call each."""
-        pairs = [self._operator(*key) for key in keys]
-
-        def write(i, out, rows):
-            a, b = pairs[i]
-            _write_padded_diff(out, a[rows], None if b is None else b[rows])
-
-        return stacked_norms([_padded_shape(*pair) for pair in pairs], write, self.p)
+        their operand pairs (:meth:`_operator`) go to one ``stacked_norms``
+        call, which writes their zero-padded differences from the weights
+        and takes one ``induced_norm`` call per padded shape."""
+        return stacked_norms([self._operator(*key) for key in keys], self.p)
 
     def _operator(self, tag: str, a: int, b: int | None = None) -> tuple:
         """The operator named by a key, as the pair (A, B) of matrices whose
@@ -499,8 +478,10 @@ class BoundContext:
 
     def zero_image_norm(self, n: int) -> float:
         """|(act o pool)(0)| at layer n — the additive constant of the
-        a-priori recursion."""
-        return self._zero_image(self.seq.width(n) + self.seq.pooling.mu)
+        a-priori recursion.  At p = inf every width gives the value of one
+        pooled entry, as the maximum of equal entries is that entry."""
+        rows = 1 if self.p.is_inf else self.seq.width(n)
+        return self._zero_image(rows + self.seq.pooling.mu)
 
     def states(self, x, depth: int, select) -> list:
         return eval_trajectory(self.seq, self.act, x, depth, select)
@@ -936,15 +917,14 @@ def derive_limit_constants(
 
 def network_verdicts(ctx: BoundContext, x_bound: float) -> tuple:
     """``(condition, mask_conditions, constants, constants_note)``: every
-    x-independent verdict on the network of ``ctx``, computed in that
-    order.  The mask conditions are None unless the network is a
-    convolution; the constants and their note are those of
-    :func:`derive_limit_constants` at ``x_bound``."""
-    ctx.prefetch(_scan_keys(ctx))  # with |W*|, which the condition reads
+    x-independent verdict on the network of ``ctx``.  The constants and
+    their note, those of :func:`derive_limit_constants` at ``x_bound``, are
+    derived first: their scan batch holds |W*|, which the condition reads.
+    The mask conditions are None unless the network is a convolution."""
+    constants, note = derive_limit_constants(ctx, x_bound)
     condition = check_condition(ctx)
     masks = ctx.seq.masks
     mask_conditions = None if masks is None else check_mask_conditions(masks, ctx.act)
-    constants, note = derive_limit_constants(ctx, x_bound)
     return condition, mask_conditions, constants, note
 
 

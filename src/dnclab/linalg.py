@@ -21,20 +21,21 @@ rests on the primitives here, so two properties are enforced globally:
   takes one matrix or a ``(K, rows, cols)`` stack; at p = 2 a stack runs
   its Lanczos runs and rungs for all its members at once, with the same
   bits per member as alone, and no BLAS or LAPACK call.  It reads the
-  members one block of rows at a time, so the stack that
-  :func:`stacked_norms` passes writes them on demand and is never held
-  whole.  A Gram matrix far from 1 is first scaled by a power of two, so
-  an operand is refused only when its Gram matrix or its squared norm
-  leaves the double range.
+  members one block of rows at a time, so the stack of operand pairs
+  that :func:`stacked_norms` passes writes their zero-padded differences
+  on demand and is never held whole.  A Gram matrix far from 1 is first
+  scaled by a power of two, so an operand is refused only when its Gram
+  matrix or its squared norm leaves the double range.
 
 Constant-padded convolutions keep their states as
 :class:`EventuallyConstSeq`.  (A zero-padded operator or a state padded
-with a fill value is never built: ``analysis`` writes the padded
-difference of two of them straight away.)  A convolution is given by its
-mask alone: :func:`toeplitz_matrix` cuts a finite window out of the banded
-Toeplitz matrix of a mask (the finite convolution matrix is one such
-window), and :func:`apply_banded` applies the mask's constant-padded
-semi-infinite operator to eventually-constant sequences.
+with a fill value is never built: :func:`_write_padded_diff` writes the
+padded difference of two of them straight into its destination.)  A
+convolution is given by its mask alone: :func:`toeplitz_matrix` cuts a
+finite window out of the banded Toeplitz matrix of a mask (the finite
+convolution matrix is one such window), and :func:`apply_banded` applies
+the mask's constant-padded semi-infinite operator to eventually-constant
+sequences.
 """
 
 from __future__ import annotations
@@ -307,34 +308,54 @@ def _gamma(k: int) -> float:
     return k * _U / (1.0 - k * _U)
 
 
+def _padded_shape(a: np.ndarray, b: np.ndarray | None) -> tuple[int, ...]:
+    """The common shape of ``a`` and ``b`` zero-padded (``a``'s, if b is None)."""
+    return a.shape if b is None else tuple(map(max, a.shape, b.shape))
+
+
+def _write_padded_diff(
+    out: np.ndarray, a: np.ndarray, b: np.ndarray | None, fill: float = 0.0
+) -> None:
+    """Write a - b, both zero-padded to ``out``'s shape, into the zeroed
+    ``out`` (``a`` alone if b is None); vectors or matrices.  A non-zero
+    ``fill`` pads states instead, which differ in their first axis only:
+    past the shorter one, the rows read a_i - fill or fill - b_i."""
+    # tuple(map(...)) would leave shrunk tuples on CPython's free list (112 KB)
+    out[tuple([slice(n) for n in a.shape])] = a
+    if b is not None:
+        out[tuple([slice(n) for n in b.shape])] -= b
+        if fill:  # at most one of the two tails is non-empty
+            out[b.shape[0] :] -= fill
+            out[a.shape[0] :] += fill
+
+
 class _Stack:
-    """A ``(K, rows, cols)`` stack of matrices that is never held whole:
-    ``write(k, out, rows)`` writes the rows ``rows`` (a slice with a start
-    and a stop) of member k into ``out``, zeroed, which has one row for
-    each of them.  ``np.asarray`` writes every member into one array."""
+    """The stack of the zero-padded differences A - B of the operand pairs
+    ``pairs`` (B None for A alone), all of one padded shape, which is never
+    held whole: :meth:`write` writes rows of its members on demand.
+    ``np.asarray`` writes every member into one array."""
 
     ndim = 3
 
-    def __init__(self, shape, write):
-        self.shape = tuple(shape)
-        self.write = write
-
-    @classmethod
-    def of(cls, ms: np.ndarray) -> "_Stack":
-        """The stack of the matrices of the array ``ms``, copied out."""
-
-        def write(k, out, rows):
-            out[...] = ms[k, rows]
-
-        return cls(ms.shape, write)
+    def __init__(self, pairs):
+        self.pairs = pairs
+        self.shape = (len(pairs), *_padded_shape(*pairs[0]))
 
     def __len__(self) -> int:
         return self.shape[0]
 
+    @np.errstate(over="ignore")  # an overflow writes inf, which every reader refuses
+    def write(self, members, slots, rows) -> None:
+        """Write the rows ``rows`` (a slice with a start and a stop) of each
+        member of ``members`` into its zeroed slot of ``slots``, which has
+        one row for each of them."""
+        for k, out in zip(members, slots):
+            a, b = self.pairs[k]
+            _write_padded_diff(out, a[rows], None if b is None else b[rows])
+
     def __array__(self, dtype=None, copy=None):
         out = np.zeros(self.shape)
-        for k, slot in enumerate(out):
-            self.write(k, slot, slice(0, self.shape[1]))
+        self.write(range(len(self)), out, slice(0, self.shape[1]))
         return out if dtype is None else out.astype(dtype, copy=False)
 
 
@@ -347,7 +368,7 @@ def _grams(ms: _Stack, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     its diagonal rightwards, and the lower triangle is then copied from the
     upper: the products commute bitwise, so each Gram matrix is exactly
     symmetric either way.  The members are gathered one block of rows at a
-    time through the stack's ``write``, never whole: besides the result it
+    time through :meth:`_Stack.write`, never whole: besides the result it
     holds that block and one product buffer of a block of Gram rows, each
     at most 256 KB or one row of every member, whichever is larger.  A
     non-finite entry is refused as it is gathered."""
@@ -360,12 +381,11 @@ def _grams(ms: _Stack, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     prod = np.empty((block, cols, k))
     height = max(1, min(rows, fit))
     gathered = np.empty((height, cols, k))  # row r of member s at [r, :, s]
-    names = list(enumerate(members.tolist()))
+    members = members.tolist()
     for lo in range(0, rows, height):
         rb = gathered[: min(height, rows - lo)]
         rb.fill(0.0)
-        for s, member in names:
-            ms.write(member, rb[:, :, s], slice(lo, lo + len(rb)))
+        ms.write(members, rb.transpose(2, 0, 1), slice(lo, lo + len(rb)))
         if not np.isfinite(rb).all():
             raise ValueError("induced_norm operand: entries must be finite")
         nonzero |= rb.any(axis=(0, 1))
@@ -718,7 +738,9 @@ def induced_norm(a, p: PNorm):
     elif p.is_inf:
         out = _seq_sums(np.abs(stack), 2).max(axis=1)
     elif p.p == 2.0:
-        out = _spectral_norms(stack if written else _Stack.of(stack))
+        if not written:
+            stack = _Stack([(member, None) for member in stack])
+        out = _spectral_norms(stack)
     else:
         raise ValueError(
             "induced_norm: exact induced norms exist only for p in {1, 2, inf}; "
@@ -728,26 +750,23 @@ def induced_norm(a, p: PNorm):
     return float(out[0]) if m.ndim == 2 else out
 
 
-def stacked_norms(shapes, write, p: PNorm) -> list[float]:
-    """Induced norms of ``len(shapes)`` matrices that are never held as
-    arrays of their own: ``write(i, out, rows)`` writes the rows ``rows``
-    (a slice with a start and a stop) of matrix i, zero-padded to
-    ``shapes[i]``, into ``out``, zeroed, which has one row for each.  One
-    :func:`induced_norm` call per shape, in order of first appearance, on
-    a stack of that shape.  At p = 2 the stack writes its members on
-    demand, one block of rows of every member at a time, so a batch holds
-    its Gram array, its Lanczos basis and one block of rows, never its
-    operators together; ``np.asarray`` of the stack writes them all into
-    one zero-padded array.  At p = 1 and p = inf that array is built."""
+def stacked_norms(pairs, p: PNorm) -> list[float]:
+    """Induced norms of the zero-padded differences A - B of the operand
+    pairs ``pairs`` (B None for A alone), which are never held as arrays of
+    their own.  One :func:`induced_norm` call per padded shape, in order of
+    first appearance, on the :class:`_Stack` of its pairs.  At p = 2 the
+    stack writes its members on demand, one block of rows of every member
+    at a time, so a batch holds its Gram array, its Lanczos basis and one
+    block of rows, never its operators together; ``np.asarray`` of the
+    stack writes them all into one zero-padded array.  At p = 1 and p = inf
+    that array is built."""
     groups: dict[tuple, list[int]] = {}
-    for i, shape in enumerate(shapes):
-        groups.setdefault(tuple(shape), []).append(i)
-    out = [0.0] * len(shapes)
-    for shape, idx in groups.items():
-        stack = _Stack(
-            (len(idx), *shape), lambda k, slot, rows, idx=idx: write(idx[k], slot, rows)
-        )
-        for i, v in zip(idx, induced_norm(stack, p).tolist()):
+    for i, pair in enumerate(pairs):
+        groups.setdefault(_padded_shape(*pair), []).append(i)
+    out = [0.0] * len(pairs)
+    for idx in groups.values():
+        norms = induced_norm(_Stack([pairs[i] for i in idx]), p)
+        for i, v in zip(idx, norms.tolist()):
             out[i] = v
     return out
 

@@ -629,6 +629,33 @@ def test_tail_scan_takes_the_finite_matrix_norms(case):
     assert v.estimate == want
 
 
+def test_condition_reads_the_limit_norm_from_the_cache(monkeypatch):
+    """A constant-padded context declares W*, so ``check_condition`` reads
+    |W*| from the norm cache: once the scan batch is cached it sums no
+    limit mask, and its estimate has the bits of L*P*|W*|.  Zero padding
+    declares no W* for a limit mask that does not vanish, so there the
+    mask's sum is taken, with the same bits at p = inf."""
+    spec = GenSpec(
+        "conv",
+        input_dim=2,
+        seed=0,
+        mask=MaskSpec("constant_limit", (0.2, -0.1), rate=0.5, limit=(0.2, -0.1)),
+    )
+    seq = build(spec)
+    const = BoundContext(seq, sigmoid(), INF, CONSTANT_PAD)
+    const.prefetch(analysis._scan_keys(const))
+    summed = []
+    real = analysis.seq_sum
+    monkeypatch.setattr(analysis, "seq_sum", lambda v: summed.append(v) or real(v))
+    v = check_condition(const)
+    assert summed == []
+    assert v.method == "analytic"
+    assert v.estimate == const.L * const.P * const.weight_limit_norm
+    zero = check_condition(BoundContext(seq, sigmoid(), INF, ZERO_PAD))
+    assert len(summed) == 1
+    assert (zero.method, zero.estimate) == ("analytic", v.estimate)
+
+
 class TestMaskConditions:
     def test_vanishing_exponential_family(self):
         masks = build_masks(MaskSpec("vanishing_exponential", (0.6, -0.4), rate=0.5))
